@@ -3,7 +3,7 @@
 A BlockEncoding stands for a unitary whose top-left block is ``corner``,
 an approximation of ``target / alpha`` with guaranteed error
 ``||target - alpha * corner|| <= eps``.  The calculus works on the corner
-directly with exact dense arithmetic: each operation combines corners,
+directly with exact arithmetic: each operation combines corners,
 propagates the worst-case error budget by triangle-inequality rules, and
 accumulates abstract resource counters (depth units, queries to input
 encodings, ancilla qubits).  Gate-level synthesis is out of scope;
@@ -17,9 +17,12 @@ Repeated uses of one operand are charged to ``queries``, not by inlining
 its ledger again, so totals over a T-step pipeline that feeds each output
 back in grow geometrically with T, as expected.
 
-Conventions: matrices are dense complex with power-of-two size (inputs are
-zero-padded at construction), indices are 0-based, and spectral norms use
-dense SVD, so dimensions are expected to stay at most 2**10.  Norm and
+Conventions: corners are complex with power-of-two size (inputs are
+zero-padded at construction) and indices are 0-based.  A diagonal corner is
+stored as its length-N diagonal, so every primitive on diagonal inputs runs
+in O(N) and its spectral norm is max |d_i|.  A matrix passed to the
+BlockEncoding constructor is stored as an N x N array with an SVD norm, and
+primitives use dense arithmetic whenever an input is stored dense.  Norm and
 polynomial-bound checks allow a 1e-10 grace for float noise.
 """
 
@@ -29,7 +32,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -55,16 +58,31 @@ def spectral_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2))
 
 
-def _next_power_of_two(n: int) -> int:
+def next_power_of_two(n: int) -> int:
+    """Smallest power of two >= n (1 for n <= 1): the padded dimension."""
     p = 1
     while p < n:
         p *= 2
     return p
 
 
-def _digest(mat: np.ndarray) -> str:
-    payload = np.ascontiguousarray(mat).tobytes() + str(mat.shape).encode()
-    return hashlib.sha1(payload).hexdigest()[:12]
+def _digest(data: np.ndarray) -> str:
+    """Hash of the dense corner's bytes plus its shape.
+
+    A stored diagonal is fed to the hash one row of diag(data) at a time, so
+    both storages of one corner get the same id without an N x N array.
+    """
+    digest = hashlib.sha1()
+    if data.ndim == 2:
+        digest.update(data)
+    else:
+        row = np.zeros(data.size, dtype=complex)
+        for i, value in enumerate(data):
+            row[i] = value
+            digest.update(row)
+            row[i] = 0.0
+    digest.update(str((data.shape[0], data.shape[0])).encode())
+    return digest.hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -92,75 +110,87 @@ def _merge_counters(encodings, *, parallel: bool = False) -> ResourceCounter:
     )
 
 
-@dataclass(frozen=True)
 class BlockEncoding:
-    """Immutable corner block plus (alpha, ancillas, eps) and counters."""
+    """Immutable corner block plus (alpha, ancillas, eps) and counters.
 
-    corner: np.ndarray
-    alpha: float = 1.0
-    ancillas: int = 0
-    eps: float = 0.0
-    resources: ResourceCounter = ResourceCounter()
+    ``BlockEncoding(corner, alpha, ancillas, eps, resources)`` stores the
+    given matrix dense.  Primitives on diagonal inputs store only the
+    diagonal; ``corner`` then builds the read-only N x N matrix on each
+    access.  ``norm`` is the spectral norm, computed once at construction.
+    """
 
-    def __post_init__(self):
-        mat = np.array(self.corner, dtype=complex)
+    def __init__(self, corner, alpha: float = 1.0, ancillas: int = 0,
+                 eps: float = 0.0, resources: ResourceCounter = ResourceCounter()):
+        mat = np.array(corner, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"corner must be square, got shape {mat.shape}")
         n = mat.shape[0]
-        padded = _next_power_of_two(n)
+        padded = next_power_of_two(n)
         if padded != n:
             grown = np.zeros((padded, padded), dtype=complex)
             grown[:n, :n] = mat
             mat = grown
-        norm = spectral_norm(mat)
+        self._seal(mat, spectral_norm(mat), alpha, ancillas, eps, resources)
+
+    def _seal(self, data, norm, alpha, ancillas, eps, resources):
         if norm > 1.0 + NORM_TOL:
             raise NormTooLarge(f"corner spectral norm {norm} exceeds 1")
-        alpha = float(self.alpha)
+        alpha = float(alpha)
         if not (math.isfinite(alpha) and alpha >= 1.0):
             raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
-        eps = float(self.eps)
+        eps = float(eps)
         if not (math.isfinite(eps) and eps >= 0.0):
             raise ValueError(f"eps must be finite and >= 0, got {eps}")
-        if self.ancillas < 0:
+        if ancillas < 0:
             raise ValueError("ancillas must be non-negative")
-        mat.setflags(write=False)
-        object.__setattr__(self, "corner", mat)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "ancillas", int(self.ancillas))
-        object.__setattr__(
-            self,
-            "resources",
-            replace(
-                self.resources,
-                ancilla_high_water=max(
-                    self.resources.ancilla_high_water, int(self.ancillas)
-                ),
+        data.setflags(write=False)
+        self.__dict__.update(
+            _data=data,
+            norm=norm,
+            alpha=alpha,
+            eps=eps,
+            ancillas=int(ancillas),
+            resources=replace(
+                resources,
+                ancilla_high_water=max(resources.ancilla_high_water, int(ancillas)),
             ),
         )
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BlockEncoding is immutable; cannot set {name!r}")
+
+    @property
+    def corner(self) -> np.ndarray:
+        if self._data.ndim == 2:
+            return self._data
+        mat = np.diag(self._data)
+        mat.setflags(write=False)
+        return mat
+
     @property
     def dim(self) -> int:
-        return self.corner.shape[0]
+        return self._data.shape[0]
 
     @property
     def qubits(self) -> int:
         return int(math.log2(self.dim))
 
-    @property
-    def norm(self) -> float:
-        return spectral_norm(self.corner)
-
     def is_diagonal(self) -> bool:
-        off = self.corner - np.diag(np.diag(self.corner))
-        return bool(np.max(np.abs(off)) <= DIAG_TOL) if off.size else True
+        if self._data.ndim == 1:
+            return True
+        off = self._data - np.diag(np.diag(self._data))
+        return bool(np.max(np.abs(off)) <= DIAG_TOL)
 
     def diagonal(self) -> np.ndarray:
-        return np.diag(self.corner).copy()
+        return self._data.copy() if self._data.ndim == 1 else np.diag(self._data).copy()
+
+    @cached_property
+    def _id(self) -> str:
+        return _digest(self._data)
 
     def summary(self) -> dict:
         return {
-            "id": _digest(self.corner),
+            "id": self._id,
             "alpha": self.alpha,
             "eps": self.eps,
             "ancillas": self.ancillas,
@@ -168,6 +198,23 @@ class BlockEncoding:
             "queries": self.resources.queries,
             "ancilla_high_water": self.resources.ancilla_high_water,
         }
+
+
+def _encoding(data: np.ndarray, alpha: float = 1.0, ancillas: int = 0,
+              eps: float = 0.0, resources: ResourceCounter = ResourceCounter()):
+    """Wrap a primitive's output: a vector is stored as the diagonal, a matrix dense."""
+    if data.ndim == 2:
+        return BlockEncoding(data, alpha, ancillas, eps, resources)
+    enc = BlockEncoding.__new__(BlockEncoding)
+    enc._seal(data, float(np.max(np.abs(data))), alpha, ancillas, eps, resources)
+    return enc
+
+
+def _operands(encodings) -> list[np.ndarray]:
+    """The stored diagonals when every input has one, else the dense corners."""
+    if all(e._data.ndim == 1 for e in encodings):
+        return [e._data for e in encodings]
+    return [e.corner for e in encodings]
 
 
 @dataclass(frozen=True)
@@ -235,12 +282,12 @@ def diag_encode(
     norm = float(np.linalg.norm(vec))
     if norm > 1.0 + NORM_TOL:
         raise NormTooLarge(f"amplitude vector norm {norm} exceeds 1")
-    dim = _next_power_of_two(max(len(vec), 1))
+    dim = next_power_of_two(len(vec))
     padded = np.zeros(dim, dtype=complex)
     padded[: len(vec)] = vec
     log_n = int(math.log2(dim))
-    enc = BlockEncoding(
-        corner=np.diag(padded),
+    enc = _encoding(
+        padded,
         alpha=float(alpha),
         ancillas=log_n + 3,
         eps=0.0,
@@ -252,14 +299,14 @@ def diag_encode(
 
 def projector_encode(dim: int, k: int, *, audit: AuditLog | None = None) -> BlockEncoding:
     """Exact encoding of the basis projector |k><k|: depth 1, log2 N ancillas."""
-    dim = _next_power_of_two(dim)
+    dim = next_power_of_two(dim)
     if not 0 <= k < dim:
         raise IndexOutOfRange(f"index {k} not in [0, {dim})")
-    corner = np.zeros((dim, dim), dtype=complex)
-    corner[k, k] = 1.0
+    diag = np.zeros(dim, dtype=complex)
+    diag[k] = 1.0
     log_n = int(math.log2(dim))
-    enc = BlockEncoding(
-        corner=corner,
+    enc = _encoding(
+        diag,
         alpha=1.0,
         ancillas=log_n,
         eps=0.0,
@@ -283,11 +330,11 @@ def entry_project(
         raise IndexOutOfRange(f"source index {j} not in [0, {dim})")
     if not 0 <= k < dim:
         raise IndexOutOfRange(f"target index {k} not in [0, {dim})")
-    corner = np.zeros((dim, dim), dtype=complex)
-    corner[k, k] = enc.corner[j, j]
+    diag = np.zeros(dim, dtype=complex)
+    diag[k] = enc.diagonal()[j]
     log_n = int(math.log2(dim))
-    out = BlockEncoding(
-        corner=corner,
+    out = _encoding(
+        diag,
         alpha=enc.alpha,
         ancillas=enc.ancillas + log_n + 3,
         eps=enc.eps,
@@ -303,8 +350,11 @@ def product(
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
     merged = _merge_counters([a, b])
-    out = BlockEncoding(
-        corner=a.corner @ b.corner,
+    x, y = _operands([a, b])
+    # Adding 0.0 turns the -0.0 of elementwise products into the +0.0 that a
+    # dense matrix product gives, so audit ids match either storage.
+    out = _encoding(
+        x * y + 0.0 if x.ndim == 1 else x @ y,
         alpha=a.alpha * b.alpha,
         ancillas=a.ancillas + b.ancillas,
         eps=a.alpha * b.eps + b.alpha * a.eps,
@@ -337,10 +387,10 @@ def lcu(
     if any(e.alpha != alpha for e in encs):
         raise MixedAlpha("lcu inputs must share one alpha; rescale first")
     m = len(encs)
-    corner = sum(s * e.corner for s, e in zip(signs, encs)) / m
+    combined = sum(s * part for s, part in zip(signs, _operands(encs))) / m
     merged = _merge_counters(encs)
-    out = BlockEncoding(
-        corner=corner,
+    out = _encoding(
+        combined,
         alpha=alpha,
         ancillas=sum(e.ancillas for e in encs) + math.ceil(math.log2(m)),
         eps=sum(e.eps for e in encs) / m,
@@ -357,8 +407,8 @@ def scale_down(
     if p <= 1.0:
         raise InvalidScale(f"scale factor must exceed 1, got {p}")
     theta = 2.0 * math.acos(1.0 / p)
-    out = BlockEncoding(
-        corner=enc.corner / p,
+    out = _encoding(
+        enc._data / p,
         alpha=enc.alpha,
         ancillas=enc.ancillas + 1,
         eps=enc.eps / p,
@@ -372,15 +422,16 @@ def tensor(encodings, *, audit: AuditLog | None = None) -> BlockEncoding:
     encs = list(encodings)
     if not encs:
         raise ValueError("tensor requires at least one encoding")
-    corner = reduce(np.kron, (e.corner for e in encs))
+    # The Kronecker product of diagonals is the diagonal of the product.
+    combined = reduce(np.kron, _operands(encs))
     alpha = 1.0
     eps = 0.0
     for e in encs:
         eps = alpha * e.eps + e.alpha * eps
         alpha *= e.alpha
     merged = _merge_counters(encs, parallel=True)
-    out = BlockEncoding(
-        corner=corner,
+    out = _encoding(
+        combined,
         alpha=alpha,
         ancillas=sum(e.ancillas for e in encs),
         eps=eps,
@@ -421,8 +472,8 @@ def amplify(
             f"{1.0 - delta}"
         )
     m = math.ceil((2.0 * gamma / delta) * math.log(4.0 * gamma / eps_target))
-    out = BlockEncoding(
-        corner=gamma * enc.corner,
+    out = _encoding(
+        gamma * enc._data,
         alpha=enc.alpha,
         ancillas=enc.ancillas + 1,
         eps=gamma * enc.eps + eps_target * boosted_norm,
@@ -458,7 +509,10 @@ def qsvt_transform(
     d = _poly_degree(poly, degree)
     if d < 0:
         raise ValueError("degree must be non-negative")
-    herm_defect = spectral_norm(enc.corner - enc.corner.conj().T)
+    if enc._data.ndim == 1:
+        herm_defect = float(np.max(np.abs(enc._data - enc._data.conj())))
+    else:
+        herm_defect = spectral_norm(enc._data - enc._data.conj().T)
     if herm_defect > NORM_TOL:
         raise NotHermitian(f"corner deviates from Hermitian by {herm_defect}")
     k = np.arange(POLY_GRID_POINTS)
@@ -469,14 +523,12 @@ def qsvt_transform(
             f"sup |poly| = {sup} on [-1, 1] exceeds the 1/2 cap"
         )
     if enc.is_diagonal():
-        diag = np.diag(enc.corner).real
-        corner = np.diag(np.asarray(poly(diag), dtype=complex))
+        transformed = np.asarray(poly(enc.diagonal().real), dtype=complex)
     else:
         eigvals, eigvecs = np.linalg.eigh(enc.corner)
-        transformed = np.asarray(poly(eigvals), dtype=complex)
-        corner = (eigvecs * transformed) @ eigvecs.conj().T
-    out = BlockEncoding(
-        corner=corner,
+        transformed = (eigvecs * np.asarray(poly(eigvals), dtype=complex)) @ eigvecs.conj().T
+    out = _encoding(
+        transformed,
         alpha=1.0,
         ancillas=enc.ancillas + 2,
         eps=4.0 * d * math.sqrt(enc.eps / enc.alpha),
@@ -527,7 +579,7 @@ def apply_postselect(enc: BlockEncoding, phi) -> PostSelection:
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > NORM_TOL:
         raise NotNormalized(f"state norm {norm} differs from 1")
-    image = enc.corner @ vec
+    image = enc._data * vec if enc._data.ndim == 1 else enc._data @ vec
     weight = float(np.linalg.norm(image))
     if weight == 0.0:
         return PostSelection(state=None, prob=0.0)
@@ -536,4 +588,4 @@ def apply_postselect(enc: BlockEncoding, phi) -> PostSelection:
 
 def identity_encoding(dim: int) -> BlockEncoding:
     """Exact cost-free encoding of the identity (any unitary encodes itself)."""
-    return BlockEncoding(corner=np.eye(_next_power_of_two(dim), dtype=complex))
+    return _encoding(np.ones(next_power_of_two(dim), dtype=complex))

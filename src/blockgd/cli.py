@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockcalc import AuditLog
+from .blockcalc import AuditLog, next_power_of_two
 from .chebyshev import SeparableObjective, load_scalar_function
 from .descent import (
     GENERIC,
@@ -204,10 +204,7 @@ def _build_report(cfg: ExperimentConfig, trace: DescentTrace, oracle_trace) -> d
     final = trace.final_iterate()
     # Post-selection happens in the padded dimension; for power-of-two n the
     # reported and ||x_T||^2 / n probabilities coincide.
-    dim = 1
-    while dim < trace.n:
-        dim *= 2
-    expected_prob = float(np.dot(final, final)) / dim
+    expected_prob = float(np.dot(final, final)) / next_power_of_two(trace.n)
     envelopes = {}
     if cfg.mode == GENERIC:
         stats = cfg.objective.stats()

@@ -206,20 +206,6 @@ def initial_state_uniform(eta: float, grad_bound: float, steps: int, n: int) -> 
     return np.full(n, amplitude)
 
 
-def _pad_dim(n: int) -> int:
-    p = 1
-    while p < max(n, 1):
-        p *= 2
-    return p
-
-
-def _encode_initial(x0: np.ndarray, audit: AuditLog | None) -> BlockEncoding:
-    dim = _pad_dim(x0.size)
-    psi = np.zeros(dim)
-    psi[: x0.size] = x0
-    return bc.diag_encode(psi, audit=audit)
-
-
 def _apply_scalar_factor(
     enc: BlockEncoding,
     factor: float,
@@ -471,7 +457,7 @@ def run_generic(
             f"generic mode pins eta to 1/(2*M*K) = {eta}; got {cfg.eta}"
         )
     x0 = _validate_x0(x0, objective.n)
-    enc = _encode_initial(x0, audit)
+    enc = bc.diag_encode(x0, audit=audit)
     records = [_snapshot(0, enc, objective, objective.n)]
     for t in range(1, cfg.steps + 1):
         try:
@@ -510,7 +496,7 @@ def run_separable(
         )
     poly = approx_derivative(objective.func, cfg.eps)
     x0 = _validate_x0(x0, objective.n)
-    enc = _encode_initial(x0, audit)
+    enc = bc.diag_encode(x0, audit=audit)
     records = [_snapshot(0, enc, objective, objective.n)]
     for t in range(1, cfg.steps + 1):
         try:
@@ -619,13 +605,18 @@ def _canonical_objective(n: int, terms: int, degree: int, vars_per_term: int) ->
     return ObjectiveFunction(n, float(degree), tuple(built))
 
 
+def _probe_start(n: int) -> np.ndarray:
+    """Probe start point: 0.05 per coordinate, shrunk so that ||x0||_2 <= 1/2."""
+    return np.full(n, min(0.05, HALF / math.sqrt(n)))
+
+
 def measure_generic_iteration(
     n: int, terms: int, degree: int, vars_per_term: int, eps: float
 ) -> dict:
     """Measured counter increments of one generic iteration on the probe family."""
     objective = _canonical_objective(n, terms, degree, vars_per_term)
     cfg = DescentConfig(steps=1, eps=eps, mode=GENERIC)
-    trace = run_generic(objective, np.full(n, 0.05), cfg)
+    trace = run_generic(objective, _probe_start(n), cfg)
     return trace.per_iteration_deltas()[0]
 
 
@@ -635,7 +626,7 @@ def measure_separable_iteration(n: int, poly_degree: int, eps: float) -> dict:
     func = ScalarFunction.polynomial(coeffs)
     objective = SeparableObjective(func=func, n=n, grad_bound=1.0)
     cfg = DescentConfig(steps=1, eps=eps, mode=SEPARABLE, eta=0.1)
-    trace = run_separable(objective, np.full(n, 0.05), cfg)
+    trace = run_separable(objective, _probe_start(n), cfg)
     return trace.per_iteration_deltas()[0]
 
 

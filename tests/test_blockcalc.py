@@ -21,6 +21,34 @@ from blockgd.errors import (
 from _dilation import corner_of
 
 
+def refuse_svd(mat):
+    raise AssertionError("a diagonal encoding took the dense SVD path")
+
+
+def random_diagonal(rng, dim, bound=0.2):
+    """Real diagonal in [-bound, bound] with about a third of its entries zero."""
+    diag = rng.uniform(-bound, bound, size=dim)
+    diag[rng.random(dim) < 0.3] = 0.0
+    return diag
+
+
+def dense_twin(enc):
+    return BlockEncoding(enc.corner, enc.alpha, enc.ancillas, enc.eps, enc.resources)
+
+
+def primitive_outputs(x, y):
+    """One output of every two-sided calculus primitive applied to x and y."""
+    return {
+        "entry_project": bc.entry_project(x, 1, 2),
+        "product": bc.product(x, y),
+        "lcu": bc.lcu([x, y, x], [1, -1, -1]),
+        "scale_down": bc.scale_down(y, 3.0),
+        "amplify": bc.amplify(x, 2.0, 0.5, 1e-6),
+        "qsvt_transform": bc.qsvt_transform(y, Polynomial([0.05, -0.1, 0.3])),
+        "tensor": bc.tensor([x, y]),
+    }
+
+
 def random_contraction(rng, dim, max_norm=0.9):
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return mat / np.linalg.norm(mat, 2) * max_norm * rng.uniform(0.2, 1.0)
@@ -37,9 +65,10 @@ class TestBlockEncodingType:
         assert enc.corner[3, 3] == 0.0
 
     def test_immutable_corner(self):
-        enc = BlockEncoding(np.diag([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            enc.corner[0, 0] = 1.0
+        for enc in (BlockEncoding(np.diag([0.5, 0.5])), bc.diag_encode([0.5, 0.5])):
+            with pytest.raises(ValueError):
+                enc.corner[0, 0] = 1.0
+            assert np.array_equal(enc.corner, np.diag([0.5, 0.5]))
 
     def test_alpha_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -327,6 +356,53 @@ class TestRealizeDilation:
             assert np.array_equal(u[:dim, :dim], enc.corner)
 
 
+    def test_unitarity_diagonal_native(self):
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            x = bc.diag_encode(random_diagonal(rng, 8))
+            y = bc.diag_encode(random_diagonal(rng, 8))
+            encs = [x, bc.projector_encode(8, 3), *primitive_outputs(x, y).values()]
+            for enc in encs:
+                u = bc.realize_dilation(enc)
+                defect = np.linalg.norm(u.conj().T @ u - np.eye(2 * enc.dim), 2)
+                assert defect <= 1e-10
+                assert np.array_equal(u[: enc.dim, : enc.dim], enc.corner)
+
+
+class TestDiagonalStorage:
+    def test_primitives_match_dense_twin(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        phi = np.full(8, 1.0 / math.sqrt(8))
+        for _ in range(20):
+            diags = [random_diagonal(rng, 8) for _ in range(2)]
+            with monkeypatch.context() as patch:
+                patch.setattr(bc, "spectral_norm", refuse_svd)
+                x, y = (bc.diag_encode(d) for d in diags)
+                fast = primitive_outputs(x, y)
+                leaves = [x, bc.projector_encode(8, 5)]
+                fast_post = bc.apply_postselect(fast["lcu"], phi)
+            dense = primitive_outputs(dense_twin(x), dense_twin(y))
+            for leaf in leaves:
+                assert leaf.summary() == dense_twin(leaf).summary()
+            for name, enc in fast.items():
+                want = dense[name].summary()
+                got = enc.summary()
+                if name == "tensor":
+                    # np.kron of dense corners writes -0.0 off the diagonal,
+                    # which the hash sees; the values are the same.
+                    want.pop("id")
+                    got.pop("id")
+                assert got == want, name
+                assert np.array_equal(enc.corner, dense[name].corner), name
+                assert enc.norm == dense[name].norm, name
+            dense_post = bc.apply_postselect(dense["lcu"], phi)
+            assert fast_post.prob == dense_post.prob
+            assert np.array_equal(fast_post.state, dense_post.state)
+            mixed = primitive_outputs(x, dense_twin(y))
+            for name in ("product", "lcu"):
+                assert mixed[name].summary() == dense[name].summary(), name
+
+
 class TestApplyPostselect:
     def test_probability_in_unit_interval_and_state_normalized(self):
         rng = np.random.default_rng(41)
@@ -446,6 +522,21 @@ class TestDilationComposition:
         mat = random_contraction(rng, 4)
         calculus = bc.scale_down(BlockEncoding(mat), 2.5)
         oracle = corner_of(("scale", ("leaf", mat), 2.5), 4)
+        assert np.max(np.abs(calculus.corner - oracle)) <= 1e-9
+
+
+    def test_diagonal_native_pipeline(self):
+        rng = np.random.default_rng(24)
+        a, b, c = (random_diagonal(rng, 4, bound=0.3) for _ in range(3))
+        x, y, z = (bc.diag_encode(v) for v in (a, b, c))
+        calculus = bc.lcu([bc.product(x, y), bc.scale_down(z, 2.0)], [1, -1])
+        tree = (
+            "lcu",
+            [("product", ("leaf", np.diag(a)), ("leaf", np.diag(b))),
+             ("scale", ("leaf", np.diag(c)), 2.0)],
+            [1, -1],
+        )
+        oracle = corner_of(tree, 4)
         assert np.max(np.abs(calculus.corner - oracle)) <= 1e-9
 
 

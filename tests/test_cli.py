@@ -236,6 +236,17 @@ class TestCompareCosts:
     def test_defaults_without_params_file(self, tmp_path):
         assert main(["compare-costs", "--out", str(tmp_path / "c")]) == EXIT_OK
 
+    def test_large_n_probe_start_stays_encodable(self, tmp_path):
+        # A probe start of 0.05 per coordinate has ||x0||_2 > 1 from n = 400 on.
+        path = write_config(tmp_path, {"n": 512}, "params.json")
+        out = tmp_path / "c"
+        assert main(["compare-costs", "--params", str(path), "--out", str(out)]) == EXIT_OK
+        for name in ("costs.csv", "crossover.csv", "report.json", "table.txt"):
+            assert (out / name).stat().st_size > 0
+        measured = json.loads((out / "report.json").read_text())["implemented_per_iteration"]
+        assert measured["generic"]["depth_units"] > 0
+        assert measured["separable"]["depth_units"] > 0
+
     def test_bad_params_rejected(self, tmp_path):
         path = write_config(tmp_path, {"K": 3, "bogus": 1}, "params.json")
         assert main(["compare-costs", "--params", str(path)]) == EXIT_SCHEMA

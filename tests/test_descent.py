@@ -7,6 +7,7 @@ import blockgd.blockcalc as bc
 from blockgd.chebyshev import ChebyshevPoly, ScalarFunction, SeparableObjective
 from blockgd.descent import (
     CostParams,
+    _canonical_objective,
     DescentConfig,
     build_gradient_be,
     build_partial_be,
@@ -449,3 +450,23 @@ class TestDescentConfigValidation:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(InvalidConfig):
             DescentConfig(**kwargs)
+
+
+class TestDiagonalFastPath:
+    def test_engines_never_take_a_spectral_norm(self, monkeypatch):
+        def refuse_svd(mat):
+            raise AssertionError("a diagonal encoding took the dense SVD path")
+
+        monkeypatch.setattr(bc, "spectral_norm", refuse_svd)
+        n, steps, eps = 64, 3, 1e-6
+        generic = _canonical_objective(n, 3, 4, 3)
+        x0 = np.full(n, 0.05)
+        trace = run_generic(generic, x0, DescentConfig(steps=steps, eps=eps, mode="generic"))
+        oracle = classical_gd(generic, x0, eta_generic(generic), steps)
+        assert np.max(np.abs(trace.iterates() - oracle.as_array())) <= 16 * steps * eps
+        separable = SeparableObjective(ScalarFunction.named("sin", 1.0), n, 1.0)
+        x0 = initial_state_uniform(0.1, 1.0, steps, n)
+        cfg = DescentConfig(steps=steps, eps=eps, mode="separable", eta=0.1)
+        trace = run_separable(separable, x0, cfg)
+        oracle = classical_gd(separable, x0, 0.1, steps)
+        assert np.max(np.abs(trace.iterates() - oracle.as_array())) <= 16 * steps * eps
