@@ -67,20 +67,17 @@ def next_power_of_two(n: int) -> int:
 
 
 def _digest(data: np.ndarray) -> str:
-    """Hash of the dense corner's bytes plus its shape.
+    """12-hex SHA-1 id of a corner: equal exactly for equal corners.
 
-    A stored diagonal is fed to the hash one row of diag(data) at a time, so
-    both storages of one corner get the same id without an N x N array.
+    A corner with no non-zero entry off its diagonal hashes only its N
+    diagonal entries, whichever way it is stored; any other corner hashes its
+    N x N entries.  Both hashes add a storage tag and the shape, and adding
+    0.0 first makes -0.0 and +0.0 hash alike.
     """
-    digest = hashlib.sha1()
-    if data.ndim == 2:
-        digest.update(data)
-    else:
-        row = np.zeros(data.size, dtype=complex)
-        for i, value in enumerate(data):
-            row[i] = value
-            digest.update(row)
-            row[i] = 0.0
+    if data.ndim == 2 and np.count_nonzero(data) == np.count_nonzero(np.diag(data)):
+        data = np.diag(data)
+    digest = hashlib.sha1(b"diag" if data.ndim == 1 else b"dense")
+    digest.update(data + 0.0)
     digest.update(str((data.shape[0], data.shape[0])).encode())
     return digest.hexdigest()[:12]
 
@@ -351,10 +348,8 @@ def product(
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
     merged = _merge_counters([a, b])
     x, y = _operands([a, b])
-    # Adding 0.0 turns the -0.0 of elementwise products into the +0.0 that a
-    # dense matrix product gives, so audit ids match either storage.
     out = _encoding(
-        x * y + 0.0 if x.ndim == 1 else x @ y,
+        x * y if x.ndim == 1 else x @ y,
         alpha=a.alpha * b.alpha,
         ancillas=a.ancillas + b.ancillas,
         eps=a.alpha * b.eps + b.alpha * a.eps,

@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -364,7 +363,8 @@ def compare_costs(params: CostParams, out_dir: Path) -> str:
     for row in report["crossover"]:
         cross_lines.append(
             ",".join(
-                str(row["T"]) if k == "T" else repr(float(row[k]))
+                str(row["T"]) if k == "T"
+                else "" if row[k] is None else repr(float(row[k]))
                 for k in ("T", "generic", "separable", "highly_sparse",
                           "tensor_oracle", "classical")
             )
@@ -432,8 +432,7 @@ def _cmd_run(args) -> int:
                 print(f"{path.name}: {exc}", file=sys.stderr)
                 return _exit_code_for(exc)
 
-        with ThreadPoolExecutor() as pool:
-            codes = list(pool.map(run_entry, paths))
+        codes = [run_entry(path) for path in paths]
         return next((c for c in codes if c != 0), EXIT_OK)
     if not args.config:
         raise SchemaError("run requires --config PATH (or --sweep PATH)")
@@ -477,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one experiment config or a sweep")
     run_p.add_argument("--config", help="experiment config JSON path")
-    run_p.add_argument("--sweep", help='JSON file {"configs": [paths...]} run in parallel')
+    run_p.add_argument("--sweep", help='JSON file {"configs": [paths...]}, run in order')
     run_p.add_argument("--out", help="output directory (flag overrides config)")
     run_p.add_argument("--audit", action="store_true",
                        help="also write the per-operation audit log (JSON lines)")

@@ -565,23 +565,37 @@ class CostParams:
         return cls(**kwargs)
 
 
+def _finite_or_none(formula) -> float | None:
+    """The formula's value, or None when it overflows or divides by zero."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return value if math.isfinite(value) else None
+
+
 def envelope_formulas(params: CostParams) -> dict:
-    """Per-regime cost envelopes with all constants set to one (logs base 2)."""
+    """Per-regime cost envelopes with all constants set to one (logs base 2).
+
+    An envelope that overflows, or whose eps power underflows to zero, is
+    None (JSON null) instead of an infinity or a crash.
+    """
     ln_n = math.log2(params.n) if params.n > 1 else 1.0
     ln_eps = math.log2(1.0 / params.eps)
     k, d, v, t = params.terms, params.degree, params.vars_per_term, params.steps
     s, rows, p = params.sparsity, params.sparse_rows, params.tensor_order
-    generic_pi = ln_n * (k**2) * d * (v**2) * ln_eps
-    separable_pi = ln_n * params.poly_degree * ln_eps
-    return {
-        "generic_per_iteration": generic_pi,
-        "generic_total": ln_n * ((k**2) * d * (v**2) * ln_eps) ** t,
-        "separable_per_iteration": separable_pi,
-        "separable_total": ln_n * (params.poly_degree * ln_eps) ** t,
-        "highly_sparse_total": ln_n * ((s**2) * (rows**2) * p * ln_eps) ** t,
-        "tensor_oracle_total": ln_n * (p ** (5 * t)) * (s**t) / (params.eps ** (4 * t)),
-        "classical_total": float(params.n * d * k * v * t),
+    formulas = {
+        "generic_per_iteration": lambda: ln_n * (k**2) * d * (v**2) * ln_eps,
+        "generic_total": lambda: ln_n * ((k**2) * d * (v**2) * ln_eps) ** t,
+        "separable_per_iteration": lambda: ln_n * params.poly_degree * ln_eps,
+        "separable_total": lambda: ln_n * (params.poly_degree * ln_eps) ** t,
+        "highly_sparse_total": lambda: ln_n * ((s**2) * (rows**2) * p * ln_eps) ** t,
+        "tensor_oracle_total": (
+            lambda: ln_n * (p ** (5 * t)) * (s**t) / (params.eps ** (4 * t))
+        ),
+        "classical_total": lambda: float(params.n * d * k * v * t),
     }
+    return {name: _finite_or_none(formula) for name, formula in formulas.items()}
 
 
 def _canonical_objective(n: int, terms: int, degree: int, vars_per_term: int) -> ObjectiveFunction:

@@ -44,16 +44,14 @@ class MonomialTerm:
         if any(e < 0 for e in exps):
             raise ValueError(f"exponents must be non-negative, got {exps}")
         object.__setattr__(self, "exponents", exps)
+        # Sorted indices of variables that actually appear.  Stored outside
+        # the dataclass fields, so eq, hash and repr see coeff and exponents only.
+        object.__setattr__(self, "support", tuple(m for m, e in enumerate(exps) if e > 0))
 
     @property
     def degree(self) -> int:
         """Total degree: sum of all exponents."""
         return sum(self.exponents)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Sorted indices of variables that actually appear."""
-        return tuple(m for m, e in enumerate(self.exponents) if e > 0)
 
     @property
     def var_count(self) -> int:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -387,11 +389,6 @@ class TestDiagonalStorage:
             for name, enc in fast.items():
                 want = dense[name].summary()
                 got = enc.summary()
-                if name == "tensor":
-                    # np.kron of dense corners writes -0.0 off the diagonal,
-                    # which the hash sees; the values are the same.
-                    want.pop("id")
-                    got.pop("id")
                 assert got == want, name
                 assert np.array_equal(enc.corner, dense[name].corner), name
                 assert enc.norm == dense[name].norm, name
@@ -560,3 +557,57 @@ class TestAuditLog:
             return audit.to_jsonl()
 
         assert build() == build()
+
+
+class CountingSha1:
+    """hashlib.sha1 stand-in that counts the bytes it is fed."""
+
+    fed = 0
+
+    def __init__(self, data=b""):
+        self._hash = hashlib.sha1()
+        self.update(data)
+
+    def update(self, data):
+        CountingSha1.fed += memoryview(data).nbytes
+        self._hash.update(data)
+
+    def hexdigest(self):
+        return self._hash.hexdigest()
+
+
+class TestAuditIds:
+    def test_dense_diagonal_corner_shares_the_diagonal_id(self):
+        diag = np.array([0.3, 0.0, -0.2, 0.1])
+        dense = BlockEncoding(np.diag(diag))
+        native = bc.diag_encode(diag).summary()["id"]
+        assert dense.summary()["id"] == native
+        assert bc.diag_encode(diag[::-1]).summary()["id"] != native
+
+    def test_off_diagonal_entry_changes_id(self):
+        mat = np.diag([0.3, 0.0, -0.2, 0.1])
+        base = BlockEncoding(mat).summary()["id"]
+        for i, j in ((0, 1), (3, 2), (1, 3)):
+            bumped = mat.copy()
+            bumped[i, j] = 1e-3
+            assert BlockEncoding(bumped).summary()["id"] != base, (i, j)
+
+    def test_signed_zeros_share_id(self):
+        plus = np.array([0.5, 0.0, 0.25, 0.0], dtype=complex)
+        minus = np.array([0.5, -0.0, 0.25, complex(-0.0, -0.0)])
+        ids = {
+            bc.diag_encode(plus).summary()["id"],
+            bc.diag_encode(minus).summary()["id"],
+            BlockEncoding(np.diag(plus)).summary()["id"],
+            BlockEncoding(np.diag(minus)).summary()["id"],
+            BlockEncoding(-np.diag(-plus)).summary()["id"],
+        }
+        assert len(ids) == 1
+
+    def test_diagonal_id_hashes_linear_bytes(self, monkeypatch):
+        dim = 4096
+        enc = bc.diag_encode(np.full(dim, 0.01))
+        monkeypatch.setattr(CountingSha1, "fed", 0)
+        monkeypatch.setattr(bc, "hashlib", SimpleNamespace(sha1=CountingSha1))
+        assert len(enc.summary()["id"]) == 12
+        assert 0 < CountingSha1.fed <= 16 * dim + 64

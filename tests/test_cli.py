@@ -30,6 +30,10 @@ SEPARABLE = REPO / "configs" / "separable_sin.json"
 COSTS = REPO / "configs" / "costs_default.json"
 
 
+def reject_constant(token):
+    raise AssertionError(f"non-standard JSON constant {token}")
+
+
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -82,6 +86,50 @@ class TestRunCommand:
         assert code == EXIT_OK
         assert (out / "quadratic" / "report.json").exists()
         assert (out / "separable_sin" / "report.json").exists()
+
+    def test_sweep_runs_in_order_and_keeps_first_failure(self, tmp_path, capsys):
+        bad_schema = write_config(tmp_path, {"mode": "generic"}, "bad_schema.json")
+        infeasible = write_config(tmp_path, {
+            "mode": "generic",
+            "objective": {"n": 1, "M": 1.0,
+                          "terms": [{"coeff": 1.0, "exponents": [1]}]},
+            "x0": {"uniform_q": "auto"},
+            "T": 1,
+            "eps": 1e-6,
+        }, "infeasible.json")
+        sweep = {"configs": [str(bad_schema), str(QUADRATIC), str(infeasible)]}
+        sweep_path = write_config(tmp_path, sweep, "sweep.json")
+        out = tmp_path / "sweep_out"
+        code = main(["run", "--sweep", str(sweep_path), "--out", str(out)])
+        assert code == EXIT_SCHEMA
+        assert (out / "quadratic" / "report.json").exists()
+        lines = capsys.readouterr().err.splitlines()
+        names = [line.split(":")[0] for line in lines]
+        assert names == ["bad_schema.json", "infeasible.json"]
+
+    def test_audit_ids_form_a_closed_graph(self, tmp_path):
+        for config in (QUADRATIC, SEPARABLE):
+            out = tmp_path / config.stem
+            code = main(["run", "--config", str(config), "--out", str(out), "--audit"])
+            assert code == EXIT_OK
+            produced = set()
+            lines = (out / "audit.jsonl").read_text().splitlines()
+            records = [json.loads(line) for line in lines]
+            assert records
+            for rec in records:
+                for operand in rec["in"]:
+                    assert operand["id"] in produced, (config.name, rec["seq"])
+                produced.add(rec["out"]["id"])
+
+    def test_long_run_writes_artifacts_despite_envelope_overflow(self, tmp_path):
+        # eps ** (4 T) underflows to zero from T = 14 on at eps = 1e-6.
+        doc = {**json.loads(QUADRATIC.read_text()), "T": 14, "x0": [0.01, 0.01]}
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        for name in ("trace.json", "trace.csv", "report.json", "audit.jsonl"):
+            assert (out / name).stat().st_size > 0
+        json.loads((out / "report.json").read_text(), parse_constant=reject_constant)
 
     def test_run_without_config_is_schema_error(self):
         assert main(["run"]) == EXIT_SCHEMA
@@ -246,6 +294,20 @@ class TestCompareCosts:
         measured = json.loads((out / "report.json").read_text())["implemented_per_iteration"]
         assert measured["generic"]["depth_units"] > 0
         assert measured["separable"]["depth_units"] > 0
+
+    def test_overflowing_envelopes_are_null(self, tmp_path):
+        path = write_config(tmp_path, {"T": 14}, "params.json")
+        out = tmp_path / "c"
+        assert main(["compare-costs", "--params", str(path), "--out", str(out)]) == EXIT_OK
+        text = (out / "report.json").read_text()
+        report = json.loads(text, parse_constant=reject_constant)
+        assert report["envelopes"]["tensor_oracle_total"] is None
+        assert report["envelopes"]["classical_total"] is not None
+        assert [row["tensor_oracle"] is None for row in report["crossover"]] == [
+            t >= 12 for t in range(1, 15)
+        ]
+        rows = (out / "crossover.csv").read_text().splitlines()
+        assert rows[-1].split(",")[4] == ""
 
     def test_bad_params_rejected(self, tmp_path):
         path = write_config(tmp_path, {"K": 3, "bogus": 1}, "params.json")
