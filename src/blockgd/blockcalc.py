@@ -24,6 +24,14 @@ in O(N) and its spectral norm is max |d_i|.  A matrix passed to the
 BlockEncoding constructor is stored as an N x N array with an SVD norm, and
 primitives use dense arithmetic whenever an input is stored dense.  Norm and
 polynomial-bound checks allow a 1e-10 grace for float noise.
+
+Per-call cost: on diagonal inputs a primitive does a handful of O(N) numpy
+operations (its arithmetic, plus |d| and its max for the norm of the output)
+and a fixed amount of Python work: argument checks, one ResourceCounter for
+the merged ledger and a second only when the output's ancillas raise the
+high-water mark.  At the sizes this simulator runs (N up to a few thousand)
+the fixed part dominates, so the hot path avoids copies of stored data and
+generic Python passes over the operands.
 """
 
 from __future__ import annotations
@@ -31,11 +39,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
+from .chebyshev import poly_grid
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -51,7 +60,6 @@ from .errors import (
 
 NORM_TOL = 1e-10
 DIAG_TOL = 1e-12
-POLY_GRID_POINTS = 2048
 
 
 def spectral_norm(mat: np.ndarray) -> float:
@@ -98,13 +106,15 @@ class ResourceCounter:
         )
 
 
-def _merge_counters(encodings, *, parallel: bool = False) -> ResourceCounter:
-    depths = [e.resources.depth_units for e in encodings]
-    return ResourceCounter(
-        depth_units=max(depths) if parallel else sum(depths),
-        queries=sum(e.resources.queries for e in encodings),
-        ancilla_high_water=max(e.resources.ancilla_high_water for e in encodings),
-    )
+def _merge_counters(encodings, queries: int, *, parallel: bool = False) -> ResourceCounter:
+    """The operands' counters merged once each, plus the operation's own queries."""
+    depth = high_water = 0
+    for e in encodings:
+        r = e.resources
+        depth = max(depth, r.depth_units) if parallel else depth + r.depth_units
+        queries += r.queries
+        high_water = max(high_water, r.ancilla_high_water)
+    return ResourceCounter(depth, queries, high_water)
 
 
 class BlockEncoding:
@@ -140,17 +150,13 @@ class BlockEncoding:
             raise ValueError(f"eps must be finite and >= 0, got {eps}")
         if ancillas < 0:
             raise ValueError("ancillas must be non-negative")
+        ancillas = int(ancillas)
+        if ancillas > resources.ancilla_high_water:
+            resources = ResourceCounter(resources.depth_units, resources.queries, ancillas)
         data.setflags(write=False)
         self.__dict__.update(
-            _data=data,
-            norm=norm,
-            alpha=alpha,
-            eps=eps,
-            ancillas=int(ancillas),
-            resources=replace(
-                resources,
-                ancilla_high_water=max(resources.ancilla_high_water, int(ancillas)),
-            ),
+            _data=data, norm=norm, alpha=alpha, eps=eps, ancillas=ancillas,
+            resources=resources,
         )
 
     def __setattr__(self, name, value):
@@ -202,16 +208,21 @@ def _encoding(data: np.ndarray, alpha: float = 1.0, ancillas: int = 0,
     """Wrap a primitive's output: a vector is stored as the diagonal, a matrix dense."""
     if data.ndim == 2:
         return BlockEncoding(data, alpha, ancillas, eps, resources)
+    # Indexing at argmax gives max |d_i| without the ufunc-reduce set-up that
+    # dominates .max() on vectors of a few hundred entries.
+    mags = np.abs(data)
     enc = BlockEncoding.__new__(BlockEncoding)
-    enc._seal(data, float(np.max(np.abs(data))), alpha, ancillas, eps, resources)
+    enc._seal(data, float(mags[mags.argmax()]), alpha, ancillas, eps, resources)
     return enc
 
 
 def _operands(encodings) -> list[np.ndarray]:
     """The stored diagonals when every input has one, else the dense corners."""
-    if all(e._data.ndim == 1 for e in encodings):
-        return [e._data for e in encodings]
-    return [e.corner for e in encodings]
+    stored = [e._data for e in encodings]
+    for data in stored:
+        if data.ndim != 1:
+            return [e.corner for e in encodings]
+    return stored
 
 
 @dataclass(frozen=True)
@@ -327,8 +338,9 @@ def entry_project(
         raise IndexOutOfRange(f"source index {j} not in [0, {dim})")
     if not 0 <= k < dim:
         raise IndexOutOfRange(f"target index {k} not in [0, {dim})")
+    src = enc._data
     diag = np.zeros(dim, dtype=complex)
-    diag[k] = enc.diagonal()[j]
+    diag[k] = src[j] if src.ndim == 1 else src[j, j]
     log_n = int(math.log2(dim))
     out = _encoding(
         diag,
@@ -346,14 +358,13 @@ def product(
     """Encoding of the operator product, one use of each input."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    merged = _merge_counters([a, b])
     x, y = _operands([a, b])
     out = _encoding(
         x * y if x.ndim == 1 else x @ y,
         alpha=a.alpha * b.alpha,
         ancillas=a.ancillas + b.ancillas,
         eps=a.alpha * b.eps + b.alpha * a.eps,
-        resources=merged.add(queries=2),
+        resources=_merge_counters([a, b], 2),
     )
     return _log(audit, "product", [a, b], out)
 
@@ -383,13 +394,12 @@ def lcu(
         raise MixedAlpha("lcu inputs must share one alpha; rescale first")
     m = len(encs)
     combined = sum(s * part for s, part in zip(signs, _operands(encs))) / m
-    merged = _merge_counters(encs)
     out = _encoding(
         combined,
         alpha=alpha,
         ancillas=sum(e.ancillas for e in encs) + math.ceil(math.log2(m)),
         eps=sum(e.eps for e in encs) / m,
-        resources=merged.add(queries=m),
+        resources=_merge_counters(encs, m),
     )
     return _log(audit, "lcu", encs, out, m=m, signs=signs)
 
@@ -424,13 +434,12 @@ def tensor(encodings, *, audit: AuditLog | None = None) -> BlockEncoding:
     for e in encs:
         eps = alpha * e.eps + e.alpha * eps
         alpha *= e.alpha
-    merged = _merge_counters(encs, parallel=True)
     out = _encoding(
         combined,
         alpha=alpha,
         ancillas=sum(e.ancillas for e in encs),
         eps=eps,
-        resources=merged.add(queries=len(encs)),
+        resources=_merge_counters(encs, len(encs), parallel=True),
     )
     return _log(audit, "tensor", encs, out, m=len(encs))
 
@@ -510,9 +519,7 @@ def qsvt_transform(
         herm_defect = spectral_norm(enc._data - enc._data.conj().T)
     if herm_defect > NORM_TOL:
         raise NotHermitian(f"corner deviates from Hermitian by {herm_defect}")
-    k = np.arange(POLY_GRID_POINTS)
-    grid = np.cos(np.pi * (2 * k + 1) / (2 * POLY_GRID_POINTS))
-    sup = float(np.max(np.abs(np.asarray(poly(grid), dtype=float))))
+    sup = float(np.max(np.abs(np.asarray(poly(poly_grid()), dtype=float))))
     if sup > 0.5 + NORM_TOL:
         raise PolyBoundViolated(
             f"sup |poly| = {sup} on [-1, 1] exceeds the 1/2 cap"

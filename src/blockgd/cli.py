@@ -56,7 +56,7 @@ from .errors import (
     SchemaError,
 )
 from .oracle import classical_gd
-from .polyfunc import ObjectiveFunction, load_objective
+from .polyfunc import ObjectiveFunction, is_finite_number, load_objective
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -90,8 +90,8 @@ def _fail(path: str, message: str):
 
 
 def _as_number(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _fail(path, f"expected number, got {value!r}")
+    if not is_finite_number(value):
+        _fail(path, f"expected finite number, got {value!r}")
     return float(value)
 
 
@@ -128,8 +128,8 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
         m_bound = local.pop("M", None)
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             _fail("objective.n", f"expected positive integer, got {n!r}")
-        if not isinstance(m_bound, (int, float)) or isinstance(m_bound, bool) or m_bound <= 0:
-            _fail("objective.M", f"expected positive number, got {m_bound!r}")
+        if not is_finite_number(m_bound) or m_bound <= 0:
+            _fail("objective.M", f"expected positive finite number, got {m_bound!r}")
         try:
             func = load_scalar_function(local)
         except SchemaError as exc:
@@ -197,7 +197,7 @@ def _json_text(payload) -> str:
 def _build_report(cfg: ExperimentConfig, trace: DescentTrace, oracle_trace) -> dict:
     sim = trace.iterates()
     ora = oracle_trace.as_array()
-    deviations = [float(v) for v in np.max(np.abs(sim - ora), axis=1)]
+    deviations = np.abs(sim - ora).max(axis=1).tolist()
     max_dev = max(deviations)
     bound = 16.0 * trace.steps * trace.eps
     final = trace.final_iterate()
@@ -238,7 +238,7 @@ def _build_report(cfg: ExperimentConfig, trace: DescentTrace, oracle_trace) -> d
             "within_bound": bool(max_dev <= bound),
         },
         "norm_safety": {
-            "max_abs_iterate": max(max(abs(v) for v in r.x) for r in trace.records),
+            "max_abs_iterate": float(np.abs(sim).max()),
             "ok": trace.norm_safety_ok,
             "schedule_bound_ok": trace.schedule_bound_ok,
         },

@@ -25,7 +25,7 @@ than silently clipping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .errors import (
     ScaleOverflow,
     VariableNotInSupport,
 )
-from .polyfunc import ObjectiveFunction
+from .polyfunc import ObjectiveFunction, is_finite_number
 
 HALF = 0.5
 _TOL = 1e-12
@@ -333,13 +333,9 @@ def gd_step_generic(
     return bc.amplify(halved, 2.0, delta, eps, audit=audit)
 
 
-def _qsvt_divisor(poly: ChebyshevPoly, grad_bound: float) -> tuple[float, float]:
-    """Divisor making |P/divisor| <= 1/2 on all of [-1, 1], and the measured sup."""
-    k = np.arange(bc.POLY_GRID_POINTS)
-    grid = np.cos(np.pi * (2 * k + 1) / (2 * bc.POLY_GRID_POINTS))
-    sup_full = float(np.max(np.abs(poly.eval_unchecked(grid))))
-    divisor = max(2.0 * grad_bound, 2.0 * sup_full * (1.0 + 1e-12))
-    return divisor, sup_full
+def _qsvt_divisor(poly: ChebyshevPoly, grad_bound: float) -> float:
+    """Divisor making |P/divisor| <= 1/2 on all of [-1, 1]."""
+    return max(2.0 * grad_bound, 2.0 * poly.grid_sup * (1.0 + 1e-12))
 
 
 def gd_step_separable(
@@ -359,7 +355,7 @@ def gd_step_separable(
     restores exactly eta * P, the signed average subtracts, and the final
     amplification strips the 1/2.
     """
-    divisor, _ = _qsvt_divisor(poly, grad_bound)
+    divisor = _qsvt_divisor(poly, grad_bound)
     p_insert = 1.0 / (eta * divisor)
     if p_insert < 1.0 - _TOL:
         raise InvalidConfig(
@@ -392,9 +388,9 @@ def _snapshot(t: int, enc: BlockEncoding, objective, n: int) -> IterationRecord:
     x = np.real(enc.diagonal()[:n])
     return IterationRecord(
         t=t,
-        x=tuple(float(v) for v in x),
+        x=tuple(x.tolist()),
         f_value=float(objective.evaluate(x)),
-        gradient=tuple(float(g) for g in objective.gradient(x)),
+        gradient=tuple(np.asarray(objective.gradient(x), dtype=float).tolist()),
         eps_budget=enc.eps,
         depth_units=enc.resources.depth_units,
         queries=enc.resources.queries,
@@ -419,7 +415,8 @@ def _finish_trace(
         float(np.linalg.norm(x0))
         <= HALF - eta * objective.grad_bound * cfg.steps + _TOL
     )
-    norm_ok = all(max(abs(v) for v in r.x) <= HALF + _TOL for r in records)
+    iterates = np.asarray([r.x for r in records], dtype=float)
+    norm_ok = bool(np.abs(iterates).max() <= HALF + _TOL)
     return DescentTrace(
         mode=mode,
         n=objective.n,
@@ -561,8 +558,13 @@ class CostParams:
         unknown = set(doc) - set(mapping)
         if unknown:
             raise InvalidConfig(f"unknown cost parameters {sorted(unknown)}")
-        kwargs = {mapping[k]: v for k, v in doc.items()}
-        return cls(**kwargs)
+        for key, value in doc.items():
+            if key == "eps":
+                if not is_finite_number(value):
+                    raise InvalidConfig(f"eps: expected finite number, got {value!r}")
+            elif not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidConfig(f"{key}: expected integer, got {value!r}")
+        return cls(**{mapping[k]: v for k, v in doc.items()})
 
 
 def _finite_or_none(formula) -> float | None:
@@ -662,13 +664,7 @@ def resource_predict(params: CostParams, delta_opt: float | None = None) -> dict
     }
     crossover = []
     for t in range(1, params.steps + 1):
-        sub = CostParams(
-            n=params.n, terms=params.terms, degree=params.degree,
-            vars_per_term=params.vars_per_term, steps=t, eps=params.eps,
-            poly_degree=params.poly_degree, sparsity=params.sparsity,
-            sparse_rows=params.sparse_rows, tensor_order=params.tensor_order,
-        )
-        env = envelope_formulas(sub)
+        env = envelope_formulas(replace(params, steps=t))
         crossover.append(
             {
                 "T": t,

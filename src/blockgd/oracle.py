@@ -45,7 +45,7 @@ def classical_gd(objective, x0, eta: float, steps: int) -> OracleTrace:
         raise ValueError(f"x0 has {x.size} coordinates, expected {objective.n}")
     if np.any(np.abs(x) > HALF + _DOMAIN_TOL):
         raise DomainViolation("x0 lies outside [-1/2, 1/2]^n")
-    iterates = [tuple(float(v) for v in x)]
+    iterates = [tuple(x.tolist())]
     values = [float(objective.evaluate(x))]
     grads = [np.asarray(objective.gradient(x), dtype=float)]
     for t in range(steps):
@@ -61,7 +61,7 @@ def classical_gd(objective, x0, eta: float, steps: int) -> OracleTrace:
                 step=t + 1,
                 trace=partial,
             )
-        iterates.append(tuple(float(v) for v in x))
+        iterates.append(tuple(x.tolist()))
         values.append(float(objective.evaluate(x)))
         grads.append(np.asarray(objective.gradient(x), dtype=float))
     return OracleTrace(

@@ -261,6 +261,20 @@ class ObjectiveFunction:
         }
 
 
+def is_finite_number(value) -> bool:
+    """True for a JSON number (int or float, not bool) that is finite as a float.
+
+    json accepts NaN, Infinity and overflowing literals such as 1e400; none
+    of them is a valid parameter anywhere in the schemas.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _require(cond: bool, path: str, message: str):
     if not cond:
         raise SchemaError(f"{path}: {message}")
@@ -270,7 +284,8 @@ def load_objective(source) -> ObjectiveFunction:
     """Build an ObjectiveFunction from a JSON text or an already-parsed dict.
 
     Schema: {"n": int >= 1, "M": number > 0,
-             "terms": [{"coeff": number, "exponents": [int >= 0] * n}, ...]}.
+             "terms": [{"coeff": number, "exponents": [int >= 0] * n}, ...]};
+    numbers must be finite.
     Parse errors keep json's line/column info; schema errors carry the key
     path of the offending entry.
     """
@@ -284,8 +299,8 @@ def load_objective(source) -> ObjectiveFunction:
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "n",
              f"expected positive integer, got {n!r}")
     m_bound = doc["M"]
-    _require(isinstance(m_bound, (int, float)) and not isinstance(m_bound, bool)
-             and m_bound > 0, "M", f"expected positive number, got {m_bound!r}")
+    _require(is_finite_number(m_bound) and m_bound > 0, "M",
+             f"expected positive finite number, got {m_bound!r}")
     terms = doc["terms"]
     _require(isinstance(terms, list) and terms, "terms", "expected non-empty array")
     parsed = []
@@ -297,8 +312,8 @@ def load_objective(source) -> ObjectiveFunction:
         for key in ("coeff", "exponents"):
             _require(key in entry, path, f"missing required key '{key}'")
         coeff = entry["coeff"]
-        _require(isinstance(coeff, (int, float)) and not isinstance(coeff, bool),
-                 f"{path}.coeff", f"expected number, got {coeff!r}")
+        _require(is_finite_number(coeff), f"{path}.coeff",
+                 f"expected finite number, got {coeff!r}")
         exps = entry["exponents"]
         _require(isinstance(exps, list), f"{path}.exponents", "expected array")
         _require(len(exps) == n, f"{path}.exponents",

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 from pathlib import Path
 
@@ -312,6 +314,107 @@ class TestCompareCosts:
     def test_bad_params_rejected(self, tmp_path):
         path = write_config(tmp_path, {"K": 3, "bogus": 1}, "params.json")
         assert main(["compare-costs", "--params", str(path)]) == EXIT_SCHEMA
+
+
+NAN, INF = float("nan"), float("inf")
+
+GENERIC_DOC = {
+    "mode": "generic",
+    "objective": {"n": 2, "M": 1.0, "terms": [{"coeff": 0.1, "exponents": [2, 0]}]},
+    "x0": [0.1, 0.1],
+    "T": 1,
+    "eps": 1e-6,
+}
+SEPARABLE_DOC = {
+    "mode": "separable",
+    "objective": {"kind": "named", "name": "sin", "scale": 1.0, "n": 2, "M": 1.0},
+    "x0": [0.1, 0.1],
+    "T": 1,
+    "eps": 1e-6,
+    "eta": 0.1,
+}
+POLY_DOC = {**SEPARABLE_DOC,
+            "objective": {"kind": "poly", "coeffs": [0.0, 0.1, 0.1], "n": 2, "M": 1.0}}
+
+
+def _with(doc, keys, value):
+    out = copy.deepcopy(doc)
+    node = out
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return out
+
+
+class TestNonFiniteNumbers:
+    """json reads NaN, Infinity and numbers too large for a float; each is exit 2."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            _with(GENERIC_DOC, ["x0", 0], NAN),
+            _with(SEPARABLE_DOC, ["x0", 0], NAN),
+            _with(GENERIC_DOC, ["objective", "M"], INF),
+            _with(SEPARABLE_DOC, ["objective", "M"], INF),
+            _with(GENERIC_DOC, ["objective", "M"], 10**400),
+            _with(POLY_DOC, ["objective", "coeffs", 1], NAN),
+            _with(GENERIC_DOC, ["objective", "terms", 0, "coeff"], NAN),
+            _with(SEPARABLE_DOC, ["objective", "scale"], NAN),
+            _with(GENERIC_DOC, ["eta"], NAN),
+        ],
+        ids=["generic-x0-nan", "separable-x0-nan", "generic-M-inf", "separable-M-inf",
+             "generic-M-huge-int", "poly-coeff-nan", "term-coeff-nan", "scale-nan",
+             "generic-eta-nan"],
+    )
+    def test_run_rejects_with_schema_exit(self, tmp_path, capsys, doc):
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_SCHEMA
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"n": 16.5}, {"n": 16.0}, {"T": True}, {"eps": "1e-6"}],
+        ids=["n-float", "n-integral-float", "T-bool", "eps-string"],
+    )
+    def test_compare_costs_params_typed(self, tmp_path, params):
+        path = write_config(tmp_path, params, "params.json")
+        out = tmp_path / "c"
+        assert main(["compare-costs", "--params", str(path), "--out", str(out)]) == EXIT_SCHEMA
+        assert not (out / "report.json").exists()
+
+
+def _sha256_of_files(out: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+class TestGoldenArtifacts:
+    """SHA-256 of every artifact of two shipped commands (Python 3.11, numpy 2.4).
+
+    A changed digest means a changed output byte; update it only on purpose.
+    """
+
+    def test_quadratic_audit_run(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(QUADRATIC), "--audit", "--out", str(out)]) == EXIT_OK
+        assert _sha256_of_files(out) == {
+            "audit.jsonl": "16726d7c275adba8c2ee0a20549de49ee4f4fd9f46b21216354e4ac5e25da6d9",
+            "report.json": "9cd26f9ef0f80078b169f90c9bcc5fa90e4c969d218cad0d3bd0073d1b450c15",
+            "trace.csv": "ad489119d77848f2ddb165b319947a0583e681074ba606f6587a9ab61c283b84",
+            "trace.json": "844b25e8b830def7c257d9929aa4257ed5a299b34771c87a626ae7e94c3b13cb",
+        }
+
+    def test_compare_costs_defaults(self, tmp_path, capsys):
+        out = tmp_path / "costs"
+        assert main(["compare-costs", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == (out / "table.txt").read_text()
+        assert _sha256_of_files(out) == {
+            "costs.csv": "d217de7c8ad1fec1829d64e7cf6a12dafc5d941a6a60179fe38c1ba7130f04d4",
+            "crossover.csv": "4044dc50346053768bc1a811333b6467691e4bd8c4d32848220946a7a4ed0c7e",
+            "report.json": "5ace1696dae3ecfd39eb65f10d859c3606c415b155c06fc34c926c0ba0da185f",
+            "table.txt": "65596c7d7c2a2fd041fb004a7b520c7365d888c05a8cbe4ce7018ad1ec0eaad9",
+        }
 
 
 class TestParseExperiment:

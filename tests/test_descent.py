@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import blockgd.blockcalc as bc
-from blockgd.chebyshev import ChebyshevPoly, ScalarFunction, SeparableObjective
+from blockgd.chebyshev import POLY_GRID_POINTS, ChebyshevPoly, ScalarFunction, SeparableObjective
 from blockgd.descent import (
     CostParams,
     _canonical_objective,
@@ -470,3 +470,33 @@ class TestDiagonalFastPath:
         trace = run_separable(separable, x0, cfg)
         oracle = classical_gd(separable, x0, 0.1, steps)
         assert np.max(np.abs(trace.iterates() - oracle.as_array())) <= 16 * steps * eps
+
+    def test_generic_run_reads_diagonals_only_in_snapshots(self, monkeypatch):
+        calls = []
+        original = bc.BlockEncoding.diagonal
+
+        def counted(enc):
+            calls.append(enc.dim)
+            return original(enc)
+
+        monkeypatch.setattr(bc.BlockEncoding, "diagonal", counted)
+        n, steps = 16, 3
+        objective = _canonical_objective(n, 3, 4, 3)
+        run_generic(objective, np.full(n, 0.05), DescentConfig(steps=steps, eps=1e-6, mode="generic"))
+        # One read per trace record (t = 0..T); entry_project reads its one entry in place.
+        assert len(calls) == steps + 1
+
+    def test_separable_run_samples_the_polynomial_grid_once(self, monkeypatch):
+        calls = []
+        original = ChebyshevPoly.eval_unchecked
+
+        def counted(poly, xs):
+            calls.append(len(xs))
+            return original(poly, xs)
+
+        monkeypatch.setattr(ChebyshevPoly, "eval_unchecked", counted)
+        n, steps = 8, 4
+        objective = SeparableObjective(ScalarFunction.named("sin", 1.0), n, 1.0)
+        x0 = initial_state_uniform(0.1, 1.0, steps, n)
+        run_separable(objective, x0, DescentConfig(steps=steps, eps=1e-6, mode="separable", eta=0.1))
+        assert calls == [POLY_GRID_POINTS]
