@@ -13,7 +13,6 @@ sum_k c_k T_k(2x) for x in [-1/2, 1/2]; the polynomial extends to all of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -21,17 +20,24 @@ import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
 from .errors import DegreeCapExceeded, DomainViolation, SchemaError
-from .polyfunc import is_finite_number
+from .polyfunc import (
+    HALF,
+    check_point,
+    first_outside_box,
+    init_size_and_bound,
+    is_finite_number,
+)
 
-DOMAIN_HALF_WIDTH = 0.5
 GRID_POINTS = 4096
 POLY_GRID_POINTS = 2048
 DEGREE_CAP = 512
+# Largest eps approx_derivative accepts; the CLI rejects a larger separable
+# eps (and a larger compare-costs eps, which probes the separable engine).
+MAX_EPS = 0.25
 NAMED_KINDS = ("sin", "cos", "exp", "gaussian", "logistic")
-_DOMAIN_TOL = 1e-12
 
 
-def chebyshev_nodes(count: int, half_width: float = DOMAIN_HALF_WIDTH) -> np.ndarray:
+def chebyshev_nodes(count: int, half_width: float = HALF) -> np.ndarray:
     """First-kind Chebyshev nodes scaled to [-half_width, half_width]."""
     k = np.arange(count)
     return half_width * np.cos(np.pi * (2 * k + 1) / (2 * count))
@@ -134,30 +140,14 @@ class SeparableObjective:
     grad_bound: float
 
     def __post_init__(self):
-        if int(self.n) < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-        gb = float(self.grad_bound)
-        if not (gb > 0.0 and math.isfinite(gb)):
-            raise ValueError(f"grad_bound must be positive and finite, got {gb}")
-        object.__setattr__(self, "grad_bound", gb)
-
-    def _check_domain(self, x) -> np.ndarray:
-        vec = np.asarray(x, dtype=float).ravel()
-        if vec.size != self.n:
-            raise ValueError(f"point has {vec.size} coordinates, expected {self.n}")
-        bad = np.nonzero(np.abs(vec) > DOMAIN_HALF_WIDTH + _DOMAIN_TOL)[0]
-        if bad.size:
-            m = int(bad[0])
-            raise DomainViolation(f"x[{m}] = {vec[m]!r} lies outside [-1/2, 1/2]")
-        return vec
+        init_size_and_bound(self)
 
     def evaluate(self, x) -> float:
-        vec = self._check_domain(x)
+        vec = check_point(x, self.n)
         return float(np.sum(self.func.value(vec)))
 
     def gradient(self, x) -> np.ndarray:
-        vec = self._check_domain(x)
+        vec = check_point(x, self.n)
         return np.asarray(self.func.derivative(vec), dtype=float)
 
 
@@ -176,7 +166,7 @@ class ChebyshevPoly:
 
     def __call__(self, x: float) -> float:
         """Clenshaw evaluation at one point of [-1/2, 1/2]."""
-        if abs(x) > DOMAIN_HALF_WIDTH + _DOMAIN_TOL:
+        if first_outside_box(x) is not None:
             raise DomainViolation(f"x = {x!r} lies outside [-1/2, 1/2]")
         t = 2.0 * float(x)
         b_next, b_after = 0.0, 0.0
@@ -209,7 +199,7 @@ def approx_derivative(func: ScalarFunction, eps: float) -> ChebyshevPoly:
     candidate degree doubling from 2 up to the cap of 512; trailing
     coefficients below eps/(10*degree) are trimmed before measurement.
     """
-    if not 0.0 < eps <= 0.25:
+    if not 0.0 < eps <= MAX_EPS:
         raise ValueError(f"eps must lie in (0, 1/4], got {eps}")
     if func.kind == "poly":
         dcoef = func._derivative_coeffs()
@@ -225,7 +215,7 @@ def approx_derivative(func: ScalarFunction, eps: float) -> ChebyshevPoly:
         series = ncheb.Chebyshev.interpolate(
             lambda x: np.asarray(func.derivative(x), dtype=float),
             degree,
-            domain=[-DOMAIN_HALF_WIDTH, DOMAIN_HALF_WIDTH],
+            domain=[-HALF, HALF],
         )
         coeffs = _trim_trailing(np.asarray(series.coef, dtype=float),
                                 eps / (10.0 * degree))

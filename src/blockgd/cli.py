@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .blockcalc import AuditLog, next_power_of_two
-from .chebyshev import SeparableObjective, load_scalar_function
+from .chebyshev import MAX_EPS, SeparableObjective, load_scalar_function
 from .descent import (
     GENERIC,
     SEPARABLE,
@@ -56,7 +56,7 @@ from .errors import (
     SchemaError,
 )
 from .oracle import classical_gd
-from .polyfunc import ObjectiveFunction, is_finite_number, load_objective
+from .polyfunc import MAX_N, ObjectiveFunction, is_finite_number, is_size, load_objective
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -126,8 +126,8 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
         local = dict(obj_doc)
         n = local.pop("n", None)
         m_bound = local.pop("M", None)
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            _fail("objective.n", f"expected positive integer, got {n!r}")
+        if not is_size(n):
+            _fail("objective.n", f"expected integer in [1, {MAX_N}], got {n!r}")
         if not is_finite_number(m_bound) or m_bound <= 0:
             _fail("objective.M", f"expected positive finite number, got {m_bound!r}")
         try:
@@ -155,6 +155,8 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     eps = _as_number(doc["eps"], "eps")
     if not 0.0 < eps < 1.0:
         _fail("eps", f"expected a value in (0, 1), got {eps}")
+    if mode == SEPARABLE and eps > MAX_EPS:
+        _fail("eps", f"separable mode approximates F' to eps <= {MAX_EPS}, got {eps}")
     eta = None
     if "eta" in doc:
         eta = _as_number(doc["eta"], "eta")
@@ -204,31 +206,23 @@ def _build_report(cfg: ExperimentConfig, trace: DescentTrace, oracle_trace) -> d
     # Post-selection happens in the padded dimension; for power-of-two n the
     # reported and ||x_T||^2 / n probabilities coincide.
     expected_prob = float(np.dot(final, final)) / next_power_of_two(trace.n)
-    envelopes = {}
     if cfg.mode == GENERIC:
         stats = cfg.objective.stats()
-        if stats.term_count and stats.max_var_count:
-            params = CostParams(
-                n=max(cfg.objective.n, 2),
-                terms=stats.term_count,
-                degree=max(stats.max_degree, max(stats.max_var_count, 1)),
-                vars_per_term=max(stats.max_var_count, 1),
-                steps=max(trace.steps, 1),
-                eps=trace.eps,
-            )
-            full = envelope_formulas(params)
-            envelopes = {k: full[k] for k in
-                         ("generic_per_iteration", "generic_total", "classical_total")}
+        # An all-constant objective has no iteration cost to bound.
+        shape = dict(
+            terms=stats.term_count, degree=stats.max_degree,
+            vars_per_term=stats.max_var_count,
+        ) if stats.max_var_count else None
     else:
+        shape = dict(poly_degree=trace.poly_degree)
+    envelopes = {}
+    if shape:
         params = CostParams(
-            n=max(cfg.objective.n, 2),
-            steps=max(trace.steps, 1),
-            eps=trace.eps,
-            poly_degree=trace.poly_degree or 0,
+            n=max(cfg.objective.n, 2), steps=max(trace.steps, 1), eps=trace.eps, **shape
         )
         full = envelope_formulas(params)
         envelopes = {k: full[k] for k in
-                     ("separable_per_iteration", "separable_total", "classical_total")}
+                     (f"{cfg.mode}_per_iteration", f"{cfg.mode}_total", "classical_total")}
     last = trace.records[-1]
     return {
         "deviation": {

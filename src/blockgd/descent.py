@@ -1,25 +1,27 @@
 """Gradient-descent engines driven by the corner-block calculus.
 
-run_generic realizes x <- x - eta * grad f(x) for monomial-sum objectives
-entirely through encoding operations: single-entry projections and products
-assemble each scaled partial derivative, signed averages combine terms, and
-amplification strips the leftover 1/2.  The step size is pinned to
-eta = 1/(2*M*K) (K counting gradient-contributing terms), which is the
+Both engines run x <- x - eta * grad f(x) through one driver loop: x0 is
+box-checked and diag-encoded, a per-engine step function maps each iterate
+encoding to the next, and every iterate is snapshotted.  The engines differ
+only in how their step builds the gradient encoding.
+
+run_generic's step, for monomial-sum objectives: single-entry projections
+and products assemble each scaled partial derivative, signed averages
+combine terms, and amplification strips the leftover 1/2.  The step size is
+pinned to eta = 1/(2*M*K) (K counting gradient-contributing terms), the
 identification under which the pipeline reproduces the descent update.
 
-run_separable handles f(x) = sum_i F(x_i) by applying a polynomial
+run_separable's step, for f(x) = sum_i F(x_i), applies a polynomial
 approximation of F' to the iterate diagonal through an eigenvalue
-transform, inserting the step size by down-scaling, subtracting, and
-amplifying.  The polynomial handed to the transform is divided by
-max(2*M, 2 * measured sup) so the sup-norm cap holds by construction while
-the net inserted factor stays exactly eta.
+transform, inserts the step size by down-scaling, subtracts, and amplifies.
+The polynomial is divided by max(2*M, 2 * measured sup) so the sup-norm cap
+holds by construction while the net inserted factor stays exactly eta.
 
 Iterates are read directly off the diagonal corner (the simulator's
-privilege); the measurement-style read-out path is still exercised to
-report the terminal post-selection probability.  Containment is enforced
-at run time: every step's amplification requires the next iterate's
-infinity norm to stay strictly below 1/2, so a bad schedule raises rather
-than silently clipping.
+privilege); the measurement-style read-out still reports the terminal
+post-selection probability.  Containment is enforced at run time: every
+step's amplification requires the next iterate's infinity norm to stay
+strictly below 1/2, so a bad schedule raises rather than silently clipping.
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ import numpy as np
 
 from . import blockcalc as bc
 from .blockcalc import AuditLog, BlockEncoding
-from .chebyshev import ChebyshevPoly, ScalarFunction, SeparableObjective, approx_derivative
+from .chebyshev import (
+    MAX_EPS,
+    ChebyshevPoly,
+    ScalarFunction,
+    SeparableObjective,
+    approx_derivative,
+)
 from .errors import (
     DomainViolation,
     InfeasibleSchedule,
@@ -40,10 +48,15 @@ from .errors import (
     ScaleOverflow,
     VariableNotInSupport,
 )
-from .polyfunc import ObjectiveFunction, is_finite_number
-
-HALF = 0.5
-_TOL = 1e-12
+from .polyfunc import (
+    DOMAIN_TOL,
+    HALF,
+    MAX_N,
+    ObjectiveFunction,
+    first_outside_box,
+    is_finite_number,
+    is_size,
+)
 
 GENERIC = "generic"
 SEPARABLE = "separable"
@@ -357,7 +370,7 @@ def gd_step_separable(
     """
     divisor = _qsvt_divisor(poly, grad_bound)
     p_insert = 1.0 / (eta * divisor)
-    if p_insert < 1.0 - _TOL:
+    if p_insert < 1.0 - DOMAIN_TOL:
         raise InvalidConfig(
             f"eta = {eta} exceeds 1/{divisor} allowed by the measured "
             "derivative bound; amplifying the step size is not supported"
@@ -369,23 +382,14 @@ def gd_step_separable(
         poly.degree,
         audit=audit,
     )
-    if p_insert > 1.0 + _TOL:
+    if p_insert > 1.0 + DOMAIN_TOL:
         transformed = bc.scale_down(transformed, p_insert, audit=audit)
     halved = bc.lcu([iterate, transformed], [1, -1], audit=audit)
     return bc.amplify(halved, 2.0, delta, eps, audit=audit)
 
 
-def _validate_x0(x0, n: int) -> np.ndarray:
-    vec = np.asarray(x0, dtype=float).ravel()
-    if vec.size != n:
-        raise InvalidConfig(f"x0 has {vec.size} coordinates, expected n={n}")
-    if np.any(np.abs(vec) > HALF + _TOL):
-        raise DomainViolation("x0 lies outside [-1/2, 1/2]^n")
-    return vec
-
-
-def _snapshot(t: int, enc: BlockEncoding, objective, n: int) -> IterationRecord:
-    x = np.real(enc.diagonal()[:n])
+def _snapshot(t: int, enc: BlockEncoding, objective) -> IterationRecord:
+    x = np.real(enc.diagonal()[: objective.n])
     return IterationRecord(
         t=t,
         x=tuple(x.tolist()),
@@ -399,35 +403,40 @@ def _snapshot(t: int, enc: BlockEncoding, objective, n: int) -> IterationRecord:
     )
 
 
-def _finish_trace(
-    mode: str,
-    objective,
-    records: list[IterationRecord],
-    enc: BlockEncoding,
-    x0: np.ndarray,
-    eta: float,
-    cfg: DescentConfig,
-    **extra,
-) -> DescentTrace:
+def _drive(objective, x0, cfg: DescentConfig, eta: float, step, audit, **extra) -> DescentTrace:
+    """The one descent loop: encode x0, apply step T times, trace every iterate.
+
+    step maps the iterate encoding to the next one; a NormBoundViolated it
+    raises is re-raised with the index of the offending step.
+    """
+    vec = np.asarray(x0, dtype=float).ravel()
+    if vec.size != objective.n:
+        raise InvalidConfig(f"x0 has {vec.size} coordinates, expected n={objective.n}")
+    if first_outside_box(vec) is not None:
+        raise DomainViolation("x0 lies outside [-1/2, 1/2]^n")
+    enc = bc.diag_encode(vec, audit=audit)
+    records = [_snapshot(0, enc, objective)]
+    for t in range(1, cfg.steps + 1):
+        try:
+            enc = step(enc)
+        except NormBoundViolated as exc:
+            raise NormBoundViolated(
+                f"step {t}: {exc}; the initial vector violates the containment schedule"
+            ) from exc
+        records.append(_snapshot(t, enc, objective))
     uniform = np.full(enc.dim, 1.0 / math.sqrt(enc.dim))
-    prob = bc.apply_postselect(enc, uniform).prob
-    schedule_ok = bool(
-        float(np.linalg.norm(x0))
-        <= HALF - eta * objective.grad_bound * cfg.steps + _TOL
-    )
-    iterates = np.asarray([r.x for r in records], dtype=float)
-    norm_ok = bool(np.abs(iterates).max() <= HALF + _TOL)
+    radius = HALF - eta * objective.grad_bound * cfg.steps
     return DescentTrace(
-        mode=mode,
+        mode=cfg.mode,
         n=objective.n,
         eta=eta,
         eps=cfg.eps,
         steps=cfg.steps,
         grad_bound=objective.grad_bound,
         records=records,
-        probability=prob,
-        schedule_bound_ok=schedule_ok,
-        norm_safety_ok=norm_ok,
+        probability=bc.apply_postselect(enc, uniform).prob,
+        schedule_bound_ok=bool(float(np.linalg.norm(vec)) <= radius + DOMAIN_TOL),
+        norm_safety_ok=first_outside_box([r.x for r in records]) is None,
         **extra,
     )
 
@@ -453,23 +462,14 @@ def run_generic(
         raise InvalidConfig(
             f"generic mode pins eta to 1/(2*M*K) = {eta}; got {cfg.eta}"
         )
-    x0 = _validate_x0(x0, objective.n)
-    enc = bc.diag_encode(x0, audit=audit)
-    records = [_snapshot(0, enc, objective, objective.n)]
-    for t in range(1, cfg.steps + 1):
-        try:
-            grad = build_gradient_be(
-                enc, objective, eps=cfg.eps, delta=cfg.delta_amp, audit=audit
-            )
-            enc = gd_step_generic(
-                enc, grad, eps=cfg.eps, delta=cfg.delta_amp, audit=audit
-            )
-        except NormBoundViolated as exc:
-            raise NormBoundViolated(
-                f"step {t}: {exc}; the initial vector violates the containment schedule"
-            ) from exc
-        records.append(_snapshot(t, enc, objective, objective.n))
-    return _finish_trace(GENERIC, objective, records, enc, x0, eta, cfg)
+
+    def step(enc: BlockEncoding) -> BlockEncoding:
+        grad = build_gradient_be(
+            enc, objective, eps=cfg.eps, delta=cfg.delta_amp, audit=audit
+        )
+        return gd_step_generic(enc, grad, eps=cfg.eps, delta=cfg.delta_amp, audit=audit)
+
+    return _drive(objective, x0, cfg, eta, step, audit)
 
 
 def run_separable(
@@ -487,27 +487,19 @@ def run_separable(
     m_bound = objective.grad_bound
     if cfg.eta is None:
         raise InvalidConfig("separable mode requires an explicit eta")
-    if not 0.0 < cfg.eta <= 1.0 / (2.0 * m_bound) + _TOL:
+    if not 0.0 < cfg.eta <= 1.0 / (2.0 * m_bound) + DOMAIN_TOL:
         raise InvalidConfig(
             f"eta must lie in (0, 1/(2*M)] = (0, {1.0 / (2.0 * m_bound)}], got {cfg.eta}"
         )
     poly = approx_derivative(objective.func, cfg.eps)
-    x0 = _validate_x0(x0, objective.n)
-    enc = bc.diag_encode(x0, audit=audit)
-    records = [_snapshot(0, enc, objective, objective.n)]
-    for t in range(1, cfg.steps + 1):
-        try:
-            enc = gd_step_separable(
-                enc, poly, m_bound, cfg.eta, cfg.eps,
-                delta=cfg.delta_amp, audit=audit,
-            )
-        except NormBoundViolated as exc:
-            raise NormBoundViolated(
-                f"step {t}: {exc}; the initial vector violates the containment schedule"
-            ) from exc
-        records.append(_snapshot(t, enc, objective, objective.n))
-    return _finish_trace(
-        SEPARABLE, objective, records, enc, x0, cfg.eta, cfg,
+
+    def step(enc: BlockEncoding) -> BlockEncoding:
+        return gd_step_separable(
+            enc, poly, m_bound, cfg.eta, cfg.eps, delta=cfg.delta_amp, audit=audit
+        )
+
+    return _drive(
+        objective, x0, cfg, cfg.eta, step, audit,
         poly_degree=poly.degree, poly_sup_error=poly.sup_error_bound,
     )
 
@@ -560,10 +552,15 @@ class CostParams:
             raise InvalidConfig(f"unknown cost parameters {sorted(unknown)}")
         for key, value in doc.items():
             if key == "eps":
-                if not is_finite_number(value):
-                    raise InvalidConfig(f"eps: expected finite number, got {value!r}")
+                # The separable probe approximates F' to eps, so eps <= MAX_EPS.
+                if not is_finite_number(value) or value > MAX_EPS:
+                    raise InvalidConfig(
+                        f"eps: expected finite number <= {MAX_EPS}, got {value!r}"
+                    )
             elif not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidConfig(f"{key}: expected integer, got {value!r}")
+            elif key == "n" and not is_size(value):
+                raise InvalidConfig(f"n: expected integer in [1, {MAX_N}], got {value!r}")
         return cls(**{mapping[k]: v for k, v in doc.items()})
 
 

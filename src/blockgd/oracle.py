@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainExit, DomainViolation
-
-HALF = 0.5
-_DOMAIN_TOL = 1e-12
+from .polyfunc import check_point, first_outside_box
 
 
 @dataclass(frozen=True)
@@ -40,17 +38,13 @@ def classical_gd(objective, x0, eta: float, steps: int) -> OracleTrace:
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    x = np.asarray(x0, dtype=float).ravel()
-    if x.size != objective.n:
-        raise ValueError(f"x0 has {x.size} coordinates, expected {objective.n}")
-    if np.any(np.abs(x) > HALF + _DOMAIN_TOL):
-        raise DomainViolation("x0 lies outside [-1/2, 1/2]^n")
+    x = check_point(x0, objective.n)
     iterates = [tuple(x.tolist())]
     values = [float(objective.evaluate(x))]
     grads = [np.asarray(objective.gradient(x), dtype=float)]
     for t in range(steps):
         x = x - eta * grads[-1]
-        if np.any(np.abs(x) > HALF + _DOMAIN_TOL):
+        if first_outside_box(x) is not None:
             partial = OracleTrace(
                 iterates=tuple(iterates),
                 values=tuple(values),
@@ -76,7 +70,7 @@ def finite_diff_grad(objective, x, h: float) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if h <= 0:
         raise ValueError("h must be positive")
-    if np.any(np.abs(x) + h > HALF + _DOMAIN_TOL):
+    if first_outside_box(x, h) is not None:
         raise DomainViolation("x +/- h e_m leaves [-1/2, 1/2]^n")
     grad = np.zeros(x.size)
     for m in range(x.size):

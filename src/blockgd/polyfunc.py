@@ -26,9 +26,41 @@ from .errors import (
     SchemaError,
 )
 
-HALF = 0.5
+HALF = 0.5  # half-width of the box [-1/2, 1/2]^n every engine works in
+# Rounding slack on the box edge and on the step-size limits derived from it.
 DOMAIN_TOL = 1e-12
+# Largest n a JSON input may ask for: one complex vector of 2**20 entries is
+# 16 MiB, while a larger n would fail (or exhaust memory) before any output.
+MAX_N = 2**20
 DEFAULT_GRID_CAP = 1_000_000
+
+
+def first_outside_box(x, margin: float = 0.0) -> int | None:
+    """Flat index of the first entry with |x| + margin > 1/2 + DOMAIN_TOL, or None."""
+    bad = np.flatnonzero(np.abs(x) + margin > HALF + DOMAIN_TOL)
+    return int(bad[0]) if bad.size else None
+
+
+def check_point(x, n: int) -> np.ndarray:
+    """x as a flat float vector of n coordinates inside the box, else raise."""
+    vec = np.asarray(x, dtype=float).ravel()
+    if vec.size != n:
+        raise ValueError(f"point has {vec.size} coordinates, expected {n}")
+    m = first_outside_box(vec)
+    if m is not None:
+        raise DomainViolation(f"x[{m}] = {vec[m]!r} lies outside [-1/2, 1/2]")
+    return vec
+
+
+def init_size_and_bound(objective) -> None:
+    """Shared __post_init__ of the objectives: n >= 1 and M > 0 finite, coerced."""
+    if int(objective.n) < 1:
+        raise ValueError(f"n must be >= 1, got {objective.n}")
+    object.__setattr__(objective, "n", int(objective.n))
+    gb = float(objective.grad_bound)
+    if not (gb > 0.0 and math.isfinite(gb)):
+        raise ValueError(f"grad_bound must be positive and finite, got {gb}")
+    object.__setattr__(objective, "grad_bound", gb)
 
 
 @dataclass(frozen=True)
@@ -106,13 +138,7 @@ class ObjectiveFunction:
     terms: tuple[MonomialTerm, ...]
 
     def __post_init__(self):
-        if int(self.n) < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-        gb = float(self.grad_bound)
-        if not (gb > 0.0 and math.isfinite(gb)):
-            raise ValueError(f"grad_bound must be positive and finite, got {gb}")
-        object.__setattr__(self, "grad_bound", gb)
+        init_size_and_bound(self)
         merged: dict[tuple[int, ...], float] = {}
         for term in self.terms:
             t = term if isinstance(term, MonomialTerm) else MonomialTerm(*term)
@@ -130,21 +156,9 @@ class ObjectiveFunction:
     def term_count(self) -> int:
         return len(self.terms)
 
-    def _check_domain(self, x) -> np.ndarray:
-        vec = np.asarray(x, dtype=float).ravel()
-        if vec.size != self.n:
-            raise ValueError(f"point has {vec.size} coordinates, expected {self.n}")
-        bad = np.nonzero(np.abs(vec) > HALF + DOMAIN_TOL)[0]
-        if bad.size:
-            m = int(bad[0])
-            raise DomainViolation(
-                f"x[{m}] = {vec[m]!r} lies outside [-1/2, 1/2]"
-            )
-        return vec
-
     def evaluate(self, x) -> float:
         """Value of f at a point of the box; 0**0 counts as 1."""
-        vec = self._check_domain(x)
+        vec = check_point(x, self.n)
         total = 0.0
         for term in self.terms:
             prod = term.coeff
@@ -173,7 +187,7 @@ class ObjectiveFunction:
 
     def gradient(self, x) -> np.ndarray:
         """All partial derivatives at a point, as a length-n array."""
-        vec = self._check_domain(x)
+        vec = check_point(x, self.n)
         grad = np.zeros(self.n)
         for term in self.terms:
             for m in term.support:
@@ -275,6 +289,11 @@ def is_finite_number(value) -> bool:
         return False
 
 
+def is_size(value) -> bool:
+    """True for a JSON integer n with 1 <= n <= MAX_N (bools are not integers)."""
+    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= MAX_N
+
+
 def _require(cond: bool, path: str, message: str):
     if not cond:
         raise SchemaError(f"{path}: {message}")
@@ -283,7 +302,7 @@ def _require(cond: bool, path: str, message: str):
 def load_objective(source) -> ObjectiveFunction:
     """Build an ObjectiveFunction from a JSON text or an already-parsed dict.
 
-    Schema: {"n": int >= 1, "M": number > 0,
+    Schema: {"n": int in [1, MAX_N], "M": number > 0,
              "terms": [{"coeff": number, "exponents": [int >= 0] * n}, ...]};
     numbers must be finite.
     Parse errors keep json's line/column info; schema errors carry the key
@@ -296,8 +315,7 @@ def load_objective(source) -> ObjectiveFunction:
     for key in ("n", "M", "terms"):
         _require(key in doc, "$", f"missing required key '{key}'")
     n = doc["n"]
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "n",
-             f"expected positive integer, got {n!r}")
+    _require(is_size(n), "n", f"expected integer in [1, {MAX_N}], got {n!r}")
     m_bound = doc["M"]
     _require(is_finite_number(m_bound) and m_bound > 0, "M",
              f"expected positive finite number, got {m_bound!r}")

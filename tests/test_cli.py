@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from blockgd.chebyshev import MAX_EPS
 from blockgd.cli import (
     EXIT_CONTRACT,
     EXIT_DEGREE,
@@ -25,6 +26,7 @@ from blockgd.errors import (
     PolyBoundViolated,
     SchemaError,
 )
+from blockgd.polyfunc import MAX_N
 
 REPO = Path(__file__).resolve().parents[1]
 QUADRATIC = REPO / "configs" / "quadratic.json"
@@ -385,12 +387,54 @@ class TestNonFiniteNumbers:
         assert not (out / "report.json").exists()
 
 
+class TestInputLimits:
+    """n above MAX_N and a separable eps above MAX_EPS are schema errors (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (_with(SEPARABLE_DOC, ["eps"], 0.5), str(MAX_EPS)),
+            (_with(_with(SEPARABLE_DOC, ["objective", "n"], 10**30),
+                   ["x0"], {"uniform_q": "auto"}), str(MAX_N)),
+            (_with(GENERIC_DOC, ["objective", "n"], 10**30), str(MAX_N)),
+        ],
+        ids=["separable-eps-half", "separable-n-huge", "generic-n-huge"],
+    )
+    def test_run_and_validate_reject_with_schema_exit(self, tmp_path, capsys, doc, message):
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_SCHEMA
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        assert main(["validate-config", "--config", str(path)]) == EXIT_SCHEMA
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [({"eps": 0.9}, str(MAX_EPS)), ({"n": 10**30}, str(MAX_N))],
+        ids=["eps", "n"],
+    )
+    def test_compare_costs_rejects_with_schema_exit(self, tmp_path, capsys, params, message):
+        path = write_config(tmp_path, params, "params.json")
+        out = tmp_path / "c"
+        assert main(["compare-costs", "--params", str(path), "--out", str(out)]) == EXIT_SCHEMA
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_eps_limit_binds_the_separable_engine_only(self, tmp_path):
+        for doc in (_with(SEPARABLE_DOC, ["eps"], MAX_EPS), _with(GENERIC_DOC, ["eps"], 0.5)):
+            path = write_config(tmp_path, doc)
+            out = tmp_path / doc["mode"]
+            assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+            assert (out / "report.json").exists()
+
+
 def _sha256_of_files(out: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
 class TestGoldenArtifacts:
-    """SHA-256 of every artifact of two shipped commands (Python 3.11, numpy 2.4).
+    """SHA-256 of every artifact of three shipped commands (Python 3.11, numpy 2.4).
 
     A changed digest means a changed output byte; update it only on purpose.
     """
@@ -403,6 +447,16 @@ class TestGoldenArtifacts:
             "report.json": "9cd26f9ef0f80078b169f90c9bcc5fa90e4c969d218cad0d3bd0073d1b450c15",
             "trace.csv": "ad489119d77848f2ddb165b319947a0583e681074ba606f6587a9ab61c283b84",
             "trace.json": "844b25e8b830def7c257d9929aa4257ed5a299b34771c87a626ae7e94c3b13cb",
+        }
+
+    def test_separable_audit_run(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(SEPARABLE), "--audit", "--out", str(out)]) == EXIT_OK
+        assert _sha256_of_files(out) == {
+            "audit.jsonl": "0adabc2a18f59725ee5bb33b06cefce5598c961472475d8fbeff6df948bf5568",
+            "report.json": "0f09ffc92f64c1ce2165b037971aa0a65ef99658d3ee174d79412175d39f557d",
+            "trace.csv": "8a946611af98ff383f93e9f4a10f24b6b023205e4971fe77943e4cc20ee04289",
+            "trace.json": "7bf9f992f211b363d727b97ed167151be582f6a2f36f122ab1dd486f3bb8d463",
         }
 
     def test_compare_costs_defaults(self, tmp_path, capsys):

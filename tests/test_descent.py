@@ -217,12 +217,6 @@ class TestRunGeneric:
         for a, b in zip(xs, xs[1:]):
             assert b == pytest.approx(a - eta, abs=1e-12)
 
-    def test_adversarial_start_raises_norm_bound(self):
-        f = obj(1, 1.0, (1.0, (1,)))  # eta = 0.5: each step moves by 0.5
-        cfg = DescentConfig(steps=3, eps=1e-6, mode="generic")
-        with pytest.raises(NormBoundViolated):
-            run_generic(f, [0.4], cfg)
-
     def test_eta_override_rejected(self):
         f = quadratic_bowl()
         cfg = DescentConfig(steps=1, eps=1e-6, mode="generic", eta=0.1)
@@ -353,6 +347,23 @@ class TestEngineConsistency:
         ts = run_separable(sep, x0, DescentConfig(steps=4, eps=1e-8, mode="separable",
                                                   eta=eta))
         assert np.max(np.abs(tg.iterates() - ts.iterates())) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "engine, objective, cfg, x0, step",
+        [
+            # eta = 0.5 and f = x: 0.4 -> -0.1 -> -0.6 leaves the box at step 2.
+            (run_generic, obj(1, 1.0, (1.0, (1,))),
+             DescentConfig(steps=3, eps=1e-6, mode="generic"), [0.4], 2),
+            # eta = 0.5 and f = sin: -0.45 - 0.5*cos(-0.45) ~ -0.90 at step 1.
+            (run_separable, SeparableObjective(ScalarFunction.named("sin"), n=1, grad_bound=1.0),
+             DescentConfig(steps=3, eps=1e-6, mode="separable", eta=0.5), [-0.45], 1),
+        ],
+        ids=["generic", "separable"],
+    )
+    def test_adversarial_start_raises_norm_bound(self, engine, objective, cfg, x0, step):
+        with pytest.raises(NormBoundViolated) as info:
+            engine(objective, x0, cfg)
+        assert str(info.value).startswith(f"step {step}:")
 
 
 class TestTraceShape:
