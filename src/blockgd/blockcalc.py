@@ -18,20 +18,43 @@ its ledger again, so totals over a T-step pipeline that feeds each output
 back in grow geometrically with T, as expected.
 
 Conventions: corners are complex with power-of-two size (inputs are
-zero-padded at construction) and indices are 0-based.  A diagonal corner is
-stored as its length-N diagonal, so every primitive on diagonal inputs runs
-in O(N) and its spectral norm is max |d_i|.  A matrix passed to the
-BlockEncoding constructor is stored as an N x N array with an SVD norm, and
-primitives use dense arithmetic whenever an input is stored dense.  Norm and
+zero-padded at construction) and indices are 0-based.  Norm and
 polynomial-bound checks allow a 1e-10 grace for float noise.
 
-Per-call cost: on diagonal inputs a primitive does a handful of O(N) numpy
-operations (its arithmetic, plus |d| and its max for the norm of the output)
-and a fixed amount of Python work: argument checks, one ResourceCounter for
-the merged ledger and a second only when the output's ancillas raise the
-high-water mark.  At the sizes this simulator runs (N up to a few thousand)
-the fixed part dominates, so the hot path avoids copies of stored data and
-generic Python passes over the operands.
+Storage: a corner is kept in one of three forms, picked from the inputs of
+the primitive that makes it; there is no option.
+  * slot map: a diagonal with few non-zeros, as {slot: value} with every
+    other entry +0.0.  projector_encode and entry_project make it (the
+    latter only for a real x_j), and product, lcu, scale_down and amplify
+    keep it when every input has it.  The norm is max |value|.
+  * vector: any other diagonal, as its length-N array (diag_encode,
+    qsvt_transform, and the primitives above when an input is a vector).
+    The norm is max |d_i|.  A slot-map input is read as its vector there.
+  * dense: an N x N array, for a matrix passed to the BlockEncoding
+    constructor; a primitive with a dense input uses dense arithmetic and
+    an SVD for the norm.
+corner, diagonal(), audit ids, apply_postselect, qsvt_transform and tensor
+read a slot map through its read-only length-N vector, built on first read
+and cached.  The three forms of one corner have equal ids.
+
+Rounding: slot values are Python complex numbers with a zero imaginary
+part, and each storage operation rounds them exactly as numpy's complex
+loops round the same entries of a vector, so a primitive gives the same
+bits, signed zeros included, whether its inputs are slot maps or the
+vectors built from them.  Python's complex product and sum match numpy's
+for such values (numpy's fused multiply-add differs only when both
+imaginary parts are non-zero, which is why a complex x_j is stored as a
+vector), but division does not: numpy divides by a real p as
+(re + im*0.0) * (1/p), where Python's v / p divides, so _over does as numpy
+does.
+
+Per-call cost: a primitive on slot maps does O(number of slots) Python
+arithmetic; on vectors, a handful of O(N) numpy operations (its arithmetic,
+plus |d| and its max for the norm).  Both add a fixed amount of Python work:
+argument checks and one ResourceCounter for the output's ledger.  A generic
+step's gradient has at most K*v slots, so only the iterate update (one lcu
+and one amplify on vectors) costs O(N); the hot path avoids copies of stored
+data and generic Python passes over the operands.
 """
 
 from __future__ import annotations
@@ -74,6 +97,59 @@ def next_power_of_two(n: int) -> int:
     return p
 
 
+def _vector(slots: dict, dim: int) -> np.ndarray:
+    """The length-N diagonal holding each slot's value and +0.0 elsewhere."""
+    vec = np.zeros(dim, dtype=complex)
+    vec[list(slots)] = list(slots.values())
+    return vec
+
+
+def _over(value: complex, p: float) -> complex:
+    """value / p for a real p > 0, rounded as numpy's complex division rounds it."""
+    inv = 1.0 / p
+    return complex((value.real + value.imag * 0.0) * inv, (value.imag - value.real * 0.0) * inv)
+
+
+# Storage operations: each takes corners in one form (see _operands) and
+# returns the result in that form, with the bits numpy gives for vectors.
+
+def _times(x, y):
+    """The product of two corners."""
+    if type(x) is dict:
+        return {k: x.get(k, 0j) * y.get(k, 0j) for k in x.keys() | y.keys()}
+    return x * y if x.ndim == 1 else x @ y
+
+
+def _signed_mean(parts, signs):
+    """(1/m) * sum_i s_i * part_i of m corners."""
+    m = len(parts)
+    if type(parts[0]) is not dict:
+        return sum(s * part for s, part in zip(signs, parts)) / m
+    # numpy also adds s * 0 where a part has no slot; its running sum starts
+    # at +0 and never holds a -0 component, so such terms change no bit.
+    total = {}
+    for s, part in zip(signs, parts):
+        s = complex(s)
+        for k, value in part.items():
+            total[k] = total.get(k, 0j) + s * value
+    return {k: _over(value, m) for k, value in total.items()}
+
+
+def _scaled(data, factor: float):
+    """factor * corner for a real factor."""
+    if type(data) is not dict:
+        return factor * data
+    factor = complex(factor, 0.0)
+    return {k: factor * value for k, value in data.items()}
+
+
+def _shrunk(data, p: float):
+    """corner / p for a real p > 0."""
+    if type(data) is not dict:
+        return data / p
+    return {k: _over(value, p) for k, value in data.items()}
+
+
 def _digest(data: np.ndarray) -> str:
     """12-hex SHA-1 id of a corner: equal exactly for equal corners.
 
@@ -106,24 +182,34 @@ class ResourceCounter:
         )
 
 
-def _merge_counters(encodings, queries: int, *, parallel: bool = False) -> ResourceCounter:
-    """The operands' counters merged once each, plus the operation's own queries."""
+def _merge_counters(encodings, queries: int, *, parallel: bool = False) -> tuple:
+    """The operands' counters merged once each, plus the operation's own queries.
+
+    Returns (depth, queries, high-water) for _encoding.
+    """
     depth = high_water = 0
     for e in encodings:
         r = e.resources
         depth = max(depth, r.depth_units) if parallel else depth + r.depth_units
         queries += r.queries
         high_water = max(high_water, r.ancilla_high_water)
-    return ResourceCounter(depth, queries, high_water)
+    return depth, queries, high_water
+
+
+def _grown(enc, depth: int = 0, queries: int = 0) -> tuple:
+    """(depth, queries, high-water) of one operand's counters plus the operation's cost."""
+    r = enc.resources
+    return r.depth_units + depth, r.queries + queries, r.ancilla_high_water
 
 
 class BlockEncoding:
     """Immutable corner block plus (alpha, ancillas, eps) and counters.
 
     ``BlockEncoding(corner, alpha, ancillas, eps, resources)`` stores the
-    given matrix dense.  Primitives on diagonal inputs store only the
-    diagonal; ``corner`` then builds the read-only N x N matrix on each
-    access.  ``norm`` is the spectral norm, computed once at construction.
+    given matrix dense.  Primitives store a diagonal corner as a slot map or
+    a vector (see the module docstring); ``corner`` then builds the
+    read-only N x N matrix on each access.  ``norm`` is the spectral norm,
+    computed once at construction.
     """
 
     def __init__(self, corner, alpha: float = 1.0, ancillas: int = 0,
@@ -137,25 +223,29 @@ class BlockEncoding:
             grown = np.zeros((padded, padded), dtype=complex)
             grown[:n, :n] = mat
             mat = grown
-        self._seal(mat, spectral_norm(mat), alpha, ancillas, eps, resources)
+        self._seal(mat, padded, spectral_norm(mat), alpha, ancillas, eps, resources)
 
-    def _seal(self, data, norm, alpha, ancillas, eps, resources):
+    def _seal(self, data, dim, norm, alpha, ancillas, eps, resources):
         if norm > 1.0 + NORM_TOL:
             raise NormTooLarge(f"corner spectral norm {norm} exceeds 1")
+        # The chained comparisons are false for NaN as well.
         alpha = float(alpha)
-        if not (math.isfinite(alpha) and alpha >= 1.0):
+        if not 1.0 <= alpha < math.inf:
             raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
         eps = float(eps)
-        if not (math.isfinite(eps) and eps >= 0.0):
+        if not 0.0 <= eps < math.inf:
             raise ValueError(f"eps must be finite and >= 0, got {eps}")
         if ancillas < 0:
             raise ValueError("ancillas must be non-negative")
         ancillas = int(ancillas)
         if ancillas > resources.ancilla_high_water:
             resources = ResourceCounter(resources.depth_units, resources.queries, ancillas)
-        data.setflags(write=False)
+        if type(data) is not dict:
+            data.setflags(write=False)
+            if data.ndim == 1:
+                self.__dict__["_vec"] = data
         self.__dict__.update(
-            _data=data, norm=norm, alpha=alpha, eps=eps, ancillas=ancillas,
+            _data=data, dim=dim, norm=norm, alpha=alpha, eps=eps, ancillas=ancillas,
             resources=resources,
         )
 
@@ -163,33 +253,41 @@ class BlockEncoding:
         raise AttributeError(f"BlockEncoding is immutable; cannot set {name!r}")
 
     @property
-    def corner(self) -> np.ndarray:
-        if self._data.ndim == 2:
-            return self._data
-        mat = np.diag(self._data)
-        mat.setflags(write=False)
-        return mat
+    def _dense(self) -> bool:
+        return type(self._data) is not dict and self._data.ndim == 2
+
+    @cached_property
+    def _vec(self) -> np.ndarray:
+        """A diagonal corner's read-only length-N vector (built once for a slot map)."""
+        vec = _vector(self._data, self.dim)
+        vec.setflags(write=False)
+        return vec
 
     @property
-    def dim(self) -> int:
-        return self._data.shape[0]
+    def corner(self) -> np.ndarray:
+        if self._dense:
+            return self._data
+        mat = np.diag(self._vec)
+        mat.setflags(write=False)
+        return mat
 
     @property
     def qubits(self) -> int:
         return int(math.log2(self.dim))
 
     def is_diagonal(self) -> bool:
-        if self._data.ndim == 1:
+        data = self._data
+        if type(data) is dict or data.ndim == 1:
             return True
-        off = self._data - np.diag(np.diag(self._data))
+        off = data - np.diag(np.diag(data))
         return bool(np.max(np.abs(off)) <= DIAG_TOL)
 
     def diagonal(self) -> np.ndarray:
-        return self._data.copy() if self._data.ndim == 1 else np.diag(self._data).copy()
+        return np.diag(self._data).copy() if self._dense else self._vec.copy()
 
     @cached_property
     def _id(self) -> str:
-        return _digest(self._data)
+        return _digest(self._data if self._dense else self._vec)
 
     def summary(self) -> dict:
         return {
@@ -203,26 +301,46 @@ class BlockEncoding:
         }
 
 
-def _encoding(data: np.ndarray, alpha: float = 1.0, ancillas: int = 0,
-              eps: float = 0.0, resources: ResourceCounter = ResourceCounter()):
-    """Wrap a primitive's output: a vector is stored as the diagonal, a matrix dense."""
-    if data.ndim == 2:
+def _encoding(data, dim: int, alpha: float = 1.0, ancillas: int = 0,
+              eps: float = 0.0, counts: tuple = (0, 0, 0)):
+    """Wrap a primitive's output, stored in the form data has.
+
+    counts is (depth, queries, high-water) before the output's own ancillas
+    raise the high-water mark; the one ResourceCounter is built here.
+    """
+    depth, queries, high_water = counts
+    resources = ResourceCounter(depth, queries, max(high_water, ancillas))
+    if type(data) is dict:
+        norm = 0.0
+        for value in data.values():
+            if abs(value) > norm:
+                norm = abs(value)
+    elif data.ndim == 2:
         return BlockEncoding(data, alpha, ancillas, eps, resources)
-    # Indexing at argmax gives max |d_i| without the ufunc-reduce set-up that
-    # dominates .max() on vectors of a few hundred entries.
-    mags = np.abs(data)
+    else:
+        # Indexing at argmax gives max |d_i| without the ufunc-reduce set-up
+        # that dominates .max() on vectors of a few hundred entries.
+        mags = np.abs(data)
+        norm = float(mags[mags.argmax()])
     enc = BlockEncoding.__new__(BlockEncoding)
-    enc._seal(data, float(mags[mags.argmax()]), alpha, ancillas, eps, resources)
+    enc._seal(data, dim, norm, alpha, ancillas, eps, resources)
     return enc
 
 
-def _operands(encodings) -> list[np.ndarray]:
-    """The stored diagonals when every input has one, else the dense corners."""
+def _operands(encodings, *, slots: bool = True) -> list:
+    """The inputs' corners in one form.
+
+    Slot maps when every input has one and slots is set, else length-N
+    vectors when every input is diagonal, else dense matrices.
+    """
     stored = [e._data for e in encodings]
+    vectors = not slots
     for data in stored:
-        if data.ndim != 1:
-            return [e.corner for e in encodings]
-    return stored
+        if type(data) is not dict:
+            if data.ndim == 2:
+                return [e.corner for e in encodings]
+            vectors = True
+    return [e._vec for e in encodings] if vectors else stored
 
 
 @dataclass(frozen=True)
@@ -296,11 +414,11 @@ def diag_encode(
     log_n = int(math.log2(dim))
     enc = _encoding(
         padded,
+        dim,
         alpha=float(alpha),
         ancillas=log_n + 3,
         eps=0.0,
-        resources=ResourceCounter(depth_units=log_n, queries=0,
-                                  ancilla_high_water=log_n + 3),
+        counts=(log_n, 0, log_n + 3),
     )
     return _log(audit, "diag_encode", [], enc, dim=dim, alpha=float(alpha))
 
@@ -310,15 +428,14 @@ def projector_encode(dim: int, k: int, *, audit: AuditLog | None = None) -> Bloc
     dim = next_power_of_two(dim)
     if not 0 <= k < dim:
         raise IndexOutOfRange(f"index {k} not in [0, {dim})")
-    diag = np.zeros(dim, dtype=complex)
-    diag[k] = 1.0
     log_n = int(math.log2(dim))
     enc = _encoding(
-        diag,
+        {k: complex(1.0, 0.0)},
+        dim,
         alpha=1.0,
         ancillas=log_n,
         eps=0.0,
-        resources=ResourceCounter(depth_units=1, queries=0, ancilla_high_water=log_n),
+        counts=(1, 0, log_n),
     )
     return _log(audit, "projector_encode", [], enc, dim=dim, k=k)
 
@@ -339,15 +456,20 @@ def entry_project(
     if not 0 <= k < dim:
         raise IndexOutOfRange(f"target index {k} not in [0, {dim})")
     src = enc._data
-    diag = np.zeros(dim, dtype=complex)
-    diag[k] = src[j] if src.ndim == 1 else src[j, j]
+    if type(src) is dict:
+        value = src.get(j, 0j)
+    else:
+        value = src.item(j) if src.ndim == 1 else src.item(j, j)
+    # Slot arithmetic matches numpy's rounding for real values only.
+    slots = {k: value}
     log_n = int(math.log2(dim))
     out = _encoding(
-        diag,
+        slots if value.imag == 0.0 else _vector(slots, dim),
+        dim,
         alpha=enc.alpha,
         ancillas=enc.ancillas + log_n + 3,
         eps=enc.eps,
-        resources=enc.resources.add(depth=log_n, queries=2),
+        counts=_grown(enc, depth=log_n, queries=2),
     )
     return _log(audit, "entry_project", [enc], out, j=j, k=k)
 
@@ -358,13 +480,13 @@ def product(
     """Encoding of the operator product, one use of each input."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    x, y = _operands([a, b])
     out = _encoding(
-        x * y if x.ndim == 1 else x @ y,
+        _times(*_operands([a, b])),
+        a.dim,
         alpha=a.alpha * b.alpha,
         ancillas=a.ancillas + b.ancillas,
         eps=a.alpha * b.eps + b.alpha * a.eps,
-        resources=_merge_counters([a, b], 2),
+        counts=_merge_counters([a, b], 2),
     )
     return _log(audit, "product", [a, b], out)
 
@@ -384,22 +506,23 @@ def lcu(
         raise ValueError("lcu requires at least one encoding")
     if len(signs) != len(encs):
         raise ValueError("signs and encodings must have equal length")
-    if any(s not in (-1, 1) for s in signs):
-        raise ValueError(f"signs must be +/-1, got {signs}")
     dim = encs[0].dim
-    if any(e.dim != dim for e in encs):
-        raise DimensionMismatch("lcu inputs must share one dimension")
     alpha = encs[0].alpha
-    if any(e.alpha != alpha for e in encs):
-        raise MixedAlpha("lcu inputs must share one alpha; rescale first")
+    for e, s in zip(encs, signs):
+        if s != 1 and s != -1:
+            raise ValueError(f"signs must be +/-1, got {signs}")
+        if e.dim != dim:
+            raise DimensionMismatch("lcu inputs must share one dimension")
+        if e.alpha != alpha:
+            raise MixedAlpha("lcu inputs must share one alpha; rescale first")
     m = len(encs)
-    combined = sum(s * part for s, part in zip(signs, _operands(encs))) / m
     out = _encoding(
-        combined,
+        _signed_mean(_operands(encs), signs),
+        dim,
         alpha=alpha,
         ancillas=sum(e.ancillas for e in encs) + math.ceil(math.log2(m)),
         eps=sum(e.eps for e in encs) / m,
-        resources=_merge_counters(encs, m),
+        counts=_merge_counters(encs, m),
     )
     return _log(audit, "lcu", encs, out, m=m, signs=signs)
 
@@ -413,11 +536,12 @@ def scale_down(
         raise InvalidScale(f"scale factor must exceed 1, got {p}")
     theta = 2.0 * math.acos(1.0 / p)
     out = _encoding(
-        enc._data / p,
+        _shrunk(enc._data, p),
+        enc.dim,
         alpha=enc.alpha,
         ancillas=enc.ancillas + 1,
         eps=enc.eps / p,
-        resources=enc.resources.add(depth=1),
+        counts=_grown(enc, depth=1),
     )
     return _log(audit, "scale_down", [enc], out, p=p, theta=theta)
 
@@ -428,7 +552,7 @@ def tensor(encodings, *, audit: AuditLog | None = None) -> BlockEncoding:
     if not encs:
         raise ValueError("tensor requires at least one encoding")
     # The Kronecker product of diagonals is the diagonal of the product.
-    combined = reduce(np.kron, _operands(encs))
+    combined = reduce(np.kron, _operands(encs, slots=False))
     alpha = 1.0
     eps = 0.0
     for e in encs:
@@ -436,10 +560,11 @@ def tensor(encodings, *, audit: AuditLog | None = None) -> BlockEncoding:
         alpha *= e.alpha
     out = _encoding(
         combined,
+        combined.shape[0],
         alpha=alpha,
         ancillas=sum(e.ancillas for e in encs),
         eps=eps,
-        resources=_merge_counters(encs, len(encs), parallel=True),
+        counts=_merge_counters(encs, len(encs), parallel=True),
     )
     return _log(audit, "tensor", encs, out, m=len(encs))
 
@@ -477,11 +602,12 @@ def amplify(
         )
     m = math.ceil((2.0 * gamma / delta) * math.log(4.0 * gamma / eps_target))
     out = _encoding(
-        gamma * enc._data,
+        _scaled(enc._data, gamma),
+        enc.dim,
         alpha=enc.alpha,
         ancillas=enc.ancillas + 1,
         eps=gamma * enc.eps + eps_target * boosted_norm,
-        resources=enc.resources.add(depth=m, queries=m),
+        counts=_grown(enc, depth=m, queries=m),
     )
     return _log(audit, "amplify", [enc], out, gamma=gamma, delta=delta,
                 eps_target=eps_target, m=m)
@@ -513,10 +639,10 @@ def qsvt_transform(
     d = _poly_degree(poly, degree)
     if d < 0:
         raise ValueError("degree must be non-negative")
-    if enc._data.ndim == 1:
-        herm_defect = float(np.max(np.abs(enc._data - enc._data.conj())))
-    else:
+    if enc._dense:
         herm_defect = spectral_norm(enc._data - enc._data.conj().T)
+    else:
+        herm_defect = float(np.max(np.abs(enc._vec - enc._vec.conj())))
     if herm_defect > NORM_TOL:
         raise NotHermitian(f"corner deviates from Hermitian by {herm_defect}")
     sup = float(np.max(np.abs(np.asarray(poly(poly_grid()), dtype=float))))
@@ -531,10 +657,11 @@ def qsvt_transform(
         transformed = (eigvecs * np.asarray(poly(eigvals), dtype=complex)) @ eigvecs.conj().T
     out = _encoding(
         transformed,
+        enc.dim,
         alpha=1.0,
         ancillas=enc.ancillas + 2,
         eps=4.0 * d * math.sqrt(enc.eps / enc.alpha),
-        resources=enc.resources.add(depth=d, queries=d),
+        counts=_grown(enc, depth=d, queries=d),
     )
     return _log(audit, "qsvt_transform", [enc], out, degree=d, sup=sup)
 
@@ -581,7 +708,7 @@ def apply_postselect(enc: BlockEncoding, phi) -> PostSelection:
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > NORM_TOL:
         raise NotNormalized(f"state norm {norm} differs from 1")
-    image = enc._data * vec if enc._data.ndim == 1 else enc._data @ vec
+    image = enc._data @ vec if enc._dense else enc._vec * vec
     weight = float(np.linalg.norm(image))
     if weight == 0.0:
         return PostSelection(state=None, prob=0.0)
@@ -590,4 +717,5 @@ def apply_postselect(enc: BlockEncoding, phi) -> PostSelection:
 
 def identity_encoding(dim: int) -> BlockEncoding:
     """Exact cost-free encoding of the identity (any unitary encodes itself)."""
-    return _encoding(np.ones(next_power_of_two(dim), dtype=complex))
+    dim = next_power_of_two(dim)
+    return _encoding(np.ones(dim, dtype=complex), dim)

@@ -34,6 +34,7 @@ import numpy as np
 from . import blockcalc as bc
 from .blockcalc import AuditLog, BlockEncoding
 from .chebyshev import (
+    DEGREE_CAP,
     MAX_EPS,
     ChebyshevPoly,
     ScalarFunction,
@@ -55,7 +56,6 @@ from .polyfunc import (
     ObjectiveFunction,
     first_outside_box,
     is_finite_number,
-    is_size,
 )
 
 GENERIC = "generic"
@@ -513,6 +513,18 @@ ENVELOPE_NOTE = (
 )
 
 
+# Range of each compare-costs integer, by JSON key.  The generic probe makes
+# about K*v*(v + d) primitive calls on K length-n exponent tuples, the
+# crossover table has T rows and the envelopes raise s and p_tensor to powers
+# up to 5*T, so these caps bound every accepted report (about 20 s and
+# 0.4 GiB at the largest n, K, v and d); deg_P shares the separable engine's
+# degree cap and n the objectives' size cap.
+COST_INT_RANGES = {
+    "n": (1, MAX_N), "K": (1, 16), "d": (1, 64), "v": (1, 16), "T": (1, 1000),
+    "deg_P": (0, DEGREE_CAP), "s": (1, MAX_N), "S_rows": (1, MAX_N), "p_tensor": (1, 16),
+}
+
+
 @dataclass(frozen=True)
 class CostParams:
     """Inputs for the cost report; JSON keys follow the compare-costs schema."""
@@ -557,10 +569,13 @@ class CostParams:
                     raise InvalidConfig(
                         f"eps: expected finite number <= {MAX_EPS}, got {value!r}"
                     )
-            elif not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidConfig(f"{key}: expected integer, got {value!r}")
-            elif key == "n" and not is_size(value):
-                raise InvalidConfig(f"n: expected integer in [1, {MAX_N}], got {value!r}")
+            else:
+                low, high = COST_INT_RANGES[key]
+                if (not isinstance(value, int) or isinstance(value, bool)
+                        or not low <= value <= high):
+                    raise InvalidConfig(
+                        f"{key}: expected integer in [{low}, {high}], got {value!r}"
+                    )
         return cls(**{mapping[k]: v for k, v in doc.items()})
 
 

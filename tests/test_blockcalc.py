@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.polynomial import Polynomial
 
 import blockgd.blockcalc as bc
@@ -371,6 +373,32 @@ class TestRealizeDilation:
                 assert np.array_equal(u[: enc.dim, : enc.dim], enc.corner)
 
 
+def slot_map(x, support, signs):
+    """A signed average of single-entry projections of x: stored as a slot map."""
+    return bc.lcu([bc.entry_project(x, j, j) for j in support], signs)
+
+
+def stored_as_slots(enc) -> bool:
+    return isinstance(enc._data, dict)
+
+
+def assert_same_corner(got, want, label):
+    """Bit-equal summaries (ids included), corners and post-selections.
+
+    Corners are compared byte for byte after adding 0.0, as ids are: a dense
+    twin's matrix product may hold -0.0 where a diagonal form holds +0.0.
+    """
+    assert got.summary() == want.summary(), label
+    assert (got.corner + 0.0).tobytes() == (want.corner + 0.0).tobytes(), label
+    phi = np.full(got.dim, 1.0 / math.sqrt(got.dim))
+    got_post, want_post = bc.apply_postselect(got, phi), bc.apply_postselect(want, phi)
+    assert got_post.prob == want_post.prob, label
+    if want_post.state is None:
+        assert got_post.state is None, label
+    else:
+        assert got_post.state.tobytes() == want_post.state.tobytes(), label
+
+
 class TestDiagonalStorage:
     def test_primitives_match_dense_twin(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -380,10 +408,17 @@ class TestDiagonalStorage:
             with monkeypatch.context() as patch:
                 patch.setattr(bc, "spectral_norm", refuse_svd)
                 x, y = (bc.diag_encode(d) for d in diags)
+                xs = slot_map(x, [0, 2, 5], [1, -1, 1])
+                ys = slot_map(y, [2, 3], [1, 1])
                 fast = primitive_outputs(x, y)
-                leaves = [x, bc.projector_encode(8, 5)]
+                sparse = primitive_outputs(xs, ys)
+                leaves = [x, xs, ys, bc.projector_encode(8, 5)]
                 fast_post = bc.apply_postselect(fast["lcu"], phi)
+            for name in ("entry_project", "product", "lcu", "scale_down", "amplify"):
+                assert stored_as_slots(sparse[name]), name
+                assert "_vec" not in sparse[name].__dict__, name
             dense = primitive_outputs(dense_twin(x), dense_twin(y))
+            sparse_dense = primitive_outputs(dense_twin(xs), dense_twin(ys))
             for leaf in leaves:
                 assert leaf.summary() == dense_twin(leaf).summary()
             for name, enc in fast.items():
@@ -392,12 +427,130 @@ class TestDiagonalStorage:
                 assert got == want, name
                 assert np.array_equal(enc.corner, dense[name].corner), name
                 assert enc.norm == dense[name].norm, name
+                assert_same_corner(sparse[name], sparse_dense[name], name)
+                assert sparse[name].norm == sparse_dense[name].norm, name
             dense_post = bc.apply_postselect(dense["lcu"], phi)
             assert fast_post.prob == dense_post.prob
             assert np.array_equal(fast_post.state, dense_post.state)
-            mixed = primitive_outputs(x, dense_twin(y))
-            for name in ("product", "lcu"):
-                assert mixed[name].summary() == dense[name].summary(), name
+            for first, second in ((x, dense_twin(y)), (xs, dense_twin(ys)), (xs, y), (x, ys)):
+                mixed = primitive_outputs(first, second)
+                want = primitive_outputs(dense_twin(first), dense_twin(second))
+                for name in ("product", "lcu"):
+                    assert mixed[name].summary() == want[name].summary(), name
+
+    def test_complex_entry_is_stored_as_a_vector(self):
+        x = bc.diag_encode([0.1, 0.2j, 0.0, 0.3])
+        assert stored_as_slots(bc.entry_project(x, 0, 1))
+        out = bc.entry_project(x, 1, 2)
+        assert not stored_as_slots(out)
+        assert out.summary() == bc.entry_project(dense_twin(x), 1, 2).summary()
+
+
+# A program is a dimension, a small-support diagonal and a list of steps; each
+# step applies one primitive to encodings made earlier, named by index.
+@st.composite
+def storage_programs(draw):
+    dim = draw(st.sampled_from([4, 8, 16]))
+    support = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=3, unique=True))
+    values = [0.0] * dim
+    for k in support:
+        values[k] = draw(st.floats(-0.2, 0.2))
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from(["entry_project", "product", "scale_down", "amplify", "lcu"]))
+        pick = st.integers(0, 10**6)
+        if op == "entry_project":
+            step = (op, draw(pick), draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)))
+        elif op == "product":
+            step = (op, draw(pick), draw(pick))
+        elif op == "scale_down":
+            step = (op, draw(pick), draw(st.floats(1.01, 4.0)))
+        elif op == "amplify":
+            step = (op, draw(pick), draw(st.floats(1.01, 3.0)))
+        else:
+            m = draw(st.integers(1, 4))
+            step = (op, [draw(pick) for _ in range(m)],
+                    [draw(st.sampled_from([1, -1])) for _ in range(m)])
+        steps.append(step)
+    return dim, values, support, steps
+
+
+def step_operands(step):
+    """Indices (into the encodings made so far) of the operands a step reads."""
+    op, *args = step
+    if op == "lcu":
+        return args[0]
+    return args[:2] if op == "product" else args[:1]
+
+
+def apply_step(step, operands):
+    op, *args = step
+    if op == "entry_project":
+        return bc.entry_project(operands[0], args[1], args[2])
+    if op == "product":
+        return bc.product(*operands)
+    if op == "scale_down":
+        return bc.scale_down(operands[0], args[1])
+    if op == "amplify":
+        return bc.amplify(operands[0], args[1], 0.5, 1e-6)
+    return bc.lcu(operands, args[1])
+
+
+def reference_step(step, vectors):
+    """The step as plain numpy arithmetic on length-N diagonals."""
+    op, *args = step
+    if op == "entry_project":
+        out = np.zeros(len(vectors[0]), dtype=complex)
+        out[args[2]] = vectors[0][args[1]]
+        return out
+    if op == "product":
+        return vectors[0] * vectors[1]
+    if op == "scale_down":
+        return vectors[0] / args[1]
+    if op == "amplify":
+        return args[1] * vectors[0]
+    return sum(s * v for s, v in zip(args[1], vectors)) / len(vectors)
+
+
+def svd_is_exact(enc) -> bool:
+    """Whether a dense twin's SVD norm of this diagonal is exactly max |d_i|.
+
+    LAPACK rescales a matrix whose largest entry is below about 1.3e-138
+    before its SVD, and the rescaled norm can miss max |d_i| by an ulp.
+    """
+    return enc.norm == 0.0 or enc.norm > 1e-130
+
+
+class TestStorageEquivalence:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(storage_programs())
+    def test_slot_maps_match_dense_twins(self, program):
+        dim, values, support, steps = program
+        x = bc.diag_encode(values)
+        pool = [x] + [bc.entry_project(x, k, k) for k in support]
+        pool.append(bc.projector_encode(dim, support[0]))
+        vectors = [e.diagonal() for e in pool]
+        for i, step in enumerate(steps):
+            picked = [j % len(pool) for j in step_operands(step)]
+            operands = [pool[j] for j in picked]
+            twins = [dense_twin(e) for e in operands]
+            try:
+                out = apply_step(step, operands)
+            except NormBoundViolated:
+                with pytest.raises(NormBoundViolated):
+                    apply_step(step, twins)
+                continue
+            # Every diagonal, signed zeros included, and every norm are the
+            # bits the parent's vector arithmetic gives.
+            vec = reference_step(step, [vectors[j] for j in picked])
+            assert out.diagonal().tobytes() == vec.tobytes(), i
+            assert out.norm == float(np.abs(vec).max()), i
+            if all(svd_is_exact(e) for e in (*operands, out)):
+                twin = apply_step(step, twins)
+                assert_same_corner(out, twin, i)
+                assert out.norm == twin.norm, i
+            pool.append(out)
+            vectors.append(vec)
 
 
 class TestApplyPostselect:

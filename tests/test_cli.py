@@ -1,11 +1,13 @@
 import copy
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from blockgd.chebyshev import MAX_EPS
+from blockgd.chebyshev import DEGREE_CAP, MAX_EPS
 from blockgd.cli import (
     EXIT_CONTRACT,
     EXIT_DEGREE,
@@ -421,6 +423,35 @@ class TestInputLimits:
         assert message in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [({"deg_P": 10**30}, "deg_P"), ({"deg_P": 2000}, "deg_P"),
+         ({"T": 10**8}, "T"), ({"d": 10**8}, "d")],
+        ids=["deg_P-huge", "deg_P-2000", "T-huge", "d-huge"],
+    )
+    def test_compare_costs_integer_caps(self, tmp_path, params, message):
+        # A subprocess with a timeout, so that an uncapped integer fails here
+        # instead of hanging the suite.
+        path = write_config(tmp_path, params, "params.json")
+        out = tmp_path / "c"
+        proc = subprocess.run(
+            [sys.executable, "-m", "blockgd", "compare-costs", "--params", str(path),
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_SCHEMA, proc.stderr
+        assert f"{message}: expected integer in [" in proc.stderr
+        assert not (out / "report.json").exists()
+
+    def test_compare_costs_integer_caps_are_inclusive(self, tmp_path):
+        params = {"K": 16, "v": 16, "d": 64, "T": 1000, "deg_P": DEGREE_CAP, "p_tensor": 16}
+        path = write_config(tmp_path, params, "params.json")
+        out = tmp_path / "c"
+        assert main(["compare-costs", "--params", str(path), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject_constant)
+        assert len(report["crossover"]) == 1000
+        assert report["implemented_per_iteration"]["generic"]["queries"] > 0
+
     def test_eps_limit_binds_the_separable_engine_only(self, tmp_path):
         for doc in (_with(SEPARABLE_DOC, ["eps"], MAX_EPS), _with(GENERIC_DOC, ["eps"], 0.5)):
             path = write_config(tmp_path, doc)
@@ -434,7 +465,7 @@ def _sha256_of_files(out: Path) -> dict:
 
 
 class TestGoldenArtifacts:
-    """SHA-256 of every artifact of three shipped commands (Python 3.11, numpy 2.4).
+    """SHA-256 of every artifact of four commands (Python 3.11, numpy 2.4).
 
     A changed digest means a changed output byte; update it only on purpose.
     """
@@ -457,6 +488,31 @@ class TestGoldenArtifacts:
             "report.json": "0f09ffc92f64c1ce2165b037971aa0a65ef99658d3ee174d79412175d39f557d",
             "trace.csv": "8a946611af98ff383f93e9f4a10f24b6b023205e4971fe77943e4cc20ee04289",
             "trace.json": "7bf9f992f211b363d727b97ed167151be582f6a2f36f122ab1dd486f3bb8d463",
+        }
+
+    def test_generic_audit_run_with_inexact_averages(self, tmp_path):
+        # K=3 terms of degree 4 over v=3 variables, one negative: its signed
+        # averages divide by 3, which rounds, so a change in how a calculus
+        # primitive rounds shows in these digests.
+        doc = {
+            "mode": "generic",
+            "objective": {"n": 4, "M": 0.8727, "terms": [
+                {"coeff": 0.95, "exponents": [2, 1, 1, 0]},
+                {"coeff": -0.93, "exponents": [0, 1, 2, 1]},
+                {"coeff": 0.97, "exponents": [1, 0, 1, 2]},
+            ]},
+            "x0": [0.21, -0.17, 0.13, -0.19],
+            "T": 3,
+            "eps": 1e-06,
+        }
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(path), "--audit", "--out", str(out)]) == EXIT_OK
+        assert _sha256_of_files(out) == {
+            "audit.jsonl": "a94aefbbe6103193334f012cd04899ad7f9488a188bb046886552482ecf48650",
+            "report.json": "290d32770ce9e7e1c4cc5fc0d365e38cee55578289829b43daf2cbb905a67978",
+            "trace.csv": "4c7aaca46a58040a1cc0d969b6c3125bfe6a36877d728421e070727d51e61c7b",
+            "trace.json": "2390503ec555df4e473442d1d15f094de2efef89c79be7550704805898529a7a",
         }
 
     def test_compare_costs_defaults(self, tmp_path, capsys):

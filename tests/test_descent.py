@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from blockgd.chebyshev import POLY_GRID_POINTS, ChebyshevPoly, ScalarFunction, S
 from blockgd.descent import (
     CostParams,
     _canonical_objective,
+    _probe_start,
     DescentConfig,
     build_gradient_be,
     build_partial_be,
@@ -496,6 +498,23 @@ class TestDiagonalFastPath:
         run_generic(objective, np.full(n, 0.05), DescentConfig(steps=steps, eps=1e-6, mode="generic"))
         # One read per trace record (t = 0..T); entry_project reads its one entry in place.
         assert len(calls) == steps + 1
+
+    def test_gradient_encoding_allocates_no_length_n_vector(self):
+        # One length-N complex vector takes 4 MiB at n = 2**18; the gradient's
+        # partials hold at most K*v non-zeros, so its encoding needs none.
+        n = 2**18
+        objective = _canonical_objective(n, 3, 4, 3)
+        iterate = bc.diag_encode(_probe_start(n))
+        tracemalloc.start()
+        try:
+            grad = build_gradient_be(iterate, objective, eps=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert (grad.resources.queries, grad.resources.depth_units, grad.ancillas) == (
+            384, 1263, 1154)
+        assert grad.resources.ancilla_high_water == 1154
 
     def test_separable_run_samples_the_polynomial_grid_once(self, monkeypatch):
         calls = []
