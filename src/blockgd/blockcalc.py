@@ -588,19 +588,25 @@ def amplify(
     gamma = float(gamma)
     delta = float(delta)
     eps_target = float(eps_target)
-    if gamma <= 1.0:
+    # The negated comparisons are true for NaN as well.
+    if not gamma > 1.0:
         raise InvalidScale(f"amplification factor must exceed 1, got {gamma}")
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
-    if eps_target <= 0.0:
+    if not eps_target > 0.0:
         raise ValueError(f"eps_target must be positive, got {eps_target}")
     boosted_norm = gamma * enc.norm
-    if boosted_norm >= 1.0 - delta:
+    if not boosted_norm < 1.0 - delta:
         raise NormBoundViolated(
             f"||gamma * corner|| = {boosted_norm} must stay strictly below "
             f"{1.0 - delta}"
         )
-    m = math.ceil((2.0 * gamma / delta) * math.log(4.0 * gamma / eps_target))
+    reps = (2.0 * gamma / delta) * math.log(4.0 * gamma / eps_target)
+    if not math.isfinite(reps):
+        raise InvalidScale(
+            f"amplifying by {gamma} to accuracy {eps_target} takes {reps} repetitions"
+        )
+    m = math.ceil(reps)
     out = _encoding(
         _scaled(enc._data, gamma),
         enc.dim,

@@ -19,13 +19,16 @@ from functools import cache, cached_property
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
-from .errors import DegreeCapExceeded, DomainViolation, SchemaError
+from .errors import DegreeCapExceeded, DomainViolation
 from .polyfunc import (
     HALF,
+    check_array,
+    check_choice,
+    check_keys,
+    check_number,
     check_point,
     first_outside_box,
     init_size_and_bound,
-    is_finite_number,
 )
 
 GRID_POINTS = 4096
@@ -229,30 +232,18 @@ def approx_derivative(func: ScalarFunction, eps: float) -> ChebyshevPoly:
 
 
 def load_scalar_function(doc: dict) -> ScalarFunction:
-    """Parse {"kind": "named", "name": ..., "scale": ...} or {"kind": "poly", "coeffs": [...]}."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"$: expected object, got {type(doc).__name__}")
-    kind = doc.get("kind")
-    if kind == "poly":
-        unknown = set(doc) - {"kind", "coeffs"}
-        if unknown:
-            raise SchemaError(f"$: unknown keys {sorted(unknown)}")
-        coeffs = doc.get("coeffs")
-        if not isinstance(coeffs, list) or not coeffs:
-            raise SchemaError("coeffs: expected non-empty array of numbers")
-        for i, c in enumerate(coeffs):
-            if not is_finite_number(c):
-                raise SchemaError(f"coeffs[{i}]: expected finite number, got {c!r}")
-        return ScalarFunction.polynomial(coeffs)
-    if kind == "named":
-        unknown = set(doc) - {"kind", "name", "scale"}
-        if unknown:
-            raise SchemaError(f"$: unknown keys {sorted(unknown)}")
-        name = doc.get("name")
-        if name not in NAMED_KINDS:
-            raise SchemaError(f"name: expected one of {list(NAMED_KINDS)}, got {name!r}")
-        scale = doc.get("scale", 1.0)
-        if not is_finite_number(scale):
-            raise SchemaError(f"scale: expected finite number, got {scale!r}")
-        return ScalarFunction.named(name, float(scale))
-    raise SchemaError(f"kind: expected 'poly' or 'named', got {kind!r}")
+    """Parse {"kind": "named", "name": ..., "scale": ...} or {"kind": "poly", "coeffs": [...]}.
+
+    A poly has at most DEGREE_CAP + 2 coefficients, so that its derivative
+    stays within the degree cap.
+    """
+    check_keys(doc, "$", ("kind",), ("coeffs", "name", "scale"))
+    if check_choice(doc["kind"], "kind", ("poly", "named")) == "poly":
+        check_keys(doc, "$", ("kind", "coeffs"))
+        coeffs = check_array(doc["coeffs"], "coeffs", 1, DEGREE_CAP + 2)
+        return ScalarFunction.polynomial(
+            [check_number(c, f"coeffs[{i}]") for i, c in enumerate(coeffs)]
+        )
+    check_keys(doc, "$", ("kind", "name"), ("scale",))
+    name = check_choice(doc["name"], "name", NAMED_KINDS)
+    return ScalarFunction.named(name, check_number(doc.get("scale", 1.0), "scale"))

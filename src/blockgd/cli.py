@@ -4,7 +4,16 @@ Subcommands
     run              execute one config (or a sweep of configs) and write
                      trace/report artifacts
     compare-costs    render the per-regime cost report as CSV and a text table
-    validate-config  schema-check a config and print its resolved summary
+    validate-config  run every check that run makes before its pipeline and
+                     print the resolved summary
+
+Every JSON field is checked once, by the polyfunc checks (an object's keys,
+an integer in a range, a finite number in a range, an array's length, one of
+fixed values), against limits stated once: polyfunc.MAX_N and
+MAX_TERM_DEGREE, chebyshev.DEGREE_CAP, descent.EPS_RANGES and
+descent.COST_INT_RANGES.  The step size comes from descent.step_size, the
+rule the engines apply too.  So validate-config exits 2 or 3 exactly where
+run would before any pipeline work, and 0 otherwise.
 
 Flags override config-file fields (flags > file).  Artifacts are
 deterministic: sorted JSON keys, shortest round-trip float formatting, no
@@ -13,19 +22,22 @@ byte-identical.
 
 Exit codes
     0  success
-    1  unexpected internal error
-    2  malformed JSON / schema or configuration error
+    1  unexpected internal error (no input is meant to reach it)
+    2  malformed JSON / schema or configuration error, including every input
+       limit above and a step size that breaks its rule
     3  infeasible schedule (no compliant uniform initial state)
     4  iterate norm bound violated at runtime
     5  polynomial sup-norm bound violated
     6  polynomial degree cap exceeded
-    7  other contract violations (domain exits, scale overflows, ...)
+    7  other contract violations (domain exits, scale overflows, an
+       amplification whose repetition count overflows, ...)
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,19 +45,20 @@ from pathlib import Path
 import numpy as np
 
 from .blockcalc import AuditLog, next_power_of_two
-from .chebyshev import MAX_EPS, SeparableObjective, load_scalar_function
+from .chebyshev import SeparableObjective, load_scalar_function
 from .descent import (
+    EPS_RANGES,
     GENERIC,
     SEPARABLE,
     CostParams,
     DescentConfig,
     DescentTrace,
     envelope_formulas,
-    eta_generic,
     initial_state_uniform,
     resource_predict,
     run_generic,
     run_separable,
+    step_size,
 )
 from .errors import (
     BlockgdError,
@@ -56,7 +69,16 @@ from .errors import (
     SchemaError,
 )
 from .oracle import classical_gd
-from .polyfunc import MAX_N, ObjectiveFunction, is_finite_number, is_size, load_objective
+from .polyfunc import (
+    ObjectiveFunction,
+    check_array,
+    check_choice,
+    check_int,
+    check_keys,
+    check_number,
+    check_size_and_bound,
+    load_objective,
+)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -79,115 +101,61 @@ class ExperimentConfig:
     x0_spec: tuple[float, ...] | str
     steps: int
     eps: float
-    eta: float | None
+    eta: float  # the step size the run uses (descent.step_size)
     audit: bool
     out: str | None
     fmt: str
 
 
-def _fail(path: str, message: str):
-    raise SchemaError(f"{path}: {message}")
-
-
-def _as_number(value, path: str) -> float:
-    if not is_finite_number(value):
-        _fail(path, f"expected finite number, got {value!r}")
-    return float(value)
-
-
 def parse_experiment(doc: dict) -> ExperimentConfig:
     """Validate and construct an ExperimentConfig from a parsed JSON object."""
-    if not isinstance(doc, dict):
-        _fail("$", f"expected object, got {type(doc).__name__}")
-    allowed = {"mode", "objective", "x0", "T", "eps", "eta", "audit", "out", "format"}
-    unknown = set(doc) - allowed
-    if unknown:
-        _fail("$", f"unknown keys {sorted(unknown)}")
-    for key in ("mode", "objective", "x0", "T", "eps"):
-        if key not in doc:
-            _fail("$", f"missing required key '{key}'")
-    mode = doc["mode"]
-    if mode not in (GENERIC, SEPARABLE):
-        _fail("mode", f"expected '{GENERIC}' or '{SEPARABLE}', got {mode!r}")
+    check_keys(doc, "$", ("mode", "objective", "x0", "T", "eps"),
+               ("eta", "audit", "out", "format"))
+    mode = check_choice(doc["mode"], "mode", (GENERIC, SEPARABLE))
     obj_doc = doc["objective"]
-    if not isinstance(obj_doc, dict):
-        _fail("objective", "expected object")
-    if mode == GENERIC:
-        if "terms" not in obj_doc:
-            _fail("objective", "generic mode requires the monomial schema (n/M/terms)")
-        try:
+    # The key that tells the monomial schema from the scalar-function one.
+    marker = "terms" if mode == GENERIC else "kind"
+    if not isinstance(obj_doc, dict) or marker not in obj_doc:
+        raise SchemaError(f"objective: {mode} mode requires an object with key '{marker}'")
+    try:
+        if mode == GENERIC:
             objective = load_objective(obj_doc)
-        except SchemaError as exc:
-            _fail("objective", str(exc))
-    else:
-        if "kind" not in obj_doc:
-            _fail("objective", "separable mode requires the scalar-function schema "
-                               "(kind/... plus n and M)")
-        local = dict(obj_doc)
-        n = local.pop("n", None)
-        m_bound = local.pop("M", None)
-        if not is_size(n):
-            _fail("objective.n", f"expected integer in [1, {MAX_N}], got {n!r}")
-        if not is_finite_number(m_bound) or m_bound <= 0:
-            _fail("objective.M", f"expected positive finite number, got {m_bound!r}")
-        try:
-            func = load_scalar_function(local)
-        except SchemaError as exc:
-            _fail("objective", str(exc))
-        objective = SeparableObjective(func=func, n=n, grad_bound=float(m_bound))
+        else:
+            n, m_bound = check_size_and_bound(obj_doc)
+            func = load_scalar_function(
+                {k: v for k, v in obj_doc.items() if k not in ("n", "M")}
+            )
+            objective = SeparableObjective(func=func, n=n, grad_bound=m_bound)
+    except SchemaError as exc:
+        raise SchemaError(f"objective: {exc}") from None
     x0_doc = doc["x0"]
     if isinstance(x0_doc, dict):
-        if set(x0_doc) != {"uniform_q"} or x0_doc["uniform_q"] != "auto":
-            _fail("x0", 'expected an array of numbers or {"uniform_q": "auto"}')
+        check_keys(x0_doc, "x0", ("uniform_q",))
+        check_choice(x0_doc["uniform_q"], "x0.uniform_q", ("auto",))
         x0_spec: tuple[float, ...] | str = UNIFORM_SENTINEL
-    elif isinstance(x0_doc, list):
-        vals = []
-        for i, v in enumerate(x0_doc):
-            vals.append(_as_number(v, f"x0[{i}]"))
-        if len(vals) != objective.n:
-            _fail("x0", f"expected length n={objective.n}, got {len(vals)}")
-        x0_spec = tuple(vals)
     else:
-        _fail("x0", 'expected an array of numbers or {"uniform_q": "auto"}')
-    steps = doc["T"]
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
-        _fail("T", f"expected non-negative integer, got {steps!r}")
-    eps = _as_number(doc["eps"], "eps")
-    if not 0.0 < eps < 1.0:
-        _fail("eps", f"expected a value in (0, 1), got {eps}")
-    if mode == SEPARABLE and eps > MAX_EPS:
-        _fail("eps", f"separable mode approximates F' to eps <= {MAX_EPS}, got {eps}")
-    eta = None
-    if "eta" in doc:
-        eta = _as_number(doc["eta"], "eta")
-    if mode == SEPARABLE and eta is None:
-        _fail("eta", "separable mode requires an explicit eta")
-    audit = doc.get("audit", False)
-    if not isinstance(audit, bool):
-        _fail("audit", f"expected boolean, got {audit!r}")
+        x0_spec = tuple(check_number(v, f"x0[{i}]") for i, v in
+                        enumerate(check_array(x0_doc, "x0", objective.n, objective.n)))
+    steps = check_int(doc["T"], "T", 0, math.inf)
+    eps = check_number(doc["eps"], "eps", *EPS_RANGES[mode])
+    eta = doc.get("eta")
+    eta = step_size(mode, objective, None if eta is None else check_number(eta, "eta"))
+    audit = check_choice(doc.get("audit", False), "audit", (False, True))
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
-        _fail("out", f"expected string, got {out!r}")
-    fmt = doc.get("format", "both")
-    if fmt not in ("json", "csv", "both"):
-        _fail("format", f"expected 'json', 'csv' or 'both', got {fmt!r}")
+        raise SchemaError(f"out: expected string, got {out!r}")
+    fmt = check_choice(doc.get("format", "both"), "format", ("json", "csv", "both"))
     return ExperimentConfig(
         mode=mode, objective=objective, x0_spec=x0_spec, steps=steps, eps=eps,
         eta=eta, audit=audit, out=out, fmt=fmt,
     )
 
 
-def _resolved_eta(cfg: ExperimentConfig) -> float:
-    if cfg.mode == GENERIC:
-        return eta_generic(cfg.objective)
-    return float(cfg.eta)
-
-
 def _resolve_x0(cfg: ExperimentConfig) -> np.ndarray:
     if cfg.x0_spec == UNIFORM_SENTINEL:
         # Feasibility is checked here, before any pipeline work.
         return initial_state_uniform(
-            _resolved_eta(cfg), cfg.objective.grad_bound, cfg.steps, cfg.objective.n
+            cfg.eta, cfg.objective.grad_bound, cfg.steps, cfg.objective.n
         )
     return np.asarray(cfg.x0_spec, dtype=float)
 
@@ -264,18 +232,15 @@ def _build_report(cfg: ExperimentConfig, trace: DescentTrace, oracle_trace) -> d
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path, fmt: str, audit_on: bool) -> int:
     """Execute one config and write its artifacts under out_dir."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    eta = _resolved_eta(cfg)
     x0 = _resolve_x0(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     audit = AuditLog() if audit_on else None
-    # Pass eta through in both modes: generic runs then verify it against the
-    # pinned 1/(2*M*K) instead of silently ignoring a stale config value.
     descent_cfg = DescentConfig(steps=cfg.steps, eps=cfg.eps, mode=cfg.mode, eta=cfg.eta)
     if cfg.mode == GENERIC:
         trace = run_generic(cfg.objective, x0, descent_cfg, audit=audit)
     else:
         trace = run_separable(cfg.objective, x0, descent_cfg, audit=audit)
-    oracle_trace = classical_gd(cfg.objective, x0, eta, cfg.steps)
+    oracle_trace = classical_gd(cfg.objective, x0, cfg.eta, cfg.steps)
     report = _build_report(cfg, trace, oracle_trace)
     if fmt in ("json", "both"):
         (out_dir / "trace.json").write_text(_json_text(trace.to_json_dict()),
@@ -337,34 +302,24 @@ def _costs_table_text(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_text(rows: list[dict]) -> str:
+    """rows as CSV under a header of their keys: None is empty, a float its repr."""
+    lines = [",".join(rows[0])]
+    for row in rows:
+        lines.append(",".join(
+            "" if v is None else repr(v) if isinstance(v, float) else str(v)
+            for v in row.values()
+        ))
+    return "\n".join(lines) + "\n"
+
+
 def compare_costs(params: CostParams, out_dir: Path) -> str:
     """Write costs.csv, crossover.csv and table.txt; return the text table."""
     out_dir.mkdir(parents=True, exist_ok=True)
     report = resource_predict(params)
     rows = _costs_rows(report)
-    csv_lines = ["regime,envelope_per_iteration,envelope_total,measured_depth_per_iteration"]
-    for row in rows:
-        csv_lines.append(
-            ",".join(
-                "" if row[k] is None else repr(row[k]) if isinstance(row[k], float)
-                else str(row[k])
-                for k in ("regime", "envelope_per_iteration", "envelope_total",
-                          "measured_depth_per_iteration")
-            )
-        )
-    (out_dir / "costs.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
-    cross_lines = ["T,generic,separable,highly_sparse,tensor_oracle,classical"]
-    for row in report["crossover"]:
-        cross_lines.append(
-            ",".join(
-                str(row["T"]) if k == "T"
-                else "" if row[k] is None else repr(float(row[k]))
-                for k in ("T", "generic", "separable", "highly_sparse",
-                          "tensor_oracle", "classical")
-            )
-        )
-    (out_dir / "crossover.csv").write_text("\n".join(cross_lines) + "\n",
-                                           encoding="utf-8")
+    (out_dir / "costs.csv").write_text(_csv_text(rows), encoding="utf-8")
+    (out_dir / "crossover.csv").write_text(_csv_text(report["crossover"]), encoding="utf-8")
     (out_dir / "report.json").write_text(_json_text(report), encoding="utf-8")
     table = _costs_table_text(rows)
     (out_dir / "table.txt").write_text(table, encoding="utf-8")
@@ -411,7 +366,8 @@ def _cmd_run(args) -> int:
     if args.sweep:
         sweep_path = Path(args.sweep)
         doc = _load_json_file(sweep_path)
-        if not isinstance(doc, dict) or not isinstance(doc.get("configs"), list):
+        if not (isinstance(doc, dict) and isinstance(doc.get("configs"), list)
+                and all(isinstance(p, str) for p in doc["configs"])):
             raise SchemaError('sweep file must be {"configs": [paths, ...]}')
         paths = [sweep_path.parent / p for p in doc["configs"]]
         base = Path(args.out) if args.out else Path("out")
@@ -435,10 +391,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare_costs(args) -> int:
     if args.params:
-        doc = _load_json_file(Path(args.params))
-        if not isinstance(doc, dict):
-            raise SchemaError("params file must hold a JSON object")
-        params = CostParams.from_json_dict(doc)
+        params = CostParams.from_json_dict(_load_json_file(Path(args.params)))
     else:
         params = CostParams()
     table = compare_costs(params, Path(args.out) if args.out else Path("out"))
@@ -449,14 +402,14 @@ def _cmd_compare_costs(args) -> int:
 def _cmd_validate_config(args) -> int:
     doc = _load_json_file(Path(args.config))
     cfg = parse_experiment(doc)
-    eta = _resolved_eta(cfg)
+    _resolve_x0(cfg)
     size = (
         f"K={cfg.objective.term_count}" if cfg.mode == GENERIC
         else f"kind={cfg.objective.func.kind}"
     )
     print(
         f"ok: mode={cfg.mode} n={cfg.objective.n} {size} T={cfg.steps} "
-        f"eps={cfg.eps} eta={eta} M={cfg.objective.grad_bound}"
+        f"eps={cfg.eps} eta={cfg.eta} M={cfg.objective.grad_bound}"
     )
     return EXIT_OK
 

@@ -53,9 +53,12 @@ from .polyfunc import (
     DOMAIN_TOL,
     HALF,
     MAX_N,
+    MAX_TERM_DEGREE,
     ObjectiveFunction,
+    check_int,
+    check_keys,
+    check_number,
     first_outside_box,
-    is_finite_number,
 )
 
 GENERIC = "generic"
@@ -198,6 +201,27 @@ def eta_generic(objective: ObjectiveFunction) -> float:
     return 1.0 / (2.0 * objective.grad_bound * k_eff)
 
 
+def step_size(mode: str, objective, eta: float | None) -> float:
+    """The step size a run of mode uses, or InvalidConfig if eta breaks its rule.
+
+    Generic mode pins eta to eta_generic(objective), so a given eta must
+    match it; separable mode requires an eta in (0, 1/(2*M)].
+    """
+    if mode == GENERIC:
+        pinned = eta_generic(objective)
+        if eta is not None and not abs(eta - pinned) <= 1e-9 * max(pinned, 1.0):
+            raise InvalidConfig(
+                f"eta: generic mode pins eta to 1/(2*M*K) = {pinned}; got {eta}"
+            )
+        return pinned
+    if eta is None:
+        raise InvalidConfig("eta: separable mode requires an explicit eta")
+    limit = 1.0 / (2.0 * objective.grad_bound)
+    if not 0.0 < eta <= limit + DOMAIN_TOL:
+        raise InvalidConfig(f"eta: expected a value in (0, 1/(2*M)] = (0, {limit}], got {eta}")
+    return eta
+
+
 def initial_state_uniform(eta: float, grad_bound: float, steps: int, n: int) -> np.ndarray:
     """First n amplitudes of the uniform q-qubit state meeting the schedule.
 
@@ -236,7 +260,8 @@ def _apply_scalar_factor(
     magnitude = abs(factor)
     if magnitude == 0.0:
         raise ValueError("zero scaling factor should have been filtered out")
-    if magnitude * enc.norm > 1.0 + bc.NORM_TOL:
+    # Negated, so that an overflowing factor (inf * 0 = nan) is rejected too.
+    if not magnitude * enc.norm <= 1.0 + bc.NORM_TOL:
         raise ScaleOverflow(
             f"|coeff * exponent| / M = {magnitude} would push the corner norm to "
             f"{magnitude * enc.norm}; renormalize the gradient bound"
@@ -457,11 +482,7 @@ def run_generic(
     """
     if cfg.mode != GENERIC:
         raise InvalidConfig(f"run_generic requires mode='{GENERIC}', got {cfg.mode!r}")
-    eta = eta_generic(objective)
-    if cfg.eta is not None and abs(cfg.eta - eta) > 1e-9 * max(eta, 1.0):
-        raise InvalidConfig(
-            f"generic mode pins eta to 1/(2*M*K) = {eta}; got {cfg.eta}"
-        )
+    eta = step_size(GENERIC, objective, cfg.eta)
 
     def step(enc: BlockEncoding) -> BlockEncoding:
         grad = build_gradient_be(
@@ -484,22 +505,16 @@ def run_separable(
         raise InvalidConfig(
             f"run_separable requires mode='{SEPARABLE}', got {cfg.mode!r}"
         )
-    m_bound = objective.grad_bound
-    if cfg.eta is None:
-        raise InvalidConfig("separable mode requires an explicit eta")
-    if not 0.0 < cfg.eta <= 1.0 / (2.0 * m_bound) + DOMAIN_TOL:
-        raise InvalidConfig(
-            f"eta must lie in (0, 1/(2*M)] = (0, {1.0 / (2.0 * m_bound)}], got {cfg.eta}"
-        )
+    eta = step_size(SEPARABLE, objective, cfg.eta)
     poly = approx_derivative(objective.func, cfg.eps)
 
     def step(enc: BlockEncoding) -> BlockEncoding:
         return gd_step_separable(
-            enc, poly, m_bound, cfg.eta, cfg.eps, delta=cfg.delta_amp, audit=audit
+            enc, poly, objective.grad_bound, eta, cfg.eps, delta=cfg.delta_amp, audit=audit
         )
 
     return _drive(
-        objective, x0, cfg, cfg.eta, step, audit,
+        objective, x0, cfg, eta, step, audit,
         poly_degree=poly.degree, poly_sup_error=poly.sup_error_bound,
     )
 
@@ -517,11 +532,21 @@ ENVELOPE_NOTE = (
 # about K*v*(v + d) primitive calls on K length-n exponent tuples, the
 # crossover table has T rows and the envelopes raise s and p_tensor to powers
 # up to 5*T, so these caps bound every accepted report (about 20 s and
-# 0.4 GiB at the largest n, K, v and d); deg_P shares the separable engine's
-# degree cap and n the objectives' size cap.
+# 0.4 GiB at the largest n, K, v and d); d shares the generic term-degree
+# cap, deg_P the separable engine's degree cap and n the objectives' size cap.
 COST_INT_RANGES = {
-    "n": (1, MAX_N), "K": (1, 16), "d": (1, 64), "v": (1, 16), "T": (1, 1000),
+    "n": (1, MAX_N), "K": (1, 16), "d": (1, MAX_TERM_DEGREE), "v": (1, 16), "T": (1, 1000),
     "deg_P": (0, DEGREE_CAP), "s": (1, MAX_N), "S_rows": (1, MAX_N), "p_tensor": (1, 16),
+}
+# Range (low, high, high_open) of eps per engine: the separable engine
+# approximates F' to eps, so its eps is at most MAX_EPS.  compare-costs
+# probes both engines and takes the separable range.
+EPS_RANGES = {GENERIC: (0.0, 1.0, True), SEPARABLE: (0.0, MAX_EPS, False)}
+# CostParams field of each compare-costs JSON key.
+COST_FIELDS = {
+    "n": "n", "K": "terms", "d": "degree", "v": "vars_per_term", "T": "steps",
+    "eps": "eps", "deg_P": "poly_degree", "s": "sparsity", "S_rows": "sparse_rows",
+    "p_tensor": "tensor_order",
 }
 
 
@@ -554,29 +579,12 @@ class CostParams:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CostParams":
-        mapping = {
-            "n": "n", "K": "terms", "d": "degree", "v": "vars_per_term",
-            "T": "steps", "eps": "eps", "deg_P": "poly_degree",
-            "s": "sparsity", "S_rows": "sparse_rows", "p_tensor": "tensor_order",
-        }
-        unknown = set(doc) - set(mapping)
-        if unknown:
-            raise InvalidConfig(f"unknown cost parameters {sorted(unknown)}")
-        for key, value in doc.items():
-            if key == "eps":
-                # The separable probe approximates F' to eps, so eps <= MAX_EPS.
-                if not is_finite_number(value) or value > MAX_EPS:
-                    raise InvalidConfig(
-                        f"eps: expected finite number <= {MAX_EPS}, got {value!r}"
-                    )
-            else:
-                low, high = COST_INT_RANGES[key]
-                if (not isinstance(value, int) or isinstance(value, bool)
-                        or not low <= value <= high):
-                    raise InvalidConfig(
-                        f"{key}: expected integer in [{low}, {high}], got {value!r}"
-                    )
-        return cls(**{mapping[k]: v for k, v in doc.items()})
+        check_keys(doc, "$", (), COST_FIELDS)
+        return cls(**{
+            COST_FIELDS[key]: check_number(value, key, *EPS_RANGES[SEPARABLE]) if key == "eps"
+            else check_int(value, key, *COST_INT_RANGES[key])
+            for key, value in doc.items()
+        })
 
 
 def _finite_or_none(formula) -> float | None:
@@ -688,12 +696,7 @@ def resource_predict(params: CostParams, delta_opt: float | None = None) -> dict
             }
         )
     report = {
-        "params": {
-            "n": params.n, "K": params.terms, "d": params.degree,
-            "v": params.vars_per_term, "T": params.steps, "eps": params.eps,
-            "deg_P": params.poly_degree, "s": params.sparsity,
-            "S_rows": params.sparse_rows, "p_tensor": params.tensor_order,
-        },
+        "params": {key: getattr(params, field) for key, field in COST_FIELDS.items()},
         "implemented_per_iteration": measured,
         "envelopes": envelope_formulas(params),
         "envelope_note": ENVELOPE_NOTE,

@@ -32,6 +32,10 @@ DOMAIN_TOL = 1e-12
 # Largest n a JSON input may ask for: one complex vector of 2**20 entries is
 # 16 MiB, while a larger n would fail (or exhaust memory) before any output.
 MAX_N = 2**20
+# Largest total degree of a generic term: assembling a partial derivative
+# takes one product per power, so the cap bounds a step's primitive calls.
+# compare-costs shares it as its largest d.
+MAX_TERM_DEGREE = 64
 DEFAULT_GRID_CAP = 1_000_000
 
 
@@ -275,28 +279,73 @@ class ObjectiveFunction:
         }
 
 
-def is_finite_number(value) -> bool:
-    """True for a JSON number (int or float, not bool) that is finite as a float.
+# The schema checks, one per kind of JSON value.  Each returns the checked
+# value or raises SchemaError with the key path of the offending entry, so a
+# loader reads as one check per field.
+def check_keys(doc, path: str, required, optional=()) -> dict:
+    """doc as a JSON object holding every required key and no other than optional."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected object, got {type(doc).__name__}")
+    unknown = set(doc) - set(required) - set(optional)
+    if unknown:
+        raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
+    for key in required:
+        if key not in doc:
+            raise SchemaError(f"{path}: missing required key '{key}'")
+    return doc
 
-    json accepts NaN, Infinity and overflowing literals such as 1e400; none
-    of them is a valid parameter anywhere in the schemas.
+
+def check_int(value, path: str, low: int, high: int) -> int:
+    """value as a JSON integer in [low, high]; bools and integral floats are not integers."""
+    if isinstance(value, int) and not isinstance(value, bool) and low <= value <= high:
+        return value
+    raise SchemaError(f"{path}: expected integer in [{low}, {high}], got {value!r}")
+
+
+def check_number(value, path: str, low: float = -math.inf, high: float = math.inf,
+                 high_open: bool = True) -> float:
+    """value as a float: a finite JSON number with low < value < high.
+
+    With high_open=False the range is (low, high] instead.  json accepts NaN,
+    Infinity and overflowing literals such as 1e400; none of them is a valid
+    number anywhere in the schemas, and neither is a bool.
     """
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    if math.isfinite(number) and low < number and (
+        number < high or (number == high and not high_open)
+    ):
+        return number
+    span = "" if (low, high) == (-math.inf, math.inf) else (
+        f" in ({low:g}, {high:g}{')' if high_open else ']'}"
+    )
+    raise SchemaError(f"{path}: expected finite number{span}, got {value!r}")
 
 
-def is_size(value) -> bool:
-    """True for a JSON integer n with 1 <= n <= MAX_N (bools are not integers)."""
-    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= MAX_N
+def check_array(value, path: str, low: int, high: float = math.inf) -> list:
+    """value as a JSON array of low to high entries."""
+    if isinstance(value, list) and low <= len(value) <= high:
+        return value
+    span = (f"at least {low}" if high == math.inf else str(low) if high == low
+            else f"{low} to {high}")
+    got = f"length {len(value)}" if isinstance(value, list) else type(value).__name__
+    raise SchemaError(f"{path}: expected array of length {span}, got {got}")
 
 
-def _require(cond: bool, path: str, message: str):
-    if not cond:
-        raise SchemaError(f"{path}: {message}")
+def check_choice(value, path: str, choices):
+    """value as one of choices, compared by type and value (so 1 is not True)."""
+    if any(type(value) is type(c) and value == c for c in choices):
+        return value
+    raise SchemaError(f"{path}: expected one of {list(choices)}, got {value!r}")
+
+
+def check_size_and_bound(doc: dict) -> tuple[int, float]:
+    """An objective object's n in [1, MAX_N] and gradient bound M > 0."""
+    return check_int(doc.get("n"), "n", 1, MAX_N), check_number(doc.get("M"), "M", 0.0)
 
 
 def load_objective(source) -> ObjectiveFunction:
@@ -304,41 +353,22 @@ def load_objective(source) -> ObjectiveFunction:
 
     Schema: {"n": int in [1, MAX_N], "M": number > 0,
              "terms": [{"coeff": number, "exponents": [int >= 0] * n}, ...]};
-    numbers must be finite.
+    numbers must be finite and each term's total degree is at most
+    MAX_TERM_DEGREE.
     Parse errors keep json's line/column info; schema errors carry the key
     path of the offending entry.
     """
     doc = json.loads(source) if isinstance(source, (str, bytes)) else source
-    _require(isinstance(doc, dict), "$", f"expected object, got {type(doc).__name__}")
-    unknown = set(doc) - {"n", "M", "terms"}
-    _require(not unknown, "$", f"unknown keys {sorted(unknown)}")
-    for key in ("n", "M", "terms"):
-        _require(key in doc, "$", f"missing required key '{key}'")
-    n = doc["n"]
-    _require(is_size(n), "n", f"expected integer in [1, {MAX_N}], got {n!r}")
-    m_bound = doc["M"]
-    _require(is_finite_number(m_bound) and m_bound > 0, "M",
-             f"expected positive finite number, got {m_bound!r}")
-    terms = doc["terms"]
-    _require(isinstance(terms, list) and terms, "terms", "expected non-empty array")
+    check_keys(doc, "$", ("n", "M", "terms"))
+    n, m_bound = check_size_and_bound(doc)
     parsed = []
-    for i, entry in enumerate(terms):
+    for i, entry in enumerate(check_array(doc["terms"], "terms", 1)):
         path = f"terms[{i}]"
-        _require(isinstance(entry, dict), path, "expected object")
-        unknown = set(entry) - {"coeff", "exponents"}
-        _require(not unknown, path, f"unknown keys {sorted(unknown)}")
-        for key in ("coeff", "exponents"):
-            _require(key in entry, path, f"missing required key '{key}'")
-        coeff = entry["coeff"]
-        _require(is_finite_number(coeff), f"{path}.coeff",
-                 f"expected finite number, got {coeff!r}")
-        exps = entry["exponents"]
-        _require(isinstance(exps, list), f"{path}.exponents", "expected array")
-        _require(len(exps) == n, f"{path}.exponents",
-                 f"expected length n={n}, got {len(exps)}")
+        check_keys(entry, path, ("coeff", "exponents"))
+        coeff = check_number(entry["coeff"], f"{path}.coeff")
+        exps = check_array(entry["exponents"], f"{path}.exponents", n, n)
         for j, e in enumerate(exps):
-            _require(isinstance(e, int) and not isinstance(e, bool) and e >= 0,
-                     f"{path}.exponents[{j}]",
-                     f"expected non-negative integer, got {e!r}")
-        parsed.append(MonomialTerm(float(coeff), tuple(exps)))
-    return ObjectiveFunction(n, float(m_bound), tuple(parsed))
+            check_int(e, f"{path}.exponents[{j}]", 0, MAX_TERM_DEGREE)
+        check_int(sum(exps), f"{path} total degree", 0, MAX_TERM_DEGREE)
+        parsed.append(MonomialTerm(coeff, tuple(exps)))
+    return ObjectiveFunction(n, m_bound, tuple(parsed))

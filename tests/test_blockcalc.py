@@ -266,6 +266,15 @@ class TestAmplify:
         with pytest.raises(InvalidScale):
             bc.amplify(enc, 1.0, 0.5, 1e-6)
 
+    def test_non_finite_inputs_are_rejected(self):
+        enc = bc.diag_encode([0.0, 0.0])
+        with pytest.raises(InvalidScale):
+            bc.amplify(enc, math.nan, 0.5, 1e-6)
+        with pytest.raises(NormBoundViolated):
+            bc.amplify(enc, math.inf, 0.5, 1e-6)  # inf * 0 = nan
+        with pytest.raises(InvalidScale, match="repetitions"):
+            bc.amplify(enc, 2.0, 0.5, 1e-320)  # 4 * gamma / eps overflows
+
     def test_then_scale_down_roundtrip(self):
         rng = np.random.default_rng(2)
         for _ in range(10):

@@ -158,6 +158,7 @@ class TestScalarFunctionSchema:
             {"kind": "spline"},
             {"kind": "named", "name": "sin", "scale": "big"},
             {"kind": "named", "name": "sin", "extra": 1},
+            {"kind": "poly", "coeffs": [0.0] * 515},  # derivative degree 513 > DEGREE_CAP
         ],
     )
     def test_schema_errors(self, doc):

@@ -12,6 +12,7 @@ from blockgd.cli import (
     EXIT_CONTRACT,
     EXIT_DEGREE,
     EXIT_INFEASIBLE,
+    EXIT_INTERNAL,
     EXIT_NORM,
     EXIT_OK,
     EXIT_POLY,
@@ -28,7 +29,7 @@ from blockgd.errors import (
     PolyBoundViolated,
     SchemaError,
 )
-from blockgd.polyfunc import MAX_N
+from blockgd.polyfunc import MAX_N, MAX_TERM_DEGREE
 
 REPO = Path(__file__).resolve().parents[1]
 QUADRATIC = REPO / "configs" / "quadratic.json"
@@ -44,6 +45,100 @@ def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+NAN, INF = float("nan"), float("inf")
+
+GENERIC_DOC = {
+    "mode": "generic",
+    "objective": {"n": 2, "M": 1.0, "terms": [{"coeff": 0.1, "exponents": [2, 0]}]},
+    "x0": [0.1, 0.1],
+    "T": 1,
+    "eps": 1e-6,
+}
+SEPARABLE_DOC = {
+    "mode": "separable",
+    "objective": {"kind": "named", "name": "sin", "scale": 1.0, "n": 2, "M": 1.0},
+    "x0": [0.1, 0.1],
+    "T": 1,
+    "eps": 1e-6,
+    "eta": 0.1,
+}
+POLY_DOC = {**SEPARABLE_DOC,
+            "objective": {"kind": "poly", "coeffs": [0.0, 0.1, 0.1], "n": 2, "M": 1.0}}
+
+
+def _with(doc, keys, value):
+    out = copy.deepcopy(doc)
+    node = out
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return out
+
+
+# Inputs that each field check rejects, shared by the tests of that check
+# and by the check that validate-config agrees with run.
+BAD_FIELD_PATCHES = [
+    {"T": -1},
+    {"eps": 2.0},
+    {"x0": [0.1]},            # wrong length
+    {"x0": {"uniform_q": "yes"}},
+    {"mode": "other"},
+    {"extra_key": 1},
+]
+NON_FINITE_DOCS = [
+    pytest.param(_with(GENERIC_DOC, ["x0", 0], NAN), id="generic-x0-nan"),
+    pytest.param(_with(SEPARABLE_DOC, ["x0", 0], NAN), id="separable-x0-nan"),
+    pytest.param(_with(GENERIC_DOC, ["objective", "M"], INF), id="generic-M-inf"),
+    pytest.param(_with(SEPARABLE_DOC, ["objective", "M"], INF), id="separable-M-inf"),
+    pytest.param(_with(GENERIC_DOC, ["objective", "M"], 10**400), id="generic-M-huge-int"),
+    pytest.param(_with(POLY_DOC, ["objective", "coeffs", 1], NAN), id="poly-coeff-nan"),
+    pytest.param(_with(GENERIC_DOC, ["objective", "terms", 0, "coeff"], NAN),
+                 id="term-coeff-nan"),
+    pytest.param(_with(SEPARABLE_DOC, ["objective", "scale"], NAN), id="scale-nan"),
+    pytest.param(_with(GENERIC_DOC, ["eta"], NAN), id="generic-eta-nan"),
+]
+LIMIT_DOCS = [
+    pytest.param(_with(SEPARABLE_DOC, ["eps"], 0.5), str(MAX_EPS), id="separable-eps-half"),
+    pytest.param(_with(_with(SEPARABLE_DOC, ["objective", "n"], 10**30),
+                       ["x0"], {"uniform_q": "auto"}), str(MAX_N), id="separable-n-huge"),
+    pytest.param(_with(GENERIC_DOC, ["objective", "n"], 10**30), str(MAX_N),
+                 id="generic-n-huge"),
+]
+# A generic term of total degree 65 and a poly of 515 coefficients (derivative
+# degree 513): one above the term-degree cap and the separable degree cap.
+DEGREE_CAP_DOCS = [
+    pytest.param(_with(GENERIC_DOC, ["objective", "terms", 0, "exponents"], [33, 32]),
+                 "terms[0] total degree", id="term-degree-65"),
+    pytest.param(_with(GENERIC_DOC, ["objective", "terms", 0, "exponents"], [10**30, 0]),
+                 "terms[0].exponents[0]", id="exponent-huge"),
+    pytest.param(_with(POLY_DOC, ["objective", "coeffs"], [0.0] * 514 + [1e-9]),
+                 "coeffs", id="poly-515-coeffs"),
+    pytest.param(_with(POLY_DOC, ["objective", "coeffs"], [0.0] * 1500 + [1e-9]),
+                 "coeffs", id="poly-1501-coeffs"),
+]
+# The repetition count of an amplification to accuracy 1e-320 overflows, and
+# so does the scale factor coeff * exponent / M = 2e308 of this term.
+EPS_SUBNORMAL_DOC = _with(GENERIC_DOC, ["eps"], 1e-320)
+FACTOR_OVERFLOW_DOC = _with(_with(GENERIC_DOC, ["objective", "M"], 1e-8),
+                            ["objective", "terms", 0, "coeff"], 1e300) | {"x0": [0.0, 0.1]}
+# Configs that pass every field check but break the step-size rule, have no
+# feasible uniform start, or fail inside the pipeline.
+RULE_DOCS = [
+    pytest.param(_with(GENERIC_DOC, ["eta"], 0.3), id="generic-eta-unpinned"),
+    pytest.param(_with(SEPARABLE_DOC, ["eta"], 0.9), id="separable-eta-above-limit"),
+    pytest.param({k: v for k, v in SEPARABLE_DOC.items() if k != "eta"},
+                 id="separable-eta-missing"),
+    pytest.param(_with(SEPARABLE_DOC, ["objective"], GENERIC_DOC["objective"]),
+                 id="mode-objective-mismatch"),
+    pytest.param(_with(_with(GENERIC_DOC, ["objective", "terms", 0, "coeff"], 1.0),
+                       ["x0"], {"uniform_q": "auto"}), id="infeasible-uniform-start"),
+    pytest.param(_with(_with(GENERIC_DOC, ["objective", "terms", 0, "exponents"], [1, 0]),
+                       ["x0"], [0.4, 0.0]) | {"T": 3}, id="norm-bound-violated"),
+    pytest.param(EPS_SUBNORMAL_DOC, id="generic-eps-subnormal"),
+    pytest.param(FACTOR_OVERFLOW_DOC, id="scale-factor-overflow"),
+]
 
 
 class TestRunCommand:
@@ -231,28 +326,9 @@ class TestValidateConfig:
         path = write_config(tmp_path, doc)
         assert main(["validate-config", "--config", str(path)]) == EXIT_SCHEMA
 
-    @pytest.mark.parametrize(
-        "patch",
-        [
-            {"T": -1},
-            {"eps": 2.0},
-            {"x0": [0.1]},            # wrong length
-            {"x0": {"uniform_q": "yes"}},
-            {"mode": "other"},
-            {"extra_key": 1},
-        ],
-    )
+    @pytest.mark.parametrize("patch", BAD_FIELD_PATCHES)
     def test_bad_fields_rejected(self, tmp_path, patch):
-        doc = {
-            "mode": "generic",
-            "objective": {"n": 2, "M": 1.0,
-                          "terms": [{"coeff": 0.1, "exponents": [2, 0]}]},
-            "x0": [0.1, 0.1],
-            "T": 1,
-            "eps": 1e-6,
-        }
-        doc.update(patch)
-        path = write_config(tmp_path, doc)
+        path = write_config(tmp_path, {**GENERIC_DOC, **patch})
         assert main(["validate-config", "--config", str(path)]) == EXIT_SCHEMA
 
     def test_separable_requires_eta(self, tmp_path):
@@ -320,56 +396,10 @@ class TestCompareCosts:
         assert main(["compare-costs", "--params", str(path)]) == EXIT_SCHEMA
 
 
-NAN, INF = float("nan"), float("inf")
-
-GENERIC_DOC = {
-    "mode": "generic",
-    "objective": {"n": 2, "M": 1.0, "terms": [{"coeff": 0.1, "exponents": [2, 0]}]},
-    "x0": [0.1, 0.1],
-    "T": 1,
-    "eps": 1e-6,
-}
-SEPARABLE_DOC = {
-    "mode": "separable",
-    "objective": {"kind": "named", "name": "sin", "scale": 1.0, "n": 2, "M": 1.0},
-    "x0": [0.1, 0.1],
-    "T": 1,
-    "eps": 1e-6,
-    "eta": 0.1,
-}
-POLY_DOC = {**SEPARABLE_DOC,
-            "objective": {"kind": "poly", "coeffs": [0.0, 0.1, 0.1], "n": 2, "M": 1.0}}
-
-
-def _with(doc, keys, value):
-    out = copy.deepcopy(doc)
-    node = out
-    for key in keys[:-1]:
-        node = node[key]
-    node[keys[-1]] = value
-    return out
-
-
 class TestNonFiniteNumbers:
     """json reads NaN, Infinity and numbers too large for a float; each is exit 2."""
 
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            _with(GENERIC_DOC, ["x0", 0], NAN),
-            _with(SEPARABLE_DOC, ["x0", 0], NAN),
-            _with(GENERIC_DOC, ["objective", "M"], INF),
-            _with(SEPARABLE_DOC, ["objective", "M"], INF),
-            _with(GENERIC_DOC, ["objective", "M"], 10**400),
-            _with(POLY_DOC, ["objective", "coeffs", 1], NAN),
-            _with(GENERIC_DOC, ["objective", "terms", 0, "coeff"], NAN),
-            _with(SEPARABLE_DOC, ["objective", "scale"], NAN),
-            _with(GENERIC_DOC, ["eta"], NAN),
-        ],
-        ids=["generic-x0-nan", "separable-x0-nan", "generic-M-inf", "separable-M-inf",
-             "generic-M-huge-int", "poly-coeff-nan", "term-coeff-nan", "scale-nan",
-             "generic-eta-nan"],
-    )
+    @pytest.mark.parametrize("doc", NON_FINITE_DOCS)
     def test_run_rejects_with_schema_exit(self, tmp_path, capsys, doc):
         path = write_config(tmp_path, doc)
         out = tmp_path / "out"
@@ -392,16 +422,7 @@ class TestNonFiniteNumbers:
 class TestInputLimits:
     """n above MAX_N and a separable eps above MAX_EPS are schema errors (exit 2)."""
 
-    @pytest.mark.parametrize(
-        "doc, message",
-        [
-            (_with(SEPARABLE_DOC, ["eps"], 0.5), str(MAX_EPS)),
-            (_with(_with(SEPARABLE_DOC, ["objective", "n"], 10**30),
-                   ["x0"], {"uniform_q": "auto"}), str(MAX_N)),
-            (_with(GENERIC_DOC, ["objective", "n"], 10**30), str(MAX_N)),
-        ],
-        ids=["separable-eps-half", "separable-n-huge", "generic-n-huge"],
-    )
+    @pytest.mark.parametrize("doc, message", LIMIT_DOCS)
     def test_run_and_validate_reject_with_schema_exit(self, tmp_path, capsys, doc, message):
         path = write_config(tmp_path, doc)
         out = tmp_path / "out"
@@ -458,6 +479,87 @@ class TestInputLimits:
             out = tmp_path / doc["mode"]
             assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
             assert (out / "report.json").exists()
+
+
+    @pytest.mark.parametrize("doc, path", DEGREE_CAP_DOCS)
+    def test_degree_caps_reject_with_schema_exit(self, tmp_path, doc, path):
+        # A subprocess with a timeout: an uncapped exponent makes run loop for
+        # as many products as the exponent asks.
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        for command in (["run", "--config", str(config), "--out", str(out)],
+                        ["validate-config", "--config", str(config)]):
+            proc = subprocess.run([sys.executable, "-m", "blockgd", *command],
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == EXIT_SCHEMA, proc.stderr
+            assert path in proc.stderr
+        assert not (out / "report.json").exists()
+
+    def test_degree_caps_are_inclusive(self, tmp_path):
+        # Total degree 64 = MAX_TERM_DEGREE; 514 coefficients = DEGREE_CAP + 2.
+        assert MAX_TERM_DEGREE == 64 and DEGREE_CAP + 2 == 514
+        for name, doc in (
+            ("generic", _with(GENERIC_DOC, ["objective", "terms", 0, "exponents"], [32, 32])),
+            ("poly", _with(POLY_DOC, ["objective", "coeffs"], [0.0] * 513 + [1e-9])),
+        ):
+            path = write_config(tmp_path, doc, f"{name}.json")
+            assert main(["validate-config", "--config", str(path)]) == EXIT_OK
+            out = tmp_path / name
+            assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+            assert (out / "report.json").exists()
+
+
+class TestNoInternalError:
+    """Inputs that once ended in exit 1 end in their documented exit code."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [(EPS_SUBNORMAL_DOC, "repetitions"),
+         (FACTOR_OVERFLOW_DOC, "renormalize the gradient bound")],
+        ids=["eps-subnormal", "scale-factor-overflow"],
+    )
+    def test_run_exits_with_contract_code(self, tmp_path, capsys, doc, message):
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONTRACT
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_compare_costs_subnormal_eps(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"eps": 1e-320}, "params.json")
+        out = tmp_path / "c"
+        assert main(["compare-costs", "--params", str(path), "--out", str(out)]) == EXIT_CONTRACT
+        assert "repetitions" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_sweep_entries_must_be_paths(self, tmp_path):
+        path = write_config(tmp_path, {"configs": [5]}, "sweep.json")
+        assert main(["run", "--sweep", str(path), "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [pytest.param({**GENERIC_DOC, **patch}, id=f"patch{i}")
+     for i, patch in enumerate(BAD_FIELD_PATCHES)]
+    + NON_FINITE_DOCS
+    # exponent-huge is left to its subprocess test: without its cap, run loops.
+    + [pytest.param(p.values[0], id=p.id) for p in LIMIT_DOCS + DEGREE_CAP_DOCS
+       if p.id != "exponent-huge"]
+    + RULE_DOCS,
+)
+def test_validate_config_agrees_with_run(tmp_path, doc):
+    """validate-config fails exactly where run fails before its pipeline.
+
+    run's exit 2 (schema) and 3 (infeasible schedule) come before any
+    pipeline work, and validate-config must give the same code; every other
+    run outcome means the config passed those checks, so it validates.
+    """
+    path = write_config(tmp_path, doc)
+    run_code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    validate_code = main(["validate-config", "--config", str(path)])
+    assert EXIT_INTERNAL not in (run_code, validate_code)
+    expected = run_code if run_code in (EXIT_SCHEMA, EXIT_INFEASIBLE) else EXIT_OK
+    assert validate_code == expected
 
 
 def _sha256_of_files(out: Path) -> dict:

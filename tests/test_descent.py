@@ -22,6 +22,7 @@ from blockgd.descent import (
     resource_predict,
     run_generic,
     run_separable,
+    step_size,
 )
 from blockgd.errors import (
     DomainViolation,
@@ -125,6 +126,15 @@ class TestBuildPartial:
     def test_scale_overflow_flags_small_m(self):
         f = obj(1, 1.0, (3.0, (1,)))
         x = bc.diag_encode([0.3])
+        with pytest.raises(ScaleOverflow):
+            build_partial_be(x, f, 0, 0, eps=1e-6)
+
+
+    def test_overflowing_factor_is_scale_overflow(self):
+        # coeff * exponent / M overflows to inf, and the factor x_0 = 0 makes
+        # the corner norm 0: the product with it is nan, not a pass.
+        f = obj(2, 1e-8, (1e300, (2, 0)))
+        x = bc.diag_encode([0.0, 0.1])
         with pytest.raises(ScaleOverflow):
             build_partial_be(x, f, 0, 0, eps=1e-6)
 
@@ -304,6 +314,17 @@ class TestRunSeparable:
             x = x - 0.1 * np.cos(x)
         tol = 10 * (trace.poly_sup_error + 16 * 3 * 1e-6)
         assert np.max(np.abs(trace.final_iterate() - x)) <= tol
+
+    def test_step_size_rule(self):
+        sep = SeparableObjective(ScalarFunction.named("sin"), n=2, grad_bound=1.0)
+        assert step_size("separable", sep, 0.5) == 0.5  # 1/(2M) itself
+        for eta in (None, 0.0, 0.51, math.nan):
+            with pytest.raises(InvalidConfig, match="eta"):
+                step_size("separable", sep, eta)
+        f = quadratic_bowl()
+        assert step_size("generic", f, None) == step_size("generic", f, eta_generic(f))
+        with pytest.raises(InvalidConfig, match="pins eta"):
+            step_size("generic", f, 2 * eta_generic(f))
 
     def test_eta_required_and_ranged(self):
         sep = SeparableObjective(ScalarFunction.named("sin"), n=2, grad_bound=1.0)

@@ -207,6 +207,11 @@ class TestJsonSchema:
              "terms[0].coeff"),
             ({"n": 1, "M": 1.0, "terms": [{"coeff": 1.0, "exponents": [1]}], "zz": 0},
              "zz"),
+            ({"n": 1, "M": 1.0, "terms": [{"coeff": 1.0, "exponents": [65]}]},
+             "terms[0].exponents[0]"),
+            ({"n": 2, "M": 1.0, "terms": [{"coeff": 1.0, "exponents": [1, 1]},
+                                          {"coeff": 1.0, "exponents": [40, 25]}]},
+             "terms[1] total degree"),
         ],
     )
     def test_schema_errors_carry_paths(self, doc, fragment):
