@@ -17,12 +17,12 @@ from .blockcalc import (
     apply_postselect,
     diag_encode,
     entry_project,
-    identity_encoding,
     lcu,
     product,
     projector_encode,
     qsvt_transform,
     realize_dilation,
+    recording,
     scale_down,
     tensor,
 )
@@ -88,7 +88,6 @@ __all__ = [
     "finite_diff_grad",
     "gd_step_generic",
     "gd_step_separable",
-    "identity_encoding",
     "initial_state_uniform",
     "lcu",
     "load_objective",
@@ -97,6 +96,7 @@ __all__ = [
     "projector_encode",
     "qsvt_transform",
     "realize_dilation",
+    "recording",
     "resource_predict",
     "run_generic",
     "run_separable",

@@ -55,6 +55,12 @@ argument checks and one ResourceCounter for the output's ledger.  A generic
 step's gradient has at most K*v slots, so only the iterate update (one lcu
 and one amplify on vectors) costs O(N); the hot path avoids copies of stored
 data and generic Python passes over the operands.
+
+Recording: within ``with recording(log):`` every primitive that makes an
+encoding appends one record to the AuditLog log, through AuditLog.record;
+elsewhere nothing is recorded.  The active log is held in a ContextVar that
+_log alone reads, so neither the primitives nor the descent code that calls
+them takes a log argument.
 """
 
 from __future__ import annotations
@@ -62,6 +68,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -271,10 +279,6 @@ class BlockEncoding:
         mat.setflags(write=False)
         return mat
 
-    @property
-    def qubits(self) -> int:
-        return int(math.log2(self.dim))
-
     def is_diagonal(self) -> bool:
         data = self._data
         if type(data) is dict or data.ndim == 1:
@@ -389,15 +393,32 @@ class AuditLog:
             fh.write(self.to_jsonl())
 
 
-def _log(audit: AuditLog | None, op: str, inputs, output: BlockEncoding, **params):
-    if audit is not None:
-        audit.record(op, inputs, output, **params)
+_RECORDER: ContextVar[AuditLog | None] = ContextVar("blockgd_recorder", default=None)
+
+
+@contextmanager
+def recording(log: AuditLog | None):
+    """Within the block, every primitive records its operation in log.
+
+    recording(None) turns recording off within the block.  The log that was
+    active before is restored on exit, also when the block raises.
+    """
+    token = _RECORDER.set(log)
+    try:
+        yield log
+    finally:
+        _RECORDER.reset(token)
+
+
+def _log(op: str, inputs, output: BlockEncoding, **params):
+    """Record op in the active log, if any, and return output."""
+    log = _RECORDER.get()
+    if log is not None:
+        log.record(op, inputs, output, **params)
     return output
 
 
-def diag_encode(
-    psi, alpha: float = 1.0, *, audit: AuditLog | None = None
-) -> BlockEncoding:
+def diag_encode(psi, alpha: float = 1.0) -> BlockEncoding:
     """Encode a vector of amplitudes as a diagonal corner block.
 
     Sub-unit vectors are allowed: they are read as the leading amplitudes
@@ -420,10 +441,10 @@ def diag_encode(
         eps=0.0,
         counts=(log_n, 0, log_n + 3),
     )
-    return _log(audit, "diag_encode", [], enc, dim=dim, alpha=float(alpha))
+    return _log("diag_encode", [], enc, dim=dim, alpha=float(alpha))
 
 
-def projector_encode(dim: int, k: int, *, audit: AuditLog | None = None) -> BlockEncoding:
+def projector_encode(dim: int, k: int) -> BlockEncoding:
     """Exact encoding of the basis projector |k><k|: depth 1, log2 N ancillas."""
     dim = next_power_of_two(dim)
     if not 0 <= k < dim:
@@ -437,12 +458,10 @@ def projector_encode(dim: int, k: int, *, audit: AuditLog | None = None) -> Bloc
         eps=0.0,
         counts=(1, 0, log_n),
     )
-    return _log(audit, "projector_encode", [], enc, dim=dim, k=k)
+    return _log("projector_encode", [], enc, dim=dim, k=k)
 
 
-def entry_project(
-    enc: BlockEncoding, j: int, k: int, *, audit: AuditLog | None = None
-) -> BlockEncoding:
+def entry_project(enc: BlockEncoding, j: int, k: int) -> BlockEncoding:
     """From a diagonal encoding, keep entry j alone and park it at slot k.
 
     Produces the diagonal matrix x_j |k><k| using the input encoding twice;
@@ -471,12 +490,10 @@ def entry_project(
         eps=enc.eps,
         counts=_grown(enc, depth=log_n, queries=2),
     )
-    return _log(audit, "entry_project", [enc], out, j=j, k=k)
+    return _log("entry_project", [enc], out, j=j, k=k)
 
 
-def product(
-    a: BlockEncoding, b: BlockEncoding, *, audit: AuditLog | None = None
-) -> BlockEncoding:
+def product(a: BlockEncoding, b: BlockEncoding) -> BlockEncoding:
     """Encoding of the operator product, one use of each input."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
@@ -488,12 +505,10 @@ def product(
         eps=a.alpha * b.eps + b.alpha * a.eps,
         counts=_merge_counters([a, b], 2),
     )
-    return _log(audit, "product", [a, b], out)
+    return _log("product", [a, b], out)
 
 
-def lcu(
-    encodings, signs, *, audit: AuditLog | None = None
-) -> BlockEncoding:
+def lcu(encodings, signs) -> BlockEncoding:
     """Signed average (1/m) * sum_i s_i * corner_i of m encodings.
 
     All inputs must share dimension and alpha; callers rescale explicitly
@@ -524,12 +539,10 @@ def lcu(
         eps=sum(e.eps for e in encs) / m,
         counts=_merge_counters(encs, m),
     )
-    return _log(audit, "lcu", encs, out, m=m, signs=signs)
+    return _log("lcu", encs, out, m=m, signs=signs)
 
 
-def scale_down(
-    enc: BlockEncoding, p: float, *, audit: AuditLog | None = None
-) -> BlockEncoding:
+def scale_down(enc: BlockEncoding, p: float) -> BlockEncoding:
     """Shrink the corner by 1/p via one extra rotation ancilla (p > 1)."""
     p = float(p)
     if p <= 1.0:
@@ -543,10 +556,10 @@ def scale_down(
         eps=enc.eps / p,
         counts=_grown(enc, depth=1),
     )
-    return _log(audit, "scale_down", [enc], out, p=p, theta=theta)
+    return _log("scale_down", [enc], out, p=p, theta=theta)
 
 
-def tensor(encodings, *, audit: AuditLog | None = None) -> BlockEncoding:
+def tensor(encodings) -> BlockEncoding:
     """Kronecker product of encodings: parallel single uses of each input."""
     encs = list(encodings)
     if not encs:
@@ -566,17 +579,10 @@ def tensor(encodings, *, audit: AuditLog | None = None) -> BlockEncoding:
         eps=eps,
         counts=_merge_counters(encs, len(encs), parallel=True),
     )
-    return _log(audit, "tensor", encs, out, m=len(encs))
+    return _log("tensor", encs, out, m=len(encs))
 
 
-def amplify(
-    enc: BlockEncoding,
-    gamma: float,
-    delta: float,
-    eps_target: float,
-    *,
-    audit: AuditLog | None = None,
-) -> BlockEncoding:
+def amplify(enc: BlockEncoding, gamma: float, delta: float, eps_target: float) -> BlockEncoding:
     """Boost the corner by gamma > 1, requiring ||gamma * corner|| < 1 - delta.
 
     Realized at desk scale as an exact rescale; the multiplicative
@@ -615,8 +621,7 @@ def amplify(
         eps=gamma * enc.eps + eps_target * boosted_norm,
         counts=_grown(enc, depth=m, queries=m),
     )
-    return _log(audit, "amplify", [enc], out, gamma=gamma, delta=delta,
-                eps_target=eps_target, m=m)
+    return _log("amplify", [enc], out, gamma=gamma, delta=delta, eps_target=eps_target, m=m)
 
 
 def _poly_degree(poly, degree: int | None) -> int:
@@ -627,13 +632,7 @@ def _poly_degree(poly, degree: int | None) -> int:
     raise ValueError("degree is required when poly does not expose .degree()")
 
 
-def qsvt_transform(
-    enc: BlockEncoding,
-    poly,
-    degree: int | None = None,
-    *,
-    audit: AuditLog | None = None,
-) -> BlockEncoding:
+def qsvt_transform(enc: BlockEncoding, poly, degree: int | None = None) -> BlockEncoding:
     """Apply a bounded real polynomial to the eigenvalues of the corner.
 
     ``poly`` is any callable polynomial (numpy polynomial objects work);
@@ -669,7 +668,7 @@ def qsvt_transform(
         eps=4.0 * d * math.sqrt(enc.eps / enc.alpha),
         counts=_grown(enc, depth=d, queries=d),
     )
-    return _log(audit, "qsvt_transform", [enc], out, degree=d, sup=sup)
+    return _log("qsvt_transform", [enc], out, degree=d, sup=sup)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -719,9 +718,3 @@ def apply_postselect(enc: BlockEncoding, phi) -> PostSelection:
     if weight == 0.0:
         return PostSelection(state=None, prob=0.0)
     return PostSelection(state=image / weight, prob=weight**2)
-
-
-def identity_encoding(dim: int) -> BlockEncoding:
-    """Exact cost-free encoding of the identity (any unitary encodes itself)."""
-    dim = next_power_of_two(dim)
-    return _encoding(np.ones(dim, dtype=complex), dim)

@@ -37,7 +37,27 @@ DEGREE_CAP = 512
 # Largest eps approx_derivative accepts; the CLI rejects a larger separable
 # eps (and a larger compare-costs eps, which probes the separable engine).
 MAX_EPS = 0.25
-NAMED_KINDS = ("sin", "cos", "exp", "gaussian", "logistic")
+
+
+def _logistic(s, x):
+    return 1.0 / (1.0 + np.exp(-s * x))
+
+
+def _logistic_slope(s, x):
+    lv = _logistic(s, x)
+    return s * lv * (1.0 - lv)
+
+
+# (F, F') of each named family at scale s, on a float array x.
+NAMED_FAMILIES = {
+    "sin": (lambda s, x: np.sin(s * x), lambda s, x: s * np.cos(s * x)),
+    "cos": (lambda s, x: np.cos(s * x), lambda s, x: -s * np.sin(s * x)),
+    "exp": (lambda s, x: np.exp(s * x), lambda s, x: s * np.exp(s * x)),
+    "gaussian": (lambda s, x: np.exp(-((s * x) ** 2)),
+                 lambda s, x: -2.0 * s * s * x * np.exp(-((s * x) ** 2))),
+    "logistic": (_logistic, _logistic_slope),
+}
+NAMED_KINDS = tuple(NAMED_FAMILIES)
 
 
 def chebyshev_nodes(count: int, half_width: float = HALF) -> np.ndarray:
@@ -63,7 +83,7 @@ class ScalarFunction:
     """A scalar function with a closed-form derivative.
 
     kind is "poly" (power-basis coeffs, ascending) or one of the named
-    families, each parameterized by a scale s:
+    families of NAMED_FAMILIES, each parameterized by a scale s:
 
         sin:      sin(s*x)             derivative  s*cos(s*x)
         cos:      cos(s*x)             derivative -s*sin(s*x)
@@ -92,41 +112,15 @@ class ScalarFunction:
         return cls(kind=name, scale=float(scale))
 
     def value(self, x):
-        s = self.scale
         if self.kind == "poly":
             return np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
-        if self.kind == "sin":
-            return np.sin(s * np.asarray(x, dtype=float))
-        if self.kind == "cos":
-            return np.cos(s * np.asarray(x, dtype=float))
-        if self.kind == "exp":
-            return np.exp(s * np.asarray(x, dtype=float))
-        if self.kind == "gaussian":
-            xv = np.asarray(x, dtype=float)
-            return np.exp(-((s * xv) ** 2))
-        if self.kind == "logistic":
-            xv = np.asarray(x, dtype=float)
-            return 1.0 / (1.0 + np.exp(-s * xv))
-        raise ValueError(f"unknown kind {self.kind!r}")
+        return NAMED_FAMILIES[self.kind][0](self.scale, np.asarray(x, dtype=float))
 
     def derivative(self, x):
-        s = self.scale
         if self.kind == "poly":
             dcoef = self._derivative_coeffs()
             return np.polynomial.polynomial.polyval(x, np.asarray(dcoef))
-        if self.kind == "sin":
-            return s * np.cos(s * np.asarray(x, dtype=float))
-        if self.kind == "cos":
-            return -s * np.sin(s * np.asarray(x, dtype=float))
-        if self.kind == "exp":
-            return s * np.exp(s * np.asarray(x, dtype=float))
-        if self.kind == "gaussian":
-            xv = np.asarray(x, dtype=float)
-            return -2.0 * s * s * xv * np.exp(-((s * xv) ** 2))
-        if self.kind == "logistic":
-            lv = self.value(x)
-            return s * lv * (1.0 - lv)
-        raise ValueError(f"unknown kind {self.kind!r}")
+        return NAMED_FAMILIES[self.kind][1](self.scale, np.asarray(x, dtype=float))
 
     def _derivative_coeffs(self) -> list[float]:
         assert self.kind == "poly"

@@ -11,9 +11,15 @@ Every JSON field is checked once, by the polyfunc checks (an object's keys,
 an integer in a range, a finite number in a range, an array's length, one of
 fixed values), against limits stated once: polyfunc.MAX_N and
 MAX_TERM_DEGREE, chebyshev.DEGREE_CAP, descent.EPS_RANGES and
-descent.COST_INT_RANGES.  The step size comes from descent.step_size, the
-rule the engines apply too.  So validate-config exits 2 or 3 exactly where
-run would before any pipeline work, and 0 otherwise.
+descent.COST_INT_RANGES.  The step size comes from descent.step_size and
+the start vector's size and box check from descent.start_vector, the rules
+the engines apply too.  So validate-config exits 2, 3 or 7 exactly where run
+would before any pipeline work (and before run creates its output
+directory), and 0 otherwise.
+
+With --audit (or "audit": true), run wraps the engine call, and only it, in
+blockcalc.recording, so audit.jsonl holds one record per calculus primitive
+of that run.
 
 Flags override config-file fields (flags > file).  Artifacts are
 deterministic: sorted JSON keys, shortest round-trip float formatting, no
@@ -44,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockcalc import AuditLog, next_power_of_two
+from .blockcalc import AuditLog, next_power_of_two, recording
 from .chebyshev import SeparableObjective, load_scalar_function
 from .descent import (
     EPS_RANGES,
@@ -58,6 +64,7 @@ from .descent import (
     resource_predict,
     run_generic,
     run_separable,
+    start_vector,
     step_size,
 )
 from .errors import (
@@ -152,12 +159,11 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
 
 
 def _resolve_x0(cfg: ExperimentConfig) -> np.ndarray:
-    if cfg.x0_spec == UNIFORM_SENTINEL:
-        # Feasibility is checked here, before any pipeline work.
-        return initial_state_uniform(
-            cfg.eta, cfg.objective.grad_bound, cfg.steps, cfg.objective.n
-        )
-    return np.asarray(cfg.x0_spec, dtype=float)
+    """The start vector, with the checks a run makes before its first step."""
+    x0 = cfg.x0_spec
+    if x0 == UNIFORM_SENTINEL:
+        x0 = initial_state_uniform(cfg.eta, cfg.objective.grad_bound, cfg.steps, cfg.objective.n)
+    return start_vector(x0, cfg.objective.n)
 
 
 def _json_text(payload) -> str:
@@ -236,10 +242,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, fmt: str, audit_on: boo
     out_dir.mkdir(parents=True, exist_ok=True)
     audit = AuditLog() if audit_on else None
     descent_cfg = DescentConfig(steps=cfg.steps, eps=cfg.eps, mode=cfg.mode, eta=cfg.eta)
-    if cfg.mode == GENERIC:
-        trace = run_generic(cfg.objective, x0, descent_cfg, audit=audit)
-    else:
-        trace = run_separable(cfg.objective, x0, descent_cfg, audit=audit)
+    with recording(audit):
+        if cfg.mode == GENERIC:
+            trace = run_generic(cfg.objective, x0, descent_cfg)
+        else:
+            trace = run_separable(cfg.objective, x0, descent_cfg)
     oracle_trace = classical_gd(cfg.objective, x0, cfg.eta, cfg.steps)
     report = _build_report(cfg, trace, oracle_trace)
     if fmt in ("json", "both"):

@@ -22,6 +22,13 @@ privilege); the measurement-style read-out still reports the terminal
 post-selection probability.  Containment is enforced at run time: every
 step's amplification requires the next iterate's infinity norm to stay
 strictly below 1/2, so a bad schedule raises rather than silently clipping.
+Every amplification uses the one margin AMP_MARGIN = 1/2 (the delta of
+blockcalc.amplify): the boosted corner norm must stay below 1/2, which is
+the containment requirement itself, and no caller or option changes it.
+
+Nothing here takes an audit log: each blockcalc primitive records itself
+into the log of the enclosing ``blockcalc.recording(log)`` block, so a
+caller that wants the per-operation record wraps the run in that block.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import blockcalc as bc
-from .blockcalc import AuditLog, BlockEncoding
+from .blockcalc import BlockEncoding
 from .chebyshev import (
     DEGREE_CAP,
     MAX_EPS,
@@ -63,6 +70,9 @@ from .polyfunc import (
 
 GENERIC = "generic"
 SEPARABLE = "separable"
+# The margin delta of every amplification: the boosted corner norm must stay
+# below 1 - AMP_MARGIN, and the repetition count grows as 1/AMP_MARGIN.
+AMP_MARGIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -78,7 +88,6 @@ class DescentConfig:
     eps: float
     mode: str
     eta: float | None = None
-    delta_amp: float = 0.5
 
     def __post_init__(self):
         if self.steps < 0:
@@ -87,8 +96,6 @@ class DescentConfig:
             raise InvalidConfig(f"eps must lie in (0, 1), got {self.eps}")
         if self.mode not in (GENERIC, SEPARABLE):
             raise InvalidConfig(f"mode must be '{GENERIC}' or '{SEPARABLE}', got {self.mode!r}")
-        if not (0.0 < self.delta_amp <= 0.5):
-            raise InvalidConfig(f"delta_amp must lie in (0, 1/2], got {self.delta_amp}")
 
 
 @dataclass(frozen=True)
@@ -243,13 +250,21 @@ def initial_state_uniform(eta: float, grad_bound: float, steps: int, n: int) -> 
     return np.full(n, amplitude)
 
 
-def _apply_scalar_factor(
-    enc: BlockEncoding,
-    factor: float,
-    eps: float,
-    delta: float,
-    audit: AuditLog | None,
-) -> BlockEncoding:
+def start_vector(x0, n: int) -> np.ndarray:
+    """x0 as a float vector, checked as every run checks its start.
+
+    Raises InvalidConfig unless x0 has n coordinates and DomainViolation
+    unless it lies in the box [-1/2, 1/2]^n.
+    """
+    vec = np.asarray(x0, dtype=float).ravel()
+    if vec.size != n:
+        raise InvalidConfig(f"x0 has {vec.size} coordinates, expected n={n}")
+    if first_outside_box(vec) is not None:
+        raise DomainViolation("x0 lies outside [-1/2, 1/2]^n")
+    return vec
+
+
+def _apply_scalar_factor(enc: BlockEncoding, factor: float, eps: float) -> BlockEncoding:
     """Multiply a corner by a real scalar via scale-down / amplification.
 
     |factor| < 1 is a plain down-scale, |factor| > 1 an amplification
@@ -267,23 +282,16 @@ def _apply_scalar_factor(
             f"{magnitude * enc.norm}; renormalize the gradient bound"
         )
     if magnitude > 1.0:
-        enc = bc.amplify(enc, magnitude, delta, eps, audit=audit)
+        enc = bc.amplify(enc, magnitude, AMP_MARGIN, eps)
     elif magnitude < 1.0:
-        enc = bc.scale_down(enc, 1.0 / magnitude, audit=audit)
+        enc = bc.scale_down(enc, 1.0 / magnitude)
     if factor < 0.0:
-        enc = bc.lcu([enc], [-1], audit=audit)
+        enc = bc.lcu([enc], [-1])
     return enc
 
 
 def build_partial_be(
-    iterate: BlockEncoding,
-    objective: ObjectiveFunction,
-    term_index: int,
-    var: int,
-    *,
-    eps: float,
-    delta: float = 0.5,
-    audit: AuditLog | None = None,
+    iterate: BlockEncoding, objective: ObjectiveFunction, term_index: int, var: int, *, eps: float
 ) -> BlockEncoding:
     """Encoding of (a_i * e_iv / M) * monomial-derivative at diagonal slot var.
 
@@ -302,29 +310,24 @@ def build_partial_be(
         exponent = term.exponents[m] - (1 if m == var else 0)
         if exponent == 0:
             continue
-        base = bc.entry_project(iterate, m, var, audit=audit)
+        base = bc.entry_project(iterate, m, var)
         acc = base
         for _ in range(exponent - 1):
-            acc = bc.product(acc, base, audit=audit)
+            acc = bc.product(acc, base)
         factors.append(acc)
     if factors:
         enc = factors[0]
         for extra in factors[1:]:
-            enc = bc.product(enc, extra, audit=audit)
+            enc = bc.product(enc, extra)
     else:
         # Monomial is x_var itself: the derivative factor is the bare projector.
-        enc = bc.projector_encode(iterate.dim, var, audit=audit)
+        enc = bc.projector_encode(iterate.dim, var)
     factor = term.coeff * term.exponents[var] / objective.grad_bound
-    return _apply_scalar_factor(enc, factor, eps, delta, audit)
+    return _apply_scalar_factor(enc, factor, eps)
 
 
 def build_gradient_be(
-    iterate: BlockEncoding,
-    objective: ObjectiveFunction,
-    *,
-    eps: float,
-    delta: float = 0.5,
-    audit: AuditLog | None = None,
+    iterate: BlockEncoding, objective: ObjectiveFunction, *, eps: float
 ) -> BlockEncoding:
     """Encoding of (1/(2*M*K)) * diag(grad f) at the current iterate.
 
@@ -336,39 +339,31 @@ def build_gradient_be(
     """
     contributing = [i for i, t in enumerate(objective.terms) if t.support]
     if not contributing:
-        return bc.diag_encode(np.zeros(iterate.dim), audit=audit)
+        return bc.diag_encode(np.zeros(iterate.dim))
     per_term = []
     for i in contributing:
         support = objective.terms[i].support
-        partials = [
-            build_partial_be(iterate, objective, i, p, eps=eps, delta=delta, audit=audit)
-            for p in support
-        ]
-        combined = bc.lcu(partials, [1] * len(partials), audit=audit)
+        partials = [build_partial_be(iterate, objective, i, p, eps=eps) for p in support]
+        combined = bc.lcu(partials, [1] * len(partials))
         v = len(support)
         if v > 2:
-            combined = bc.amplify(combined, v / 2.0, delta, eps, audit=audit)
+            combined = bc.amplify(combined, v / 2.0, AMP_MARGIN, eps)
         elif v == 1:
-            combined = bc.scale_down(combined, 2.0, audit=audit)
+            combined = bc.scale_down(combined, 2.0)
         per_term.append(combined)
-    return bc.lcu(per_term, [1] * len(per_term), audit=audit)
+    return bc.lcu(per_term, [1] * len(per_term))
 
 
 def gd_step_generic(
-    iterate: BlockEncoding,
-    gradient: BlockEncoding,
-    *,
-    eps: float,
-    delta: float = 0.5,
-    audit: AuditLog | None = None,
+    iterate: BlockEncoding, gradient: BlockEncoding, *, eps: float
 ) -> BlockEncoding:
     """One update: signed average of iterate and gradient, then remove the 1/2.
 
     The amplification precondition is exactly the containment requirement
     max_i |x_{i,t+1}| < 1/2; its failure signals an invalid schedule.
     """
-    halved = bc.lcu([iterate, gradient], [1, -1], audit=audit)
-    return bc.amplify(halved, 2.0, delta, eps, audit=audit)
+    halved = bc.lcu([iterate, gradient], [1, -1])
+    return bc.amplify(halved, 2.0, AMP_MARGIN, eps)
 
 
 def _qsvt_divisor(poly: ChebyshevPoly, grad_bound: float) -> float:
@@ -377,14 +372,7 @@ def _qsvt_divisor(poly: ChebyshevPoly, grad_bound: float) -> float:
 
 
 def gd_step_separable(
-    iterate: BlockEncoding,
-    poly: ChebyshevPoly,
-    grad_bound: float,
-    eta: float,
-    eps: float,
-    *,
-    delta: float = 0.5,
-    audit: AuditLog | None = None,
+    iterate: BlockEncoding, poly: ChebyshevPoly, grad_bound: float, eta: float, eps: float
 ) -> BlockEncoding:
     """One update x <- x - eta * P(x) applied coordinate-wise.
 
@@ -405,12 +393,11 @@ def gd_step_separable(
         iterate,
         lambda xs: np.polynomial.chebyshev.chebval(2.0 * np.asarray(xs, dtype=float), scaled_coeffs),
         poly.degree,
-        audit=audit,
     )
     if p_insert > 1.0 + DOMAIN_TOL:
-        transformed = bc.scale_down(transformed, p_insert, audit=audit)
-    halved = bc.lcu([iterate, transformed], [1, -1], audit=audit)
-    return bc.amplify(halved, 2.0, delta, eps, audit=audit)
+        transformed = bc.scale_down(transformed, p_insert)
+    halved = bc.lcu([iterate, transformed], [1, -1])
+    return bc.amplify(halved, 2.0, AMP_MARGIN, eps)
 
 
 def _snapshot(t: int, enc: BlockEncoding, objective) -> IterationRecord:
@@ -428,18 +415,14 @@ def _snapshot(t: int, enc: BlockEncoding, objective) -> IterationRecord:
     )
 
 
-def _drive(objective, x0, cfg: DescentConfig, eta: float, step, audit, **extra) -> DescentTrace:
+def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> DescentTrace:
     """The one descent loop: encode x0, apply step T times, trace every iterate.
 
     step maps the iterate encoding to the next one; a NormBoundViolated it
     raises is re-raised with the index of the offending step.
     """
-    vec = np.asarray(x0, dtype=float).ravel()
-    if vec.size != objective.n:
-        raise InvalidConfig(f"x0 has {vec.size} coordinates, expected n={objective.n}")
-    if first_outside_box(vec) is not None:
-        raise DomainViolation("x0 lies outside [-1/2, 1/2]^n")
-    enc = bc.diag_encode(vec, audit=audit)
+    vec = start_vector(x0, objective.n)
+    enc = bc.diag_encode(vec)
     records = [_snapshot(0, enc, objective)]
     for t in range(1, cfg.steps + 1):
         try:
@@ -466,13 +449,7 @@ def _drive(objective, x0, cfg: DescentConfig, eta: float, step, audit, **extra) 
     )
 
 
-def run_generic(
-    objective: ObjectiveFunction,
-    x0,
-    cfg: DescentConfig,
-    *,
-    audit: AuditLog | None = None,
-) -> DescentTrace:
+def run_generic(objective: ObjectiveFunction, x0, cfg: DescentConfig) -> DescentTrace:
     """Drive T generic steps from diag-encoded x0 and trace every iterate.
 
     The sufficient containment condition ||x0||_2 <= 1/2 - eta*M*T is
@@ -485,21 +462,13 @@ def run_generic(
     eta = step_size(GENERIC, objective, cfg.eta)
 
     def step(enc: BlockEncoding) -> BlockEncoding:
-        grad = build_gradient_be(
-            enc, objective, eps=cfg.eps, delta=cfg.delta_amp, audit=audit
-        )
-        return gd_step_generic(enc, grad, eps=cfg.eps, delta=cfg.delta_amp, audit=audit)
+        grad = build_gradient_be(enc, objective, eps=cfg.eps)
+        return gd_step_generic(enc, grad, eps=cfg.eps)
 
-    return _drive(objective, x0, cfg, eta, step, audit)
+    return _drive(objective, x0, cfg, eta, step)
 
 
-def run_separable(
-    objective: SeparableObjective,
-    x0,
-    cfg: DescentConfig,
-    *,
-    audit: AuditLog | None = None,
-) -> DescentTrace:
+def run_separable(objective: SeparableObjective, x0, cfg: DescentConfig) -> DescentTrace:
     """Drive T separable steps with a shared derivative polynomial."""
     if cfg.mode != SEPARABLE:
         raise InvalidConfig(
@@ -509,12 +478,10 @@ def run_separable(
     poly = approx_derivative(objective.func, cfg.eps)
 
     def step(enc: BlockEncoding) -> BlockEncoding:
-        return gd_step_separable(
-            enc, poly, objective.grad_bound, eta, cfg.eps, delta=cfg.delta_amp, audit=audit
-        )
+        return gd_step_separable(enc, poly, objective.grad_bound, eta, cfg.eps)
 
     return _drive(
-        objective, x0, cfg, eta, step, audit,
+        objective, x0, cfg, eta, step,
         poly_degree=poly.degree, poly_sup_error=poly.sup_error_bound,
     )
 
@@ -666,7 +633,7 @@ def measure_separable_iteration(n: int, poly_degree: int, eps: float) -> dict:
     return trace.per_iteration_deltas()[0]
 
 
-def resource_predict(params: CostParams, delta_opt: float | None = None) -> dict:
+def resource_predict(params: CostParams) -> dict:
     """Cost report: measured per-iteration counters, envelopes, crossover rows.
 
     The measured block reruns one iteration of a canonical synthetic family
@@ -695,18 +662,10 @@ def resource_predict(params: CostParams, delta_opt: float | None = None) -> dict
                 "classical": env["classical_total"],
             }
         )
-    report = {
+    return {
         "params": {key: getattr(params, field) for key, field in COST_FIELDS.items()},
         "implemented_per_iteration": measured,
         "envelopes": envelope_formulas(params),
         "envelope_note": ENVELOPE_NOTE,
         "crossover": crossover,
     }
-    if delta_opt is not None:
-        if not 0.0 < delta_opt < 1.0:
-            raise InvalidConfig("delta_opt must lie in (0, 1)")
-        report["iterations_to_converge"] = {
-            "convex": math.ceil(1.0 / delta_opt),
-            "strongly_convex": math.ceil(math.log2(1.0 / delta_opt)),
-        }
-    return report

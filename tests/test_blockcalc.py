@@ -142,7 +142,7 @@ class TestProduct:
         assert np.allclose(np.diag(out.corner), [0.1, 0.04])
 
     def test_identity_left_factor(self):
-        eye = bc.identity_encoding(2)
+        eye = BlockEncoding(np.eye(2))
         b = bc.diag_encode([0.3, -0.2])
         out = bc.product(eye, b)
         assert np.allclose(out.corner, b.corner)
@@ -207,7 +207,8 @@ class TestScaleDown:
 
     def test_rotation_angle_recorded(self):
         audit = AuditLog()
-        bc.scale_down(bc.diag_encode([0.4, 0.2]), 2.0, audit=audit)
+        with bc.recording(audit):
+            bc.scale_down(bc.diag_encode([0.4, 0.2]), 2.0)
         record = audit.records[-1]
         assert record["op"] == "scale_down"
         assert record["params"]["theta"] == pytest.approx(2 * math.pi / 3)
@@ -220,7 +221,7 @@ class TestScaleDown:
 
 class TestTensor:
     def test_identity_times_block(self):
-        eye = bc.identity_encoding(2)
+        eye = BlockEncoding(np.eye(2))
         b = bc.diag_encode([0.3, 0.1])
         out = bc.tensor([eye, b])
         assert np.allclose(out.corner, np.kron(np.eye(2), b.corner))
@@ -352,7 +353,7 @@ class TestRealizeDilation:
         assert np.allclose(u, expected)
 
     def test_identity_block(self):
-        u = bc.realize_dilation(bc.identity_encoding(2))
+        u = bc.realize_dilation(BlockEncoding(np.eye(2)))
         expected = np.block(
             [[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), -np.eye(2)]]
         )
@@ -583,7 +584,7 @@ class TestApplyPostselect:
         assert np.linalg.norm(out.state) == pytest.approx(1.0)
 
     def test_identity_keeps_state(self):
-        enc = bc.identity_encoding(4)
+        enc = BlockEncoding(np.eye(4))
         phi = np.zeros(4)
         phi[2] = 1.0
         out = bc.apply_postselect(enc, phi)
@@ -597,7 +598,7 @@ class TestApplyPostselect:
         assert out.state is None
 
     def test_requires_unit_state(self):
-        enc = bc.identity_encoding(2)
+        enc = BlockEncoding(np.eye(2))
         with pytest.raises(NotNormalized):
             bc.apply_postselect(enc, np.array([0.5, 0.5]))
 
@@ -702,8 +703,9 @@ class TestDilationComposition:
 class TestAuditLog:
     def test_records_before_and_after(self):
         audit = AuditLog()
-        x = bc.diag_encode([0.2, 0.1], audit=audit)
-        bc.entry_project(x, 0, 1, audit=audit)
+        with bc.recording(audit):
+            x = bc.diag_encode([0.2, 0.1])
+            bc.entry_project(x, 0, 1)
         assert [r["op"] for r in audit.records] == ["diag_encode", "entry_project"]
         rec = audit.records[1]
         assert rec["in"][0]["id"] == audit.records[0]["out"]["id"]
@@ -713,12 +715,35 @@ class TestAuditLog:
     def test_jsonl_deterministic(self):
         def build():
             audit = AuditLog()
-            x = bc.diag_encode([0.2, 0.1], audit=audit)
-            g = bc.entry_project(x, 0, 0, audit=audit)
-            bc.lcu([x, g], [1, -1], audit=audit)
+            with bc.recording(audit):
+                x = bc.diag_encode([0.2, 0.1])
+                g = bc.entry_project(x, 0, 0)
+                bc.lcu([x, g], [1, -1])
             return audit.to_jsonl()
 
         assert build() == build()
+
+    def test_inner_block_records_to_its_own_log_then_restores_the_outer(self):
+        outer, inner = AuditLog(), AuditLog()
+        with bc.recording(outer):
+            x = bc.diag_encode([0.2, 0.1])
+            with bc.recording(inner):
+                bc.scale_down(x, 2.0)
+            with bc.recording(None):
+                bc.scale_down(x, 3.0)
+            bc.entry_project(x, 0, 1)
+        assert [r["op"] for r in outer.records] == ["diag_encode", "entry_project"]
+        assert [r["op"] for r in inner.records] == ["scale_down"]
+
+    def test_block_left_by_an_exception_leaves_no_log_active(self):
+        audit = AuditLog()
+        with pytest.raises(InvalidScale):
+            with bc.recording(audit):
+                x = bc.diag_encode([0.2, 0.1])
+                bc.scale_down(x, 0.5)
+        assert bc._RECORDER.get() is None
+        bc.diag_encode([0.3])
+        assert [r["op"] for r in audit.records] == ["diag_encode"]
 
 
 class CountingSha1:

@@ -208,6 +208,18 @@ class TestRunCommand:
         names = [line.split(":")[0] for line in lines]
         assert names == ["bad_schema.json", "infeasible.json"]
 
+    def test_sweep_audits_only_the_configs_that_ask(self, tmp_path):
+        # quadratic.json sets "audit": true, separable_sin.json does not.
+        sweep_path = write_config(
+            tmp_path, {"configs": [str(QUADRATIC), str(SEPARABLE)]}, "sweep.json")
+        out = tmp_path / "sweep_out"
+        assert main(["run", "--sweep", str(sweep_path), "--out", str(out)]) == EXIT_OK
+        assert not (out / "separable_sin" / "audit.jsonl").exists()
+        alone = tmp_path / "alone"
+        assert main(["run", "--config", str(QUADRATIC), "--out", str(alone)]) == EXIT_OK
+        audit = (out / "quadratic" / "audit.jsonl").read_bytes()
+        assert audit and audit == (alone / "audit.jsonl").read_bytes()
+
     def test_audit_ids_form_a_closed_graph(self, tmp_path):
         for config in (QUADRATIC, SEPARABLE):
             out = tmp_path / config.stem
@@ -330,6 +342,16 @@ class TestValidateConfig:
     def test_bad_fields_rejected(self, tmp_path, patch):
         path = write_config(tmp_path, {**GENERIC_DOC, **patch})
         assert main(["validate-config", "--config", str(path)]) == EXIT_SCHEMA
+
+    def test_x0_outside_the_box_fails_in_both_commands(self, tmp_path, capsys):
+        doc = {**json.loads(QUADRATIC.read_text()), "x0": [0.7, 0.1]}
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONTRACT
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONTRACT
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: x0 lies outside [-1/2, 1/2]^n"] * 2
 
     def test_separable_requires_eta(self, tmp_path):
         doc = {

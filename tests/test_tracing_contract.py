@@ -66,3 +66,21 @@ def test_traced_runs_record_every_layer(tmp_path, monkeypatch):
     steps = [i for i, name in enumerate(names) if name == "descent.step"]
     assert len(steps) == 6
     assert all("descent.run" in _ancestors(tracer.spans, i) for i in steps)
+
+
+def test_audit_spans_match_audit_log(tmp_path, monkeypatch):
+    """Each audit record passes through AuditLog.record, the name spans.py patches."""
+    spans = _load_spans(monkeypatch)
+    config = Path(__file__).resolve().parents[1] / "configs" / "quadratic.json"
+    out = tmp_path / "out"
+    tracer = spans.Tracer()
+    saved = spans.install(tracer)
+    try:
+        assert cli.main(["run", "--config", str(config), "--out", str(out), "--audit"]) == 0
+    finally:
+        spans.uninstall(saved)
+    records = (out / "audit.jsonl").read_text().splitlines()
+    audit_spans = [span for span in tracer.spans if span[0] == "blockcalc.audit"]
+    assert len(records) > 0
+    assert len(audit_spans) == len(records)
+    assert tracer.counters["blockcalc.audit.records"] == len(records)
