@@ -51,10 +51,13 @@ does.
 Per-call cost: a primitive on slot maps does O(number of slots) Python
 arithmetic; on vectors, a handful of O(N) numpy operations (its arithmetic,
 plus |d| and its max for the norm).  Both add a fixed amount of Python work:
-argument checks and one ResourceCounter for the output's ledger.  A generic
-step's gradient has at most K*v slots, so only the iterate update (one lcu
-and one amplify on vectors) costs O(N); the hot path avoids copies of stored
-data and generic Python passes over the operands.
+argument checks, the counter arithmetic on plain (depth, queries,
+high-water) tuples, and one pass through _encoding, the one sealing path,
+which checks the output and builds the one BlockEncoding.  No primitive
+builds a ResourceCounter: BlockEncoding.resources builds it from the tuple on
+first read.  A generic step's gradient has at most K*v slots, so only the
+iterate update (one lcu and one amplify on vectors) costs O(N); the hot path
+avoids copies of stored data and generic Python passes over the operands.
 
 Recording: within ``with recording(log):`` every primitive that makes an
 encoding appends one record to the AuditLog log, through AuditLog.record;
@@ -124,6 +127,8 @@ def _over(value: complex, p: float) -> complex:
 def _times(x, y):
     """The product of two corners."""
     if type(x) is dict:
+        if x.keys() == y.keys():
+            return {k: value * y[k] for k, value in x.items()}
         return {k: x.get(k, 0j) * y.get(k, 0j) for k in x.keys() | y.keys()}
     return x * y if x.ndim == 1 else x @ y
 
@@ -190,26 +195,6 @@ class ResourceCounter:
         )
 
 
-def _merge_counters(encodings, queries: int, *, parallel: bool = False) -> tuple:
-    """The operands' counters merged once each, plus the operation's own queries.
-
-    Returns (depth, queries, high-water) for _encoding.
-    """
-    depth = high_water = 0
-    for e in encodings:
-        r = e.resources
-        depth = max(depth, r.depth_units) if parallel else depth + r.depth_units
-        queries += r.queries
-        high_water = max(high_water, r.ancilla_high_water)
-    return depth, queries, high_water
-
-
-def _grown(enc, depth: int = 0, queries: int = 0) -> tuple:
-    """(depth, queries, high-water) of one operand's counters plus the operation's cost."""
-    r = enc.resources
-    return r.depth_units + depth, r.queries + queries, r.ancilla_high_water
-
-
 class BlockEncoding:
     """Immutable corner block plus (alpha, ancillas, eps) and counters.
 
@@ -217,7 +202,10 @@ class BlockEncoding:
     given matrix dense.  Primitives store a diagonal corner as a slot map or
     a vector (see the module docstring); ``corner`` then builds the
     read-only N x N matrix on each access.  ``norm`` is the spectral norm,
-    computed once at construction.
+    computed once at construction.  The counters are kept as the plain
+    tuple ``_counts`` = (depth, queries, high-water), which is all that
+    primitives and audit summaries read; ``resources`` builds the public
+    ResourceCounter from it on first read and keeps it.
     """
 
     def __init__(self, corner, alpha: float = 1.0, ancillas: int = 0,
@@ -231,31 +219,9 @@ class BlockEncoding:
             grown = np.zeros((padded, padded), dtype=complex)
             grown[:n, :n] = mat
             mat = grown
-        self._seal(mat, padded, spectral_norm(mat), alpha, ancillas, eps, resources)
-
-    def _seal(self, data, dim, norm, alpha, ancillas, eps, resources):
-        if norm > 1.0 + NORM_TOL:
-            raise NormTooLarge(f"corner spectral norm {norm} exceeds 1")
-        # The chained comparisons are false for NaN as well.
-        alpha = float(alpha)
-        if not 1.0 <= alpha < math.inf:
-            raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
-        eps = float(eps)
-        if not 0.0 <= eps < math.inf:
-            raise ValueError(f"eps must be finite and >= 0, got {eps}")
-        if ancillas < 0:
-            raise ValueError("ancillas must be non-negative")
-        ancillas = int(ancillas)
-        if ancillas > resources.ancilla_high_water:
-            resources = ResourceCounter(resources.depth_units, resources.queries, ancillas)
-        if type(data) is not dict:
-            data.setflags(write=False)
-            if data.ndim == 1:
-                self.__dict__["_vec"] = data
-        self.__dict__.update(
-            _data=data, dim=dim, norm=norm, alpha=alpha, eps=eps, ancillas=ancillas,
-            resources=resources,
-        )
+        sealed = _encoding(mat, padded, alpha, ancillas, eps, resources.depth_units,
+                           resources.queries, resources.ancilla_high_water)
+        self.__dict__.update(sealed.__dict__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"BlockEncoding is immutable; cannot set {name!r}")
@@ -293,41 +259,69 @@ class BlockEncoding:
     def _id(self) -> str:
         return _digest(self._data if self._dense else self._vec)
 
+    @cached_property
+    def resources(self) -> ResourceCounter:
+        """The counters as a ResourceCounter, built on first read."""
+        return ResourceCounter(*self._counts)
+
     def summary(self) -> dict:
+        depth, queries, high_water = self._counts
         return {
             "id": self._id,
             "alpha": self.alpha,
             "eps": self.eps,
             "ancillas": self.ancillas,
-            "depth_units": self.resources.depth_units,
-            "queries": self.resources.queries,
-            "ancilla_high_water": self.resources.ancilla_high_water,
+            "depth_units": depth,
+            "queries": queries,
+            "ancilla_high_water": high_water,
         }
 
 
-def _encoding(data, dim: int, alpha: float = 1.0, ancillas: int = 0,
-              eps: float = 0.0, counts: tuple = (0, 0, 0)):
-    """Wrap a primitive's output, stored in the form data has.
+def _encoding(data, dim: int, alpha: float, ancillas: int, eps: float,
+              depth: int, queries: int, high_water: int) -> BlockEncoding:
+    """Seal a corner, stored in the form data has, into a BlockEncoding.
 
-    counts is (depth, queries, high-water) before the output's own ancillas
-    raise the high-water mark; the one ResourceCounter is built here.
+    Every encoding is built here, the constructor's included: the norm
+    (max |value| of a diagonal, the spectral norm of a dense matrix), the
+    checks on norm, alpha, eps and ancillas, and the counters
+    (depth, queries, high-water), whose high-water mark the output's own
+    ancillas raise.
     """
-    depth, queries, high_water = counts
-    resources = ResourceCounter(depth, queries, max(high_water, ancillas))
     if type(data) is dict:
         norm = 0.0
         for value in data.values():
-            if abs(value) > norm:
-                norm = abs(value)
-    elif data.ndim == 2:
-        return BlockEncoding(data, alpha, ancillas, eps, resources)
-    else:
+            mag = abs(value)
+            if mag > norm:
+                norm = mag
+    elif data.ndim == 1:
         # Indexing at argmax gives max |d_i| without the ufunc-reduce set-up
         # that dominates .max() on vectors of a few hundred entries.
         mags = np.abs(data)
         norm = float(mags[mags.argmax()])
+    else:
+        norm = spectral_norm(data)
+    if norm > 1.0 + NORM_TOL:
+        raise NormTooLarge(f"corner spectral norm {norm} exceeds 1")
+    # The chained comparisons are false for NaN as well.
+    alpha = float(alpha)
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
+    eps = float(eps)
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    if ancillas < 0:
+        raise ValueError("ancillas must be non-negative")
+    ancillas = int(ancillas)
     enc = BlockEncoding.__new__(BlockEncoding)
-    enc._seal(data, dim, norm, alpha, ancillas, eps, resources)
+    fields = enc.__dict__
+    if type(data) is not dict:
+        data.setflags(write=False)
+        if data.ndim == 1:
+            fields["_vec"] = data
+    fields.update(
+        _data=data, dim=dim, norm=norm, alpha=alpha, eps=eps, ancillas=ancillas,
+        _counts=(depth, queries, high_water if high_water > ancillas else ancillas),
+    )
     return enc
 
 
@@ -433,14 +427,7 @@ def diag_encode(psi, alpha: float = 1.0) -> BlockEncoding:
     padded = np.zeros(dim, dtype=complex)
     padded[: len(vec)] = vec
     log_n = int(math.log2(dim))
-    enc = _encoding(
-        padded,
-        dim,
-        alpha=float(alpha),
-        ancillas=log_n + 3,
-        eps=0.0,
-        counts=(log_n, 0, log_n + 3),
-    )
+    enc = _encoding(padded, dim, float(alpha), log_n + 3, 0.0, log_n, 0, log_n + 3)
     return _log("diag_encode", [], enc, dim=dim, alpha=float(alpha))
 
 
@@ -450,14 +437,7 @@ def projector_encode(dim: int, k: int) -> BlockEncoding:
     if not 0 <= k < dim:
         raise IndexOutOfRange(f"index {k} not in [0, {dim})")
     log_n = int(math.log2(dim))
-    enc = _encoding(
-        {k: complex(1.0, 0.0)},
-        dim,
-        alpha=1.0,
-        ancillas=log_n,
-        eps=0.0,
-        counts=(1, 0, log_n),
-    )
+    enc = _encoding({k: complex(1.0, 0.0)}, dim, 1.0, log_n, 0.0, 1, 0, log_n)
     return _log("projector_encode", [], enc, dim=dim, k=k)
 
 
@@ -482,13 +462,10 @@ def entry_project(enc: BlockEncoding, j: int, k: int) -> BlockEncoding:
     # Slot arithmetic matches numpy's rounding for real values only.
     slots = {k: value}
     log_n = int(math.log2(dim))
+    depth, queries, high_water = enc._counts
     out = _encoding(
-        slots if value.imag == 0.0 else _vector(slots, dim),
-        dim,
-        alpha=enc.alpha,
-        ancillas=enc.ancillas + log_n + 3,
-        eps=enc.eps,
-        counts=_grown(enc, depth=log_n, queries=2),
+        slots if value.imag == 0.0 else _vector(slots, dim), dim, enc.alpha,
+        enc.ancillas + log_n + 3, enc.eps, depth + log_n, queries + 2, high_water,
     )
     return _log("entry_project", [enc], out, j=j, k=k)
 
@@ -497,13 +474,12 @@ def product(a: BlockEncoding, b: BlockEncoding) -> BlockEncoding:
     """Encoding of the operator product, one use of each input."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    depth_a, queries_a, high_a = a._counts
+    depth_b, queries_b, high_b = b._counts
     out = _encoding(
-        _times(*_operands([a, b])),
-        a.dim,
-        alpha=a.alpha * b.alpha,
-        ancillas=a.ancillas + b.ancillas,
-        eps=a.alpha * b.eps + b.alpha * a.eps,
-        counts=_merge_counters([a, b], 2),
+        _times(*_operands([a, b])), a.dim, a.alpha * b.alpha, a.ancillas + b.ancillas,
+        a.alpha * b.eps + b.alpha * a.eps, depth_a + depth_b, 2 + queries_a + queries_b,
+        high_a if high_a > high_b else high_b,
     )
     return _log("product", [a, b], out)
 
@@ -523,6 +499,9 @@ def lcu(encodings, signs) -> BlockEncoding:
         raise ValueError("signs and encodings must have equal length")
     dim = encs[0].dim
     alpha = encs[0].alpha
+    m = len(encs)
+    ancillas = eps = depth = high_water = 0
+    queries = m
     for e, s in zip(encs, signs):
         if s != 1 and s != -1:
             raise ValueError(f"signs must be +/-1, got {signs}")
@@ -530,14 +509,17 @@ def lcu(encodings, signs) -> BlockEncoding:
             raise DimensionMismatch("lcu inputs must share one dimension")
         if e.alpha != alpha:
             raise MixedAlpha("lcu inputs must share one alpha; rescale first")
-    m = len(encs)
+        ancillas += e.ancillas
+        eps += e.eps
+        d, q, h = e._counts
+        depth += d
+        queries += q
+        if h > high_water:
+            high_water = h
+    # (m - 1).bit_length() is ceil(log2(m)) for m >= 1.
     out = _encoding(
-        _signed_mean(_operands(encs), signs),
-        dim,
-        alpha=alpha,
-        ancillas=sum(e.ancillas for e in encs) + math.ceil(math.log2(m)),
-        eps=sum(e.eps for e in encs) / m,
-        counts=_merge_counters(encs, m),
+        _signed_mean(_operands(encs), signs), dim, alpha, ancillas + (m - 1).bit_length(),
+        eps / m, depth, queries, high_water,
     )
     return _log("lcu", encs, out, m=m, signs=signs)
 
@@ -548,13 +530,10 @@ def scale_down(enc: BlockEncoding, p: float) -> BlockEncoding:
     if p <= 1.0:
         raise InvalidScale(f"scale factor must exceed 1, got {p}")
     theta = 2.0 * math.acos(1.0 / p)
+    depth, queries, high_water = enc._counts
     out = _encoding(
-        _shrunk(enc._data, p),
-        enc.dim,
-        alpha=enc.alpha,
-        ancillas=enc.ancillas + 1,
-        eps=enc.eps / p,
-        counts=_grown(enc, depth=1),
+        _shrunk(enc._data, p), enc.dim, enc.alpha, enc.ancillas + 1, enc.eps / p,
+        depth + 1, queries, high_water,
     )
     return _log("scale_down", [enc], out, p=p, theta=theta)
 
@@ -568,17 +547,17 @@ def tensor(encodings) -> BlockEncoding:
     combined = reduce(np.kron, _operands(encs, slots=False))
     alpha = 1.0
     eps = 0.0
+    ancillas = depth = high_water = 0
+    queries = len(encs)
     for e in encs:
         eps = alpha * e.eps + e.alpha * eps
         alpha *= e.alpha
-    out = _encoding(
-        combined,
-        combined.shape[0],
-        alpha=alpha,
-        ancillas=sum(e.ancillas for e in encs),
-        eps=eps,
-        counts=_merge_counters(encs, len(encs), parallel=True),
-    )
+        ancillas += e.ancillas
+        d, q, h = e._counts
+        depth = max(depth, d)
+        queries += q
+        high_water = max(high_water, h)
+    out = _encoding(combined, combined.shape[0], alpha, ancillas, eps, depth, queries, high_water)
     return _log("tensor", encs, out, m=len(encs))
 
 
@@ -613,13 +592,10 @@ def amplify(enc: BlockEncoding, gamma: float, delta: float, eps_target: float) -
             f"amplifying by {gamma} to accuracy {eps_target} takes {reps} repetitions"
         )
     m = math.ceil(reps)
+    depth, queries, high_water = enc._counts
     out = _encoding(
-        _scaled(enc._data, gamma),
-        enc.dim,
-        alpha=enc.alpha,
-        ancillas=enc.ancillas + 1,
-        eps=gamma * enc.eps + eps_target * boosted_norm,
-        counts=_grown(enc, depth=m, queries=m),
+        _scaled(enc._data, gamma), enc.dim, enc.alpha, enc.ancillas + 1,
+        gamma * enc.eps + eps_target * boosted_norm, depth + m, queries + m, high_water,
     )
     return _log("amplify", [enc], out, gamma=gamma, delta=delta, eps_target=eps_target, m=m)
 
@@ -660,13 +636,10 @@ def qsvt_transform(enc: BlockEncoding, poly, degree: int | None = None) -> Block
     else:
         eigvals, eigvecs = np.linalg.eigh(enc.corner)
         transformed = (eigvecs * np.asarray(poly(eigvals), dtype=complex)) @ eigvecs.conj().T
+    depth, queries, high_water = enc._counts
     out = _encoding(
-        transformed,
-        enc.dim,
-        alpha=1.0,
-        ancillas=enc.ancillas + 2,
-        eps=4.0 * d * math.sqrt(enc.eps / enc.alpha),
-        counts=_grown(enc, depth=d, queries=d),
+        transformed, enc.dim, 1.0, enc.ancillas + 2, 4.0 * d * math.sqrt(enc.eps / enc.alpha),
+        depth + d, queries + d, high_water,
     )
     return _log("qsvt_transform", [enc], out, degree=d, sup=sup)
 

@@ -34,7 +34,7 @@ caller that wants the per-operation record wraps the run in that block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -117,6 +117,9 @@ class IterationRecord:
 class DescentTrace:
     """Per-iteration records plus terminal post-selection probability.
 
+    ``rows`` holds the T + 1 iterates as one read-only (T + 1) x n float
+    array, the values that each record's ``x`` tuple was built from;
+    iterates() and final_iterate() return fresh copies of it.
     ``schedule_bound_ok`` records whether ||x0||_2 <= 1/2 - eta*M*T held (the
     sufficient containment condition); runs with explicit initial vectors may
     proceed without it, relying on the runtime norm guards instead.
@@ -134,14 +137,15 @@ class DescentTrace:
     probability: float
     schedule_bound_ok: bool
     norm_safety_ok: bool
+    rows: np.ndarray = field(repr=False, compare=False)
     poly_degree: int | None = None
     poly_sup_error: float | None = None
 
     def iterates(self) -> np.ndarray:
-        return np.asarray([r.x for r in self.records], dtype=float)
+        return self.rows.copy()
 
     def final_iterate(self) -> np.ndarray:
-        return np.asarray(self.records[-1].x, dtype=float)
+        return self.rows[-1].copy()
 
     def per_iteration_deltas(self) -> list[dict]:
         out = []
@@ -400,8 +404,9 @@ def gd_step_separable(
     return bc.amplify(halved, 2.0, AMP_MARGIN, eps)
 
 
-def _snapshot(t: int, enc: BlockEncoding, objective) -> IterationRecord:
-    x = np.real(enc.diagonal()[: objective.n])
+def _snapshot(t: int, enc: BlockEncoding, objective, x: np.ndarray) -> IterationRecord:
+    """Trace row t of iterate enc; its coordinates are written into the row x."""
+    x[:] = np.real(enc.diagonal()[: objective.n])
     return IterationRecord(
         t=t,
         x=tuple(x.tolist()),
@@ -423,7 +428,8 @@ def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> Desc
     """
     vec = start_vector(x0, objective.n)
     enc = bc.diag_encode(vec)
-    records = [_snapshot(0, enc, objective)]
+    rows = np.empty((cfg.steps + 1, objective.n))
+    records = [_snapshot(0, enc, objective, rows[0])]
     for t in range(1, cfg.steps + 1):
         try:
             enc = step(enc)
@@ -431,7 +437,8 @@ def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> Desc
             raise NormBoundViolated(
                 f"step {t}: {exc}; the initial vector violates the containment schedule"
             ) from exc
-        records.append(_snapshot(t, enc, objective))
+        records.append(_snapshot(t, enc, objective, rows[t]))
+    rows.setflags(write=False)
     uniform = np.full(enc.dim, 1.0 / math.sqrt(enc.dim))
     radius = HALF - eta * objective.grad_bound * cfg.steps
     return DescentTrace(
@@ -444,7 +451,8 @@ def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> Desc
         records=records,
         probability=bc.apply_postselect(enc, uniform).prob,
         schedule_bound_ok=bool(float(np.linalg.norm(vec)) <= radius + DOMAIN_TOL),
-        norm_safety_ok=first_outside_box([r.x for r in records]) is None,
+        norm_safety_ok=first_outside_box(rows) is None,
+        rows=rows,
         **extra,
     )
 

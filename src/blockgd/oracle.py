@@ -9,7 +9,7 @@ for monomial-sum and coordinate-separable objectives: anything exposing
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,14 +19,20 @@ from .polyfunc import check_point, first_outside_box
 
 @dataclass(frozen=True)
 class OracleTrace:
-    """Iterates plus objective values and gradient norms, length T + 1."""
+    """Iterates plus objective values and gradient norms, length T + 1.
+
+    ``rows`` holds the iterates as one read-only (T + 1) x n float array, the
+    values the ``iterates`` tuples were built from; as_array() returns a
+    fresh copy of it.
+    """
 
     iterates: tuple[tuple[float, ...], ...]
     values: tuple[float, ...]
     grad_norms: tuple[float, ...]
+    rows: np.ndarray = field(repr=False, compare=False)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.iterates, dtype=float)
+        return self.rows.copy()
 
 
 def classical_gd(objective, x0, eta: float, steps: int) -> OracleTrace:
@@ -39,29 +45,33 @@ def classical_gd(objective, x0, eta: float, steps: int) -> OracleTrace:
     if steps < 0:
         raise ValueError("steps must be non-negative")
     x = check_point(x0, objective.n)
+    rows = np.empty((steps + 1, x.size))
+    rows[0] = x
     iterates = [tuple(x.tolist())]
     values = [float(objective.evaluate(x))]
     grads = [np.asarray(objective.gradient(x), dtype=float)]
     for t in range(steps):
         x = x - eta * grads[-1]
         if first_outside_box(x) is not None:
-            partial = OracleTrace(
-                iterates=tuple(iterates),
-                values=tuple(values),
-                grad_norms=tuple(float(np.linalg.norm(g)) for g in grads),
-            )
             raise DomainExit(
                 f"iterate left [-1/2, 1/2]^n at step {t + 1}",
                 step=t + 1,
-                trace=partial,
+                trace=_trace(rows[: t + 1], iterates, values, grads),
             )
+        rows[t + 1] = x
         iterates.append(tuple(x.tolist()))
         values.append(float(objective.evaluate(x)))
         grads.append(np.asarray(objective.gradient(x), dtype=float))
+    return _trace(rows, iterates, values, grads)
+
+
+def _trace(rows: np.ndarray, iterates: list, values: list, grads: list) -> OracleTrace:
+    rows.setflags(write=False)
     return OracleTrace(
         iterates=tuple(iterates),
         values=tuple(values),
         grad_norms=tuple(float(np.linalg.norm(g)) for g in grads),
+        rows=rows,
     )
 
 

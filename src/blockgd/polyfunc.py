@@ -76,13 +76,22 @@ class MonomialTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "coeff", float(self.coeff))
-        exps = tuple(int(e) for e in self.exponents)
-        if any(e < 0 for e in exps):
-            raise ValueError(f"exponents must be non-negative, got {exps}")
-        object.__setattr__(self, "exponents", exps)
+        # One pass coerces, checks and collects the support: at n = 2**20 a
+        # term's exponent tuple is a million entries long.
+        exps = []
+        support = []
+        for m, e in enumerate(self.exponents):
+            e = int(e)
+            if e < 0:
+                given = tuple(int(e) for e in self.exponents)
+                raise ValueError(f"exponents must be non-negative, got {given}")
+            if e:
+                support.append(m)
+            exps.append(e)
+        object.__setattr__(self, "exponents", tuple(exps))
         # Sorted indices of variables that actually appear.  Stored outside
         # the dataclass fields, so eq, hash and repr see coeff and exponents only.
-        object.__setattr__(self, "support", tuple(m for m, e in enumerate(exps) if e > 0))
+        object.__setattr__(self, "support", tuple(support))
 
     @property
     def degree(self) -> int:
@@ -143,16 +152,19 @@ class ObjectiveFunction:
 
     def __post_init__(self):
         init_size_and_bound(self)
-        merged: dict[tuple[int, ...], float] = {}
+        # exponents -> (summed coeff, the term itself while no merge changed it)
+        merged: dict[tuple[int, ...], tuple] = {}
         for term in self.terms:
             t = term if isinstance(term, MonomialTerm) else MonomialTerm(*term)
             if len(t.exponents) != self.n:
                 raise ValueError(
                     f"term exponents have length {len(t.exponents)}, expected n={self.n}"
                 )
-            merged[t.exponents] = merged.get(t.exponents, 0.0) + t.coeff
+            seen = merged.get(t.exponents)
+            merged[t.exponents] = (t.coeff, t) if seen is None else (seen[0] + t.coeff, None)
         canonical = tuple(
-            MonomialTerm(c, e) for e, c in sorted(merged.items()) if c != 0.0
+            MonomialTerm(c, e) if t is None else t
+            for e, (c, t) in sorted(merged.items()) if c != 0.0
         )
         object.__setattr__(self, "terms", canonical)
 

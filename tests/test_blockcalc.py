@@ -78,6 +78,25 @@ class TestBlockEncodingType:
         with pytest.raises(ValueError):
             BlockEncoding(np.diag([0.5, 0.5]), alpha=0.5)
 
+    @pytest.mark.parametrize("corner, kwargs, error", [
+        (np.diag([1.2, 0.0]), {}, NormTooLarge),
+        (np.diag([0.5, 0.5]), {"alpha": math.nan}, ValueError),
+        (np.diag([0.5, 0.5]), {"alpha": math.inf}, ValueError),
+        (np.diag([0.5, 0.5]), {"eps": math.nan}, ValueError),
+        (np.diag([0.5, 0.5]), {"eps": math.inf}, ValueError),
+        (np.diag([0.5, 0.5]), {"eps": -1e-9}, ValueError),
+        (np.diag([0.5, 0.5]), {"ancillas": -1}, ValueError),
+    ], ids=["norm", "alpha-nan", "alpha-inf", "eps-nan", "eps-inf", "eps-negative",
+            "ancillas-negative"])
+    def test_sealing_checks(self, corner, kwargs, error):
+        with pytest.raises(error):
+            BlockEncoding(corner, **kwargs)
+        # The primitives seal through the same checks; alpha is the one of
+        # them a caller's argument reaches.
+        if "alpha" in kwargs:
+            with pytest.raises(error, match="alpha"):
+                bc.diag_encode([0.5, 0.5], alpha=kwargs["alpha"])
+
 
 class TestDiagEncode:
     def test_basis_state(self):

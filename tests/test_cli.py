@@ -589,7 +589,7 @@ def _sha256_of_files(out: Path) -> dict:
 
 
 class TestGoldenArtifacts:
-    """SHA-256 of every artifact of four commands (Python 3.11, numpy 2.4).
+    """SHA-256 of every artifact of five commands (Python 3.11, numpy 2.4).
 
     A changed digest means a changed output byte; update it only on purpose.
     """
@@ -637,6 +637,32 @@ class TestGoldenArtifacts:
             "report.json": "290d32770ce9e7e1c4cc5fc0d365e38cee55578289829b43daf2cbb905a67978",
             "trace.csv": "4c7aaca46a58040a1cc0d969b6c3125bfe6a36877d728421e070727d51e61c7b",
             "trace.json": "2390503ec555df4e473442d1d15f094de2efef89c79be7550704805898529a7a",
+        }
+
+    def test_generic_audit_run_padded_with_linear_and_pair_terms(self, tmp_path):
+        # n=5 pads to 8; the linear term takes the projector_encode path and
+        # its factor 0.3/M = 0.6 a scale_down; the two v=1 terms take the
+        # scale_down by 2 of their average, and the v=2 term neither
+        # amplifies nor shrinks its average.
+        doc = {
+            "mode": "generic",
+            "objective": {"n": 5, "M": 0.5, "terms": [
+                {"coeff": 0.3, "exponents": [1, 0, 0, 0, 0]},
+                {"coeff": 0.5, "exponents": [0, 2, 1, 0, 0]},
+                {"coeff": -0.2, "exponents": [0, 0, 0, 0, 3]},
+            ]},
+            "x0": [0.11, -0.23, 0.17, 0.05, -0.29],
+            "T": 3,
+            "eps": 1e-06,
+        }
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(path), "--audit", "--out", str(out)]) == EXIT_OK
+        assert _sha256_of_files(out) == {
+            "audit.jsonl": "61be18e1c240fe030ea0717fa2724521d07b9d692ddca68b7bcf251d417fc955",
+            "report.json": "1bf1e1391a75799c6471a81f0cbf0d8c8e576d7cb335cb4722deebb52e425463",
+            "trace.csv": "6f0d11323bcf213d104fc1957da9fd086913c452c631bc3275e92f27a014920a",
+            "trace.json": "3df0bd93cc9fc67e2c3086bac2b010e29a98632fe86775ab5e8072b6ac2afb22",
         }
 
     def test_compare_costs_defaults(self, tmp_path, capsys):

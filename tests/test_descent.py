@@ -411,6 +411,20 @@ class TestTraceShape:
         assert a.to_json_dict() == b.to_json_dict()
         assert a.per_iteration_deltas() == b.per_iteration_deltas()
 
+    def test_iterate_arrays_match_the_tuples_and_are_fresh(self):
+        f = quadratic_bowl()
+        trace = run_generic(f, [0.2, 0.1], DescentConfig(steps=3, eps=1e-6, mode="generic"))
+        oracle = classical_gd(f, [0.2, 0.1], eta_generic(f), 3)
+        arrays = (trace.iterates(), trace.final_iterate(), oracle.as_array())
+        tuples = ([r.x for r in trace.records], trace.records[-1].x, oracle.iterates)
+        for array, rows in zip(arrays, tuples):
+            assert array.dtype == float
+            assert array.tobytes() == np.asarray(rows, dtype=float).tobytes()
+            array[...] = 9.0  # a caller's edit reaches neither trace
+        assert trace.iterates()[0].tolist() == [0.2, 0.1]
+        assert trace.final_iterate().tolist() == list(trace.records[-1].x)
+        assert oracle.as_array()[0].tolist() == [0.2, 0.1]
+
 
 class TestResourcePredict:
     def test_generic_envelope_k_squared_law(self):
@@ -516,6 +530,24 @@ class TestDiagonalFastPath:
         run_generic(objective, np.full(n, 0.05), DescentConfig(steps=steps, eps=1e-6, mode="generic"))
         # One read per trace record (t = 0..T); entry_project reads its one entry in place.
         assert len(calls) == steps + 1
+
+    def test_generic_run_builds_resource_counters_only_in_snapshots(self, monkeypatch):
+        built = []
+        original = bc.ResourceCounter.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args or kwargs)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(bc.ResourceCounter, "__init__", counted)
+        n, steps = 16, 3
+        objective = _canonical_objective(n, 3, 4, 3)
+        trace = run_generic(
+            objective, np.full(n, 0.05), DescentConfig(steps=steps, eps=1e-6, mode="generic"))
+        # Primitives keep their counters as a tuple; only a snapshot's read
+        # of .resources builds the public ResourceCounter.
+        assert len(built) <= steps + 1
+        assert trace.records[-1].queries > 0
 
     def test_gradient_encoding_allocates_no_length_n_vector(self):
         # One length-N complex vector takes 4 MiB at n = 2**18; the gradient's

@@ -148,6 +148,32 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MonomialTerm(1.0, (-1, 0))
 
+    def test_distinct_terms_are_built_once(self, monkeypatch):
+        built = []
+        original = MonomialTerm.__post_init__
+
+        def counted(term):
+            built.append(term.exponents)
+            original(term)
+
+        monkeypatch.setattr(MonomialTerm, "__post_init__", counted)
+        given = tuple(MonomialTerm(0.1 * (k + 1), (k, 1, 0, 2)) for k in range(3))
+        f = ObjectiveFunction(4, 1.0, given)
+        assert len(built) == 3
+        assert all(kept is term for kept, term in zip(f.terms, given))
+        # A merge still builds its term anew, in the canonical order.
+        f = make(2, 1.0, (1.0, (1, 1)), (0.5, (0, 1)), (2.0, (1, 1)))
+        assert [(t.coeff, t.exponents) for t in f.terms] == [(0.5, (0, 1)), (3.0, (1, 1))]
+
+    def test_support_and_coercion(self):
+        term = MonomialTerm(1, np.array([0, 2, 0, 1]))
+        assert term.coeff == 1.0 and type(term.coeff) is float
+        assert term.exponents == (0, 2, 0, 1)
+        assert all(type(e) is int for e in term.exponents)
+        assert term.support == (1, 3)
+        with pytest.raises(ValueError, match=r"got \(0, 2, -1\)"):
+            MonomialTerm(1.0, (0, 2, -1))
+
 
 class TestValidateBounds:
     def test_quadratic_bowl_exact_maxima(self):
