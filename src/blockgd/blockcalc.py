@@ -33,9 +33,10 @@ the primitive that makes it; there is no option.
   * dense: an N x N array, for a matrix passed to the BlockEncoding
     constructor; a primitive with a dense input uses dense arithmetic and
     an SVD for the norm.
-corner, diagonal(), audit ids, apply_postselect, qsvt_transform and tensor
-read a slot map through its read-only length-N vector, built on first read
-and cached.  The three forms of one corner have equal ids.
+corner, diagonal(), apply_postselect, qsvt_transform and tensor read a slot
+map through its read-only length-N vector, built on first read and cached.
+The three forms of one corner have equal ids; a slot map's id is hashed from
+its slots and the zero runs between them, without that vector.
 
 Rounding: slot values are Python complex numbers with a zero imaginary
 part, and each storage operation rounds them exactly as numpy's complex
@@ -58,12 +59,19 @@ builds a ResourceCounter: BlockEncoding.resources builds it from the tuple on
 first read.  A generic step's gradient has at most K*v slots, so only the
 iterate update (one lcu and one amplify on vectors) costs O(N); the hot path
 avoids copies of stored data and generic Python passes over the operands.
+A recorded primitive adds the output's id, a SHA-1 over its 16*N bytes
+(for a slot map, fed from a shared zero buffer and its packed slots, so no
+length-N array is made), plus one summary and one JSON line built from text.
 
 Recording: within ``with recording(log):`` every primitive that makes an
 encoding appends one record to the AuditLog log, through AuditLog.record;
 elsewhere nothing is recorded.  The active log is held in a ContextVar that
 _log alone reads, so neither the primitives nor the descent code that calls
-them takes a log argument.
+them takes a log argument.  Each encoding renders its summary to JSON text
+once, when it is first an output or an input, and later records reuse that
+text; a record's line is joined from those texts as it is appended, so
+AuditLog.to_jsonl only joins lines, while AuditLog.records keeps the same
+records as plain dicts.
 """
 
 from __future__ import annotations
@@ -71,6 +79,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -179,6 +188,34 @@ def _digest(data: np.ndarray) -> str:
     return digest.hexdigest()[:12]
 
 
+# Zero bytes standing for the runs of +0.0 entries of a slot map's vector
+# (a longer run is fed in pieces of this size), and one entry's bytes as a
+# complex128 array holds them: native doubles, real part first.
+_ZERO_RUN = memoryview(bytes(16 * 1024))
+_ENTRY = struct.Struct("dd")
+
+
+def _slot_digest(slots: dict, dim: int) -> str:
+    """_digest of a slot map's vector, hashed from its zero runs and packed slots.
+
+    Adding 0.0 to each part turns -0.0 into +0.0, as _digest does.
+    """
+    digest = hashlib.sha1(b"diag")
+    end = 0
+    for k in sorted(slots) + [dim]:
+        gap = 16 * (k - end)
+        while gap > len(_ZERO_RUN):
+            digest.update(_ZERO_RUN)
+            gap -= len(_ZERO_RUN)
+        digest.update(_ZERO_RUN[:gap])
+        if k < dim:
+            value = slots[k]
+            digest.update(_ENTRY.pack(value.real + 0.0, value.imag + 0.0))
+        end = k + 1
+    digest.update(str((dim, dim)).encode())
+    return digest.hexdigest()[:12]
+
+
 @dataclass(frozen=True)
 class ResourceCounter:
     """Abstract cost ledger; all fields only ever grow under composition."""
@@ -257,6 +294,8 @@ class BlockEncoding:
 
     @cached_property
     def _id(self) -> str:
+        if type(self._data) is dict:
+            return _slot_digest(self._data, self.dim)
         return _digest(self._data if self._dense else self._vec)
 
     @cached_property
@@ -265,8 +304,17 @@ class BlockEncoding:
         return ResourceCounter(*self._counts)
 
     def summary(self) -> dict:
+        return dict(self._audited[0])
+
+    @cached_property
+    def _audited(self) -> tuple[dict, str]:
+        """The summary and its text as json.dumps(summary, sort_keys=True), made once.
+
+        The counters are ints and alpha and eps finite floats, whose repr is
+        what json writes for them.
+        """
         depth, queries, high_water = self._counts
-        return {
+        summary = {
             "id": self._id,
             "alpha": self.alpha,
             "eps": self.eps,
@@ -275,6 +323,11 @@ class BlockEncoding:
             "queries": queries,
             "ancilla_high_water": high_water,
         }
+        return summary, (
+            f'{{"alpha": {self.alpha!r}, "ancilla_high_water": {high_water!r}, '
+            f'"ancillas": {self.ancillas!r}, "depth_units": {depth!r}, '
+            f'"eps": {self.eps!r}, "id": "{summary["id"]}", "queries": {queries!r}}}'
+        )
 
 
 def _encoding(data, dim: int, alpha: float, ancillas: int, eps: float,
@@ -352,6 +405,13 @@ class PostSelection:
     prob: float
 
 
+def _param_json(value) -> str:
+    """json.dumps(value) for an audit parameter; an int's or a finite float's repr is that text."""
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value)
+
+
 class AuditLog:
     """Append-only record of calculus operations, one JSON line each.
 
@@ -360,31 +420,33 @@ class AuditLog:
     Sequence numbers replace timestamps so reruns are byte-identical.
     Depth for single-entry projections is charged as ceil(log2 N) per
     invocation even where a constant-depth projector would do; the counter
-    is intentionally conservative and consistent.
+    is intentionally conservative and consistent.  record appends each
+    record to ``records`` and its JSON line to the lines to_jsonl joins.
     """
 
     def __init__(self):
         self.records: list[dict] = []
+        self._lines: list[str] = []
 
     def record(self, op: str, inputs, output: BlockEncoding, **params):
+        seq = len(self.records)
+        out, out_text = output._audited
+        ins = [e._audited for e in inputs]
         self.records.append(
-            {
-                "seq": len(self.records),
-                "op": op,
-                "params": params,
-                "in": [e.summary() for e in inputs],
-                "out": output.summary(),
-            }
+            {"seq": seq, "op": op, "params": params, "in": [d for d, _ in ins], "out": out}
+        )
+        # The record as json.dumps(record, sort_keys=True) writes it, joined
+        # from texts that each encoding renders once; op and the parameter
+        # names are identifiers, which json writes as they are.
+        ins_text = ", ".join([text for _, text in ins])
+        pars = ", ".join([f'"{k}": {_param_json(params[k])}' for k in sorted(params)])
+        self._lines.append(
+            f'{{"in": [{ins_text}], "op": "{op}", "out": {out_text}, '
+            f'"params": {{{pars}}}, "seq": {seq}}}\n'
         )
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(rec, sort_keys=True) + "\n" for rec in self.records
-        )
-
-    def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
+        return "".join(self._lines)
 
 
 _RECORDER: ContextVar[AuditLog | None] = ContextVar("blockgd_recorder", default=None)

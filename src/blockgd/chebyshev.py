@@ -140,11 +140,17 @@ class SeparableObjective:
         init_size_and_bound(self)
 
     def evaluate(self, x) -> float:
-        vec = check_point(x, self.n)
-        return float(np.sum(self.func.value(vec)))
+        return self._evaluate(check_point(x, self.n))
 
     def gradient(self, x) -> np.ndarray:
-        vec = check_point(x, self.n)
+        return self._gradient(check_point(x, self.n))
+
+    def _evaluate(self, vec: np.ndarray) -> float:
+        """evaluate at a flat float vector already known to lie in the box."""
+        return float(np.sum(self.func.value(vec)))
+
+    def _gradient(self, vec: np.ndarray) -> np.ndarray:
+        """gradient at a flat float vector already known to lie in the box."""
         return np.asarray(self.func.derivative(vec), dtype=float)
 
 

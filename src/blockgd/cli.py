@@ -24,7 +24,11 @@ of that run.
 Flags override config-file fields (flags > file).  Artifacts are
 deterministic: sorted JSON keys, shortest round-trip float formatting, no
 timestamps or absolute paths, so reruns of the same config are
-byte-identical.
+byte-identical.  trace.json and report.json are exactly
+json.dumps(doc, sort_keys=True, indent=2); _json_text writes that text with
+json's C encoder for every container of scalars (the long number lists) and
+joins only the containers above them in Python, and trace.csv joins the
+reprs of each row.
 
 Exit codes
     0  success
@@ -167,7 +171,36 @@ def _resolve_x0(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """json.dumps(payload, sort_keys=True, indent=2) + "\n", byte for byte."""
+    return _indented(payload, "\n") + "\n"
+
+
+def _indented(value, newline: str) -> str:
+    """value as json's indent=2 writes it at the depth newline indents to.
+
+    json drops to its pure-Python encoder whenever indent is set, so a
+    container whose entries are all scalars (a trace row, a counter block) is
+    handed to the C encoder with the item separator the indented form puts
+    between them; only the containers above them are joined here.  Keys are
+    strings, as in every artifact.
+    """
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        return json.dumps(value)
+    if not value:
+        return "{}" if is_dict else "[]"
+    inner = newline + "  "
+    # One pass in C over the entries' types, not an isinstance call per entry.
+    types = set(map(type, value.values() if is_dict else value))
+    if any(issubclass(t, (dict, list, tuple)) for t in types):
+        if is_dict:
+            parts = [json.dumps(k) + ": " + _indented(v, inner) for k, v in sorted(value.items())]
+        else:
+            parts = [_indented(v, inner) for v in value]
+        body = ("," + inner).join(parts)
+    else:
+        body = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))[1:-1]
+    return ("{" if is_dict else "[") + inner + body + newline + ("}" if is_dict else "]")
 
 
 def _build_report(cfg: ExperimentConfig, trace: DescentTrace, oracle_trace) -> dict:

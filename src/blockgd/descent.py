@@ -195,7 +195,7 @@ class DescentTrace:
         header = "t," + ",".join(f"x{i}" for i in range(self.n))
         lines = [header]
         for r in self.records:
-            lines.append(str(r.t) + "," + ",".join(repr(v) for v in r.x))
+            lines.append(str(r.t) + "," + ",".join(map(repr, r.x)))
         return "\n".join(lines) + "\n"
 
 
@@ -405,13 +405,17 @@ def gd_step_separable(
 
 
 def _snapshot(t: int, enc: BlockEncoding, objective, x: np.ndarray) -> IterationRecord:
-    """Trace row t of iterate enc; its coordinates are written into the row x."""
+    """Trace row t of iterate enc; its coordinates are written into the row x.
+
+    The objective is read without a box check: x0 passed start_vector, and
+    every later iterate passed amplify's bound ||x|| < 1/2.
+    """
     x[:] = np.real(enc.diagonal()[: objective.n])
     return IterationRecord(
         t=t,
         x=tuple(x.tolist()),
-        f_value=float(objective.evaluate(x)),
-        gradient=tuple(np.asarray(objective.gradient(x), dtype=float).tolist()),
+        f_value=float(objective._evaluate(x)),
+        gradient=tuple(np.asarray(objective._gradient(x), dtype=float).tolist()),
         eps_budget=enc.eps,
         depth_units=enc.resources.depth_units,
         queries=enc.resources.queries,

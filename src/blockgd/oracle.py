@@ -3,8 +3,9 @@
 classical_gd iterates x <- x - eta * grad f(x) with symbolic gradients
 (exact monomial differentiation or the closed-form scalar derivative);
 finite_diff_grad provides a second, derivative-free cross-check.  Both work
-for monomial-sum and coordinate-separable objectives: anything exposing
-``n``, ``evaluate`` and ``gradient``.
+for monomial-sum and coordinate-separable objectives (ObjectiveFunction,
+SeparableObjective): classical_gd reads their unchecked ``_evaluate`` and
+``_gradient``, finite_diff_grad anything exposing ``evaluate``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ def classical_gd(objective, x0, eta: float, steps: int) -> OracleTrace:
 
     A domain exit is surfaced as DomainExit carrying the partial trace: the
     containment schedule is supposed to prevent it, so an exit flags a
-    configuration bug rather than something to clip away silently.
+    configuration bug rather than something to clip away silently.  Each
+    point is box-checked once, x0 by check_point and every later iterate
+    before its use, so the objective is read through its unchecked path.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -48,8 +51,8 @@ def classical_gd(objective, x0, eta: float, steps: int) -> OracleTrace:
     rows = np.empty((steps + 1, x.size))
     rows[0] = x
     iterates = [tuple(x.tolist())]
-    values = [float(objective.evaluate(x))]
-    grads = [np.asarray(objective.gradient(x), dtype=float)]
+    values = [float(objective._evaluate(x))]
+    grads = [np.asarray(objective._gradient(x), dtype=float)]
     for t in range(steps):
         x = x - eta * grads[-1]
         if first_outside_box(x) is not None:
@@ -60,8 +63,8 @@ def classical_gd(objective, x0, eta: float, steps: int) -> OracleTrace:
             )
         rows[t + 1] = x
         iterates.append(tuple(x.tolist()))
-        values.append(float(objective.evaluate(x)))
-        grads.append(np.asarray(objective.gradient(x), dtype=float))
+        values.append(float(objective._evaluate(x)))
+        grads.append(np.asarray(objective._gradient(x), dtype=float))
     return _trace(rows, iterates, values, grads)
 
 

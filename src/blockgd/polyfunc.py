@@ -174,7 +174,10 @@ class ObjectiveFunction:
 
     def evaluate(self, x) -> float:
         """Value of f at a point of the box; 0**0 counts as 1."""
-        vec = check_point(x, self.n)
+        return self._evaluate(check_point(x, self.n))
+
+    def _evaluate(self, vec: np.ndarray) -> float:
+        """evaluate at a flat float vector already known to lie in the box."""
         total = 0.0
         for term in self.terms:
             prod = term.coeff
@@ -203,7 +206,10 @@ class ObjectiveFunction:
 
     def gradient(self, x) -> np.ndarray:
         """All partial derivatives at a point, as a length-n array."""
-        vec = check_point(x, self.n)
+        return self._gradient(check_point(x, self.n))
+
+    def _gradient(self, vec: np.ndarray) -> np.ndarray:
+        """gradient at a flat float vector already known to lie in the box."""
         grad = np.zeros(self.n)
         for term in self.terms:
             for m in term.support:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from types import SimpleNamespace
 
@@ -754,6 +755,19 @@ class TestAuditLog:
         assert [r["op"] for r in outer.records] == ["diag_encode", "entry_project"]
         assert [r["op"] for r in inner.records] == ["scale_down"]
 
+    def test_jsonl_writes_each_record_as_json_dumps_does(self):
+        audit = AuditLog()
+        with bc.recording(audit):
+            x = bc.diag_encode([0.2, -0.0, 1e-310, 0.1])
+            g = bc.entry_project(x, 0, 3)
+            bc.lcu([g, bc.product(g, g)], [1, -1])
+            bc.amplify(g, 2.0, 0.5, 1e-6)
+            # An infinite parameter is written as json writes it.
+            bc.scale_down(g, math.inf)
+        assert audit.to_jsonl() == "".join(
+            json.dumps(r, sort_keys=True) + "\n" for r in audit.records)
+        assert '"p": Infinity' in audit.to_jsonl()
+
     def test_block_left_by_an_exception_leaves_no_log_active(self):
         audit = AuditLog()
         with pytest.raises(InvalidScale):
@@ -817,3 +831,47 @@ class TestAuditIds:
         monkeypatch.setattr(bc, "hashlib", SimpleNamespace(sha1=CountingSha1))
         assert len(enc.summary()["id"]) == 12
         assert 0 < CountingSha1.fed <= 16 * dim + 64
+
+
+# Magnitudes from zero through subnormals to the unit bound, each with either sign.
+SLOT_MAGNITUDES = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=1e-300),
+    st.floats(min_value=1e-300, max_value=1.0),
+)
+
+
+@st.composite
+def slot_maps(draw):
+    """(dim, slots): a power-of-two dim up to 2**13, slots at 0 and N-1 among others."""
+    dim = 2 ** draw(st.integers(0, 13))
+    keys = {0, dim - 1} | set(draw(st.lists(st.integers(0, dim - 1), max_size=4)))
+    slots = {}
+    for k in sorted(keys):
+        real = draw(SLOT_MAGNITUDES) * draw(st.sampled_from([1.0, -1.0]))
+        slots[k] = complex(real, draw(st.sampled_from([0.0, -0.0])))
+    return dim, slots
+
+
+class TestSlotMapIds:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(slot_maps())
+    def test_id_is_the_digest_of_the_vector(self, drawn):
+        dim, slots = drawn
+        enc = bc._encoding(dict(slots), dim, 1.0, 0, 0.0, 0, 0, 0)
+        assert type(enc._data) is dict
+        ident = enc._id
+        assert "_vec" not in enc.__dict__
+        vec = bc._vector(slots, dim)
+        assert ident == bc._digest(vec)
+        assert ident == bc._encoding(vec, dim, 1.0, 0, 0.0, 0, 0, 0)._id
+        # A dense twin of the largest dims would take up to 1 GiB.
+        if dim <= 64:
+            assert ident == BlockEncoding(np.diag(vec))._id
+
+    def test_zero_runs_longer_than_the_buffer_are_fed_in_pieces(self):
+        dim = 2**13
+        assert 16 * dim > 4 * len(bc._ZERO_RUN)
+        slots = {0: complex(-0.0, -0.0), 5000: complex(1e-310, 0.0), dim - 1: complex(-1.0, 0.0)}
+        enc = bc._encoding(slots, dim, 1.0, 0, 0.0, 0, 0, 0)
+        assert enc._id == bc._digest(bc._vector(slots, dim))

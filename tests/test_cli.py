@@ -1,11 +1,14 @@
 import copy
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockgd.chebyshev import DEGREE_CAP, MAX_EPS
 from blockgd.cli import (
@@ -18,6 +21,7 @@ from blockgd.cli import (
     EXIT_POLY,
     EXIT_SCHEMA,
     _exit_code_for,
+    _json_text,
     main,
     parse_experiment,
 )
@@ -588,8 +592,19 @@ def _sha256_of_files(out: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
+def _wide_generic_doc(n: int, supports, x0) -> dict:
+    """A T=3 generic config with one degree-4 term per support (i, j, k) ~ x_i^2 x_j x_k."""
+    terms = []
+    for coeff, (i, j, k) in zip((0.95, -0.93, 0.97), supports):
+        exponents = [0] * n
+        exponents[i], exponents[j], exponents[k] = 2, 1, 1
+        terms.append({"coeff": coeff, "exponents": exponents})
+    return {"mode": "generic", "objective": {"n": n, "M": 0.8727, "terms": terms},
+            "x0": x0, "T": 3, "eps": 1e-06}
+
+
 class TestGoldenArtifacts:
-    """SHA-256 of every artifact of five commands (Python 3.11, numpy 2.4).
+    """SHA-256 of every artifact of seven commands (Python 3.11, numpy 2.4).
 
     A changed digest means a changed output byte; update it only on purpose.
     """
@@ -665,6 +680,49 @@ class TestGoldenArtifacts:
             "trace.json": "3df0bd93cc9fc67e2c3086bac2b010e29a98632fe86775ab5e8072b6ac2afb22",
         }
 
+    def test_sweep_audit_of_a_wide_generic_and_a_named_separable_config(self, tmp_path):
+        # n=256 with K=3 terms of degree 4 over v=3 variables, one negative
+        # and slots at 0 and N-1; the separable entry is the sin config at n=128.
+        x0 = [round(0.04 * math.cos(0.7 * i), 4) for i in range(256)]
+        x0[0], x0[3], x0[17], x0[100], x0[200], x0[255] = 0.21, -0.17, 0.13, -0.19, 0.11, 0.23
+        generic = _wide_generic_doc(256, [(0, 100, 255), (100, 17, 200), (255, 3, 17)], x0)
+        separable = json.loads(SEPARABLE.read_text())
+        separable["objective"]["n"] = 128
+        write_config(tmp_path, generic, "generic.json")
+        write_config(tmp_path, separable, "separable.json")
+        sweep = write_config(tmp_path, {"configs": ["generic.json", "separable.json"]},
+                             "sweep.json")
+        out = tmp_path / "sweep"
+        assert main(["run", "--sweep", str(sweep), "--audit", "--out", str(out)]) == EXIT_OK
+        assert [p.name for p in sorted(out.iterdir())] == ["generic", "separable"]
+        assert _sha256_of_files(out / "generic") == {
+            "audit.jsonl": "a6f344c9be13906ce1f861ccc1b0d8340b0bcc68684b9969eeb1b78487d137ac",
+            "report.json": "16a1ce8f7cd87ae403b70ad17fb4ba6e3286a315d1a94592eaaae479cc17f93b",
+            "trace.csv": "8a226b498877764029189fd167bbbb774e33e2412e8a1ec77301f6d2949e1060",
+            "trace.json": "eeae29a42b38c84fad369c45278d0f9efdca2043e59e0d6fcbdaf9bc89bf0b99",
+        }
+        assert _sha256_of_files(out / "separable") == {
+            "audit.jsonl": "82b18f9affb186999bcd42cc3f51e77c1350eb0993c152641a04548f09c010e4",
+            "report.json": "6fb92155f96112ff2fddd5877069f77b0a112ef0d9d1669df8e6f1d73259b47a",
+            "trace.csv": "a038e00cd8d3dca0791f700e69619709930ff5cddfc05f018bee4693f95c6915",
+            "trace.json": "30e20fc7e5baf21557beff6d0bfe5620803f9af562aa7ebcf5815d478dd70bc6",
+        }
+
+    def test_generic_audit_run_padded_past_a_thousand_coordinates(self, tmp_path):
+        # n=1500 pads to 2048, so every artifact holds arrays over a thousand long.
+        x0 = [round(0.02 * math.sin(0.3 * i + 0.1), 4) for i in range(1500)]
+        x0[0], x0[5], x0[31], x0[700], x0[1200], x0[1499] = 0.21, -0.17, 0.13, -0.19, 0.11, 0.23
+        doc = _wide_generic_doc(1500, [(0, 700, 1499), (700, 31, 1200), (1499, 5, 31)], x0)
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(path), "--audit", "--out", str(out)]) == EXIT_OK
+        assert _sha256_of_files(out) == {
+            "audit.jsonl": "277c73e0118709d6a7dc2782f27f0b94600886c7bab296b57d8cd52cf6b13c45",
+            "report.json": "1915711666fd8a565ae46d2bd5f254c17787ed0db08f427f9379150f429d486b",
+            "trace.csv": "1c9a51c6cf95a8d9df10643a472ac825e5c6c3eaf748e9f339f1ba414aebded8",
+            "trace.json": "5cb4c0377b9f846953a263fbc7cdd09191c22c95059912da48db04b3d4a7f0da",
+        }
+
     def test_compare_costs_defaults(self, tmp_path, capsys):
         out = tmp_path / "costs"
         assert main(["compare-costs", "--out", str(out)]) == EXIT_OK
@@ -690,3 +748,36 @@ class TestParseExperiment:
         assert cfg.mode == "separable"
         assert cfg.objective.grad_bound == 1.0
         assert cfg.x0_spec == "uniform"
+
+
+# JSON scalars, with the floats json writes in its own ways: signed zeros,
+# subnormals, huge values and NaN.
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, NAN]),
+    st.text(max_size=8),
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=6),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(JSON_DOCS)
+    def test_matches_json_dumps_with_indent(self, doc):
+        assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], {"a": {}, "b": []}, [[], {}], {"x": [1, 2.5, -0.0, 5e-324, 1e300, True, None]},
+        {"rows": [[0.1, 2], [3, NAN]], "nan": NAN, "nested": {"deep": {"list": [1, [2, [3.5]]]}}},
+    ], ids=range(6))
+    def test_matches_json_dumps_on_edge_cases(self, doc):
+        text = _json_text(doc)
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        if "nan" in doc:
+            assert text.count("NaN") == 2

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import blockgd.blockcalc as bc
+from blockgd import chebyshev, oracle, polyfunc
 from blockgd.chebyshev import POLY_GRID_POINTS, ChebyshevPoly, ScalarFunction, SeparableObjective
 from blockgd.descent import (
     CostParams,
@@ -580,3 +582,76 @@ class TestDiagonalFastPath:
         x0 = initial_state_uniform(0.1, 1.0, steps, n)
         run_separable(objective, x0, DescentConfig(steps=steps, eps=1e-6, mode="separable", eta=0.1))
         assert calls == [POLY_GRID_POINTS]
+
+
+class TestRecordedRuns:
+    @pytest.mark.parametrize("mode", ["generic", "separable"])
+    def test_jsonl_is_json_dumps_of_each_record(self, mode):
+        log = bc.AuditLog()
+        with bc.recording(log):
+            if mode == "generic":
+                # n=5 pads to 8; the negative term and the averages over 3 round.
+                objective = obj(5, 0.8727, (0.95, (2, 1, 1, 0, 0)), (-0.93, (0, 1, 2, 1, 0)),
+                                (0.3, (0, 0, 0, 0, 1)))
+                run_generic(objective, [0.21, -0.17, 0.13, -0.19, 0.11],
+                            DescentConfig(steps=3, eps=1e-6, mode="generic"))
+            else:
+                objective = SeparableObjective(ScalarFunction.named("sin", 1.0), 6, 1.0)
+                run_separable(objective, initial_state_uniform(0.1, 1.0, 3, 6),
+                              DescentConfig(steps=3, eps=1e-6, mode="separable", eta=0.1))
+        assert len(log.records) > 10
+        assert all(set(r) == {"seq", "op", "params", "in", "out"} for r in log.records)
+        assert log.to_jsonl() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in log.records)
+
+    def test_recorded_generic_step_builds_no_slot_map_vector(self):
+        kept = []
+
+        class KeepingLog(bc.AuditLog):
+            def record(self, op, inputs, output, **params):
+                kept.extend([*inputs, output])
+                super().record(op, inputs, output, **params)
+
+        n = 64
+        objective = _canonical_objective(n, 3, 4, 3)
+        iterate = bc.diag_encode(_probe_start(n))
+        with bc.recording(KeepingLog()):
+            grad = build_gradient_be(iterate, objective, eps=1e-6)
+            gd_step_generic(iterate, grad, eps=1e-6)
+        slot_maps = {id(e): e for e in kept if type(e._data) is dict}
+        assert len(slot_maps) > 50
+        # Only the update's signed average, whose other input is the iterate
+        # vector, reads a slot map (the gradient) as a vector.
+        assert [e for e in slot_maps.values() if "_vec" in e.__dict__] == [grad]
+
+
+class TestBoxChecks:
+    def test_runs_check_each_point_once(self, monkeypatch):
+        calls = []
+        original = polyfunc.check_point
+
+        def counted(x, n):
+            calls.append(n)
+            return original(x, n)
+
+        for module in (polyfunc, chebyshev, oracle):
+            monkeypatch.setattr(module, "check_point", counted)
+        n, steps = 8, 3
+        generic = _canonical_objective(n, 3, 4, 3)
+        separable = SeparableObjective(ScalarFunction.named("sin", 1.0), n, 1.0)
+        x0 = _probe_start(n)
+        run_generic(generic, x0, DescentConfig(steps=steps, eps=1e-6, mode="generic"))
+        run_separable(separable, x0, DescentConfig(steps=steps, eps=1e-6, mode="separable", eta=0.1))
+        assert calls == []
+        classical_gd(generic, x0, eta_generic(generic), steps)
+        classical_gd(separable, x0, 0.1, steps)
+        # x0 once per oracle run; its iterates are checked by first_outside_box.
+        assert calls == [n, n]
+
+    @pytest.mark.parametrize("method", ["evaluate", "gradient"])
+    def test_public_calls_outside_the_box_still_raise(self, method):
+        outside = [0.1, 0.6, 0.0, 0.0]
+        generic = _canonical_objective(4, 2, 3, 2)
+        separable = SeparableObjective(ScalarFunction.named("sin", 1.0), 4, 1.0)
+        for objective in (generic, separable):
+            with pytest.raises(DomainViolation):
+                getattr(objective, method)(outside)
