@@ -91,6 +91,7 @@ from .chebyshev import poly_grid
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidErrorBudget,
     InvalidScale,
     MixedAlpha,
     NormBoundViolated,
@@ -224,13 +225,6 @@ class ResourceCounter:
     queries: int = 0
     ancilla_high_water: int = 0
 
-    def add(self, *, depth: int = 0, queries: int = 0) -> "ResourceCounter":
-        return ResourceCounter(
-            self.depth_units + depth,
-            self.queries + queries,
-            self.ancilla_high_water,
-        )
-
 
 class BlockEncoding:
     """Immutable corner block plus (alpha, ancillas, eps) and counters.
@@ -361,7 +355,7 @@ def _encoding(data, dim: int, alpha: float, ancillas: int, eps: float,
         raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
     eps = float(eps)
     if not 0.0 <= eps < math.inf:
-        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+        raise InvalidErrorBudget(f"eps must be finite and >= 0, got {eps}")
     if ancillas < 0:
         raise ValueError("ancillas must be non-negative")
     ancillas = int(ancillas)

@@ -168,14 +168,10 @@ class ChebyshevPoly:
             raise ValueError("degree must equal len(coeffs) - 1")
 
     def __call__(self, x: float) -> float:
-        """Clenshaw evaluation at one point of [-1/2, 1/2]."""
+        """P(x) at one point of [-1/2, 1/2]."""
         if first_outside_box(x) is not None:
             raise DomainViolation(f"x = {x!r} lies outside [-1/2, 1/2]")
-        t = 2.0 * float(x)
-        b_next, b_after = 0.0, 0.0
-        for c in self.coeffs[:0:-1]:
-            b_next, b_after = 2.0 * t * b_next - b_after + c, b_next
-        return self.coeffs[0] + t * b_next - b_after
+        return float(self.eval_unchecked(x))
 
     def eval_unchecked(self, xs) -> np.ndarray:
         """Vectorized evaluation without the domain check (grids, extensions)."""

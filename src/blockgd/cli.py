@@ -9,8 +9,9 @@ Subcommands
 
 Every JSON field is checked once, by the polyfunc checks (an object's keys,
 an integer in a range, a finite number in a range, an array's length, one of
-fixed values), against limits stated once: polyfunc.MAX_N and
-MAX_TERM_DEGREE, chebyshev.DEGREE_CAP, descent.EPS_RANGES and
+fixed values), against limits stated once: polyfunc.MAX_N,
+MAX_TERM_DEGREE and MAX_TRACE_ENTRIES (which caps T at
+MAX_TRACE_ENTRIES // n - 1), chebyshev.DEGREE_CAP, descent.EPS_RANGES and
 descent.COST_INT_RANGES.  The step size comes from descent.step_size and
 the start vector's size and box check from descent.start_vector, the rules
 the engines apply too.  So validate-config exits 2, 3 or 7 exactly where run
@@ -40,14 +41,14 @@ Exit codes
     5  polynomial sup-norm bound violated
     6  polynomial degree cap exceeded
     7  other contract violations (domain exits, scale overflows, an
-       amplification whose repetition count overflows, ...)
+       amplification whose repetition count overflows, a tracked error
+       budget that overflows on a long run, ...)
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,6 +58,7 @@ import numpy as np
 from .blockcalc import AuditLog, next_power_of_two, recording
 from .chebyshev import SeparableObjective, load_scalar_function
 from .descent import (
+    COUNTERS,
     EPS_RANGES,
     GENERIC,
     SEPARABLE,
@@ -81,6 +83,7 @@ from .errors import (
 )
 from .oracle import classical_gd
 from .polyfunc import (
+    MAX_TRACE_ENTRIES,
     ObjectiveFunction,
     check_array,
     check_choice,
@@ -147,7 +150,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     else:
         x0_spec = tuple(check_number(v, f"x0[{i}]") for i, v in
                         enumerate(check_array(x0_doc, "x0", objective.n, objective.n)))
-    steps = check_int(doc["T"], "T", 0, math.inf)
+    steps = check_int(doc["T"], "T", 0, MAX_TRACE_ENTRIES // objective.n - 1)
     eps = check_number(doc["eps"], "eps", *EPS_RANGES[mode])
     eta = doc.get("eta")
     eta = step_size(mode, objective, None if eta is None else check_number(eta, "eta"))
@@ -204,12 +207,11 @@ def _indented(value, newline: str) -> str:
 
 
 def _build_report(cfg: ExperimentConfig, trace: DescentTrace, oracle_trace) -> dict:
-    sim = trace.iterates()
-    ora = oracle_trace.as_array()
-    deviations = np.abs(sim - ora).max(axis=1).tolist()
+    sim = trace.rows
+    deviations = np.abs(sim - oracle_trace.rows).max(axis=1).tolist()
     max_dev = max(deviations)
     bound = 16.0 * trace.steps * trace.eps
-    final = trace.final_iterate()
+    final = sim[-1]
     # Post-selection happens in the padded dimension; for power-of-two n the
     # reported and ||x_T||^2 / n probabilities coincide.
     expected_prob = float(np.dot(final, final)) / next_power_of_two(trace.n)
@@ -230,7 +232,6 @@ def _build_report(cfg: ExperimentConfig, trace: DescentTrace, oracle_trace) -> d
         full = envelope_formulas(params)
         envelopes = {k: full[k] for k in
                      (f"{cfg.mode}_per_iteration", f"{cfg.mode}_total", "classical_total")}
-    last = trace.records[-1]
     return {
         "deviation": {
             "per_iteration": deviations,
@@ -249,12 +250,7 @@ def _build_report(cfg: ExperimentConfig, trace: DescentTrace, oracle_trace) -> d
             "matches": bool(abs(trace.probability - expected_prob) <= 1e-10),
         },
         "resources": {
-            "final": {
-                "depth_units": last.depth_units,
-                "queries": last.queries,
-                "ancillas": last.ancillas,
-                "ancilla_high_water": last.ancilla_high_water,
-            },
+            "final": dict(zip(COUNTERS, trace.counters[-1])),
             "per_iteration_deltas": trace.per_iteration_deltas(),
             "envelopes": envelopes,
         },

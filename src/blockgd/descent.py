@@ -2,8 +2,8 @@
 
 Both engines run x <- x - eta * grad f(x) through one driver loop: x0 is
 box-checked and diag-encoded, a per-engine step function maps each iterate
-encoding to the next, and every iterate is snapshotted.  The engines differ
-only in how their step builds the gradient encoding.
+encoding to the next, and every iterate is written into the trace columns.
+The engines differ only in how their step builds the gradient encoding.
 
 run_generic's step, for monomial-sum objectives: single-entry projections
 and products assemble each scaled partial derivative, signed averages
@@ -34,7 +34,7 @@ caller that wants the per-operation record wraps the run in that block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .errors import (
     DomainViolation,
     InfeasibleSchedule,
     InvalidConfig,
+    InvalidErrorBudget,
     NormBoundViolated,
     ScaleOverflow,
     VariableNotInSupport,
@@ -70,6 +71,8 @@ from .polyfunc import (
 
 GENERIC = "generic"
 SEPARABLE = "separable"
+# The counters of one iterate, in the order of each DescentTrace.counters entry.
+COUNTERS = ("depth_units", "queries", "ancillas", "ancilla_high_water")
 # The margin delta of every amplification: the boosted corner norm must stay
 # below 1 - AMP_MARGIN, and the repetition count grows as 1/AMP_MARGIN.
 AMP_MARGIN = 0.5
@@ -113,13 +116,16 @@ class IterationRecord:
     ancilla_high_water: int
 
 
-@dataclass
+@dataclass(eq=False)
 class DescentTrace:
-    """Per-iteration records plus terminal post-selection probability.
+    """Per-iterate columns plus terminal post-selection probability.
 
-    ``rows`` holds the T + 1 iterates as one read-only (T + 1) x n float
-    array, the values that each record's ``x`` tuple was built from;
-    iterates() and final_iterate() return fresh copies of it.
+    Each per-iterate value is stored once, in a column of T + 1 entries:
+    ``rows`` (the iterates) and ``gradients`` are read-only (T + 1) x n float
+    arrays, ``f_values`` and ``eps_budgets`` float lists, and ``counters``
+    holds the COUNTERS of each iterate as Python ints (long runs outgrow
+    int64).  ``records`` builds IterationRecords from the columns on each
+    read.  Equality compares every field, the arrays by value.
     ``schedule_bound_ok`` records whether ||x0||_2 <= 1/2 - eta*M*T held (the
     sufficient containment condition); runs with explicit initial vectors may
     proceed without it, relying on the runtime norm guards instead.
@@ -133,13 +139,32 @@ class DescentTrace:
     eps: float
     steps: int
     grad_bound: float
-    records: list[IterationRecord]
     probability: float
     schedule_bound_ok: bool
     norm_safety_ok: bool
-    rows: np.ndarray = field(repr=False, compare=False)
+    rows: np.ndarray
+    gradients: np.ndarray
+    f_values: list[float]
+    eps_budgets: list[float]
+    counters: list[tuple[int, int, int, int]]
     poly_degree: int | None = None
     poly_sup_error: float | None = None
+
+    def __eq__(self, other):
+        if not isinstance(other, DescentTrace):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+    def _columns(self):
+        """(t, (x, f, gradient, eps_budget, counters)) per iterate, x and gradient as lists."""
+        return enumerate(zip(self.rows.tolist(), self.f_values, self.gradients.tolist(),
+                             self.eps_budgets, self.counters))
+
+    @property
+    def records(self) -> list[IterationRecord]:
+        return [IterationRecord(t, tuple(x), f, tuple(g), e, *c)
+                for t, (x, f, g, e, c) in self._columns()]
 
     def iterates(self) -> np.ndarray:
         return self.rows.copy()
@@ -148,17 +173,11 @@ class DescentTrace:
         return self.rows[-1].copy()
 
     def per_iteration_deltas(self) -> list[dict]:
-        out = []
-        for prev, cur in zip(self.records, self.records[1:]):
-            out.append(
-                {
-                    "t": cur.t,
-                    "depth_units": cur.depth_units - prev.depth_units,
-                    "queries": cur.queries - prev.queries,
-                    "ancillas": cur.ancillas - prev.ancillas,
-                }
-            )
-        return out
+        return [
+            {"t": t, "depth_units": cur[0] - prev[0], "queries": cur[1] - prev[1],
+             "ancillas": cur[2] - prev[2]}
+            for t, (prev, cur) in enumerate(zip(self.counters, self.counters[1:]), start=1)
+        ]
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -173,17 +192,14 @@ class DescentTrace:
             "norm_safety_ok": self.norm_safety_ok,
             "iterations": [
                 {
-                    "t": r.t,
-                    "x": list(r.x),
-                    "f": r.f_value,
-                    "gradient": list(r.gradient),
-                    "eps_budget": r.eps_budget,
-                    "depth_units": r.depth_units,
-                    "queries": r.queries,
-                    "ancillas": r.ancillas,
-                    "ancilla_high_water": r.ancilla_high_water,
+                    "t": t,
+                    "x": x,
+                    "f": f,
+                    "gradient": g,
+                    "eps_budget": e,
+                    **dict(zip(COUNTERS, c)),
                 }
-                for r in self.records
+                for t, (x, f, g, e, c) in self._columns()
             ],
         }
         if self.poly_degree is not None:
@@ -194,8 +210,8 @@ class DescentTrace:
     def to_csv_text(self) -> str:
         header = "t," + ",".join(f"x{i}" for i in range(self.n))
         lines = [header]
-        for r in self.records:
-            lines.append(str(r.t) + "," + ",".join(map(repr, r.x)))
+        for t, x in enumerate(self.rows.tolist()):
+            lines.append(str(t) + "," + ",".join(map(repr, x)))
         return "\n".join(lines) + "\n"
 
 
@@ -404,45 +420,38 @@ def gd_step_separable(
     return bc.amplify(halved, 2.0, AMP_MARGIN, eps)
 
 
-def _snapshot(t: int, enc: BlockEncoding, objective, x: np.ndarray) -> IterationRecord:
-    """Trace row t of iterate enc; its coordinates are written into the row x.
-
-    The objective is read without a box check: x0 passed start_vector, and
-    every later iterate passed amplify's bound ||x|| < 1/2.
-    """
-    x[:] = np.real(enc.diagonal()[: objective.n])
-    return IterationRecord(
-        t=t,
-        x=tuple(x.tolist()),
-        f_value=float(objective._evaluate(x)),
-        gradient=tuple(np.asarray(objective._gradient(x), dtype=float).tolist()),
-        eps_budget=enc.eps,
-        depth_units=enc.resources.depth_units,
-        queries=enc.resources.queries,
-        ancillas=enc.ancillas,
-        ancilla_high_water=enc.resources.ancilla_high_water,
-    )
-
-
 def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> DescentTrace:
     """The one descent loop: encode x0, apply step T times, trace every iterate.
 
-    step maps the iterate encoding to the next one; a NormBoundViolated it
-    raises is re-raised with the index of the offending step.
+    step maps the iterate encoding to the next one; a NormBoundViolated or
+    InvalidErrorBudget it raises is re-raised with the index of the
+    offending step.  The objective is read without a box check: x0 passed
+    start_vector, and every later iterate passed amplify's bound ||x|| < 1/2.
     """
     vec = start_vector(x0, objective.n)
     enc = bc.diag_encode(vec)
     rows = np.empty((cfg.steps + 1, objective.n))
-    records = [_snapshot(0, enc, objective, rows[0])]
-    for t in range(1, cfg.steps + 1):
-        try:
-            enc = step(enc)
-        except NormBoundViolated as exc:
-            raise NormBoundViolated(
-                f"step {t}: {exc}; the initial vector violates the containment schedule"
-            ) from exc
-        records.append(_snapshot(t, enc, objective, rows[t]))
+    gradients = np.empty_like(rows)
+    f_values, eps_budgets, counters = [], [], []
+    for t in range(cfg.steps + 1):
+        if t:
+            try:
+                enc = step(enc)
+            except NormBoundViolated as exc:
+                raise NormBoundViolated(
+                    f"step {t}: {exc}; the initial vector violates the containment schedule"
+                ) from exc
+            except InvalidErrorBudget as exc:
+                raise InvalidErrorBudget(f"step {t}: {exc}") from exc
+        x = rows[t]
+        x[:] = np.real(enc.diagonal()[: objective.n])
+        gradients[t] = objective._gradient(x)
+        f_values.append(float(objective._evaluate(x)))
+        eps_budgets.append(enc.eps)
+        depth, queries, high_water = enc._counts
+        counters.append((depth, queries, enc.ancillas, high_water))
     rows.setflags(write=False)
+    gradients.setflags(write=False)
     uniform = np.full(enc.dim, 1.0 / math.sqrt(enc.dim))
     radius = HALF - eta * objective.grad_bound * cfg.steps
     return DescentTrace(
@@ -452,11 +461,14 @@ def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> Desc
         eps=cfg.eps,
         steps=cfg.steps,
         grad_bound=objective.grad_bound,
-        records=records,
         probability=bc.apply_postselect(enc, uniform).prob,
         schedule_bound_ok=bool(float(np.linalg.norm(vec)) <= radius + DOMAIN_TOL),
         norm_safety_ok=first_outside_box(rows) is None,
         rows=rows,
+        gradients=gradients,
+        f_values=f_values,
+        eps_budgets=eps_budgets,
+        counters=counters,
         **extra,
     )
 

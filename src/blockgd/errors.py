@@ -60,6 +60,10 @@ class InvalidScale(BlockgdError):
     """A scaling factor is outside its admissible range."""
 
 
+class InvalidErrorBudget(BlockgdError, ValueError):
+    """An error budget is not a finite float >= 0 (a long run's overflows to inf)."""
+
+
 class NormBoundViolated(BlockgdError):
     """Amplification requires the boosted corner norm to stay below 1 - delta."""
 

@@ -4,13 +4,13 @@ classical_gd iterates x <- x - eta * grad f(x) with symbolic gradients
 (exact monomial differentiation or the closed-form scalar derivative);
 finite_diff_grad provides a second, derivative-free cross-check.  Both work
 for monomial-sum and coordinate-separable objectives (ObjectiveFunction,
-SeparableObjective): classical_gd reads their unchecked ``_evaluate`` and
-``_gradient``, finite_diff_grad anything exposing ``evaluate``.
+SeparableObjective): each box-checks its point once, then reads the
+objective through its unchecked ``_gradient`` or ``_evaluate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,19 +18,25 @@ from .errors import DomainExit, DomainViolation
 from .polyfunc import check_point, first_outside_box
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleTrace:
-    """Iterates plus objective values and gradient norms, length T + 1.
+    """The iterates x_0 .. x_T as one read-only (T + 1) x n float array.
 
-    ``rows`` holds the iterates as one read-only (T + 1) x n float array, the
-    values the ``iterates`` tuples were built from; as_array() returns a
-    fresh copy of it.
+    ``iterates`` builds the tuple of coordinate tuples from ``rows`` on each
+    read; as_array() returns a fresh copy of ``rows``.  Two traces are equal
+    when their rows are (np.array_equal); a trace is not hashable.
     """
 
-    iterates: tuple[tuple[float, ...], ...]
-    values: tuple[float, ...]
-    grad_norms: tuple[float, ...]
-    rows: np.ndarray = field(repr=False, compare=False)
+    rows: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, OracleTrace):
+            return NotImplemented
+        return np.array_equal(self.rows, other.rows)
+
+    @property
+    def iterates(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self.rows.tolist()))
 
     def as_array(self) -> np.ndarray:
         return self.rows.copy()
@@ -50,44 +56,30 @@ def classical_gd(objective, x0, eta: float, steps: int) -> OracleTrace:
     x = check_point(x0, objective.n)
     rows = np.empty((steps + 1, x.size))
     rows[0] = x
-    iterates = [tuple(x.tolist())]
-    values = [float(objective._evaluate(x))]
-    grads = [np.asarray(objective._gradient(x), dtype=float)]
     for t in range(steps):
-        x = x - eta * grads[-1]
+        x = x - eta * objective._gradient(x)
         if first_outside_box(x) is not None:
+            rows.setflags(write=False)
             raise DomainExit(
                 f"iterate left [-1/2, 1/2]^n at step {t + 1}",
                 step=t + 1,
-                trace=_trace(rows[: t + 1], iterates, values, grads),
+                trace=OracleTrace(rows[: t + 1]),
             )
         rows[t + 1] = x
-        iterates.append(tuple(x.tolist()))
-        values.append(float(objective._evaluate(x)))
-        grads.append(np.asarray(objective._gradient(x), dtype=float))
-    return _trace(rows, iterates, values, grads)
-
-
-def _trace(rows: np.ndarray, iterates: list, values: list, grads: list) -> OracleTrace:
     rows.setflags(write=False)
-    return OracleTrace(
-        iterates=tuple(iterates),
-        values=tuple(values),
-        grad_norms=tuple(float(np.linalg.norm(g)) for g in grads),
-        rows=rows,
-    )
+    return OracleTrace(rows)
 
 
 def finite_diff_grad(objective, x, h: float) -> np.ndarray:
     """Central-difference gradient, component-wise, step h."""
-    x = np.asarray(x, dtype=float).ravel()
     if h <= 0:
         raise ValueError("h must be positive")
+    x = check_point(x, objective.n)
     if first_outside_box(x, h) is not None:
         raise DomainViolation("x +/- h e_m leaves [-1/2, 1/2]^n")
     grad = np.zeros(x.size)
     for m in range(x.size):
         step = np.zeros(x.size)
         step[m] = h
-        grad[m] = (objective.evaluate(x + step) - objective.evaluate(x - step)) / (2 * h)
+        grad[m] = (objective._evaluate(x + step) - objective._evaluate(x - step)) / (2 * h)
     return grad

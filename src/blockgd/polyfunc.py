@@ -32,6 +32,10 @@ DOMAIN_TOL = 1e-12
 # Largest n a JSON input may ask for: one complex vector of 2**20 entries is
 # 16 MiB, while a larger n would fail (or exhaust memory) before any output.
 MAX_N = 2**20
+# Largest (T + 1) * n of a run: its traces keep (T + 1) x n floats for the
+# iterates, the gradients and the oracle's iterates, 128 MiB each at this cap;
+# a larger run would fail (or exhaust memory) before any output.
+MAX_TRACE_ENTRIES = 2**24
 # Largest total degree of a generic term: assembling a partial derivative
 # takes one product per power, so the cap bounds a step's primitive calls.
 # compare-costs shares it as its largest d.

@@ -29,11 +29,12 @@ from blockgd.errors import (
     DegreeCapExceeded,
     DomainExit,
     InfeasibleSchedule,
+    InvalidErrorBudget,
     NormBoundViolated,
     PolyBoundViolated,
     SchemaError,
 )
-from blockgd.polyfunc import MAX_N, MAX_TERM_DEGREE
+from blockgd.polyfunc import MAX_N, MAX_TERM_DEGREE, MAX_TRACE_ENTRIES
 
 REPO = Path(__file__).resolve().parents[1]
 QUADRATIC = REPO / "configs" / "quadratic.json"
@@ -103,12 +104,15 @@ NON_FINITE_DOCS = [
     pytest.param(_with(SEPARABLE_DOC, ["objective", "scale"], NAN), id="scale-nan"),
     pytest.param(_with(GENERIC_DOC, ["eta"], NAN), id="generic-eta-nan"),
 ]
+QUADRATIC_DOC = json.loads(QUADRATIC.read_text())
 LIMIT_DOCS = [
     pytest.param(_with(SEPARABLE_DOC, ["eps"], 0.5), str(MAX_EPS), id="separable-eps-half"),
     pytest.param(_with(_with(SEPARABLE_DOC, ["objective", "n"], 10**30),
                        ["x0"], {"uniform_q": "auto"}), str(MAX_N), id="separable-n-huge"),
     pytest.param(_with(GENERIC_DOC, ["objective", "n"], 10**30), str(MAX_N),
                  id="generic-n-huge"),
+    pytest.param(QUADRATIC_DOC | {"T": 10**15}, str(MAX_TRACE_ENTRIES // 2 - 1),
+                 id="quadratic-T-huge"),
 ]
 # A generic term of total degree 65 and a poly of 515 coefficients (derivative
 # degree 513): one above the term-degree cap and the separable degree cap.
@@ -127,6 +131,15 @@ DEGREE_CAP_DOCS = [
 EPS_SUBNORMAL_DOC = _with(GENERIC_DOC, ["eps"], 1e-320)
 FACTOR_OVERFLOW_DOC = _with(_with(GENERIC_DOC, ["objective", "M"], 1e-8),
                             ["objective", "terms", 0, "coeff"], 1e300) | {"x0": [0.0, 0.1]}
+# The tracked error budget grows by a constant factor per step and overflows
+# to inf: at step 323 of this quartic and at step 1356 of quadratic.json.
+QUARTIC_LONG_DOC = {
+    "mode": "generic",
+    "objective": {"n": 2, "M": 0.7071067811865476, "terms": [
+        {"coeff": 1.0, "exponents": [4, 0]}, {"coeff": 1.0, "exponents": [0, 4]}]},
+    "x0": [0.3, 0.2], "T": 400, "eps": 1e-6,
+}
+QUADRATIC_LONG_DOC = QUADRATIC_DOC | {"T": 1500}
 # Configs that pass every field check but break the step-size rule, have no
 # feasible uniform start, or fail inside the pipeline.
 RULE_DOCS = [
@@ -142,6 +155,8 @@ RULE_DOCS = [
                        ["x0"], [0.4, 0.0]) | {"T": 3}, id="norm-bound-violated"),
     pytest.param(EPS_SUBNORMAL_DOC, id="generic-eps-subnormal"),
     pytest.param(FACTOR_OVERFLOW_DOC, id="scale-factor-overflow"),
+    pytest.param(QUARTIC_LONG_DOC, id="quartic-budget-overflow"),
+    pytest.param(QUADRATIC_LONG_DOC, id="quadratic-budget-overflow"),
 ]
 
 
@@ -321,6 +336,8 @@ class TestExitCodes:
         assert _exit_code_for(PolyBoundViolated("x")) == EXIT_POLY
         assert _exit_code_for(DegreeCapExceeded("x")) == EXIT_DEGREE
         assert _exit_code_for(DomainExit("x")) == EXIT_CONTRACT
+        assert _exit_code_for(InvalidErrorBudget("x")) == EXIT_CONTRACT
+        assert issubclass(InvalidErrorBudget, ValueError)
 
 
 class TestValidateConfig:
@@ -458,6 +475,13 @@ class TestInputLimits:
         assert main(["validate-config", "--config", str(path)]) == EXIT_SCHEMA
         assert message in capsys.readouterr().err
 
+    def test_trace_cap_is_inclusive(self):
+        doc = _with(_with(SEPARABLE_DOC, ["objective", "n"], MAX_N), ["x0"], {"uniform_q": "auto"})
+        largest = MAX_TRACE_ENTRIES // MAX_N - 1
+        assert parse_experiment(doc | {"T": largest}).steps == largest
+        with pytest.raises(SchemaError, match=f"T: expected integer in \\[0, {largest}\\]"):
+            parse_experiment(doc | {"T": largest + 1})
+
     @pytest.mark.parametrize(
         "params, message",
         [({"eps": 0.9}, str(MAX_EPS)), ({"n": 10**30}, str(MAX_N))],
@@ -541,8 +565,11 @@ class TestNoInternalError:
     @pytest.mark.parametrize(
         "doc, message",
         [(EPS_SUBNORMAL_DOC, "repetitions"),
-         (FACTOR_OVERFLOW_DOC, "renormalize the gradient bound")],
-        ids=["eps-subnormal", "scale-factor-overflow"],
+         (FACTOR_OVERFLOW_DOC, "renormalize the gradient bound"),
+         (QUARTIC_LONG_DOC, "step 323: eps must be finite"),
+         (QUADRATIC_LONG_DOC, "step 1356: eps must be finite")],
+        ids=["eps-subnormal", "scale-factor-overflow", "quartic-budget-overflow",
+             "quadratic-budget-overflow"],
     )
     def test_run_exits_with_contract_code(self, tmp_path, capsys, doc, message):
         path = write_config(tmp_path, doc)
@@ -604,7 +631,7 @@ def _wide_generic_doc(n: int, supports, x0) -> dict:
 
 
 class TestGoldenArtifacts:
-    """SHA-256 of every artifact of seven commands (Python 3.11, numpy 2.4).
+    """SHA-256 of every artifact of eight commands (Python 3.11, numpy 2.4).
 
     A changed digest means a changed output byte; update it only on purpose.
     """
@@ -618,6 +645,21 @@ class TestGoldenArtifacts:
             "trace.csv": "ad489119d77848f2ddb165b319947a0583e681074ba606f6587a9ab61c283b84",
             "trace.json": "844b25e8b830def7c257d9929aa4257ed5a299b34771c87a626ae7e94c3b13cb",
         }
+
+    def test_quadratic_audit_run_past_int64_counters(self, tmp_path):
+        # At T=200 the counters pass 10^97, far beyond 2^63: only Python ints
+        # carry them to the artifacts unchanged.
+        path = write_config(tmp_path, QUADRATIC_DOC | {"T": 200})
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert _sha256_of_files(out) == {
+            "audit.jsonl": "9cfc32dbfc2a6181794598041e1f5a65a629cc7e5213333474d8e95db931106e",
+            "report.json": "e3c1e0d65317c204eeee5b2cd9cf8a64ac2ffc9ca23fed6e5b6a7601b8bcaf76",
+            "trace.csv": "ecf78b8d59cfa6398bec2b8dd4ea0d7a9cb0b2cc082ce25d15fd9dc5b3629af5",
+            "trace.json": "f90c1b23327a393719cf80b586e51ef78d9a1742f1fd94c9c00d727ae8b219d0",
+        }
+        final = json.loads((out / "report.json").read_text())["resources"]["final"]
+        assert final["queries"] > 10**97
 
     def test_separable_audit_run(self, tmp_path):
         out = tmp_path / "run"

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -427,6 +428,41 @@ class TestTraceShape:
         assert trace.final_iterate().tolist() == list(trace.records[-1].x)
         assert oracle.as_array()[0].tolist() == [0.2, 0.1]
 
+    def test_each_iterate_value_is_stored_once_as_a_column(self):
+        f = quadratic_bowl()
+        trace = run_generic(f, [0.2, 0.1], DescentConfig(steps=3, eps=1e-6, mode="generic"))
+        oracle = classical_gd(f, [0.2, 0.1], eta_generic(f), 3)
+        assert "records" not in vars(trace) and "iterates" not in vars(oracle)
+        assert list(vars(oracle)) == ["rows"]
+        for column in (trace.rows, trace.gradients, oracle.rows):
+            assert type(column) is np.ndarray and column.shape == (4, 2)
+            assert not column.flags.writeable
+        for column in (trace.f_values, trace.eps_budgets, trace.counters):
+            assert type(column) is list and len(column) == 4
+        assert all(type(v) is int for c in trace.counters for v in c)
+        tuples = [v for v in vars(trace).values() if isinstance(v, tuple)]
+        assert tuples == []
+        # records is built from the columns on each read, with the same types.
+        first, again = trace.records, trace.records
+        assert first == again and first is not again
+        assert all(type(v) is float for r in first for v in (*r.x, *r.gradient, r.f_value))
+        assert [r.eps_budget for r in first] == trace.eps_budgets
+        assert [(r.depth_units, r.queries, r.ancillas, r.ancilla_high_water)
+                for r in first] == trace.counters
+
+    def test_traces_differing_in_one_coordinate_are_unequal(self):
+        f = quadratic_bowl()
+        trace = run_generic(f, [0.2, 0.1], DescentConfig(steps=3, eps=1e-6, mode="generic"))
+        oracle = classical_gd(f, [0.2, 0.1], eta_generic(f), 3)
+        for original in (trace, oracle):
+            rows = original.rows.copy()
+            assert replace(original, rows=rows) == original
+            rows[2, 1] = np.nextafter(rows[2, 1], 1.0)
+            assert replace(original, rows=rows) != original
+        gradients = trace.gradients.copy()
+        gradients[1, 0] = -gradients[1, 0]
+        assert replace(trace, gradients=gradients) != trace
+
 
 class TestResourcePredict:
     def test_generic_envelope_k_squared_law(self):
@@ -546,9 +582,9 @@ class TestDiagonalFastPath:
         objective = _canonical_objective(n, 3, 4, 3)
         trace = run_generic(
             objective, np.full(n, 0.05), DescentConfig(steps=steps, eps=1e-6, mode="generic"))
-        # Primitives keep their counters as a tuple; only a snapshot's read
-        # of .resources builds the public ResourceCounter.
-        assert len(built) <= steps + 1
+        # Primitives keep their counters as a tuple, and the trace copies
+        # them from it, so no run builds the public ResourceCounter.
+        assert built == []
         assert trace.records[-1].queries > 0
 
     def test_gradient_encoding_allocates_no_length_n_vector(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blockgd import chebyshev, oracle, polyfunc
 from blockgd.chebyshev import ScalarFunction, SeparableObjective
 from blockgd.errors import DomainExit, DomainViolation
 from blockgd.oracle import classical_gd, finite_diff_grad
@@ -107,6 +108,25 @@ class TestFiniteDiffGrad:
             assert 3.5 <= err[2e-3] / err[1e-3] <= 4.5
             checked += 1
         assert checked >= 5
+
+    def test_checks_the_point_once(self, monkeypatch):
+        calls = []
+        original = polyfunc.check_point
+
+        def counted(x, n):
+            calls.append(n)
+            return original(x, n)
+
+        for module in (polyfunc, chebyshev, oracle):
+            monkeypatch.setattr(module, "check_point", counted)
+        n = 8
+        generic = ObjectiveFunction(n, 10.0, (MonomialTerm(1.0, (2, 1) + (0,) * (n - 2)),))
+        separable = SeparableObjective(ScalarFunction.named("sin"), n=n, grad_bound=1.0)
+        for objective in (generic, separable):
+            grad = finite_diff_grad(objective, np.full(n, 0.1), 1e-4)
+            assert grad == pytest.approx(objective.gradient(np.full(n, 0.1)), abs=1e-7)
+        # Once per call to finite_diff_grad, plus the two reference gradients.
+        assert calls == [n] * 4
 
     def test_domain_violation_near_boundary(self):
         f = ObjectiveFunction(1, 1.0, (MonomialTerm(1.0, (2,)),))
