@@ -10,12 +10,12 @@ encodings, ancilla qubits).  Gate-level synthesis is out of scope;
 realize_dilation supplies an explicit unitary completion used by the
 validation suite to cross-check the corner arithmetic independently.
 
-Counter semantics: an operation's output merges the counters of its
-distinct operands once each (sequential composition adds depth; tensor
-composition takes the max) and then adds the operation's own stated cost.
-Repeated uses of one operand are charged to ``queries``, not by inlining
-its ledger again, so totals over a T-step pipeline that feeds each output
-back in grow geometrically with T, as expected.
+Counter semantics: each operand position adds its ledger (sequential
+composition adds depth; tensor composition takes the max), so product(x, x)
+charges x twice, and then the operation adds its own stated cost, where
+repeated uses inside it (entry_project's two) count as ``queries``.  Totals
+over a T-step pipeline that feeds each output back in grow geometrically
+with T, as expected.
 
 Conventions: corners are complex with power-of-two size (inputs are
 zero-padded at construction) and indices are 0-based.  Norm and
@@ -35,8 +35,8 @@ the primitive that makes it; there is no option.
     an SVD for the norm.
 corner, diagonal(), apply_postselect, qsvt_transform and tensor read a slot
 map through its read-only length-N vector, built on first read and cached.
-The three forms of one corner have equal ids; a slot map's id is hashed from
-its slots and the zero runs between them, without that vector.
+The three forms of one corner have equal ids, hashed from its non-zeros
+(see _digest), so a slot map's id never builds that vector.
 
 Rounding: slot values are Python complex numbers with a zero imaginary
 part, and each storage operation rounds them exactly as numpy's complex
@@ -59,9 +59,9 @@ builds a ResourceCounter: BlockEncoding.resources builds it from the tuple on
 first read.  A generic step's gradient has at most K*v slots, so only the
 iterate update (one lcu and one amplify on vectors) costs O(N); the hot path
 avoids copies of stored data and generic Python passes over the operands.
-A recorded primitive adds the output's id, a SHA-1 over its 16*N bytes
-(for a slot map, fed from a shared zero buffer and its packed slots, so no
-length-N array is made), plus one summary and one JSON line built from text.
+A recorded primitive adds the output's id, a SHA-1 over the indices and
+values of its non-zeros (O(slots) for a slot map, 16*N bytes for a full
+vector), plus one summary text and one JSON line built from text.
 
 Recording: within ``with recording(log):`` every primitive that makes an
 encoding appends one record to the AuditLog log, through AuditLog.record;
@@ -69,9 +69,10 @@ elsewhere nothing is recorded.  The active log is held in a ContextVar that
 _log alone reads, so neither the primitives nor the descent code that calls
 them takes a log argument.  Each encoding renders its summary to JSON text
 once, when it is first an output or an input, and later records reuse that
-text; a record's line is joined from those texts as it is appended, so
-AuditLog.to_jsonl only joins lines, while AuditLog.records keeps the same
-records as plain dicts.
+text; a record's line is joined from those texts as it is appended.  The
+log keeps only those lines: AuditLog.to_jsonl joins them, and
+AuditLog.records parses each line once, on the first read after it was
+appended.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -173,46 +173,30 @@ def _shrunk(data, p: float):
     return {k: _over(value, p) for k, value in data.items()}
 
 
-def _digest(data: np.ndarray) -> str:
-    """12-hex SHA-1 id of a corner: equal exactly for equal corners.
+def _digest(data, dim: int) -> str:
+    """12-hex SHA-1 id of a corner in any storage form: equal exactly for equal corners.
 
-    A corner with no non-zero entry off its diagonal hashes only its N
-    diagonal entries, whichever way it is stored; any other corner hashes its
-    N x N entries.  Both hashes add a storage tag and the shape, and adding
-    0.0 first makes -0.0 and +0.0 hash alike.
+    The hash takes a tag ("diag" when no non-zero entry is off the diagonal,
+    which is then read as N entries, else "dense", read as N x N), the flat
+    indices of the non-zero entries as int64 (left out when no entry is zero),
+    their values plus 0.0 as complex128 (so -0.0 hashes as +0.0) and the shape.
     """
-    if data.ndim == 2 and np.count_nonzero(data) == np.count_nonzero(np.diag(data)):
-        data = np.diag(data)
-    digest = hashlib.sha1(b"diag" if data.ndim == 1 else b"dense")
-    digest.update(data + 0.0)
-    digest.update(str((data.shape[0], data.shape[0])).encode())
-    return digest.hexdigest()[:12]
-
-
-# Zero bytes standing for the runs of +0.0 entries of a slot map's vector
-# (a longer run is fed in pieces of this size), and one entry's bytes as a
-# complex128 array holds them: native doubles, real part first.
-_ZERO_RUN = memoryview(bytes(16 * 1024))
-_ENTRY = struct.Struct("dd")
-
-
-def _slot_digest(slots: dict, dim: int) -> str:
-    """_digest of a slot map's vector, hashed from its zero runs and packed slots.
-
-    Adding 0.0 to each part turns -0.0 into +0.0, as _digest does.
-    """
-    digest = hashlib.sha1(b"diag")
-    end = 0
-    for k in sorted(slots) + [dim]:
-        gap = 16 * (k - end)
-        while gap > len(_ZERO_RUN):
-            digest.update(_ZERO_RUN)
-            gap -= len(_ZERO_RUN)
-        digest.update(_ZERO_RUN[:gap])
-        if k < dim:
-            value = slots[k]
-            digest.update(_ENTRY.pack(value.real + 0.0, value.imag + 0.0))
-        end = k + 1
+    if type(data) is dict:
+        index = sorted(k for k, value in data.items() if value)
+        values = np.array([data[k] for k in index], dtype=complex)
+        tag, full = b"diag", len(index) == dim
+    else:
+        if data.ndim == 2 and np.count_nonzero(data) == np.count_nonzero(np.diag(data)):
+            data = np.diag(data)
+        values = data.ravel()
+        tag, full = (b"diag" if data.ndim == 1 else b"dense"), bool(values.all())
+        if not full:
+            index = np.flatnonzero(values)
+            values = values[index]
+    digest = hashlib.sha1(tag)
+    if not full:
+        digest.update(np.asarray(index, dtype=np.int64))
+    digest.update(values + 0.0)
     digest.update(str((dim, dim)).encode())
     return digest.hexdigest()[:12]
 
@@ -288,9 +272,7 @@ class BlockEncoding:
 
     @cached_property
     def _id(self) -> str:
-        if type(self._data) is dict:
-            return _slot_digest(self._data, self.dim)
-        return _digest(self._data if self._dense else self._vec)
+        return _digest(self._data, self.dim)
 
     @cached_property
     def resources(self) -> ResourceCounter:
@@ -298,29 +280,20 @@ class BlockEncoding:
         return ResourceCounter(*self._counts)
 
     def summary(self) -> dict:
-        return dict(self._audited[0])
+        return json.loads(self._audited)
 
     @cached_property
-    def _audited(self) -> tuple[dict, str]:
-        """The summary and its text as json.dumps(summary, sort_keys=True), made once.
+    def _audited(self) -> str:
+        """The summary as json.dumps(summary, sort_keys=True) writes it, made once.
 
         The counters are ints and alpha and eps finite floats, whose repr is
         what json writes for them.
         """
         depth, queries, high_water = self._counts
-        summary = {
-            "id": self._id,
-            "alpha": self.alpha,
-            "eps": self.eps,
-            "ancillas": self.ancillas,
-            "depth_units": depth,
-            "queries": queries,
-            "ancilla_high_water": high_water,
-        }
-        return summary, (
+        return (
             f'{{"alpha": {self.alpha!r}, "ancilla_high_water": {high_water!r}, '
             f'"ancillas": {self.ancillas!r}, "depth_units": {depth!r}, '
-            f'"eps": {self.eps!r}, "id": "{summary["id"]}", "queries": {queries!r}}}'
+            f'"eps": {self.eps!r}, "id": "{self._id}", "queries": {queries!r}}}'
         )
 
 
@@ -338,16 +311,19 @@ def _encoding(data, dim: int, alpha: float, ancillas: int, eps: float,
         norm = 0.0
         for value in data.values():
             mag = abs(value)
-            if mag > norm:
+            if mag > norm or mag != mag:  # a NaN, once met, stays the norm
                 norm = mag
     elif data.ndim == 1:
-        # Indexing at argmax gives max |d_i| without the ufunc-reduce set-up
-        # that dominates .max() on vectors of a few hundred entries.
+        # Indexing at argmax (which picks the first NaN, if any) gives max |d_i|
+        # without the ufunc-reduce set-up of .max() on a few hundred entries.
         mags = np.abs(data)
         norm = float(mags[mags.argmax()])
     else:
+        if not np.isfinite(data).all():
+            raise NormTooLarge("corner has a non-finite entry")
         norm = spectral_norm(data)
-    if norm > 1.0 + NORM_TOL:
+    # The negated comparison is true for NaN as well.
+    if not norm <= 1.0 + NORM_TOL:
         raise NormTooLarge(f"corner spectral norm {norm} exceeds 1")
     # The chained comparisons are false for NaN as well.
     alpha = float(alpha)
@@ -414,29 +390,31 @@ class AuditLog:
     Sequence numbers replace timestamps so reruns are byte-identical.
     Depth for single-entry projections is charged as ceil(log2 N) per
     invocation even where a constant-depth projector would do; the counter
-    is intentionally conservative and consistent.  record appends each
-    record to ``records`` and its JSON line to the lines to_jsonl joins.
+    is intentionally conservative and consistent.  The log keeps each
+    record once, as the JSON line to_jsonl joins; ``records`` parses the
+    lines appended since its last read and keeps the dicts.
     """
 
     def __init__(self):
-        self.records: list[dict] = []
         self._lines: list[str] = []
+        self._records: list[dict] = []
+
+    @property
+    def records(self) -> list[dict]:
+        """The records as dicts, parsed from their lines; each line is parsed once."""
+        parsed = self._records
+        parsed.extend(map(json.loads, self._lines[len(parsed):]))
+        return parsed
 
     def record(self, op: str, inputs, output: BlockEncoding, **params):
-        seq = len(self.records)
-        out, out_text = output._audited
-        ins = [e._audited for e in inputs]
-        self.records.append(
-            {"seq": seq, "op": op, "params": params, "in": [d for d, _ in ins], "out": out}
-        )
         # The record as json.dumps(record, sort_keys=True) writes it, joined
         # from texts that each encoding renders once; op and the parameter
         # names are identifiers, which json writes as they are.
-        ins_text = ", ".join([text for _, text in ins])
+        ins = ", ".join([e._audited for e in inputs])
         pars = ", ".join([f'"{k}": {_param_json(params[k])}' for k in sorted(params)])
         self._lines.append(
-            f'{{"in": [{ins_text}], "op": "{op}", "out": {out_text}, '
-            f'"params": {{{pars}}}, "seq": {seq}}}\n'
+            f'{{"in": [{ins}], "op": "{op}", "out": {output._audited}, '
+            f'"params": {{{pars}}}, "seq": {len(self._lines)}}}\n'
         )
 
     def to_jsonl(self) -> str:
@@ -477,7 +455,7 @@ def diag_encode(psi, alpha: float = 1.0) -> BlockEncoding:
     """
     vec = np.asarray(psi, dtype=complex).ravel()
     norm = float(np.linalg.norm(vec))
-    if norm > 1.0 + NORM_TOL:
+    if not norm <= 1.0 + NORM_TOL:
         raise NormTooLarge(f"amplitude vector norm {norm} exceeds 1")
     dim = next_power_of_two(len(vec))
     padded = np.zeros(dim, dtype=complex)

@@ -35,7 +35,7 @@ Exit codes
     0  success
     1  unexpected internal error (no input is meant to reach it)
     2  malformed JSON / schema or configuration error, including every input
-       limit above and a step size that breaks its rule
+       limit above, a step size that breaks its rule and an unwritable --out
     3  infeasible schedule (no compliant uniform initial state)
     4  iterate norm bound violated at runtime
     5  polynomial sup-norm bound violated
@@ -227,7 +227,7 @@ def _build_report(cfg: ExperimentConfig, trace: DescentTrace, oracle_trace) -> d
     envelopes = {}
     if shape:
         params = CostParams(
-            n=max(cfg.objective.n, 2), steps=max(trace.steps, 1), eps=trace.eps, **shape
+            n=cfg.objective.n, steps=max(trace.steps, 1), eps=trace.eps, **shape
         )
         full = envelope_formulas(params)
         envelopes = {k: full[k] for k in
@@ -268,7 +268,6 @@ def _build_report(cfg: ExperimentConfig, trace: DescentTrace, oracle_trace) -> d
 def run_experiment(cfg: ExperimentConfig, out_dir: Path, fmt: str, audit_on: bool) -> int:
     """Execute one config and write its artifacts under out_dir."""
     x0 = _resolve_x0(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     audit = AuditLog() if audit_on else None
     descent_cfg = DescentConfig(steps=cfg.steps, eps=cfg.eps, mode=cfg.mode, eta=cfg.eta)
     with recording(audit):
@@ -278,15 +277,28 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, fmt: str, audit_on: boo
             trace = run_separable(cfg.objective, x0, descent_cfg)
     oracle_trace = classical_gd(cfg.objective, x0, cfg.eta, cfg.steps)
     report = _build_report(cfg, trace, oracle_trace)
+    texts = {}
     if fmt in ("json", "both"):
-        (out_dir / "trace.json").write_text(_json_text(trace.to_json_dict()),
-                                            encoding="utf-8")
+        texts["trace.json"] = _json_text(trace.to_json_dict())
     if fmt in ("csv", "both"):
-        (out_dir / "trace.csv").write_text(trace.to_csv_text(), encoding="utf-8")
-    (out_dir / "report.json").write_text(_json_text(report), encoding="utf-8")
+        texts["trace.csv"] = trace.to_csv_text()
+    texts["report.json"] = _json_text(report)
     if audit is not None:
-        (out_dir / "audit.jsonl").write_text(audit.to_jsonl(), encoding="utf-8")
+        texts["audit.jsonl"] = audit.to_jsonl()
+    _write_artifacts(out_dir, texts)
     return EXIT_OK
+
+
+def _write_artifacts(out_dir: Path, texts: dict) -> None:
+    """Create out_dir and write each {name: text} into it; failing to is a SchemaError."""
+    path = out_dir
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            path = out_dir / name
+            path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
 REGIME_ORDER = ("generic", "separable", "highly_sparse", "tensor_oracle", "classical")
@@ -350,15 +362,16 @@ def _csv_text(rows: list[dict]) -> str:
 
 
 def compare_costs(params: CostParams, out_dir: Path) -> str:
-    """Write costs.csv, crossover.csv and table.txt; return the text table."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write costs.csv, crossover.csv, report.json and table.txt; return the text table."""
     report = resource_predict(params)
     rows = _costs_rows(report)
-    (out_dir / "costs.csv").write_text(_csv_text(rows), encoding="utf-8")
-    (out_dir / "crossover.csv").write_text(_csv_text(report["crossover"]), encoding="utf-8")
-    (out_dir / "report.json").write_text(_json_text(report), encoding="utf-8")
     table = _costs_table_text(rows)
-    (out_dir / "table.txt").write_text(table, encoding="utf-8")
+    _write_artifacts(out_dir, {
+        "costs.csv": _csv_text(rows),
+        "crossover.csv": _csv_text(report["crossover"]),
+        "report.json": _json_text(report),
+        "table.txt": table,
+    })
     return table
 
 

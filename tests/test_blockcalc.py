@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import Polynomial
 
@@ -81,14 +81,17 @@ class TestBlockEncodingType:
 
     @pytest.mark.parametrize("corner, kwargs, error", [
         (np.diag([1.2, 0.0]), {}, NormTooLarge),
+        (np.diag([math.nan, 0.1]), {}, NormTooLarge),
+        (np.diag([math.inf, 0.1]), {}, NormTooLarge),
+        (np.array([[0.1, math.nan], [0.0, 0.1]]), {}, NormTooLarge),
         (np.diag([0.5, 0.5]), {"alpha": math.nan}, ValueError),
         (np.diag([0.5, 0.5]), {"alpha": math.inf}, ValueError),
         (np.diag([0.5, 0.5]), {"eps": math.nan}, ValueError),
         (np.diag([0.5, 0.5]), {"eps": math.inf}, ValueError),
         (np.diag([0.5, 0.5]), {"eps": -1e-9}, ValueError),
         (np.diag([0.5, 0.5]), {"ancillas": -1}, ValueError),
-    ], ids=["norm", "alpha-nan", "alpha-inf", "eps-nan", "eps-inf", "eps-negative",
-            "ancillas-negative"])
+    ], ids=["norm", "norm-nan", "norm-inf", "off-diagonal-nan", "alpha-nan", "alpha-inf",
+            "eps-nan", "eps-inf", "eps-negative", "ancillas-negative"])
     def test_sealing_checks(self, corner, kwargs, error):
         with pytest.raises(error):
             BlockEncoding(corner, **kwargs)
@@ -97,6 +100,20 @@ class TestBlockEncodingType:
         if "alpha" in kwargs:
             with pytest.raises(error, match="alpha"):
                 bc.diag_encode([0.5, 0.5], alpha=kwargs["alpha"])
+
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.1, math.nan)],
+                             ids=["nan", "inf", "complex-nan"])
+    def test_non_finite_diagonal_rejected_in_every_form(self, entry):
+        diag = np.array([entry, 0.1], dtype=complex)
+        with pytest.raises(NormTooLarge):
+            bc.diag_encode(diag)
+        with pytest.raises(NormTooLarge):
+            bc._encoding(diag, 2, 1.0, 0, 0.0, 0, 0, 0)
+        # A slot map's norm stays NaN whether the NaN comes first or last.
+        for slots in ({0: diag[0], 1: diag[1]}, {1: diag[1], 0: diag[0]}):
+            with pytest.raises(NormTooLarge):
+                bc._encoding(slots, 2, 1.0, 0, 0.0, 0, 0, 0)
 
 
 class TestDiagEncode:
@@ -856,6 +873,9 @@ def slot_maps(draw):
 class TestSlotMapIds:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(slot_maps())
+    # Slots far apart at a large dim: a signed zero, a subnormal and -1.
+    @example((2**13, {0: complex(-0.0, -0.0), 5000: complex(1e-310, 0.0),
+                      2**13 - 1: complex(-1.0, 0.0)}))
     def test_id_is_the_digest_of_the_vector(self, drawn):
         dim, slots = drawn
         enc = bc._encoding(dict(slots), dim, 1.0, 0, 0.0, 0, 0, 0)
@@ -863,15 +883,18 @@ class TestSlotMapIds:
         ident = enc._id
         assert "_vec" not in enc.__dict__
         vec = bc._vector(slots, dim)
-        assert ident == bc._digest(vec)
+        assert ident == bc._digest(slots, dim) == bc._digest(vec, dim)
         assert ident == bc._encoding(vec, dim, 1.0, 0, 0.0, 0, 0, 0)._id
         # A dense twin of the largest dims would take up to 1 GiB.
         if dim <= 64:
             assert ident == BlockEncoding(np.diag(vec))._id
 
-    def test_zero_runs_longer_than_the_buffer_are_fed_in_pieces(self):
-        dim = 2**13
-        assert 16 * dim > 4 * len(bc._ZERO_RUN)
-        slots = {0: complex(-0.0, -0.0), 5000: complex(1e-310, 0.0), dim - 1: complex(-1.0, 0.0)}
+    def test_slot_map_id_hashes_only_its_slots(self, monkeypatch):
+        dim = 2**20
+        slots = {3: complex(0.25, 0.0), 70000: complex(-0.5, 0.0), dim - 1: complex(1e-310, 0.0)}
         enc = bc._encoding(slots, dim, 1.0, 0, 0.0, 0, 0, 0)
-        assert enc._id == bc._digest(bc._vector(slots, dim))
+        monkeypatch.setattr(CountingSha1, "fed", 0)
+        monkeypatch.setattr(bc, "hashlib", SimpleNamespace(sha1=CountingSha1))
+        assert len(enc._id) == 12
+        assert "_vec" not in enc.__dict__
+        assert 0 < CountingSha1.fed <= 24 * len(slots) + 64

@@ -263,6 +263,16 @@ class TestRunCommand:
             assert (out / name).stat().st_size > 0
         json.loads((out / "report.json").read_text(), parse_constant=reject_constant)
 
+    def test_one_coordinate_report_prices_the_classical_envelope_at_n_1(self, tmp_path):
+        # classical_total = n * d * K * v * T with K = v = 1, d = 2, T = 2.
+        doc = {"mode": "generic",
+               "objective": {"n": 1, "M": 0.2, "terms": [{"coeff": 0.1, "exponents": [2]}]},
+               "x0": [0.1], "T": 2, "eps": 1e-6}
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        envelopes = json.loads((out / "report.json").read_text())["resources"]["envelopes"]
+        assert envelopes["classical_total"] == 4.0
+
     def test_run_without_config_is_schema_error(self):
         assert main(["run"]) == EXIT_SCHEMA
 
@@ -589,6 +599,37 @@ class TestNoInternalError:
         path = write_config(tmp_path, {"configs": [5]}, "sweep.json")
         assert main(["run", "--sweep", str(path), "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("command", [["run", "--config", str(QUADRATIC)], ["compare-costs"]],
+                             ids=["run", "compare-costs"])
+    @pytest.mark.parametrize("case", ["existing-file", "under-a-file", "artifact-is-a-directory"])
+    def test_unusable_output_path_is_schema_error(self, tmp_path, capsys, command, case):
+        afile = tmp_path / "afile"
+        afile.write_text("x")
+        out = {"existing-file": afile, "under-a-file": afile / "sub",
+               "artifact-is-a-directory": tmp_path / "out"}[case]
+        if case == "artifact-is-a-directory":
+            (out / "report.json").mkdir(parents=True)
+        assert main([*command, "--out", str(out)]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert "error: cannot write" in captured.err
+        assert captured.out == ""
+
+    def test_sweep_entry_with_an_unusable_output_path_fails_alone(self, tmp_path, capsys):
+        sweep_path = write_config(
+            tmp_path, {"configs": [str(QUADRATIC), str(SEPARABLE)]}, "sweep.json")
+        out = tmp_path / "sweep_out"
+        out.mkdir()
+        (out / "quadratic").write_text("x")
+        assert main(["run", "--sweep", str(sweep_path), "--out", str(out)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith("quadratic.json: cannot write")
+        assert (out / "separable_sin" / "report.json").exists()
+
+    def test_failed_run_leaves_no_output_directory(self, tmp_path):
+        path = write_config(tmp_path, EPS_SUBNORMAL_DOC)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONTRACT
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "doc",
@@ -640,7 +681,7 @@ class TestGoldenArtifacts:
         out = tmp_path / "run"
         assert main(["run", "--config", str(QUADRATIC), "--audit", "--out", str(out)]) == EXIT_OK
         assert _sha256_of_files(out) == {
-            "audit.jsonl": "16726d7c275adba8c2ee0a20549de49ee4f4fd9f46b21216354e4ac5e25da6d9",
+            "audit.jsonl": "25d18188703f9747279e5a1039ab5906acc14a4f27759440f6847183f4945f11",
             "report.json": "9cd26f9ef0f80078b169f90c9bcc5fa90e4c969d218cad0d3bd0073d1b450c15",
             "trace.csv": "ad489119d77848f2ddb165b319947a0583e681074ba606f6587a9ab61c283b84",
             "trace.json": "844b25e8b830def7c257d9929aa4257ed5a299b34771c87a626ae7e94c3b13cb",
@@ -653,7 +694,7 @@ class TestGoldenArtifacts:
         out = tmp_path / "run"
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
         assert _sha256_of_files(out) == {
-            "audit.jsonl": "9cfc32dbfc2a6181794598041e1f5a65a629cc7e5213333474d8e95db931106e",
+            "audit.jsonl": "4f9cffae81af01276490ea897658e97250231e9874b5d5c5955835e93e00ef18",
             "report.json": "e3c1e0d65317c204eeee5b2cd9cf8a64ac2ffc9ca23fed6e5b6a7601b8bcaf76",
             "trace.csv": "ecf78b8d59cfa6398bec2b8dd4ea0d7a9cb0b2cc082ce25d15fd9dc5b3629af5",
             "trace.json": "f90c1b23327a393719cf80b586e51ef78d9a1742f1fd94c9c00d727ae8b219d0",
@@ -690,7 +731,7 @@ class TestGoldenArtifacts:
         out = tmp_path / "run"
         assert main(["run", "--config", str(path), "--audit", "--out", str(out)]) == EXIT_OK
         assert _sha256_of_files(out) == {
-            "audit.jsonl": "a94aefbbe6103193334f012cd04899ad7f9488a188bb046886552482ecf48650",
+            "audit.jsonl": "4cd26c821f75bdc8a5900f6132b2827ac4ce5746d301cbae754033fbc703216f",
             "report.json": "290d32770ce9e7e1c4cc5fc0d365e38cee55578289829b43daf2cbb905a67978",
             "trace.csv": "4c7aaca46a58040a1cc0d969b6c3125bfe6a36877d728421e070727d51e61c7b",
             "trace.json": "2390503ec555df4e473442d1d15f094de2efef89c79be7550704805898529a7a",
@@ -716,7 +757,7 @@ class TestGoldenArtifacts:
         out = tmp_path / "run"
         assert main(["run", "--config", str(path), "--audit", "--out", str(out)]) == EXIT_OK
         assert _sha256_of_files(out) == {
-            "audit.jsonl": "61be18e1c240fe030ea0717fa2724521d07b9d692ddca68b7bcf251d417fc955",
+            "audit.jsonl": "629b65df50999f0e2f74e780074938d1ac647cbc0bd928acda131f8a1dd55227",
             "report.json": "1bf1e1391a75799c6471a81f0cbf0d8c8e576d7cb335cb4722deebb52e425463",
             "trace.csv": "6f0d11323bcf213d104fc1957da9fd086913c452c631bc3275e92f27a014920a",
             "trace.json": "3df0bd93cc9fc67e2c3086bac2b010e29a98632fe86775ab5e8072b6ac2afb22",
@@ -738,7 +779,7 @@ class TestGoldenArtifacts:
         assert main(["run", "--sweep", str(sweep), "--audit", "--out", str(out)]) == EXIT_OK
         assert [p.name for p in sorted(out.iterdir())] == ["generic", "separable"]
         assert _sha256_of_files(out / "generic") == {
-            "audit.jsonl": "a6f344c9be13906ce1f861ccc1b0d8340b0bcc68684b9969eeb1b78487d137ac",
+            "audit.jsonl": "9c43160c03e4da0b329acccfe02dec587c74ce372768a7360c7eb96018f2951a",
             "report.json": "16a1ce8f7cd87ae403b70ad17fb4ba6e3286a315d1a94592eaaae479cc17f93b",
             "trace.csv": "8a226b498877764029189fd167bbbb774e33e2412e8a1ec77301f6d2949e1060",
             "trace.json": "eeae29a42b38c84fad369c45278d0f9efdca2043e59e0d6fcbdaf9bc89bf0b99",
@@ -759,7 +800,7 @@ class TestGoldenArtifacts:
         out = tmp_path / "run"
         assert main(["run", "--config", str(path), "--audit", "--out", str(out)]) == EXIT_OK
         assert _sha256_of_files(out) == {
-            "audit.jsonl": "277c73e0118709d6a7dc2782f27f0b94600886c7bab296b57d8cd52cf6b13c45",
+            "audit.jsonl": "6fd0c826ee252f883b37544ccc6f5de17f7d8af6090021c8424d08046b7d843c",
             "report.json": "1915711666fd8a565ae46d2bd5f254c17787ed0db08f427f9379150f429d486b",
             "trace.csv": "1c9a51c6cf95a8d9df10643a472ac825e5c6c3eaf748e9f339f1ba414aebded8",
             "trace.json": "5cb4c0377b9f846953a263fbc7cdd09191c22c95059912da48db04b3d4a7f0da",

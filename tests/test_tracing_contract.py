@@ -84,3 +84,6 @@ def test_audit_spans_match_audit_log(tmp_path, monkeypatch):
     assert len(records) > 0
     assert len(audit_spans) == len(records)
     assert tracer.counters["blockcalc.audit.records"] == len(records)
+    # spans.py sizes each record from log.records[-1], which AuditLog parses
+    # from its lines on read.
+    assert tracer.counters["blockcalc.audit.bytes"] == (out / "audit.jsonl").stat().st_size
