@@ -21,10 +21,8 @@ from .blockcalc import (
     product,
     projector_encode,
     qsvt_transform,
-    realize_dilation,
     recording,
     scale_down,
-    tensor,
 )
 from .chebyshev import (
     ChebyshevPoly,
@@ -47,12 +45,11 @@ from .descent import (
     run_generic,
     run_separable,
 )
-from .oracle import OracleTrace, classical_gd, finite_diff_grad
+from .oracle import OracleTrace, classical_gd
 from .polyfunc import (
     BoundsReport,
     MonomialTerm,
     ObjectiveFunction,
-    TermStats,
     load_objective,
 )
 from . import errors
@@ -74,7 +71,6 @@ __all__ = [
     "ResourceCounter",
     "ScalarFunction",
     "SeparableObjective",
-    "TermStats",
     "amplify",
     "apply_postselect",
     "approx_derivative",
@@ -85,7 +81,6 @@ __all__ = [
     "entry_project",
     "errors",
     "eta_generic",
-    "finite_diff_grad",
     "gd_step_generic",
     "gd_step_separable",
     "initial_state_uniform",
@@ -95,11 +90,9 @@ __all__ = [
     "product",
     "projector_encode",
     "qsvt_transform",
-    "realize_dilation",
     "recording",
     "resource_predict",
     "run_generic",
     "run_separable",
     "scale_down",
-    "tensor",
 ]

@@ -6,12 +6,9 @@ an approximation of ``target / alpha`` with guaranteed error
 directly with exact arithmetic: each operation combines corners,
 propagates the worst-case error budget by triangle-inequality rules, and
 accumulates abstract resource counters (depth units, queries to input
-encodings, ancilla qubits).  Gate-level synthesis is out of scope;
-realize_dilation supplies an explicit unitary completion used by the
-validation suite to cross-check the corner arithmetic independently.
+encodings, ancilla qubits).  Gate-level synthesis is out of scope.
 
-Counter semantics: each operand position adds its ledger (sequential
-composition adds depth; tensor composition takes the max), so product(x, x)
+Counter semantics: each operand position adds its ledger, so product(x, x)
 charges x twice, and then the operation adds its own stated cost, where
 repeated uses inside it (entry_project's two) count as ``queries``.  Totals
 over a T-step pipeline that feeds each output back in grow geometrically
@@ -33,8 +30,8 @@ the primitive that makes it; there is no option.
   * dense: an N x N array, for a matrix passed to the BlockEncoding
     constructor; a primitive with a dense input uses dense arithmetic and
     an SVD for the norm.
-corner, diagonal(), apply_postselect, qsvt_transform and tensor read a slot
-map through its read-only length-N vector, built on first read and cached.
+corner, diagonal(), apply_postselect and qsvt_transform read a slot map
+through its read-only length-N vector, built on first read and cached.
 The three forms of one corner have equal ids, hashed from its non-zeros
 (see _digest), so a slot map's id never builds that vector.
 
@@ -83,7 +80,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -348,14 +345,14 @@ def _encoding(data, dim: int, alpha: float, ancillas: int, eps: float,
     return enc
 
 
-def _operands(encodings, *, slots: bool = True) -> list:
+def _operands(encodings) -> list:
     """The inputs' corners in one form.
 
-    Slot maps when every input has one and slots is set, else length-N
-    vectors when every input is diagonal, else dense matrices.
+    Slot maps when every input has one, else length-N vectors when every
+    input is diagonal, else dense matrices.
     """
     stored = [e._data for e in encodings]
-    vectors = not slots
+    vectors = False
     for data in stored:
         if type(data) is not dict:
             if data.ndim == 2:
@@ -572,29 +569,6 @@ def scale_down(enc: BlockEncoding, p: float) -> BlockEncoding:
     return _log("scale_down", [enc], out, p=p, theta=theta)
 
 
-def tensor(encodings) -> BlockEncoding:
-    """Kronecker product of encodings: parallel single uses of each input."""
-    encs = list(encodings)
-    if not encs:
-        raise ValueError("tensor requires at least one encoding")
-    # The Kronecker product of diagonals is the diagonal of the product.
-    combined = reduce(np.kron, _operands(encs, slots=False))
-    alpha = 1.0
-    eps = 0.0
-    ancillas = depth = high_water = 0
-    queries = len(encs)
-    for e in encs:
-        eps = alpha * e.eps + e.alpha * eps
-        alpha *= e.alpha
-        ancillas += e.ancillas
-        d, q, h = e._counts
-        depth = max(depth, d)
-        queries += q
-        high_water = max(high_water, h)
-    out = _encoding(combined, combined.shape[0], alpha, ancillas, eps, depth, queries, high_water)
-    return _log("tensor", encs, out, m=len(encs))
-
-
 def amplify(enc: BlockEncoding, gamma: float, delta: float, eps_target: float) -> BlockEncoding:
     """Boost the corner by gamma > 1, requiring ||gamma * corner|| < 1 - delta.
 
@@ -676,36 +650,6 @@ def qsvt_transform(enc: BlockEncoding, poly, degree: int | None = None) -> Block
         depth + d, queries + d, high_water,
     )
     return _log("qsvt_transform", [enc], out, degree=d, sup=sup)
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    sym = (mat + mat.conj().T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    # Float noise can push eigenvalues to -1e-16 or 1 + 1e-16; clamp first.
-    eigvals = np.clip(eigvals, 0.0, 1.0)
-    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
-
-
-def realize_dilation(enc: BlockEncoding) -> np.ndarray:
-    """Complete the corner B into the unitary [[B, sqrt(I-BB*)], [sqrt(I-B*B), -B*]].
-
-    Exists for independent validation of the corner arithmetic; it carries
-    no counters.  The top-left block of the result equals the corner
-    exactly; unitarity holds to 1e-10 for any contraction.
-    """
-    if enc.norm > 1.0 + NORM_TOL:
-        raise NormTooLarge("dilation requires a contraction corner")
-    b = enc.corner
-    n = enc.dim
-    eye = np.eye(n)
-    top_right = _psd_sqrt(eye - b @ b.conj().T)
-    bottom_left = _psd_sqrt(eye - b.conj().T @ b)
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = b
-    out[:n, n:] = top_right
-    out[n:, :n] = bottom_left
-    out[n:, n:] = -b.conj().T
-    return out
 
 
 def apply_postselect(enc: BlockEncoding, phi) -> PostSelection:

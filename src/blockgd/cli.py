@@ -16,7 +16,9 @@ descent.COST_INT_RANGES.  The step size comes from descent.step_size and
 the start vector's size and box check from descent.start_vector, the rules
 the engines apply too.  So validate-config exits 2, 3 or 7 exactly where run
 would before any pipeline work (and before run creates its output
-directory), and 0 otherwise.
+directory), and 0 otherwise.  Only run reaches the two checks that need the
+separable derivative polynomial: an eta above 1/divisor (exit 2) and the
+degree cap (exit 6).
 
 With --audit (or "audit": true), run wraps the engine call, and only it, in
 blockcalc.recording, so audit.jsonl holds one record per calculus primitive
@@ -216,12 +218,13 @@ def _build_report(cfg: ExperimentConfig, trace: DescentTrace, oracle_trace) -> d
     # reported and ||x_T||^2 / n probabilities coincide.
     expected_prob = float(np.dot(final, final)) / next_power_of_two(trace.n)
     if cfg.mode == GENERIC:
-        stats = cfg.objective.stats()
+        terms = cfg.objective.terms
+        vars_per_term = max((len(t.support) for t in terms), default=0)
         # An all-constant objective has no iteration cost to bound.
         shape = dict(
-            terms=stats.term_count, degree=stats.max_degree,
-            vars_per_term=stats.max_var_count,
-        ) if stats.max_var_count else None
+            terms=len(terms), degree=max((t.degree for t in terms), default=0),
+            vars_per_term=vars_per_term,
+        ) if vars_per_term else None
     else:
         shape = dict(poly_degree=trace.poly_degree)
     envelopes = {}

@@ -232,10 +232,24 @@ def step_size(mode: str, objective, eta: float | None) -> float:
     """The step size a run of mode uses, or InvalidConfig if eta breaks its rule.
 
     Generic mode pins eta to eta_generic(objective), so a given eta must
-    match it; separable mode requires an eta in (0, 1/(2*M)].
+    match it, and the pinned eta must be finite; each coefficient factor
+    coeff * exponent / M that build_partial_be applies must not underflow
+    to 0 (one pass over the K*v exponents).  Separable mode requires an eta
+    in (0, 1/(2*M)].
     """
     if mode == GENERIC:
         pinned = eta_generic(objective)
+        if not math.isfinite(pinned):
+            raise InvalidConfig(
+                f"eta: 1/(2*M*K) overflows to {pinned} for M = {objective.grad_bound}"
+            )
+        for i, term in enumerate(objective.terms):
+            for m in term.support:
+                if term.coeff * term.exponents[m] / objective.grad_bound == 0.0:
+                    raise InvalidConfig(
+                        f"term {i}: its factor coeff * exponent / M for variable {m} "
+                        f"underflows to 0 (coeff {term.coeff}, M {objective.grad_bound})"
+                    )
         if eta is not None and not abs(eta - pinned) <= 1e-9 * max(pinned, 1.0):
             raise InvalidConfig(
                 f"eta: generic mode pins eta to 1/(2*M*K) = {pinned}; got {eta}"
@@ -402,7 +416,9 @@ def gd_step_separable(
     amplification strips the 1/2.
     """
     divisor = _qsvt_divisor(poly, grad_bound)
-    p_insert = 1.0 / (eta * divisor)
+    # A product that underflows to 0 inserts a step of 0, as an inf p_insert does.
+    product = eta * divisor
+    p_insert = 1.0 / product if product else math.inf
     if p_insert < 1.0 - DOMAIN_TOL:
         raise InvalidConfig(
             f"eta = {eta} exceeds 1/{divisor} allowed by the measured "

@@ -1,11 +1,10 @@
 """Plain floating-point gradient descent used as ground truth.
 
 classical_gd iterates x <- x - eta * grad f(x) with symbolic gradients
-(exact monomial differentiation or the closed-form scalar derivative);
-finite_diff_grad provides a second, derivative-free cross-check.  Both work
-for monomial-sum and coordinate-separable objectives (ObjectiveFunction,
-SeparableObjective): each box-checks its point once, then reads the
-objective through its unchecked ``_gradient`` or ``_evaluate``.
+(exact monomial differentiation or the closed-form scalar derivative), for
+monomial-sum and coordinate-separable objectives (ObjectiveFunction,
+SeparableObjective): it box-checks each point once, then reads the
+objective through its unchecked ``_gradient``.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainExit, DomainViolation
+from .errors import DomainExit
 from .polyfunc import check_point, first_outside_box
 
 
@@ -22,9 +21,8 @@ from .polyfunc import check_point, first_outside_box
 class OracleTrace:
     """The iterates x_0 .. x_T as one read-only (T + 1) x n float array.
 
-    ``iterates`` builds the tuple of coordinate tuples from ``rows`` on each
-    read; as_array() returns a fresh copy of ``rows``.  Two traces are equal
-    when their rows are (np.array_equal); a trace is not hashable.
+    as_array() returns a fresh copy of ``rows``.  Two traces are equal when
+    their rows are (np.array_equal); a trace is not hashable.
     """
 
     rows: np.ndarray
@@ -33,10 +31,6 @@ class OracleTrace:
         if not isinstance(other, OracleTrace):
             return NotImplemented
         return np.array_equal(self.rows, other.rows)
-
-    @property
-    def iterates(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(map(tuple, self.rows.tolist()))
 
     def as_array(self) -> np.ndarray:
         return self.rows.copy()
@@ -69,17 +63,3 @@ def classical_gd(objective, x0, eta: float, steps: int) -> OracleTrace:
     rows.setflags(write=False)
     return OracleTrace(rows)
 
-
-def finite_diff_grad(objective, x, h: float) -> np.ndarray:
-    """Central-difference gradient, component-wise, step h."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = check_point(x, objective.n)
-    if first_outside_box(x, h) is not None:
-        raise DomainViolation("x +/- h e_m leaves [-1/2, 1/2]^n")
-    grad = np.zeros(x.size)
-    for m in range(x.size):
-        step = np.zeros(x.size)
-        step[m] = h
-        grad[m] = (objective._evaluate(x + step) - objective._evaluate(x - step)) / (2 * h)
-    return grad

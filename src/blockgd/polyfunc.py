@@ -102,29 +102,6 @@ class MonomialTerm:
         """Total degree: sum of all exponents."""
         return sum(self.exponents)
 
-    @property
-    def var_count(self) -> int:
-        return len(self.support)
-
-
-@dataclass(frozen=True)
-class TermProfile:
-    """Combinatorial statistics of one term: variable count, degree, support."""
-
-    var_count: int
-    degree: int
-    support: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class TermStats:
-    """Per-term profiles plus the maxima used by the cost envelopes."""
-
-    term_count: int
-    per_term: tuple[TermProfile, ...]
-    max_var_count: int
-    max_degree: int
-
 
 @dataclass(frozen=True)
 class BoundsReport:
@@ -224,18 +201,6 @@ class ObjectiveFunction:
                         prod *= vec[k] ** e
                 grad[m] += prod
         return grad
-
-    def stats(self) -> TermStats:
-        """Per-term (v, d, s) statistics; invariant under term order."""
-        profiles = tuple(
-            TermProfile(t.var_count, t.degree, t.support) for t in self.terms
-        )
-        return TermStats(
-            term_count=len(self.terms),
-            per_term=profiles,
-            max_var_count=max((p.var_count for p in profiles), default=0),
-            max_degree=max((p.degree for p in profiles), default=0),
-        )
 
     def _eval_grid(self, points: np.ndarray) -> np.ndarray:
         out = np.zeros(points.shape[0])

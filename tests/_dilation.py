@@ -1,6 +1,7 @@
 """Independent matrix-level oracle for composed encodings.
 
-Builds the full unitary of a composition tree from the dilations of its
+realize_dilation completes one corner into an explicit unitary.  realize_tree
+builds the full unitary of a composition tree from the dilations of its
 leaves, embedding every operand's ancillas into one joint space, and reads
 the corner back out.  None of the calculus' corner-arithmetic or
 error-propagation rules are reused here, so agreement with blockcalc is a
@@ -19,7 +20,37 @@ import math
 
 import numpy as np
 
-from blockgd.blockcalc import BlockEncoding, realize_dilation
+from blockgd.blockcalc import NORM_TOL, BlockEncoding
+from blockgd.errors import NormTooLarge
+
+
+def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    sym = (mat + mat.conj().T) / 2.0
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    # Float noise can push eigenvalues to -1e-16 or 1 + 1e-16; clamp first.
+    eigvals = np.clip(eigvals, 0.0, 1.0)
+    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
+
+
+def realize_dilation(enc: BlockEncoding) -> np.ndarray:
+    """Complete the corner B into the unitary [[B, sqrt(I-BB*)], [sqrt(I-B*B), -B*]].
+
+    It carries no counters.  The top-left block of the result equals the
+    corner exactly; unitarity holds to 1e-10 for any contraction.
+    """
+    if enc.norm > 1.0 + NORM_TOL:
+        raise NormTooLarge("dilation requires a contraction corner")
+    b = enc.corner
+    n = enc.dim
+    eye = np.eye(n)
+    top_right = _psd_sqrt(eye - b @ b.conj().T)
+    bottom_left = _psd_sqrt(eye - b.conj().T @ b)
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    out[:n, :n] = b
+    out[:n, n:] = top_right
+    out[n:, :n] = bottom_left
+    out[n:, n:] = -b.conj().T
+    return out
 
 
 def _embed(u: np.ndarray, anc_dim: int, sys_dim: int, before: int, after: int) -> np.ndarray:

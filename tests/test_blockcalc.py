@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.polynomial import Polynomial
 
 import blockgd.blockcalc as bc
-from blockgd.blockcalc import AuditLog, BlockEncoding, ResourceCounter
+from blockgd.blockcalc import AuditLog, BlockEncoding
 from blockgd.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -23,7 +23,7 @@ from blockgd.errors import (
     NotNormalized,
     PolyBoundViolated,
 )
-from _dilation import corner_of
+from _dilation import corner_of, realize_dilation
 
 
 def refuse_svd(mat):
@@ -50,7 +50,6 @@ def primitive_outputs(x, y):
         "scale_down": bc.scale_down(y, 3.0),
         "amplify": bc.amplify(x, 2.0, 0.5, 1e-6),
         "qsvt_transform": bc.qsvt_transform(y, Polynomial([0.05, -0.1, 0.3])),
-        "tensor": bc.tensor([x, y]),
     }
 
 
@@ -256,31 +255,6 @@ class TestScaleDown:
             bc.scale_down(enc, 1.0)
 
 
-class TestTensor:
-    def test_identity_times_block(self):
-        eye = BlockEncoding(np.eye(2))
-        b = bc.diag_encode([0.3, 0.1])
-        out = bc.tensor([eye, b])
-        assert np.allclose(out.corner, np.kron(np.eye(2), b.corner))
-
-    def test_diag_outer_product(self):
-        a = bc.diag_encode([0.5, 0.2])
-        b = bc.diag_encode([0.4, 0.1])
-        out = bc.tensor([a, b])
-        assert np.allclose(np.diag(out.corner), [0.2, 0.05, 0.08, 0.02])
-
-    def test_single_input(self):
-        a = bc.diag_encode([0.5, 0.2])
-        out = bc.tensor([a])
-        assert np.allclose(out.corner, a.corner)
-
-    def test_parallel_depth_is_max(self):
-        a = bc.diag_encode([0.5, 0.2])       # depth 1
-        b = bc.diag_encode([0.3] * 8)        # depth 3
-        out = bc.tensor([a, b])
-        assert out.resources.depth_units == 3
-
-
 class TestAmplify:
     def test_exact_rescale(self):
         enc = bc.diag_encode([0.2, -0.1])
@@ -385,12 +359,12 @@ class TestQsvtTransform:
 
 class TestRealizeDilation:
     def test_zero_block(self):
-        u = bc.realize_dilation(BlockEncoding(np.zeros((2, 2))))
+        u = realize_dilation(BlockEncoding(np.zeros((2, 2))))
         expected = np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
         assert np.allclose(u, expected)
 
     def test_identity_block(self):
-        u = bc.realize_dilation(BlockEncoding(np.eye(2)))
+        u = realize_dilation(BlockEncoding(np.eye(2)))
         expected = np.block(
             [[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), -np.eye(2)]]
         )
@@ -401,7 +375,7 @@ class TestRealizeDilation:
         for _ in range(50):
             dim = int(rng.choice([2, 4, 8, 16]))
             enc = BlockEncoding(random_contraction(rng, dim, max_norm=1.0))
-            u = bc.realize_dilation(enc)
+            u = realize_dilation(enc)
             defect = np.linalg.norm(u.conj().T @ u - np.eye(2 * dim), 2)
             assert defect <= 1e-10
             assert np.array_equal(u[:dim, :dim], enc.corner)
@@ -414,7 +388,7 @@ class TestRealizeDilation:
             y = bc.diag_encode(random_diagonal(rng, 8))
             encs = [x, bc.projector_encode(8, 3), *primitive_outputs(x, y).values()]
             for enc in encs:
-                u = bc.realize_dilation(enc)
+                u = realize_dilation(enc)
                 defect = np.linalg.norm(u.conj().T @ u - np.eye(2 * enc.dim), 2)
                 assert defect <= 1e-10
                 assert np.array_equal(u[: enc.dim, : enc.dim], enc.corner)
@@ -650,7 +624,6 @@ class TestClosureAndCounters:
                 bc.product(a, b),
                 bc.lcu([a, b], [1, -1]),
                 bc.scale_down(a, float(rng.uniform(1.1, 3.0))),
-                bc.tensor([a, b]),
             ]
             for out in outs:
                 assert out.norm <= 1.0 + bc.NORM_TOL

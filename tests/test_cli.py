@@ -140,6 +140,28 @@ QUARTIC_LONG_DOC = {
     "x0": [0.3, 0.2], "T": 400, "eps": 1e-6,
 }
 QUADRATIC_LONG_DOC = QUADRATIC_DOC | {"T": 1500}
+# Edge values whose products under- or overflow.  At M = 5e-324 the pinned
+# generic eta 1/(2*M*K) is inf; at M = 1e300 the factor coeff * exponent / M
+# of a 5e-324 coefficient is 0; a separable eta of 5e-324 times the divisor
+# 0.2 (M = 1e-300) is 0, and times 2 (M = 1.0) gives p_insert = inf.
+TINY_M_OBJECTIVE = {"n": 1, "M": 5e-324, "terms": [{"coeff": 0.1, "exponents": [2]}]}
+UNDERFLOW_EDGE_DOCS = [
+    pytest.param(_with(GENERIC_DOC, ["objective"], {
+        "n": 2, "M": 1e300, "terms": [{"coeff": 5e-324, "exponents": [2, 0]}]}),
+        EXIT_SCHEMA, id="factor-underflows"),
+    pytest.param({**GENERIC_DOC, "objective": TINY_M_OBJECTIVE, "x0": {"uniform_q": "auto"},
+                  "T": 0}, EXIT_SCHEMA, id="eta-inf-uniform-x0"),
+    pytest.param({**GENERIC_DOC, "objective": TINY_M_OBJECTIVE, "x0": [0.1], "T": 0},
+                 EXIT_SCHEMA, id="eta-inf-T0"),
+    pytest.param({**GENERIC_DOC, "objective": TINY_M_OBJECTIVE, "x0": [0.1], "T": 1},
+                 EXIT_SCHEMA, id="eta-inf-T1"),
+    pytest.param({"mode": "separable", "objective": {
+        "n": 1, "M": 1e-300, "kind": "poly", "coeffs": [0.1, 0.1]},
+        "x0": [0.1], "T": 1, "eps": 0.001, "eta": 5e-324}, EXIT_OK, id="eta-divisor-underflows"),
+    pytest.param({"mode": "separable", "objective": {
+        "n": 1, "M": 1.0, "kind": "poly", "coeffs": [0.1, 0.1]},
+        "x0": [0.1], "T": 1, "eps": 0.001, "eta": 5e-324}, EXIT_OK, id="p-insert-overflows"),
+]
 # Configs that pass every field check but break the step-size rule, have no
 # feasible uniform start, or fail inside the pipeline.
 RULE_DOCS = [
@@ -587,6 +609,16 @@ class TestNoInternalError:
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONTRACT
         assert message in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("doc, code", UNDERFLOW_EDGE_DOCS)
+    def test_underflow_edges_exit_alike(self, tmp_path, doc, code):
+        """Both commands give one documented code; a run that passes writes its report."""
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        run_code = main(["run", "--config", str(path), "--out", str(out)])
+        validate_code = main(["validate-config", "--config", str(path)])
+        assert (run_code, validate_code) == (code, code)
+        assert (out / "report.json").exists() == (code == EXIT_OK)
 
     def test_compare_costs_subnormal_eps(self, tmp_path, capsys):
         path = write_config(tmp_path, {"eps": 1e-320}, "params.json")

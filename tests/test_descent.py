@@ -419,7 +419,7 @@ class TestTraceShape:
         trace = run_generic(f, [0.2, 0.1], DescentConfig(steps=3, eps=1e-6, mode="generic"))
         oracle = classical_gd(f, [0.2, 0.1], eta_generic(f), 3)
         arrays = (trace.iterates(), trace.final_iterate(), oracle.as_array())
-        tuples = ([r.x for r in trace.records], trace.records[-1].x, oracle.iterates)
+        tuples = ([r.x for r in trace.records], trace.records[-1].x, oracle.rows.tolist())
         for array, rows in zip(arrays, tuples):
             assert array.dtype == float
             assert array.tobytes() == np.asarray(rows, dtype=float).tobytes()

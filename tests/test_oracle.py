@@ -4,8 +4,28 @@ import pytest
 from blockgd import chebyshev, oracle, polyfunc
 from blockgd.chebyshev import ScalarFunction, SeparableObjective
 from blockgd.errors import DomainExit, DomainViolation
-from blockgd.oracle import classical_gd, finite_diff_grad
+from blockgd.oracle import classical_gd
 from blockgd.polyfunc import MonomialTerm, ObjectiveFunction
+
+
+def finite_diff_grad(objective, x, h: float) -> np.ndarray:
+    """Central-difference gradient, component-wise, step h: a derivative-free cross-check.
+
+    Like the objectives, it box-checks its point once (through
+    polyfunc.check_point, looked up at call time) and then reads the
+    objective through its unchecked ``_evaluate``.
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    x = polyfunc.check_point(x, objective.n)
+    if polyfunc.first_outside_box(x, h) is not None:
+        raise DomainViolation("x +/- h e_m leaves [-1/2, 1/2]^n")
+    grad = np.zeros(x.size)
+    for m in range(x.size):
+        step = np.zeros(x.size)
+        step[m] = h
+        grad[m] = (objective._evaluate(x + step) - objective._evaluate(x - step)) / (2 * h)
+    return grad
 
 
 def quadratic_bowl():
@@ -17,18 +37,18 @@ def quadratic_bowl():
 class TestClassicalGd:
     def test_quadratic_contraction_closed_form(self):
         trace = classical_gd(quadratic_bowl(), [0.2, 0.1], 0.1, 3)
-        assert trace.iterates[-1] == pytest.approx((0.8**3 * 0.2, 0.8**3 * 0.1))
-        assert len(trace.iterates) == 4
+        assert trace.rows[-1].tolist() == pytest.approx([0.8**3 * 0.2, 0.8**3 * 0.1])
+        assert len(trace.rows) == 4
 
     def test_zero_steps(self):
         trace = classical_gd(quadratic_bowl(), [0.2, 0.1], 0.1, 0)
-        assert trace.iterates == ((0.2, 0.1),)
+        assert trace.rows.tolist() == [[0.2, 0.1]]
 
     def test_constant_function_is_fixed_point(self):
         f = ObjectiveFunction(2, 1.0, (MonomialTerm(0.25, (0, 0)),))
         trace = classical_gd(f, [0.2, -0.1], 0.3, 4)
-        for row in trace.iterates:
-            assert row == (0.2, -0.1)
+        for row in trace.rows.tolist():
+            assert row == [0.2, -0.1]
 
     def test_strictly_convex_quadratic_contracts(self):
         rng = np.random.default_rng(6)
@@ -44,7 +64,7 @@ class TestClassicalGd:
             )
             eta = 0.9 / (2 * float(np.max(coeffs)))
             trace = classical_gd(f, rng.uniform(-0.3, 0.3, size=n), eta, 5)
-            norms = [float(np.linalg.norm(row)) for row in trace.iterates]
+            norms = [float(np.linalg.norm(row)) for row in trace.rows]
             for a, b in zip(norms, norms[1:]):
                 if a > 0:
                     assert b < a
@@ -54,7 +74,7 @@ class TestClassicalGd:
         with pytest.raises(DomainExit) as err:
             classical_gd(f, [0.4], 0.5, 5)
         assert err.value.step == 2
-        assert len(err.value.trace.iterates) == 2  # x0 and x1 only
+        assert len(err.value.trace.rows) == 2  # x0 and x1 only
 
     def test_separable_objective(self):
         sep = SeparableObjective(ScalarFunction.named("sin"), n=4, grad_bound=1.0)
@@ -63,7 +83,7 @@ class TestClassicalGd:
         x = x0.copy()
         for _ in range(2):
             x = x - 0.1 * np.cos(x)
-        assert trace.iterates[-1] == pytest.approx(tuple(x))
+        assert trace.rows[-1].tolist() == pytest.approx(x.tolist())
 
 
 class TestFiniteDiffGrad:

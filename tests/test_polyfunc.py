@@ -103,30 +103,31 @@ class TestPartial:
 
 
 class TestTermStats:
+    """Each term's support and degree, from which the report takes v and d."""
+
     def test_worked_example_three_vars(self):
         f = make(5, 1.0, (1.0, (2, 3, 0, 0, 1)))
-        s = f.stats()
-        assert s.per_term[0].var_count == 3
-        assert s.per_term[0].support == (0, 1, 4)
-        assert s.per_term[0].degree == 6
+        term = f.terms[0]
+        assert len(term.support) == 3
+        assert term.support == (0, 1, 4)
+        assert term.degree == 6
 
     def test_worked_example_five_vars(self):
         f = make(9, 1.0, (1.0, (1, 1, 1, 0, 0, 0, 4, 0, 2)))
-        s = f.stats()
-        assert s.per_term[0].var_count == 5
-        assert s.per_term[0].degree == 9
+        term = f.terms[0]
+        assert len(term.support) == 5
+        assert term.degree == 9
 
     def test_constant_term(self):
         f = make(3, 1.0, (2.0, (0, 0, 0)))
-        s = f.stats()
-        assert s.max_var_count == 0
-        assert s.max_degree == 0
-        assert s.per_term[0].support == ()
+        term = f.terms[0]
+        assert term.support == ()
+        assert term.degree == 0
 
     def test_invariant_under_term_permutation(self):
         a = make(3, 1.0, (1.0, (2, 0, 0)), (0.5, (0, 1, 1)))
         b = make(3, 1.0, (0.5, (0, 1, 1)), (1.0, (2, 0, 0)))
-        assert a.stats() == b.stats()
+        assert a.terms == b.terms
         assert a == b
 
 
