@@ -16,7 +16,8 @@ with T, as expected.
 
 Conventions: corners are complex with power-of-two size (inputs are
 zero-padded at construction) and indices are 0-based.  Norm and
-polynomial-bound checks allow a 1e-10 grace for float noise.
+polynomial-bound checks allow a 1e-10 grace for float noise.  amplify
+applies the one margin AMP_MARGIN defined here; no caller passes one.
 
 Storage: a corner is kept in one of three forms, picked from the inputs of
 the primitive that makes it; there is no option.
@@ -101,6 +102,10 @@ from .errors import (
 
 NORM_TOL = 1e-10
 DIAG_TOL = 1e-12
+# The margin delta of every amplification (its audit record logs "delta"):
+# the boosted corner norm must stay below 1 - AMP_MARGIN = 1/2, the iterates'
+# containment bound, and the repetition count grows as 1/AMP_MARGIN.
+AMP_MARGIN = 0.5
 
 
 def spectral_norm(mat: np.ndarray) -> float:
@@ -556,10 +561,12 @@ def lcu(encodings, signs) -> BlockEncoding:
 
 
 def scale_down(enc: BlockEncoding, p: float) -> BlockEncoding:
-    """Shrink the corner by 1/p via one extra rotation ancilla (p > 1)."""
+    """Shrink the corner by 1/p via one extra rotation ancilla (p > 1, finite)."""
     p = float(p)
-    if p <= 1.0:
-        raise InvalidScale(f"scale factor must exceed 1, got {p}")
+    # Negated, so that NaN is rejected too; an infinite p would put Infinity,
+    # which strict JSON has no token for, into the audit record.
+    if not 1.0 < p < math.inf:
+        raise InvalidScale(f"scale factor must be finite and exceed 1, got {p}")
     theta = 2.0 * math.acos(1.0 / p)
     depth, queries, high_water = enc._counts
     out = _encoding(
@@ -569,32 +576,29 @@ def scale_down(enc: BlockEncoding, p: float) -> BlockEncoding:
     return _log("scale_down", [enc], out, p=p, theta=theta)
 
 
-def amplify(enc: BlockEncoding, gamma: float, delta: float, eps_target: float) -> BlockEncoding:
-    """Boost the corner by gamma > 1, requiring ||gamma * corner|| < 1 - delta.
+def amplify(enc: BlockEncoding, gamma: float, eps_target: float) -> BlockEncoding:
+    """Boost the corner by gamma > 1, requiring ||gamma * corner|| < 1 - AMP_MARGIN.
 
     Realized at desk scale as an exact rescale; the multiplicative
     singular-value perturbation allowed by the construction is charged to
     the error budget instead of being injected.  Uses m =
-    ceil((2*gamma/delta) * ln(4*gamma/eps_target)) repetitions, one extra
-    ancilla; the bound on the boosted norm is strict.
+    ceil((2*gamma/AMP_MARGIN) * ln(4*gamma/eps_target)) repetitions, one
+    extra ancilla; the bound on the boosted norm is strict.
     """
     gamma = float(gamma)
-    delta = float(delta)
     eps_target = float(eps_target)
     # The negated comparisons are true for NaN as well.
     if not gamma > 1.0:
         raise InvalidScale(f"amplification factor must exceed 1, got {gamma}")
-    if not 0.0 < delta <= 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
     if not eps_target > 0.0:
         raise ValueError(f"eps_target must be positive, got {eps_target}")
     boosted_norm = gamma * enc.norm
-    if not boosted_norm < 1.0 - delta:
+    if not boosted_norm < 1.0 - AMP_MARGIN:
         raise NormBoundViolated(
             f"||gamma * corner|| = {boosted_norm} must stay strictly below "
-            f"{1.0 - delta}"
+            f"{1.0 - AMP_MARGIN}"
         )
-    reps = (2.0 * gamma / delta) * math.log(4.0 * gamma / eps_target)
+    reps = (2.0 * gamma / AMP_MARGIN) * math.log(4.0 * gamma / eps_target)
     if not math.isfinite(reps):
         raise InvalidScale(
             f"amplifying by {gamma} to accuracy {eps_target} takes {reps} repetitions"
@@ -605,7 +609,7 @@ def amplify(enc: BlockEncoding, gamma: float, delta: float, eps_target: float) -
         _scaled(enc._data, gamma), enc.dim, enc.alpha, enc.ancillas + 1,
         gamma * enc.eps + eps_target * boosted_norm, depth + m, queries + m, high_water,
     )
-    return _log("amplify", [enc], out, gamma=gamma, delta=delta, eps_target=eps_target, m=m)
+    return _log("amplify", [enc], out, gamma=gamma, delta=AMP_MARGIN, eps_target=eps_target, m=m)
 
 
 def _poly_degree(poly, degree: int | None) -> int:

@@ -33,18 +33,10 @@ json's C encoder for every container of scalars (the long number lists) and
 joins only the containers above them in Python, and trace.csv joins the
 reprs of each row.
 
-Exit codes
-    0  success
-    1  unexpected internal error (no input is meant to reach it)
-    2  malformed JSON / schema or configuration error, including every input
-       limit above, a step size that breaks its rule and an unwritable --out
-    3  infeasible schedule (no compliant uniform initial state)
-    4  iterate norm bound violated at runtime
-    5  polynomial sup-norm bound violated
-    6  polynomial degree cap exceeded
-    7  other contract violations (domain exits, scale overflows, an
-       amplification whose repetition count overflows, a tracked error
-       budget that overflows on a long run, ...)
+Exit codes: 0 on success, 1 for an unexpected internal error (no input is
+meant to reach it), and otherwise the ``exit_code`` of the BlockgdError
+raised, listed once in blockgd.errors: 2 for every schema, input-limit and
+step-size error and an unwritable --out, 3 to 7 for the other families.
 """
 
 from __future__ import annotations
@@ -75,14 +67,7 @@ from .descent import (
     start_vector,
     step_size,
 )
-from .errors import (
-    BlockgdError,
-    DegreeCapExceeded,
-    InfeasibleSchedule,
-    NormBoundViolated,
-    PolyBoundViolated,
-    SchemaError,
-)
+from .errors import BlockgdError, SchemaError
 from .oracle import classical_gd
 from .polyfunc import (
     MAX_TRACE_ENTRIES,
@@ -98,12 +83,6 @@ from .polyfunc import (
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
-EXIT_SCHEMA = 2
-EXIT_INFEASIBLE = 3
-EXIT_NORM = 4
-EXIT_POLY = 5
-EXIT_DEGREE = 6
-EXIT_CONTRACT = 7
 
 UNIFORM_SENTINEL = "uniform"
 
@@ -391,20 +370,6 @@ def _load_json_file(path: Path):
         ) from exc
 
 
-def _exit_code_for(exc: BlockgdError) -> int:
-    if isinstance(exc, SchemaError):
-        return EXIT_SCHEMA
-    if isinstance(exc, InfeasibleSchedule):
-        return EXIT_INFEASIBLE
-    if isinstance(exc, NormBoundViolated):
-        return EXIT_NORM
-    if isinstance(exc, PolyBoundViolated):
-        return EXIT_POLY
-    if isinstance(exc, DegreeCapExceeded):
-        return EXIT_DEGREE
-    return EXIT_CONTRACT
-
-
 def _run_one_config(config_path: Path, args) -> int:
     doc = _load_json_file(config_path)
     cfg = parse_experiment(doc)
@@ -432,7 +397,7 @@ def _cmd_run(args) -> int:
                 return _run_one_config(path, sub)
             except BlockgdError as exc:
                 print(f"{path.name}: {exc}", file=sys.stderr)
-                return _exit_code_for(exc)
+                return exc.exit_code
 
         codes = [run_entry(path) for path in paths]
         return next((c for c in codes if c != 0), EXIT_OK)
@@ -501,7 +466,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BlockgdError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+        return exc.exit_code
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -22,9 +22,7 @@ privilege); the measurement-style read-out still reports the terminal
 post-selection probability.  Containment is enforced at run time: every
 step's amplification requires the next iterate's infinity norm to stay
 strictly below 1/2, so a bad schedule raises rather than silently clipping.
-Every amplification uses the one margin AMP_MARGIN = 1/2 (the delta of
-blockcalc.amplify): the boosted corner norm must stay below 1/2, which is
-the containment requirement itself, and no caller or option changes it.
+That bound is 1 - blockcalc.AMP_MARGIN, the margin amplify applies itself.
 
 Nothing here takes an audit log: each blockcalc primitive records itself
 into the log of the enclosing ``blockcalc.recording(log)`` block, so a
@@ -73,9 +71,6 @@ GENERIC = "generic"
 SEPARABLE = "separable"
 # The counters of one iterate, in the order of each DescentTrace.counters entry.
 COUNTERS = ("depth_units", "queries", "ancillas", "ancilla_high_water")
-# The margin delta of every amplification: the boosted corner norm must stay
-# below 1 - AMP_MARGIN, and the repetition count grows as 1/AMP_MARGIN.
-AMP_MARGIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -228,14 +223,20 @@ def eta_generic(objective: ObjectiveFunction) -> float:
     return 1.0 / (2.0 * objective.grad_bound * k_eff)
 
 
+def _reciprocal(x: float) -> float:
+    """1/x, and inf for x = 0, as for the subnormal x whose 1/x overflows."""
+    return 1.0 / x if x else math.inf
+
+
 def step_size(mode: str, objective, eta: float | None) -> float:
     """The step size a run of mode uses, or InvalidConfig if eta breaks its rule.
 
     Generic mode pins eta to eta_generic(objective), so a given eta must
     match it, and the pinned eta must be finite; each coefficient factor
-    coeff * exponent / M that build_partial_be applies must not underflow
-    to 0 (one pass over the K*v exponents).  Separable mode requires an eta
-    in (0, 1/(2*M)].
+    coeff * exponent / M that build_partial_be applies must have a finite
+    reciprocal, the scale_down factor of a factor below 1 (one pass over the
+    K*v exponents).  Separable mode requires an eta in (0, 1/(2*M)] whose
+    1/(2*eta*M), a bound on gd_step_separable's scale_down factor, is finite.
     """
     if mode == GENERIC:
         pinned = eta_generic(objective)
@@ -245,10 +246,12 @@ def step_size(mode: str, objective, eta: float | None) -> float:
             )
         for i, term in enumerate(objective.terms):
             for m in term.support:
-                if term.coeff * term.exponents[m] / objective.grad_bound == 0.0:
+                factor = term.coeff * term.exponents[m] / objective.grad_bound
+                if not math.isfinite(_reciprocal(factor)):
                     raise InvalidConfig(
-                        f"term {i}: its factor coeff * exponent / M for variable {m} "
-                        f"underflows to 0 (coeff {term.coeff}, M {objective.grad_bound})"
+                        f"term {i}: its factor coeff * exponent / M = {factor} for variable "
+                        f"{m} has no finite reciprocal (coeff {term.coeff}, "
+                        f"M {objective.grad_bound})"
                     )
         if eta is not None and not abs(eta - pinned) <= 1e-9 * max(pinned, 1.0):
             raise InvalidConfig(
@@ -260,6 +263,10 @@ def step_size(mode: str, objective, eta: float | None) -> float:
     limit = 1.0 / (2.0 * objective.grad_bound)
     if not 0.0 < eta <= limit + DOMAIN_TOL:
         raise InvalidConfig(f"eta: expected a value in (0, 1/(2*M)] = (0, {limit}], got {eta}")
+    if not math.isfinite(_reciprocal(2.0 * eta * objective.grad_bound)):
+        raise InvalidConfig(
+            f"eta: 1/(2*eta*M) is not finite for eta = {eta} and M = {objective.grad_bound}"
+        )
     return eta
 
 
@@ -304,11 +311,10 @@ def _apply_scalar_factor(enc: BlockEncoding, factor: float, eps: float) -> Block
     |factor| < 1 is a plain down-scale, |factor| > 1 an amplification
     (subject to its strict norm bound); a negative sign rides on a one-term
     signed average.  A factor that would push the corner past unit norm is
-    rejected: the caller's gradient bound M is too small.
+    rejected: the caller's gradient bound M is too small.  A factor without
+    a finite reciprocal (0 or subnormal) fails in scale_down (InvalidScale).
     """
     magnitude = abs(factor)
-    if magnitude == 0.0:
-        raise ValueError("zero scaling factor should have been filtered out")
     # Negated, so that an overflowing factor (inf * 0 = nan) is rejected too.
     if not magnitude * enc.norm <= 1.0 + bc.NORM_TOL:
         raise ScaleOverflow(
@@ -316,9 +322,9 @@ def _apply_scalar_factor(enc: BlockEncoding, factor: float, eps: float) -> Block
             f"{magnitude * enc.norm}; renormalize the gradient bound"
         )
     if magnitude > 1.0:
-        enc = bc.amplify(enc, magnitude, AMP_MARGIN, eps)
+        enc = bc.amplify(enc, magnitude, eps)
     elif magnitude < 1.0:
-        enc = bc.scale_down(enc, 1.0 / magnitude)
+        enc = bc.scale_down(enc, _reciprocal(magnitude))
     if factor < 0.0:
         enc = bc.lcu([enc], [-1])
     return enc
@@ -381,7 +387,7 @@ def build_gradient_be(
         combined = bc.lcu(partials, [1] * len(partials))
         v = len(support)
         if v > 2:
-            combined = bc.amplify(combined, v / 2.0, AMP_MARGIN, eps)
+            combined = bc.amplify(combined, v / 2.0, eps)
         elif v == 1:
             combined = bc.scale_down(combined, 2.0)
         per_term.append(combined)
@@ -397,7 +403,7 @@ def gd_step_generic(
     max_i |x_{i,t+1}| < 1/2; its failure signals an invalid schedule.
     """
     halved = bc.lcu([iterate, gradient], [1, -1])
-    return bc.amplify(halved, 2.0, AMP_MARGIN, eps)
+    return bc.amplify(halved, 2.0, eps)
 
 
 def _qsvt_divisor(poly: ChebyshevPoly, grad_bound: float) -> float:
@@ -416,9 +422,7 @@ def gd_step_separable(
     amplification strips the 1/2.
     """
     divisor = _qsvt_divisor(poly, grad_bound)
-    # A product that underflows to 0 inserts a step of 0, as an inf p_insert does.
-    product = eta * divisor
-    p_insert = 1.0 / product if product else math.inf
+    p_insert = _reciprocal(eta * divisor)
     if p_insert < 1.0 - DOMAIN_TOL:
         raise InvalidConfig(
             f"eta = {eta} exceeds 1/{divisor} allowed by the measured "
@@ -433,7 +437,7 @@ def gd_step_separable(
     if p_insert > 1.0 + DOMAIN_TOL:
         transformed = bc.scale_down(transformed, p_insert)
     halved = bc.lcu([iterate, transformed], [1, -1])
-    return bc.amplify(halved, 2.0, AMP_MARGIN, eps)
+    return bc.amplify(halved, 2.0, eps)
 
 
 def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> DescentTrace:

@@ -1,12 +1,17 @@
 """Exception types shared across the package.
 
-Every contract violation raises a distinct subclass of BlockgdError so the
-CLI can map each failure family to a stable exit code (see blockgd.cli).
+Every contract violation raises a subclass of BlockgdError, whose
+``exit_code`` is the exit code of its failure family; blockgd.cli returns
+it.  These class attributes are the one list of the codes: 2 SchemaError
+(InvalidConfig included), 3 InfeasibleSchedule, 4 NormBoundViolated, 5
+PolyBoundViolated, 6 DegreeCapExceeded and 7 every other BlockgdError.  The
+CLI adds 0 (success) and 1 (an internal error, which no input should reach).
 """
 
 
 class BlockgdError(Exception):
     """Base class for all package-specific errors."""
+    exit_code = 7
 
 
 class SchemaError(BlockgdError):
@@ -14,6 +19,7 @@ class SchemaError(BlockgdError):
 
     Messages carry the offending key path, e.g. ``terms[2].exponents``.
     """
+    exit_code = 2
 
 
 class InvalidConfig(SchemaError):
@@ -65,11 +71,13 @@ class InvalidErrorBudget(BlockgdError, ValueError):
 
 
 class NormBoundViolated(BlockgdError):
-    """Amplification requires the boosted corner norm to stay below 1 - delta."""
+    """Amplification requires the boosted corner norm to stay below 1 - AMP_MARGIN."""
+    exit_code = 4
 
 
 class PolyBoundViolated(BlockgdError):
     """A polynomial exceeds the sup-norm cap required for eigenvalue transforms."""
+    exit_code = 5
 
 
 class ScaleOverflow(BlockgdError):
@@ -85,10 +93,12 @@ class VariableNotInSupport(BlockgdError):
 
 class InfeasibleSchedule(BlockgdError):
     """eta * M * T >= 1/2, so no compliant uniform initial state exists."""
+    exit_code = 3
 
 
 class DegreeCapExceeded(BlockgdError):
     """No polynomial within the degree cap meets the requested accuracy."""
+    exit_code = 6
 
 
 class DomainExit(BlockgdError):

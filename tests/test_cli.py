@@ -11,20 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockgd.chebyshev import DEGREE_CAP, MAX_EPS
-from blockgd.cli import (
-    EXIT_CONTRACT,
-    EXIT_DEGREE,
-    EXIT_INFEASIBLE,
-    EXIT_INTERNAL,
-    EXIT_NORM,
-    EXIT_OK,
-    EXIT_POLY,
-    EXIT_SCHEMA,
-    _exit_code_for,
-    _json_text,
-    main,
-    parse_experiment,
-)
+from blockgd.cli import EXIT_INTERNAL, EXIT_OK, _json_text, main, parse_experiment
 from blockgd.errors import (
     DegreeCapExceeded,
     DomainExit,
@@ -35,6 +22,9 @@ from blockgd.errors import (
     SchemaError,
 )
 from blockgd.polyfunc import MAX_N, MAX_TERM_DEGREE, MAX_TRACE_ENTRIES
+
+# The documented exit code of each failure family (README's "Exit codes").
+EXIT_SCHEMA, EXIT_INFEASIBLE, EXIT_NORM, EXIT_POLY, EXIT_DEGREE, EXIT_CONTRACT = range(2, 8)
 
 REPO = Path(__file__).resolve().parents[1]
 QUADRATIC = REPO / "configs" / "quadratic.json"
@@ -113,6 +103,8 @@ LIMIT_DOCS = [
                  id="generic-n-huge"),
     pytest.param(QUADRATIC_DOC | {"T": 10**15}, str(MAX_TRACE_ENTRIES // 2 - 1),
                  id="quadratic-T-huge"),
+    pytest.param([GENERIC_DOC], "$: expected object, got list", id="top-level-array"),
+    pytest.param(GENERIC_DOC | {"out": 5}, "out: expected string", id="out-not-a-string"),
 ]
 # A generic term of total degree 65 and a poly of 515 coefficients (derivative
 # degree 513): one above the term-degree cap and the separable degree cap.
@@ -142,13 +134,17 @@ QUARTIC_LONG_DOC = {
 QUADRATIC_LONG_DOC = QUADRATIC_DOC | {"T": 1500}
 # Edge values whose products under- or overflow.  At M = 5e-324 the pinned
 # generic eta 1/(2*M*K) is inf; at M = 1e300 the factor coeff * exponent / M
-# of a 5e-324 coefficient is 0; a separable eta of 5e-324 times the divisor
-# 0.2 (M = 1e-300) is 0, and times 2 (M = 1.0) gives p_insert = inf.
+# of a 5e-324 coefficient is 0, and at M = 1.0 that of a 1e-310 coefficient
+# is subnormal, so its reciprocal is inf; a separable eta of 5e-324 makes
+# 2*eta*M 0 (M = 1e-300) or subnormal (M = 1.0).  Each is a step-size error.
 TINY_M_OBJECTIVE = {"n": 1, "M": 5e-324, "terms": [{"coeff": 0.1, "exponents": [2]}]}
 UNDERFLOW_EDGE_DOCS = [
     pytest.param(_with(GENERIC_DOC, ["objective"], {
         "n": 2, "M": 1e300, "terms": [{"coeff": 5e-324, "exponents": [2, 0]}]}),
         EXIT_SCHEMA, id="factor-underflows"),
+    pytest.param(_with(GENERIC_DOC, ["objective"], {"n": 2, "M": 1.0, "terms": [
+        {"coeff": 1e-310, "exponents": [2, 0]}, {"coeff": 0.5, "exponents": [0, 2]}]}),
+        EXIT_SCHEMA, id="factor-subnormal"),
     pytest.param({**GENERIC_DOC, "objective": TINY_M_OBJECTIVE, "x0": {"uniform_q": "auto"},
                   "T": 0}, EXIT_SCHEMA, id="eta-inf-uniform-x0"),
     pytest.param({**GENERIC_DOC, "objective": TINY_M_OBJECTIVE, "x0": [0.1], "T": 0},
@@ -157,10 +153,11 @@ UNDERFLOW_EDGE_DOCS = [
                  EXIT_SCHEMA, id="eta-inf-T1"),
     pytest.param({"mode": "separable", "objective": {
         "n": 1, "M": 1e-300, "kind": "poly", "coeffs": [0.1, 0.1]},
-        "x0": [0.1], "T": 1, "eps": 0.001, "eta": 5e-324}, EXIT_OK, id="eta-divisor-underflows"),
+        "x0": [0.1], "T": 1, "eps": 0.001, "eta": 5e-324}, EXIT_SCHEMA,
+        id="eta-divisor-underflows"),
     pytest.param({"mode": "separable", "objective": {
         "n": 1, "M": 1.0, "kind": "poly", "coeffs": [0.1, 0.1]},
-        "x0": [0.1], "T": 1, "eps": 0.001, "eta": 5e-324}, EXIT_OK, id="p-insert-overflows"),
+        "x0": [0.1], "T": 1, "eps": 0.001, "eta": 5e-324}, EXIT_SCHEMA, id="p-insert-overflows"),
 ]
 # Configs that pass every field check but break the step-size rule, have no
 # feasible uniform start, or fail inside the pipeline.
@@ -361,14 +358,23 @@ class TestExitCodes:
         path = write_config(tmp_path, doc)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_DEGREE
 
+    @pytest.mark.parametrize("command", ["run", "validate-config"])
+    @pytest.mark.parametrize("case", ["missing", "directory"])
+    def test_unreadable_config_is_schema_error(self, tmp_path, capsys, command, case):
+        path = tmp_path / "cfg.json"
+        if case == "directory":
+            path.mkdir()
+        assert main([command, "--config", str(path)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith("error: cannot read cfg.json: ")
+
     def test_every_error_family_has_one_code(self):
-        assert _exit_code_for(SchemaError("x")) == EXIT_SCHEMA
-        assert _exit_code_for(InfeasibleSchedule("x")) == EXIT_INFEASIBLE
-        assert _exit_code_for(NormBoundViolated("x")) == EXIT_NORM
-        assert _exit_code_for(PolyBoundViolated("x")) == EXIT_POLY
-        assert _exit_code_for(DegreeCapExceeded("x")) == EXIT_DEGREE
-        assert _exit_code_for(DomainExit("x")) == EXIT_CONTRACT
-        assert _exit_code_for(InvalidErrorBudget("x")) == EXIT_CONTRACT
+        assert SchemaError("x").exit_code == EXIT_SCHEMA
+        assert InfeasibleSchedule("x").exit_code == EXIT_INFEASIBLE
+        assert NormBoundViolated("x").exit_code == EXIT_NORM
+        assert PolyBoundViolated("x").exit_code == EXIT_POLY
+        assert DegreeCapExceeded("x").exit_code == EXIT_DEGREE
+        assert DomainExit("x").exit_code == EXIT_CONTRACT
+        assert InvalidErrorBudget("x").exit_code == EXIT_CONTRACT
         assert issubclass(InvalidErrorBudget, ValueError)
 
 
@@ -495,7 +501,7 @@ class TestNonFiniteNumbers:
 
 
 class TestInputLimits:
-    """n above MAX_N and a separable eps above MAX_EPS are schema errors (exit 2)."""
+    """Inputs outside a limit, or of the wrong shape, are schema errors (exit 2)."""
 
     @pytest.mark.parametrize("doc, message", LIMIT_DOCS)
     def test_run_and_validate_reject_with_schema_exit(self, tmp_path, capsys, doc, message):
@@ -516,8 +522,10 @@ class TestInputLimits:
 
     @pytest.mark.parametrize(
         "params, message",
-        [({"eps": 0.9}, str(MAX_EPS)), ({"n": 10**30}, str(MAX_N))],
-        ids=["eps", "n"],
+        [({"eps": 0.9}, str(MAX_EPS)), ({"n": 10**30}, str(MAX_N)),
+         ({"n": 2, "K": 3, "v": 1, "d": 1}, "probe family requires K <= n"),
+         ({"d": 1, "v": 2}, "d = 1 cannot be below v = 2")],
+        ids=["eps", "n", "K-above-n", "d-below-v"],
     )
     def test_compare_costs_rejects_with_schema_exit(self, tmp_path, capsys, params, message):
         path = write_config(tmp_path, params, "params.json")

@@ -31,6 +31,7 @@ from blockgd.errors import (
     DomainViolation,
     InfeasibleSchedule,
     InvalidConfig,
+    InvalidScale,
     NormBoundViolated,
     ScaleOverflow,
     VariableNotInSupport,
@@ -140,6 +141,16 @@ class TestBuildPartial:
         x = bc.diag_encode([0.0, 0.1])
         with pytest.raises(ScaleOverflow):
             build_partial_be(x, f, 0, 0, eps=1e-6)
+
+    @pytest.mark.parametrize("f", [
+        obj(2, 1e300, (5e-324, (2, 0))),
+        obj(2, 1.0, (1e-310, (2, 0)), (0.5, (0, 2))),
+    ], ids=["factor-zero", "factor-subnormal"])
+    def test_factor_without_finite_reciprocal_is_invalid_scale(self, f):
+        # The factor of x_0's term is 0 or 2e-310: scale_down would need p = 1/factor = inf.
+        term = next(i for i, t in enumerate(f.terms) if t.exponents[0])
+        with pytest.raises(InvalidScale, match="finite"):
+            build_partial_be(bc.diag_encode([0.1, 0.1]), f, term, 0, eps=1e-6)
 
 
 class TestBuildGradient:
