@@ -46,12 +46,7 @@ from .descent import (
     run_separable,
 )
 from .oracle import OracleTrace, classical_gd
-from .polyfunc import (
-    BoundsReport,
-    MonomialTerm,
-    ObjectiveFunction,
-    load_objective,
-)
+from .polyfunc import MonomialTerm, ObjectiveFunction, load_objective
 from . import errors
 
 __version__ = "0.1.0"
@@ -59,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditLog",
     "BlockEncoding",
-    "BoundsReport",
     "ChebyshevPoly",
     "CostParams",
     "DescentConfig",

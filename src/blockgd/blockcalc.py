@@ -590,8 +590,8 @@ def amplify(enc: BlockEncoding, gamma: float, eps_target: float) -> BlockEncodin
     # The negated comparisons are true for NaN as well.
     if not gamma > 1.0:
         raise InvalidScale(f"amplification factor must exceed 1, got {gamma}")
-    if not eps_target > 0.0:
-        raise ValueError(f"eps_target must be positive, got {eps_target}")
+    if not 0.0 < eps_target < math.inf:
+        raise InvalidErrorBudget(f"eps_target must be positive and finite, got {eps_target}")
     boosted_norm = gamma * enc.norm
     if not boosted_norm < 1.0 - AMP_MARGIN:
         raise NormBoundViolated(

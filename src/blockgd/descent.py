@@ -235,8 +235,9 @@ def step_size(mode: str, objective, eta: float | None) -> float:
     match it, and the pinned eta must be finite; each coefficient factor
     coeff * exponent / M that build_partial_be applies must have a finite
     reciprocal, the scale_down factor of a factor below 1 (one pass over the
-    K*v exponents).  Separable mode requires an eta in (0, 1/(2*M)] whose
-    1/(2*eta*M), a bound on gd_step_separable's scale_down factor, is finite.
+    K*v exponents).  Separable mode requires an eta > 0 whose 1/(2*eta*M) is
+    finite and at least 1 - DOMAIN_TOL: the relative rule gd_step_separable
+    applies to its scale_down factor 1/(eta*divisor), at the least divisor 2*M.
     """
     if mode == GENERIC:
         pinned = eta_generic(objective)
@@ -244,13 +245,13 @@ def step_size(mode: str, objective, eta: float | None) -> float:
             raise InvalidConfig(
                 f"eta: 1/(2*M*K) overflows to {pinned} for M = {objective.grad_bound}"
             )
-        for i, term in enumerate(objective.terms):
+        for term in objective.terms:
             for m in term.support:
                 factor = term.coeff * term.exponents[m] / objective.grad_bound
                 if not math.isfinite(_reciprocal(factor)):
                     raise InvalidConfig(
-                        f"term {i}: its factor coeff * exponent / M = {factor} for variable "
-                        f"{m} has no finite reciprocal (coeff {term.coeff}, "
+                        f"a term's factor coeff * exponent / M = {factor} for variable {m} "
+                        f"has no finite reciprocal (coeff {term.coeff}, "
                         f"M {objective.grad_bound})"
                     )
         if eta is not None and not abs(eta - pinned) <= 1e-9 * max(pinned, 1.0):
@@ -260,12 +261,11 @@ def step_size(mode: str, objective, eta: float | None) -> float:
         return pinned
     if eta is None:
         raise InvalidConfig("eta: separable mode requires an explicit eta")
-    limit = 1.0 / (2.0 * objective.grad_bound)
-    if not 0.0 < eta <= limit + DOMAIN_TOL:
-        raise InvalidConfig(f"eta: expected a value in (0, 1/(2*M)] = (0, {limit}], got {eta}")
-    if not math.isfinite(_reciprocal(2.0 * eta * objective.grad_bound)):
+    p = _reciprocal(2.0 * eta * objective.grad_bound) if eta > 0.0 else 0.0
+    if not (math.isfinite(p) and p >= 1.0 - DOMAIN_TOL):
         raise InvalidConfig(
-            f"eta: 1/(2*eta*M) is not finite for eta = {eta} and M = {objective.grad_bound}"
+            f"eta: expected a value in (0, 1/(2*M)] = (0, {1.0 / (2.0 * objective.grad_bound)}] "
+            f"whose 1/(2*eta*M) is finite, got {eta}"
         )
     return eta
 

@@ -34,10 +34,6 @@ class IndexOutOfRange(BlockgdError):
     """A variable or diagonal index is outside its valid range."""
 
 
-class BudgetExceeded(BlockgdError):
-    """A sampling grid exceeds the configured point budget."""
-
-
 class NormTooLarge(BlockgdError):
     """A vector or corner block exceeds the unit-norm requirement."""
 
@@ -67,7 +63,10 @@ class InvalidScale(BlockgdError):
 
 
 class InvalidErrorBudget(BlockgdError, ValueError):
-    """An error budget is not a finite float >= 0 (a long run's overflows to inf)."""
+    """An error budget is not a finite float >= 0 (a long run's overflows to inf).
+
+    amplify raises it too for an accuracy target outside (0, inf).
+    """
 
 
 class NormBoundViolated(BlockgdError):

@@ -2,8 +2,9 @@
 
 An objective is f(x) = sum_i a_i * prod_m x_m^{e_im} over the fixed box
 [-1/2, 1/2]^n, together with a caller-supplied bound M on ||grad f||_2
-there.  The bound is an input assumption: validate_bounds can sample-check
-it, but the check is evidence, not a proof, and is flagged as such.
+there.  The bound is an input assumption; certified_bounds proves bounds on
+|f| and ||grad f||_2 in closed form from the coefficients, and M is
+certified when its gradient bound is at most M.
 
 Conventions: variable indices are 0-based, 0**0 == 1 (constant terms are
 legal), duplicate exponent tuples are merged at construction, and the zero
@@ -19,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    DomainViolation,
-    IndexOutOfRange,
-    SchemaError,
-)
+from .errors import DomainViolation, IndexOutOfRange, SchemaError
 
 HALF = 0.5  # half-width of the box [-1/2, 1/2]^n every engine works in
 # Rounding slack on the box edge and on the step-size limits derived from it.
@@ -40,7 +36,6 @@ MAX_TRACE_ENTRIES = 2**24
 # takes one product per power, so the cap bounds a step's primitive calls.
 # compare-costs shares it as its largest d.
 MAX_TERM_DEGREE = 64
-DEFAULT_GRID_CAP = 1_000_000
 
 
 def first_outside_box(x, margin: float = 0.0) -> int | None:
@@ -104,27 +99,12 @@ class MonomialTerm:
 
 
 @dataclass(frozen=True)
-class BoundsReport:
-    """Sampled maxima of |f| and ||grad f||_2 over the box.
-
-    ``rigorous`` is always False: the numbers are empirical maxima over a
-    finite sample, never certified bounds.
-    """
-
-    max_abs_f: float
-    max_grad_norm: float
-    ok: bool
-    method: str
-    points: int
-    rigorous: bool = False
-
-
-@dataclass(frozen=True)
 class ObjectiveFunction:
     """Sum of monomial terms over n variables with gradient bound M.
 
-    ``grad_bound`` is the assumed bound M on ||grad f||_2 over the box;
-    it is required as an input because it is not derivable cheaply.
+    ``grad_bound`` is the assumed bound M on ||grad f||_2 over the box,
+    which the step size and the schedule use as given; certified_bounds
+    tells whether the coefficients prove it.
     """
 
     n: int
@@ -202,59 +182,23 @@ class ObjectiveFunction:
                 grad[m] += prod
         return grad
 
-    def _eval_grid(self, points: np.ndarray) -> np.ndarray:
-        out = np.zeros(points.shape[0])
-        for term in self.terms:
-            prod = np.full(points.shape[0], term.coeff)
-            for m in term.support:
-                prod *= points[:, m] ** term.exponents[m]
-            out += prod
-        return out
+    def certified_bounds(self) -> tuple[float, float]:
+        """Closed-form bounds (f_bound, grad_bound) on |f| and ||grad f||_2 over the box.
 
-    def validate_bounds(
-        self,
-        grid_points_per_axis: int,
-        *,
-        cap: int = DEFAULT_GRID_CAP,
-        allow_sampling: bool = True,
-        seed: int = 0,
-    ) -> BoundsReport:
-        """Sample the box and report empirical maxima of |f| and ||grad f||.
-
-        Uses a full tensor grid while grid_points_per_axis**n stays within
-        ``cap``; otherwise falls back to ``cap`` Monte-Carlo points (seeded,
-        deterministic) unless sampling is disabled.
+        Every |x_m| <= 1/2, so |f| <= sum_i |a_i| (1/2)^d_i and |df/dx_m| <=
+        c_m = sum_i |a_i| e_im (1/2)^(d_i - 1), whence ||grad f||_2 <=
+        sqrt(sum_m c_m^2).  The objective's M is certified when this
+        grad_bound is at most M.  O(K*v): only each term's support is read.
         """
-        if grid_points_per_axis < 2:
-            raise ValueError("grid_points_per_axis must be >= 2")
-        total = grid_points_per_axis**self.n
-        if total <= cap:
-            axes = np.linspace(-HALF, HALF, grid_points_per_axis)
-            mesh = np.meshgrid(*([axes] * self.n), indexing="ij")
-            points = np.stack(mesh, axis=-1).reshape(-1, self.n)
-            method = "grid"
-        elif allow_sampling:
-            rng = np.random.default_rng(seed)
-            points = rng.uniform(-HALF, HALF, size=(cap, self.n))
-            method = "monte-carlo"
-        else:
-            raise BudgetExceeded(
-                f"{grid_points_per_axis}^{self.n} = {total} grid points exceed "
-                f"the cap of {cap} and sampling is disabled"
-            )
-        values = self._eval_grid(points)
-        grad_sq = np.zeros(points.shape[0])
-        for m in range(self.n):
-            grad_sq += self.partial(m)._eval_grid(points) ** 2
-        max_abs_f = float(np.max(np.abs(values))) if values.size else 0.0
-        max_grad = float(np.sqrt(np.max(grad_sq))) if grad_sq.size else 0.0
-        return BoundsReport(
-            max_abs_f=max_abs_f,
-            max_grad_norm=max_grad,
-            ok=(max_abs_f <= HALF and max_grad <= self.grad_bound),
-            method=method,
-            points=points.shape[0],
-        )
+        f_bound = 0.0
+        partial_bounds: dict[int, float] = {}
+        for term in self.terms:
+            degree = sum(term.exponents[m] for m in term.support)
+            f_bound += abs(term.coeff) * HALF**degree
+            for m in term.support:
+                c = abs(term.coeff) * term.exponents[m] * HALF ** (degree - 1)
+                partial_bounds[m] = partial_bounds.get(m, 0.0) + c
+        return f_bound, math.hypot(*partial_bounds.values())
 
     def to_json_dict(self) -> dict:
         return {

@@ -30,6 +30,7 @@ from blockgd.errors import DomainExit
 from blockgd.oracle import classical_gd
 from blockgd.polyfunc import MonomialTerm, ObjectiveFunction
 from _dilation import corner_of, realize_dilation
+from _grid import grid_maxima
 
 REPO = Path(__file__).resolve().parents[1]
 SQRT2 = math.sqrt(2)
@@ -40,7 +41,7 @@ def _passed(line: str):
 
 
 def _random_instance(rng):
-    """One randomized objective with bounds certified by sampling."""
+    """One randomized objective with bounds checked by sampling."""
     n = int(rng.choice([2, 4, 8]))
     k = int(rng.integers(1, 5))
     terms = []
@@ -56,13 +57,13 @@ def _random_instance(rng):
     raw = ObjectiveFunction(n, 1.0, tuple(terms))
     if not raw.terms:
         return None
-    bounds = raw.validate_bounds(5)
-    scale = min(1.0, 0.4 / max(bounds.max_abs_f, 1e-9))
+    max_abs_f, max_grad_norm = grid_maxima(raw, 5)
+    scale = min(1.0, 0.4 / max(max_abs_f, 1e-9))
     scaled_terms = tuple(MonomialTerm(t.coeff * scale, t.exponents) for t in raw.terms)
-    m_bound = max(1.5 * scale * bounds.max_grad_norm, 0.1)
+    m_bound = max(1.5 * scale * max_grad_norm, 0.1)
     objective = ObjectiveFunction(n, m_bound, scaled_terms)
-    check = objective.validate_bounds(5)
-    if not check.ok:
+    max_abs_f, max_grad_norm = grid_maxima(objective, 5)
+    if not (max_abs_f <= 0.5 and max_grad_norm <= m_bound):
         return None
     return objective
 

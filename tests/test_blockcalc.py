@@ -14,6 +14,7 @@ from blockgd.blockcalc import AuditLog, BlockEncoding
 from blockgd.errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidErrorBudget,
     InvalidScale,
     MixedAlpha,
     NormBoundViolated,
@@ -286,6 +287,11 @@ class TestAmplify:
             bc.amplify(enc, math.inf, 1e-6)  # inf * 0 = nan
         with pytest.raises(InvalidScale, match="repetitions"):
             bc.amplify(enc, 2.0, 1e-320)  # 4 * gamma / eps overflows
+
+    @pytest.mark.parametrize("eps_target", [0.0, -1.0, math.nan, math.inf])
+    def test_eps_target_outside_open_half_line(self, eps_target):
+        with pytest.raises(InvalidErrorBudget, match="eps_target"):
+            bc.amplify(bc.diag_encode([0.1, 0.1]), 2.0, eps_target)
 
     def test_then_scale_down_roundtrip(self):
         rng = np.random.default_rng(2)

@@ -138,13 +138,14 @@ QUADRATIC_LONG_DOC = QUADRATIC_DOC | {"T": 1500}
 # is subnormal, so its reciprocal is inf; a separable eta of 5e-324 makes
 # 2*eta*M 0 (M = 1e-300) or subnormal (M = 1.0).  Each is a step-size error.
 TINY_M_OBJECTIVE = {"n": 1, "M": 5e-324, "terms": [{"coeff": 0.1, "exponents": [2]}]}
+# Its bad term is the config's terms[0] but the sorted objective's terms[1].
+FACTOR_SUBNORMAL_DOC = _with(GENERIC_DOC, ["objective"], {"n": 2, "M": 1.0, "terms": [
+    {"coeff": 1e-310, "exponents": [2, 0]}, {"coeff": 0.5, "exponents": [0, 2]}]})
 UNDERFLOW_EDGE_DOCS = [
     pytest.param(_with(GENERIC_DOC, ["objective"], {
         "n": 2, "M": 1e300, "terms": [{"coeff": 5e-324, "exponents": [2, 0]}]}),
         EXIT_SCHEMA, id="factor-underflows"),
-    pytest.param(_with(GENERIC_DOC, ["objective"], {"n": 2, "M": 1.0, "terms": [
-        {"coeff": 1e-310, "exponents": [2, 0]}, {"coeff": 0.5, "exponents": [0, 2]}]}),
-        EXIT_SCHEMA, id="factor-subnormal"),
+    pytest.param(FACTOR_SUBNORMAL_DOC, EXIT_SCHEMA, id="factor-subnormal"),
     pytest.param({**GENERIC_DOC, "objective": TINY_M_OBJECTIVE, "x0": {"uniform_q": "auto"},
                   "T": 0}, EXIT_SCHEMA, id="eta-inf-uniform-x0"),
     pytest.param({**GENERIC_DOC, "objective": TINY_M_OBJECTIVE, "x0": [0.1], "T": 0},
@@ -159,6 +160,21 @@ UNDERFLOW_EDGE_DOCS = [
         "n": 1, "M": 1.0, "kind": "poly", "coeffs": [0.1, 0.1]},
         "x0": [0.1], "T": 1, "eps": 0.001, "eta": 5e-324}, EXIT_SCHEMA, id="p-insert-overflows"),
 ]
+
+
+# A separable run of F(x) = (M/2) x, whose divisor is exactly 2*M: eta =
+# 1/(2*M) runs at every scale of M, and an eta above it by a relative 1e-6
+# (though by an absolute 5e-13 < DOMAIN_TOL) fails alike in both commands.
+def _separable_line(m_bound, eta):
+    return {"mode": "separable", "objective": {
+        "n": 1, "M": m_bound, "kind": "poly", "coeffs": [0.0, m_bound / 2]},
+        "x0": [0.1], "T": 1, "eps": 0.001, "eta": eta}
+
+
+SEPARABLE_ETA_DOCS = [
+    pytest.param(_separable_line(m, 1 / (2 * m)), EXIT_OK, id=f"eta-at-limit-M{m:g}")
+    for m in (1e-6, 1.0, 1e6)
+] + [pytest.param(_separable_line(1e6, 5.000005e-07), EXIT_SCHEMA, id="eta-above-limit-M1e6")]
 # Configs that pass every field check but break the step-size rule, have no
 # feasible uniform start, or fail inside the pipeline.
 RULE_DOCS = [
@@ -412,6 +428,13 @@ class TestValidateConfig:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: x0 lies outside [-1/2, 1/2]^n"] * 2
 
+    def test_factor_error_names_no_sorted_index(self, tmp_path, capsys):
+        path = write_config(tmp_path, FACTOR_SUBNORMAL_DOC)
+        assert main(["validate-config", "--config", str(path)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            "error: a term's factor coeff * exponent / M = 2e-310 for variable 0 has no "
+            "finite reciprocal (coeff 1e-310, M 1.0)\n")
+
     def test_separable_requires_eta(self, tmp_path):
         doc = {
             "mode": "separable",
@@ -618,7 +641,7 @@ class TestNoInternalError:
         assert message in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
-    @pytest.mark.parametrize("doc, code", UNDERFLOW_EDGE_DOCS)
+    @pytest.mark.parametrize("doc, code", UNDERFLOW_EDGE_DOCS + SEPARABLE_ETA_DOCS)
     def test_underflow_edges_exit_alike(self, tmp_path, doc, code):
         """Both commands give one documented code; a run that passes writes its report."""
         path = write_config(tmp_path, doc)

@@ -332,7 +332,7 @@ class TestRunSeparable:
     def test_step_size_rule(self):
         sep = SeparableObjective(ScalarFunction.named("sin"), n=2, grad_bound=1.0)
         assert step_size("separable", sep, 0.5) == 0.5  # 1/(2M) itself
-        for eta in (None, 0.0, 0.51, math.nan):
+        for eta in (None, 0.0, -0.1, 0.51, math.nan, 5e-324):
             with pytest.raises(InvalidConfig, match="eta"):
                 step_size("separable", sep, eta)
         f = quadratic_bowl()

@@ -1,16 +1,17 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blockgd.errors import (
-    BudgetExceeded,
-    DomainViolation,
-    IndexOutOfRange,
-    SchemaError,
-)
+from blockgd.errors import DomainViolation, IndexOutOfRange, SchemaError
 from blockgd.polyfunc import MonomialTerm, ObjectiveFunction, load_objective
+from _grid import grid_maxima
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def make(n, m_bound, *terms):
@@ -176,41 +177,35 @@ class TestConstruction:
             MonomialTerm(1.0, (0, 2, -1))
 
 
-class TestValidateBounds:
-    def test_quadratic_bowl_exact_maxima(self):
-        f = make(2, math.sqrt(2), (1.0, (2, 0)), (1.0, (0, 2)))
-        report = f.validate_bounds(21)
-        assert report.max_abs_f == pytest.approx(0.5, abs=1e-15)
-        assert report.max_grad_norm == pytest.approx(math.sqrt(2), abs=1e-15)
-        assert report.ok
-        assert not report.rigorous
-        assert report.method == "grid"
+# Objectives with n <= 4, K <= 4 and term degree <= 4; constant terms, terms
+# that merge or cancel, and K = 0 (the zero function) included.
+@st.composite
+def small_objectives(draw):
+    n = draw(st.integers(1, 4))
+    exponents = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(
+        lambda e: sum(e) <= 4)
+    coeffs = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+    terms = draw(st.lists(st.tuples(coeffs, exponents), max_size=4))
+    return make(n, 1.0, *terms)
 
-    def test_steep_line_fails_gradient_bound(self):
-        f = make(1, 1.0, (2.0, (1,)))
-        report = f.validate_bounds(11)
-        assert report.max_grad_norm == pytest.approx(2.0)
-        assert not report.ok
 
-    def test_zero_function_passes(self):
-        f = ObjectiveFunction(1, 1.0, ())
-        report = f.validate_bounds(11)
-        assert report.max_abs_f == 0.0
-        assert report.ok
+class TestCertifiedBounds:
+    @settings(max_examples=200, deadline=None)
+    @given(small_objectives())
+    def test_bounds_the_grid_maxima(self, f):
+        f_bound, grad_bound = f.certified_bounds()
+        max_abs_f, max_grad_norm = grid_maxima(f, 5)
+        assert max_abs_f <= f_bound * (1 + 1e-12)
+        assert max_grad_norm <= grad_bound * (1 + 1e-12)
 
-    def test_monte_carlo_fallback_and_budget(self):
-        f = make(8, 10.0, (0.1, (1,) * 8))
-        report = f.validate_bounds(10, cap=1000)
-        assert report.method == "monte-carlo"
-        assert report.points == 1000
-        with pytest.raises(BudgetExceeded):
-            f.validate_bounds(10, cap=1000, allow_sampling=False)
+    def test_exact_on_quadratic_json(self):
+        config = json.loads((REPO / "configs" / "quadratic.json").read_text())
+        f = load_objective(config["objective"])
+        assert f.certified_bounds() == (0.5, f.grad_bound) == (0.5, math.sqrt(2))
 
-    def test_monte_carlo_deterministic(self):
-        f = make(8, 10.0, (0.1, (1,) * 8))
-        a = f.validate_bounds(10, cap=500)
-        b = f.validate_bounds(10, cap=500)
-        assert a == b
+    def test_steep_line_and_zero_function(self):
+        assert make(1, 1.0, (2.0, (1,))).certified_bounds() == (1.0, 2.0)  # M = 1 uncertified
+        assert ObjectiveFunction(3, 1.0, ()).certified_bounds() == (0.0, 0.0)
 
 
 class TestJsonSchema:
