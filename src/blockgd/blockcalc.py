@@ -8,11 +8,10 @@ propagates the worst-case error budget by triangle-inequality rules, and
 accumulates abstract resource counters (depth units, queries to input
 encodings, ancilla qubits).  Gate-level synthesis is out of scope.
 
-Counter semantics: each operand position adds its ledger, so product(x, x)
-charges x twice, and then the operation adds its own stated cost, where
-repeated uses inside it (entry_project's two) count as ``queries``.  Totals
-over a T-step pipeline that feeds each output back in grow geometrically
-with T, as expected.
+Counter semantics: _encoding states the ledger rule, and each primitive
+only its own charge (depth, queries, ancillas), repeated uses inside it
+(entry_project's two) counting as ``queries``.  Totals over a T-step
+pipeline that feeds each output back in grow geometrically with T.
 
 Conventions: corners are complex with power-of-two size (inputs are
 zero-padded at construction) and indices are 0-based.  Norm and
@@ -50,11 +49,11 @@ does.
 Per-call cost: a primitive on slot maps does O(number of slots) Python
 arithmetic; on vectors, a handful of O(N) numpy operations (its arithmetic,
 plus |d| and its max for the norm).  Both add a fixed amount of Python work:
-argument checks, the counter arithmetic on plain (depth, queries,
-high-water) tuples, and one pass through _encoding, the one sealing path,
-which checks the output and builds the one BlockEncoding.  No primitive
-builds a ResourceCounter: BlockEncoding.resources builds it from the tuple on
-first read.  A generic step's gradient has at most K*v slots, so only the
+argument checks and one pass through _encoding, the one sealing path, which
+adds the inputs' plain (depth, queries, high-water) tuples to the own charge,
+checks the output and builds the one BlockEncoding.  No primitive builds a
+ResourceCounter: BlockEncoding.resources builds it from the tuple on first
+read.  A generic step's gradient has at most K*v slots, so only the
 iterate update (one lcu and one amplify on vectors) costs O(N); the hot path
 avoids copies of stored data and generic Python passes over the operands.
 A recorded primitive adds the output's id, a SHA-1 over the indices and
@@ -220,9 +219,9 @@ class BlockEncoding:
     a vector (see the module docstring); ``corner`` then builds the
     read-only N x N matrix on each access.  ``norm`` is the spectral norm,
     computed once at construction.  The counters are kept as the plain
-    tuple ``_counts`` = (depth, queries, high-water), which is all that
-    primitives and audit summaries read; ``resources`` builds the public
-    ResourceCounter from it on first read and keeps it.
+    tuple ``_counts`` = (depth, queries, high-water), which only _encoding
+    (adding an input's ledger) and the audit summary read; ``resources``
+    builds the public ResourceCounter from it on first read and keeps it.
     """
 
     def __init__(self, corner, alpha: float = 1.0, ancillas: int = 0,
@@ -236,8 +235,8 @@ class BlockEncoding:
             grown = np.zeros((padded, padded), dtype=complex)
             grown[:n, :n] = mat
             mat = grown
-        sealed = _encoding(mat, padded, alpha, ancillas, eps, resources.depth_units,
-                           resources.queries, resources.ancilla_high_water)
+        sealed = _encoding(mat, padded, alpha, eps, (), resources.depth_units,
+                           resources.queries, ancillas, resources.ancilla_high_water)
         self.__dict__.update(sealed.__dict__)
 
     def __setattr__(self, name, value):
@@ -299,16 +298,25 @@ class BlockEncoding:
         )
 
 
-def _encoding(data, dim: int, alpha: float, ancillas: int, eps: float,
-              depth: int, queries: int, high_water: int) -> BlockEncoding:
+def _encoding(data, dim: int, alpha: float, eps: float, inputs, depth: int, queries: int,
+              ancillas: int, high_water: int = 0) -> BlockEncoding:
     """Seal a corner, stored in the form data has, into a BlockEncoding.
 
     Every encoding is built here, the constructor's included: the norm
     (max |value| of a diagonal, the spectral norm of a dense matrix), the
-    checks on norm, alpha, eps and ancillas, and the counters
-    (depth, queries, high-water), whose high-water mark the output's own
-    ancillas raise.
+    checks on norm, alpha, eps and ancillas, and the ledger, by the one rule:
+    depth, queries and ancillas are the own charge plus the sum over the
+    operand positions ``inputs`` (product(x, x) charges x twice), and the
+    high-water mark is the largest of the inputs' marks, high_water and the
+    output's ancillas.  The constructor passes () and its given counters.
     """
+    for e in inputs:
+        d, q, h = e._counts
+        depth += d
+        queries += q
+        ancillas += e.ancillas
+        if h > high_water:
+            high_water = h
     if type(data) is dict:
         norm = 0.0
         for value in data.values():
@@ -463,7 +471,7 @@ def diag_encode(psi, alpha: float = 1.0) -> BlockEncoding:
     padded = np.zeros(dim, dtype=complex)
     padded[: len(vec)] = vec
     log_n = int(math.log2(dim))
-    enc = _encoding(padded, dim, float(alpha), log_n + 3, 0.0, log_n, 0, log_n + 3)
+    enc = _encoding(padded, dim, float(alpha), 0.0, (), log_n, 0, log_n + 3)
     return _log("diag_encode", [], enc, dim=dim, alpha=float(alpha))
 
 
@@ -473,7 +481,7 @@ def projector_encode(dim: int, k: int) -> BlockEncoding:
     if not 0 <= k < dim:
         raise IndexOutOfRange(f"index {k} not in [0, {dim})")
     log_n = int(math.log2(dim))
-    enc = _encoding({k: complex(1.0, 0.0)}, dim, 1.0, log_n, 0.0, 1, 0, log_n)
+    enc = _encoding({k: complex(1.0, 0.0)}, dim, 1.0, 0.0, (), 1, 0, log_n)
     return _log("projector_encode", [], enc, dim=dim, k=k)
 
 
@@ -498,10 +506,9 @@ def entry_project(enc: BlockEncoding, j: int, k: int) -> BlockEncoding:
     # Slot arithmetic matches numpy's rounding for real values only.
     slots = {k: value}
     log_n = int(math.log2(dim))
-    depth, queries, high_water = enc._counts
     out = _encoding(
-        slots if value.imag == 0.0 else _vector(slots, dim), dim, enc.alpha,
-        enc.ancillas + log_n + 3, enc.eps, depth + log_n, queries + 2, high_water,
+        slots if value.imag == 0.0 else _vector(slots, dim), dim, enc.alpha, enc.eps, [enc],
+        log_n, 2, log_n + 3,
     )
     return _log("entry_project", [enc], out, j=j, k=k)
 
@@ -510,12 +517,9 @@ def product(a: BlockEncoding, b: BlockEncoding) -> BlockEncoding:
     """Encoding of the operator product, one use of each input."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    depth_a, queries_a, high_a = a._counts
-    depth_b, queries_b, high_b = b._counts
     out = _encoding(
-        _times(*_operands([a, b])), a.dim, a.alpha * b.alpha, a.ancillas + b.ancillas,
-        a.alpha * b.eps + b.alpha * a.eps, depth_a + depth_b, 2 + queries_a + queries_b,
-        high_a if high_a > high_b else high_b,
+        _times(*_operands([a, b])), a.dim, a.alpha * b.alpha, a.alpha * b.eps + b.alpha * a.eps,
+        [a, b], 0, 2, 0,
     )
     return _log("product", [a, b], out)
 
@@ -536,8 +540,6 @@ def lcu(encodings, signs) -> BlockEncoding:
     dim = encs[0].dim
     alpha = encs[0].alpha
     m = len(encs)
-    ancillas = eps = depth = high_water = 0
-    queries = m
     for e, s in zip(encs, signs):
         if s != 1 and s != -1:
             raise ValueError(f"signs must be +/-1, got {signs}")
@@ -545,17 +547,10 @@ def lcu(encodings, signs) -> BlockEncoding:
             raise DimensionMismatch("lcu inputs must share one dimension")
         if e.alpha != alpha:
             raise MixedAlpha("lcu inputs must share one alpha; rescale first")
-        ancillas += e.ancillas
-        eps += e.eps
-        d, q, h = e._counts
-        depth += d
-        queries += q
-        if h > high_water:
-            high_water = h
     # (m - 1).bit_length() is ceil(log2(m)) for m >= 1.
     out = _encoding(
-        _signed_mean(_operands(encs), signs), dim, alpha, ancillas + (m - 1).bit_length(),
-        eps / m, depth, queries, high_water,
+        _signed_mean(_operands(encs), signs), dim, alpha, sum(e.eps for e in encs) / m, encs,
+        0, m, (m - 1).bit_length(),
     )
     return _log("lcu", encs, out, m=m, signs=signs)
 
@@ -568,11 +563,7 @@ def scale_down(enc: BlockEncoding, p: float) -> BlockEncoding:
     if not 1.0 < p < math.inf:
         raise InvalidScale(f"scale factor must be finite and exceed 1, got {p}")
     theta = 2.0 * math.acos(1.0 / p)
-    depth, queries, high_water = enc._counts
-    out = _encoding(
-        _shrunk(enc._data, p), enc.dim, enc.alpha, enc.ancillas + 1, enc.eps / p,
-        depth + 1, queries, high_water,
-    )
+    out = _encoding(_shrunk(enc._data, p), enc.dim, enc.alpha, enc.eps / p, [enc], 1, 0, 1)
     return _log("scale_down", [enc], out, p=p, theta=theta)
 
 
@@ -604,10 +595,9 @@ def amplify(enc: BlockEncoding, gamma: float, eps_target: float) -> BlockEncodin
             f"amplifying by {gamma} to accuracy {eps_target} takes {reps} repetitions"
         )
     m = math.ceil(reps)
-    depth, queries, high_water = enc._counts
     out = _encoding(
-        _scaled(enc._data, gamma), enc.dim, enc.alpha, enc.ancillas + 1,
-        gamma * enc.eps + eps_target * boosted_norm, depth + m, queries + m, high_water,
+        _scaled(enc._data, gamma), enc.dim, enc.alpha, gamma * enc.eps + eps_target * boosted_norm,
+        [enc], m, m, 1,
     )
     return _log("amplify", [enc], out, gamma=gamma, delta=AMP_MARGIN, eps_target=eps_target, m=m)
 
@@ -648,10 +638,8 @@ def qsvt_transform(enc: BlockEncoding, poly, degree: int | None = None) -> Block
     else:
         eigvals, eigvecs = np.linalg.eigh(enc.corner)
         transformed = (eigvecs * np.asarray(poly(eigvals), dtype=complex)) @ eigvecs.conj().T
-    depth, queries, high_water = enc._counts
     out = _encoding(
-        transformed, enc.dim, 1.0, enc.ancillas + 2, 4.0 * d * math.sqrt(enc.eps / enc.alpha),
-        depth + d, queries + d, high_water,
+        transformed, enc.dim, 1.0, 4.0 * d * math.sqrt(enc.eps / enc.alpha), [enc], d, d, 2,
     )
     return _log("qsvt_transform", [enc], out, degree=d, sup=sup)
 

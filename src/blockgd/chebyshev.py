@@ -190,13 +190,15 @@ def _trim_trailing(coeffs: np.ndarray, threshold: float) -> np.ndarray:
     return coeffs[:keep]
 
 
+@np.errstate(all="ignore")
 def approx_derivative(func: ScalarFunction, eps: float) -> ChebyshevPoly:
     """Approximate F' on [-1/2, 1/2] to measured sup error <= eps.
 
     Polynomial inputs are differentiated exactly (degree deg(F)-1, reported
     error 0).  Named functions are interpolated at Chebyshev nodes with the
     candidate degree doubling from 2 up to the cap of 512; trailing
-    coefficients below eps/(10*degree) are trimmed before measurement.
+    coefficients below eps/(10*degree) are trimmed before measurement.  An F'
+    not finite on the grid raises DegreeCapExceeded, without numpy warnings.
     """
     if not 0.0 < eps <= MAX_EPS:
         raise ValueError(f"eps must lie in (0, 1/4], got {eps}")
@@ -209,6 +211,9 @@ def approx_derivative(func: ScalarFunction, eps: float) -> ChebyshevPoly:
 
     grid = chebyshev_nodes(GRID_POINTS)
     target = np.asarray(func.derivative(grid), dtype=float)
+    if not np.isfinite(target).all():
+        raise DegreeCapExceeded(f"F' of kind={func.kind!r} at scale {func.scale} is not "
+                                "finite on [-1/2, 1/2]")
     degree = 2
     while degree <= DEGREE_CAP:
         series = ncheb.Chebyshev.interpolate(

@@ -381,6 +381,8 @@ def _run_one_config(config_path: Path, args) -> int:
 
 def _cmd_run(args) -> int:
     if args.sweep:
+        if args.config:
+            raise SchemaError("run takes --config or --sweep, not both")
         sweep_path = Path(args.sweep)
         doc = _load_json_file(sweep_path)
         if not (isinstance(doc, dict) and isinstance(doc.get("configs"), list)
@@ -388,6 +390,11 @@ def _cmd_run(args) -> int:
             raise SchemaError('sweep file must be {"configs": [paths, ...]}')
         paths = [sweep_path.parent / p for p in doc["configs"]]
         base = Path(args.out) if args.out else Path("out")
+        firsts = {}
+        for path in paths:
+            if firsts.setdefault(path.stem, path) is not path:
+                raise SchemaError(f"sweep entries share the file stem {path.stem!r}, "
+                                  f"so their artifacts would mix in {base / path.stem}")
 
         def run_entry(path: Path) -> int:
             sub = argparse.Namespace(

@@ -371,11 +371,11 @@ def build_gradient_be(
 ) -> BlockEncoding:
     """Encoding of (1/(2*M*K)) * diag(grad f) at the current iterate.
 
-    Per contributing term: average its per-variable partial encodings, then
-    restore the factor v/2 (amplify for v > 2, down-scale for v = 1, nothing
-    for v = 2, since amplification needs a factor above 1).  A final average
-    over the K contributing terms assembles the full gradient diagonal.
-    Constant terms are dropped before averaging.
+    Per contributing term: average its v per-variable partials, then restore
+    the factor v/2 with _apply_scalar_factor, whose ScaleOverflow cannot fire
+    here: the partials sit at distinct slots, so their average's norm is at
+    most 1/v.  A final average over the K contributing terms assembles the
+    full gradient diagonal.  Constant terms are dropped before averaging.
     """
     contributing = [i for i, t in enumerate(objective.terms) if t.support]
     if not contributing:
@@ -385,12 +385,7 @@ def build_gradient_be(
         support = objective.terms[i].support
         partials = [build_partial_be(iterate, objective, i, p, eps=eps) for p in support]
         combined = bc.lcu(partials, [1] * len(partials))
-        v = len(support)
-        if v > 2:
-            combined = bc.amplify(combined, v / 2.0, eps)
-        elif v == 1:
-            combined = bc.scale_down(combined, 2.0)
-        per_term.append(combined)
+        per_term.append(_apply_scalar_factor(combined, len(support) / 2.0, eps))
     return bc.lcu(per_term, [1] * len(per_term))
 
 

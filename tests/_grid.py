@@ -24,7 +24,8 @@ def grid_maxima(objective, points_per_axis: int) -> tuple[float, float]:
     axes = np.linspace(-HALF, HALF, points_per_axis)
     mesh = np.meshgrid(*([axes] * objective.n), indexing="ij")
     points = np.stack(mesh, axis=-1).reshape(-1, objective.n)
-    grad_sq = np.zeros(points.shape[0])
-    for m in range(objective.n):
-        grad_sq += _eval_grid(objective.partial(m), points) ** 2
-    return float(np.max(np.abs(_eval_grid(objective, points)))), float(np.sqrt(np.max(grad_sq)))
+    # hypot, not the root of a sum of squares: the square of a partial near
+    # 1e-160 is subnormal, and its root can exceed the exact norm by 1e-6.
+    grads = [_eval_grid(objective.partial(m), points) for m in range(objective.n)]
+    return (float(np.max(np.abs(_eval_grid(objective, points)))),
+            float(np.max(np.hypot.reduce(grads, axis=0))))

@@ -5,7 +5,8 @@ bench/worker.py builds the descent workloads from the names it reads off
 ``final_iterate()``, ``records`` and ``as_array()``, ...).  Deleting one of
 them would otherwise surface only when the benchmark runs; here every
 operation of the tiny generic_dense and separable_steps inputs runs
-untraced.  gen.py, spans.py and worker.py are loaded from their paths
+untraced, and the tiny cli_audit sweep's configs run recorded, their audit
+logs replayed.  gen.py, spans.py and worker.py are loaded from their paths
 without writing bytecode next to them.
 """
 
@@ -14,6 +15,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from blockgd.blockcalc import AuditLog, recording
+from blockgd.cli import _resolve_x0, parse_experiment
+from blockgd.descent import DescentConfig, run_generic, run_separable
+from _audit_replay import replay
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -41,3 +47,19 @@ def test_descent_workload_runs(monkeypatch, workload):
         assert result["steps"] == inst["T"], name
         assert len(result["fingerprint"]) == 40
         assert result["facts"][""]["queries"] > 0
+
+
+def test_cli_audit_sweep_replays(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    gen = _load(monkeypatch, "gen")
+    sweep = gen.generate("cli_audit", 1, tiny=True)["sweep"]
+    assert sweep
+    for entry in sweep:
+        cfg = parse_experiment(entry["config"])
+        engine = run_generic if cfg.mode == "generic" else run_separable
+        log = AuditLog()
+        with recording(log):
+            engine(cfg.objective, _resolve_x0(cfg),
+                   DescentConfig(steps=cfg.steps, eps=cfg.eps, mode=cfg.mode, eta=cfg.eta))
+        assert log.records, entry["name"]
+        assert replay(log.to_jsonl()) is None, entry["name"]

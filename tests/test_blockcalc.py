@@ -24,6 +24,7 @@ from blockgd.errors import (
     NotNormalized,
     PolyBoundViolated,
 )
+from _audit_replay import replay
 from _dilation import corner_of, realize_dilation
 
 
@@ -109,11 +110,11 @@ class TestBlockEncodingType:
         with pytest.raises(NormTooLarge):
             bc.diag_encode(diag)
         with pytest.raises(NormTooLarge):
-            bc._encoding(diag, 2, 1.0, 0, 0.0, 0, 0, 0)
+            bc._encoding(diag, 2, 1.0, 0.0, (), 0, 0, 0)
         # A slot map's norm stays NaN whether the NaN comes first or last.
         for slots in ({0: diag[0], 1: diag[1]}, {1: diag[1], 0: diag[0]}):
             with pytest.raises(NormTooLarge):
-                bc._encoding(slots, 2, 1.0, 0, 0.0, 0, 0, 0)
+                bc._encoding(slots, 2, 1.0, 0.0, (), 0, 0, 0)
 
 
 class TestDiagEncode:
@@ -553,16 +554,21 @@ class TestStorageEquivalence:
     @given(storage_programs())
     def test_slot_maps_match_dense_twins(self, program):
         dim, values, support, steps = program
-        x = bc.diag_encode(values)
-        pool = [x] + [bc.entry_project(x, k, k) for k in support]
-        pool.append(bc.projector_encode(dim, support[0]))
+        # The log records the primitive calls on the pool alone; the dense
+        # twins come from the unrecorded constructor.
+        log = AuditLog()
+        with bc.recording(log):
+            x = bc.diag_encode(values)
+            pool = [x] + [bc.entry_project(x, k, k) for k in support]
+            pool.append(bc.projector_encode(dim, support[0]))
         vectors = [e.diagonal() for e in pool]
         for i, step in enumerate(steps):
             picked = [j % len(pool) for j in step_operands(step)]
             operands = [pool[j] for j in picked]
             twins = [dense_twin(e) for e in operands]
             try:
-                out = apply_step(step, operands)
+                with bc.recording(log):
+                    out = apply_step(step, operands)
             except NormBoundViolated:
                 with pytest.raises(NormBoundViolated):
                     apply_step(step, twins)
@@ -578,6 +584,8 @@ class TestStorageEquivalence:
                 assert out.norm == twin.norm, i
             pool.append(out)
             vectors.append(vec)
+        assert len(log.records) == len(pool)
+        assert replay(log.to_jsonl()) is None
 
 
 class TestApplyPostselect:
@@ -855,13 +863,13 @@ class TestSlotMapIds:
     @given(slot_maps())
     def test_id_is_the_digest_of_the_vector(self, drawn):
         dim, slots = drawn
-        enc = bc._encoding(dict(slots), dim, 1.0, 0, 0.0, 0, 0, 0)
+        enc = bc._encoding(dict(slots), dim, 1.0, 0.0, (), 0, 0, 0)
         assert type(enc._data) is dict
         ident = enc._id
         assert "_vec" not in enc.__dict__
         vec = bc._vector(slots, dim)
         assert ident == bc._digest(slots, dim) == bc._digest(vec, dim)
-        assert ident == bc._encoding(vec, dim, 1.0, 0, 0.0, 0, 0, 0)._id
+        assert ident == bc._encoding(vec, dim, 1.0, 0.0, (), 0, 0, 0)._id
         # A dense twin of the largest dims would take up to 1 GiB.
         if dim <= 64:
             assert ident == BlockEncoding(np.diag(vec))._id
@@ -874,15 +882,15 @@ class TestSlotMapIds:
         vec = bc._vector(slots, dim)
         monkeypatch.setattr(CountingSha1, "fed", 0)
         monkeypatch.setattr(bc, "hashlib", SimpleNamespace(sha1=CountingSha1))
-        enc = bc._encoding(slots, dim, 1.0, 0, 0.0, 0, 0, 0)
+        enc = bc._encoding(slots, dim, 1.0, 0.0, (), 0, 0, 0)
         assert enc._id == bc._digest(vec, dim)
         assert CountingSha1.fed < 16 * dim
-        assert enc._id == bc._encoding(vec, dim, 1.0, 0, 0.0, 0, 0, 0)._id
+        assert enc._id == bc._encoding(vec, dim, 1.0, 0.0, (), 0, 0, 0)._id
 
     def test_slot_map_id_hashes_only_its_slots(self, monkeypatch):
         dim = 2**20
         slots = {3: complex(0.25, 0.0), 70000: complex(-0.5, 0.0), dim - 1: complex(1e-310, 0.0)}
-        enc = bc._encoding(slots, dim, 1.0, 0, 0.0, 0, 0, 0)
+        enc = bc._encoding(slots, dim, 1.0, 0.0, (), 0, 0, 0)
         monkeypatch.setattr(CountingSha1, "fed", 0)
         monkeypatch.setattr(bc, "hashlib", SimpleNamespace(sha1=CountingSha1))
         assert len(enc._id) == 12

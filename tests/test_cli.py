@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from blockgd.errors import (
     SchemaError,
 )
 from blockgd.polyfunc import MAX_N, MAX_TERM_DEGREE, MAX_TRACE_ENTRIES
+from _audit_replay import replay
 
 # The documented exit code of each failure family (README's "Exit codes").
 EXIT_SCHEMA, EXIT_INFEASIBLE, EXIT_NORM, EXIT_POLY, EXIT_DEGREE, EXIT_CONTRACT = range(2, 8)
@@ -311,6 +313,23 @@ class TestRunCommand:
     def test_run_without_config_is_schema_error(self):
         assert main(["run"]) == EXIT_SCHEMA
 
+    def test_sweep_entries_sharing_a_stem_fail_before_any_runs(self, tmp_path, capsys):
+        for sub, source, extra in (("a", QUADRATIC, {}), ("b", SEPARABLE, {"format": "json"})):
+            (tmp_path / sub).mkdir()
+            write_config(tmp_path / sub, json.loads(source.read_text()) | extra, "q.json")
+        sweep = write_config(tmp_path, {"configs": ["a/q.json", "b/q.json"]}, "sweep.json")
+        out = tmp_path / "out"
+        assert main(["run", "--sweep", str(sweep), "--out", str(out)]) == EXIT_SCHEMA
+        assert "share the file stem 'q'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_with_sweep_is_schema_error(self, tmp_path):
+        sweep = write_config(tmp_path, {"configs": [str(QUADRATIC)]}, "sweep.json")
+        out = tmp_path / "out"
+        args = ["run", "--config", str(SEPARABLE), "--sweep", str(sweep), "--out", str(out)]
+        assert main(args) == EXIT_SCHEMA
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_malformed_json_line_precise(self, tmp_path, capsys):
@@ -373,6 +392,24 @@ class TestExitCodes:
         }
         path = write_config(tmp_path, doc)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_DEGREE
+
+    @pytest.mark.parametrize("name, scale, message", [
+        ("exp", 1500.0, "is not finite"), ("gaussian", 1e160, "is not finite"),
+        ("logistic", 2000.0, "no degree"),
+    ])
+    def test_overflowing_named_derivative_fails_with_one_line(self, tmp_path, capsys,
+                                                              name, scale, message):
+        doc = {"mode": "separable",
+               "objective": {"kind": "named", "name": name, "scale": scale, "n": 2, "M": 1e6},
+               "x0": [0.1, 0.1], "T": 1, "eps": 1e-3, "eta": 1e-7}
+        path = write_config(tmp_path, doc)
+        # A numpy RuntimeWarning would turn into an error and exit 1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DEGREE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and message in lines[0]
 
     @pytest.mark.parametrize("command", ["run", "validate-config"])
     @pytest.mark.parametrize("case", ["missing", "directory"])
@@ -738,6 +775,8 @@ class TestGoldenArtifacts:
     """SHA-256 of every artifact of eight commands (Python 3.11, numpy 2.4).
 
     A changed digest means a changed output byte; update it only on purpose.
+    Every audit.jsonl written here also replays: its ledger follows from its
+    records alone (tests/_audit_replay.py).
     """
 
     def test_quadratic_audit_run(self, tmp_path):
@@ -749,6 +788,7 @@ class TestGoldenArtifacts:
             "trace.csv": "ad489119d77848f2ddb165b319947a0583e681074ba606f6587a9ab61c283b84",
             "trace.json": "844b25e8b830def7c257d9929aa4257ed5a299b34771c87a626ae7e94c3b13cb",
         }
+        assert replay((out / "audit.jsonl").read_text()) is None
 
     def test_quadratic_audit_run_past_int64_counters(self, tmp_path):
         # At T=200 the counters pass 10^97, far beyond 2^63: only Python ints
@@ -762,6 +802,7 @@ class TestGoldenArtifacts:
             "trace.csv": "ecf78b8d59cfa6398bec2b8dd4ea0d7a9cb0b2cc082ce25d15fd9dc5b3629af5",
             "trace.json": "f90c1b23327a393719cf80b586e51ef78d9a1742f1fd94c9c00d727ae8b219d0",
         }
+        assert replay((out / "audit.jsonl").read_text()) is None
         final = json.loads((out / "report.json").read_text())["resources"]["final"]
         assert final["queries"] > 10**97
 
@@ -774,6 +815,7 @@ class TestGoldenArtifacts:
             "trace.csv": "8a946611af98ff383f93e9f4a10f24b6b023205e4971fe77943e4cc20ee04289",
             "trace.json": "7bf9f992f211b363d727b97ed167151be582f6a2f36f122ab1dd486f3bb8d463",
         }
+        assert replay((out / "audit.jsonl").read_text()) is None
 
     def test_generic_audit_run_with_inexact_averages(self, tmp_path):
         # K=3 terms of degree 4 over v=3 variables, one negative: its signed
@@ -799,6 +841,7 @@ class TestGoldenArtifacts:
             "trace.csv": "4c7aaca46a58040a1cc0d969b6c3125bfe6a36877d728421e070727d51e61c7b",
             "trace.json": "2390503ec555df4e473442d1d15f094de2efef89c79be7550704805898529a7a",
         }
+        assert replay((out / "audit.jsonl").read_text()) is None
 
     def test_generic_audit_run_padded_with_linear_and_pair_terms(self, tmp_path):
         # n=5 pads to 8; the linear term takes the projector_encode path and
@@ -825,6 +868,7 @@ class TestGoldenArtifacts:
             "trace.csv": "6f0d11323bcf213d104fc1957da9fd086913c452c631bc3275e92f27a014920a",
             "trace.json": "3df0bd93cc9fc67e2c3086bac2b010e29a98632fe86775ab5e8072b6ac2afb22",
         }
+        assert replay((out / "audit.jsonl").read_text()) is None
 
     def test_sweep_audit_of_a_wide_generic_and_a_named_separable_config(self, tmp_path):
         # n=256 with K=3 terms of degree 4 over v=3 variables, one negative
@@ -847,12 +891,14 @@ class TestGoldenArtifacts:
             "trace.csv": "8a226b498877764029189fd167bbbb774e33e2412e8a1ec77301f6d2949e1060",
             "trace.json": "eeae29a42b38c84fad369c45278d0f9efdca2043e59e0d6fcbdaf9bc89bf0b99",
         }
+        assert replay((out / "generic" / "audit.jsonl").read_text()) is None
         assert _sha256_of_files(out / "separable") == {
             "audit.jsonl": "82b18f9affb186999bcd42cc3f51e77c1350eb0993c152641a04548f09c010e4",
             "report.json": "6fb92155f96112ff2fddd5877069f77b0a112ef0d9d1669df8e6f1d73259b47a",
             "trace.csv": "a038e00cd8d3dca0791f700e69619709930ff5cddfc05f018bee4693f95c6915",
             "trace.json": "30e20fc7e5baf21557beff6d0bfe5620803f9af562aa7ebcf5815d478dd70bc6",
         }
+        assert replay((out / "separable" / "audit.jsonl").read_text()) is None
 
     def test_generic_audit_run_padded_past_a_thousand_coordinates(self, tmp_path):
         # n=1500 pads to 2048, so every artifact holds arrays over a thousand long.
@@ -868,6 +914,7 @@ class TestGoldenArtifacts:
             "trace.csv": "1c9a51c6cf95a8d9df10643a472ac825e5c6c3eaf748e9f339f1ba414aebded8",
             "trace.json": "5cb4c0377b9f846953a263fbc7cdd09191c22c95059912da48db04b3d4a7f0da",
         }
+        assert replay((out / "audit.jsonl").read_text()) is None
 
     def test_compare_costs_defaults(self, tmp_path, capsys):
         out = tmp_path / "costs"
