@@ -159,13 +159,14 @@ class ChebyshevPoly:
     """Chebyshev series on [-1/2, 1/2] with its grid-measured sup error."""
 
     coeffs: tuple[float, ...]
-    degree: int
     sup_error_bound: float
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if self.degree != len(self.coeffs) - 1:
-            raise ValueError("degree must equal len(coeffs) - 1")
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
     def __call__(self, x: float) -> float:
         """P(x) at one point of [-1/2, 1/2]."""
@@ -207,7 +208,7 @@ def approx_derivative(func: ScalarFunction, eps: float) -> ChebyshevPoly:
         # p(t/2) in the power basis, then convert: exact up to rounding.
         mapped = [c / (2.0**k) for k, c in enumerate(dcoef)]
         coeffs = ncheb.poly2cheb(mapped)
-        return ChebyshevPoly(tuple(coeffs), len(coeffs) - 1, 0.0)
+        return ChebyshevPoly(tuple(coeffs), 0.0)
 
     grid = chebyshev_nodes(GRID_POINTS)
     target = np.asarray(func.derivative(grid), dtype=float)
@@ -225,7 +226,7 @@ def approx_derivative(func: ScalarFunction, eps: float) -> ChebyshevPoly:
                                 eps / (10.0 * degree))
         err = float(np.max(np.abs(ncheb.chebval(2.0 * grid, coeffs) - target)))
         if err <= eps:
-            return ChebyshevPoly(tuple(coeffs), len(coeffs) - 1, err)
+            return ChebyshevPoly(tuple(coeffs), err)
         degree *= 2
     raise DegreeCapExceeded(
         f"no degree <= {DEGREE_CAP} reaches sup error {eps} for kind={func.kind!r}"

@@ -4,21 +4,23 @@ Subcommands
     run              execute one config (or a sweep of configs) and write
                      trace/report artifacts
     compare-costs    render the per-regime cost report as CSV and a text table
-    validate-config  run every check that run makes before its pipeline and
-                     print the resolved summary
+    validate-config  parse the config as run does and print the resolved summary
 
-Every JSON field is checked once, by the polyfunc checks (an object's keys,
-an integer in a range, a finite number in a range, an array's length, one of
-fixed values), against limits stated once: polyfunc.MAX_N,
-MAX_TERM_DEGREE and MAX_TRACE_ENTRIES (which caps T at
-MAX_TRACE_ENTRIES // n - 1), chebyshev.DEGREE_CAP, descent.EPS_RANGES and
-descent.COST_INT_RANGES.  The step size comes from descent.step_size and
-the start vector's size and box check from descent.start_vector, the rules
-the engines apply too.  So validate-config exits 2, 3 or 7 exactly where run
-would before any pipeline work (and before run creates its output
-directory), and 0 otherwise.  Only run reaches the two checks that need the
-separable derivative polynomial: an eta above 1/divisor (exit 2) and the
-degree cap (exit 6).
+A run request is checked once, by parse_experiment, into the engine's
+inputs: the objective, the start vector and the DescentConfig.  Every JSON
+field is checked by the polyfunc checks (an object's keys, an integer in a
+range, a finite number in a range, an array's length, one of fixed values),
+against limits stated once: polyfunc.MAX_N, MAX_TERM_DEGREE and
+MAX_TRACE_ENTRIES (which caps T at MAX_TRACE_ENTRIES // n - 1),
+chebyshev.DEGREE_CAP, descent.EPS_RANGES and descent.COST_INT_RANGES.  The
+step size comes from descent.step_size; the parse ends with the start
+vector, built by descent.initial_state_uniform for a uniform start and
+checked by descent.start_vector, the rules the engines apply too.
+validate-config is parse_experiment and its print, so it exits 2, 3 or 7
+exactly where run would before any pipeline work (and before run creates its
+output directory), and 0 otherwise.  Only run reaches the two checks that
+need the separable derivative polynomial: an eta above 1/divisor (exit 2)
+and the degree cap (exit 6).
 
 With --audit (or "audit": true), run wraps the engine call, and only it, in
 blockcalc.recording, so audit.jsonl holds one record per calculus primitive
@@ -84,26 +86,25 @@ from .polyfunc import (
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 
-UNIFORM_SENTINEL = "uniform"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # x0 is an array, so a field-wise == would raise
 class ExperimentConfig:
-    """One parsed run request; objective is already constructed."""
+    """One checked run request: the engine's inputs and the artifact options."""
 
-    mode: str
     objective: ObjectiveFunction | SeparableObjective
-    x0_spec: tuple[float, ...] | str
-    steps: int
-    eps: float
-    eta: float  # the step size the run uses (descent.step_size)
+    x0: np.ndarray  # the start vector, checked by descent.start_vector
+    run: DescentConfig  # its eta is the step size the run uses (descent.step_size)
     audit: bool
     out: str | None
     fmt: str
 
 
 def parse_experiment(doc: dict) -> ExperimentConfig:
-    """Validate and construct an ExperimentConfig from a parsed JSON object."""
+    """Check a parsed JSON run request and resolve it into an ExperimentConfig.
+
+    The start vector is resolved last, so every schema error comes before an
+    infeasible uniform schedule (exit 3) or an x0 outside the box (exit 7).
+    """
     check_keys(doc, "$", ("mode", "objective", "x0", "T", "eps"),
                ("eta", "audit", "out", "format"))
     mode = check_choice(doc["mode"], "mode", (GENERIC, SEPARABLE))
@@ -123,14 +124,14 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
             objective = SeparableObjective(func=func, n=n, grad_bound=m_bound)
     except SchemaError as exc:
         raise SchemaError(f"objective: {exc}") from None
-    x0_doc = doc["x0"]
-    if isinstance(x0_doc, dict):
-        check_keys(x0_doc, "x0", ("uniform_q",))
-        check_choice(x0_doc["uniform_q"], "x0.uniform_q", ("auto",))
-        x0_spec: tuple[float, ...] | str = UNIFORM_SENTINEL
+    x0 = doc["x0"]
+    uniform = isinstance(x0, dict)
+    if uniform:
+        check_keys(x0, "x0", ("uniform_q",))
+        check_choice(x0["uniform_q"], "x0.uniform_q", ("auto",))
     else:
-        x0_spec = tuple(check_number(v, f"x0[{i}]") for i, v in
-                        enumerate(check_array(x0_doc, "x0", objective.n, objective.n)))
+        x0 = [check_number(v, f"x0[{i}]") for i, v in
+              enumerate(check_array(x0, "x0", objective.n, objective.n))]
     steps = check_int(doc["T"], "T", 0, MAX_TRACE_ENTRIES // objective.n - 1)
     eps = check_number(doc["eps"], "eps", *EPS_RANGES[mode])
     eta = doc.get("eta")
@@ -140,18 +141,13 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     if out is not None and not isinstance(out, str):
         raise SchemaError(f"out: expected string, got {out!r}")
     fmt = check_choice(doc.get("format", "both"), "format", ("json", "csv", "both"))
+    if uniform:
+        x0 = initial_state_uniform(eta, objective.grad_bound, steps, objective.n)
     return ExperimentConfig(
-        mode=mode, objective=objective, x0_spec=x0_spec, steps=steps, eps=eps,
-        eta=eta, audit=audit, out=out, fmt=fmt,
+        objective=objective, x0=start_vector(x0, objective.n),
+        run=DescentConfig(steps=steps, eps=eps, mode=mode, eta=eta),
+        audit=audit, out=out, fmt=fmt,
     )
-
-
-def _resolve_x0(cfg: ExperimentConfig) -> np.ndarray:
-    """The start vector, with the checks a run makes before its first step."""
-    x0 = cfg.x0_spec
-    if x0 == UNIFORM_SENTINEL:
-        x0 = initial_state_uniform(cfg.eta, cfg.objective.grad_bound, cfg.steps, cfg.objective.n)
-    return start_vector(x0, cfg.objective.n)
 
 
 def _json_text(payload) -> str:
@@ -187,7 +183,8 @@ def _indented(value, newline: str) -> str:
     return ("{" if is_dict else "[") + inner + body + newline + ("}" if is_dict else "]")
 
 
-def _build_report(cfg: ExperimentConfig, trace: DescentTrace, oracle_trace) -> dict:
+def _build_report(objective: ObjectiveFunction | SeparableObjective, trace: DescentTrace,
+                  oracle_trace) -> dict:
     sim = trace.rows
     deviations = np.abs(sim - oracle_trace.rows).max(axis=1).tolist()
     max_dev = max(deviations)
@@ -196,8 +193,8 @@ def _build_report(cfg: ExperimentConfig, trace: DescentTrace, oracle_trace) -> d
     # Post-selection happens in the padded dimension; for power-of-two n the
     # reported and ||x_T||^2 / n probabilities coincide.
     expected_prob = float(np.dot(final, final)) / next_power_of_two(trace.n)
-    if cfg.mode == GENERIC:
-        terms = cfg.objective.terms
+    if trace.mode == GENERIC:
+        terms = objective.terms
         vars_per_term = max((len(t.support) for t in terms), default=0)
         # An all-constant objective has no iteration cost to bound.
         shape = dict(
@@ -208,12 +205,10 @@ def _build_report(cfg: ExperimentConfig, trace: DescentTrace, oracle_trace) -> d
         shape = dict(poly_degree=trace.poly_degree)
     envelopes = {}
     if shape:
-        params = CostParams(
-            n=cfg.objective.n, steps=max(trace.steps, 1), eps=trace.eps, **shape
-        )
+        params = CostParams(n=trace.n, steps=max(trace.steps, 1), eps=trace.eps, **shape)
         full = envelope_formulas(params)
         envelopes = {k: full[k] for k in
-                     (f"{cfg.mode}_per_iteration", f"{cfg.mode}_total", "classical_total")}
+                     (f"{trace.mode}_per_iteration", f"{trace.mode}_total", "classical_total")}
     return {
         "deviation": {
             "per_iteration": deviations,
@@ -237,28 +232,24 @@ def _build_report(cfg: ExperimentConfig, trace: DescentTrace, oracle_trace) -> d
             "envelopes": envelopes,
         },
         "config": {
-            "mode": cfg.mode,
-            "n": cfg.objective.n,
-            "T": cfg.steps,
-            "eps": cfg.eps,
+            "mode": trace.mode,
+            "n": trace.n,
+            "T": trace.steps,
+            "eps": trace.eps,
             "eta": trace.eta,
-            "grad_bound": cfg.objective.grad_bound,
+            "grad_bound": trace.grad_bound,
         },
     }
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path, fmt: str, audit_on: bool) -> int:
     """Execute one config and write its artifacts under out_dir."""
-    x0 = _resolve_x0(cfg)
     audit = AuditLog() if audit_on else None
-    descent_cfg = DescentConfig(steps=cfg.steps, eps=cfg.eps, mode=cfg.mode, eta=cfg.eta)
+    engine = run_generic if cfg.run.mode == GENERIC else run_separable
     with recording(audit):
-        if cfg.mode == GENERIC:
-            trace = run_generic(cfg.objective, x0, descent_cfg)
-        else:
-            trace = run_separable(cfg.objective, x0, descent_cfg)
-    oracle_trace = classical_gd(cfg.objective, x0, cfg.eta, cfg.steps)
-    report = _build_report(cfg, trace, oracle_trace)
+        trace = engine(cfg.objective, cfg.x0, cfg.run)
+    oracle_trace = classical_gd(cfg.objective, cfg.x0, trace.eta, trace.steps)
+    report = _build_report(cfg.objective, trace, oracle_trace)
     texts = {}
     if fmt in ("json", "both"):
         texts["trace.json"] = _json_text(trace.to_json_dict())
@@ -370,13 +361,12 @@ def _load_json_file(path: Path):
         ) from exc
 
 
-def _run_one_config(config_path: Path, args) -> int:
-    doc = _load_json_file(config_path)
-    cfg = parse_experiment(doc)
-    out_dir = Path(args.out) if args.out else Path(cfg.out) if cfg.out else Path("out")
-    fmt = args.format if args.format else cfg.fmt
-    audit_on = bool(args.audit or cfg.audit)
-    return run_experiment(cfg, out_dir, fmt, audit_on)
+def _run_one_config(config_path: Path, out: str | Path | None, fmt: str | None,
+                    audit: bool) -> int:
+    """Run one config file; the flag values out, fmt and audit override its fields."""
+    cfg = parse_experiment(_load_json_file(config_path))
+    return run_experiment(cfg, Path(out or cfg.out or "out"), fmt or cfg.fmt,
+                          bool(audit or cfg.audit))
 
 
 def _cmd_run(args) -> int:
@@ -397,11 +387,8 @@ def _cmd_run(args) -> int:
                                   f"so their artifacts would mix in {base / path.stem}")
 
         def run_entry(path: Path) -> int:
-            sub = argparse.Namespace(
-                out=str(base / path.stem), format=args.format, audit=args.audit,
-            )
             try:
-                return _run_one_config(path, sub)
+                return _run_one_config(path, base / path.stem, args.format, args.audit)
             except BlockgdError as exc:
                 print(f"{path.name}: {exc}", file=sys.stderr)
                 return exc.exit_code
@@ -410,7 +397,7 @@ def _cmd_run(args) -> int:
         return next((c for c in codes if c != 0), EXIT_OK)
     if not args.config:
         raise SchemaError("run requires --config PATH (or --sweep PATH)")
-    return _run_one_config(Path(args.config), args)
+    return _run_one_config(Path(args.config), args.out, args.format, args.audit)
 
 
 def _cmd_compare_costs(args) -> int:
@@ -424,16 +411,12 @@ def _cmd_compare_costs(args) -> int:
 
 
 def _cmd_validate_config(args) -> int:
-    doc = _load_json_file(Path(args.config))
-    cfg = parse_experiment(doc)
-    _resolve_x0(cfg)
-    size = (
-        f"K={cfg.objective.term_count}" if cfg.mode == GENERIC
-        else f"kind={cfg.objective.func.kind}"
-    )
+    cfg = parse_experiment(_load_json_file(Path(args.config)))
+    objective, run = cfg.objective, cfg.run
+    size = f"K={objective.term_count}" if run.mode == GENERIC else f"kind={objective.func.kind}"
     print(
-        f"ok: mode={cfg.mode} n={cfg.objective.n} {size} T={cfg.steps} "
-        f"eps={cfg.eps} eta={cfg.eta} M={cfg.objective.grad_bound}"
+        f"ok: mode={run.mode} n={objective.n} {size} T={run.steps} "
+        f"eps={run.eps} eta={run.eta} M={objective.grad_bound}"
     )
     return EXIT_OK
 

@@ -274,9 +274,12 @@ def initial_state_uniform(eta: float, grad_bound: float, steps: int, n: int) -> 
     """First n amplitudes of the uniform q-qubit state meeting the schedule.
 
     q = ceil(log2(1/(1/2 - eta*M*T)^2)), raised to ceil(log2 n) when n needs
-    more amplitudes; each amplitude is 2**(-q/2), so the diagonal operator
-    built from the result has norm max_i |x_i| <= 1/2 - eta*M*T by
-    construction.
+    more amplitudes and to 3 when T >= 1; each amplitude is 2**(-q/2), so the
+    diagonal operator built from the result has norm max_i |x_i| <=
+    1/2 - eta*M*T by construction.  The floor q >= 3 matters only at slack
+    exactly 1/2 (eta*M*T = 0, or below half an ulp of 1/2): there q = 2 would
+    put x0 on 1/2, and the first step's amplification needs a norm strictly
+    below it.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -286,7 +289,7 @@ def initial_state_uniform(eta: float, grad_bound: float, steps: int, n: int) -> 
             f"eta*M*T = {eta * grad_bound * steps} must stay below 1/2"
         )
     q = math.ceil(math.log2(1.0 / slack**2))
-    q = max(q, math.ceil(math.log2(n)), 1)
+    q = max(q, math.ceil(math.log2(n)), 3 if steps else 2)
     amplitude = 1.0 / math.sqrt(2.0**q)
     return np.full(n, amplitude)
 

@@ -38,9 +38,9 @@ MAX_TRACE_ENTRIES = 2**24
 MAX_TERM_DEGREE = 64
 
 
-def first_outside_box(x, margin: float = 0.0) -> int | None:
-    """Flat index of the first entry with |x| + margin > 1/2 + DOMAIN_TOL, or None."""
-    bad = np.flatnonzero(np.abs(x) + margin > HALF + DOMAIN_TOL)
+def first_outside_box(x) -> int | None:
+    """Flat index of the first entry with |x| > 1/2 + DOMAIN_TOL, or None."""
+    bad = np.flatnonzero(np.abs(x) > HALF + DOMAIN_TOL)
     return int(bad[0]) if bad.size else None
 
 

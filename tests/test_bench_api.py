@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 from blockgd.blockcalc import AuditLog, recording
-from blockgd.cli import _resolve_x0, parse_experiment
-from blockgd.descent import DescentConfig, run_generic, run_separable
+from blockgd.cli import parse_experiment
+from blockgd.descent import run_generic, run_separable
 from _audit_replay import replay
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -56,10 +56,9 @@ def test_cli_audit_sweep_replays(monkeypatch):
     assert sweep
     for entry in sweep:
         cfg = parse_experiment(entry["config"])
-        engine = run_generic if cfg.mode == "generic" else run_separable
+        engine = run_generic if cfg.run.mode == "generic" else run_separable
         log = AuditLog()
         with recording(log):
-            engine(cfg.objective, _resolve_x0(cfg),
-                   DescentConfig(steps=cfg.steps, eps=cfg.eps, mode=cfg.mode, eta=cfg.eta))
+            engine(cfg.objective, cfg.x0, cfg.run)
         assert log.records, entry["name"]
         assert replay(log.to_jsonl()) is None, entry["name"]

@@ -99,7 +99,7 @@ class TestEvalPoly:
     def test_clenshaw_matches_numpy(self):
         rng = np.random.default_rng(3)
         coeffs = tuple(float(c) for c in rng.uniform(-1, 1, size=9))
-        poly = ChebyshevPoly(coeffs, 8, 0.0)
+        poly = ChebyshevPoly(coeffs, 0.0)
         for x in np.linspace(-0.5, 0.5, 33):
             assert poly(float(x)) == pytest.approx(
                 float(ncheb.chebval(2 * x, coeffs)), abs=1e-13
@@ -107,12 +107,12 @@ class TestEvalPoly:
 
     def test_value_at_zero_is_alternating_sum(self):
         coeffs = (0.2, 0.3, -0.1, 0.05, 0.07)
-        poly = ChebyshevPoly(coeffs, 4, 0.0)
+        poly = ChebyshevPoly(coeffs, 0.0)
         # T_k(0) cycles 1, 0, -1, 0, so only even coefficients survive, signed.
         assert poly(0.0) == pytest.approx(coeffs[0] - coeffs[2] + coeffs[4], abs=1e-15)
 
     def test_domain_violation(self):
-        poly = ChebyshevPoly((0.0, 0.5), 1, 0.0)
+        poly = ChebyshevPoly((0.0, 0.5), 0.0)
         with pytest.raises(DomainViolation):
             poly(0.6)
 

@@ -1,18 +1,24 @@
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import warnings
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockgd.chebyshev import DEGREE_CAP, MAX_EPS
+from blockgd.chebyshev import DEGREE_CAP, MAX_EPS, NAMED_KINDS
 from blockgd.cli import EXIT_INTERNAL, EXIT_OK, _json_text, main, parse_experiment
+from blockgd.descent import initial_state_uniform
 from blockgd.errors import (
     DegreeCapExceeded,
     DomainExit,
@@ -22,7 +28,7 @@ from blockgd.errors import (
     PolyBoundViolated,
     SchemaError,
 )
-from blockgd.polyfunc import MAX_N, MAX_TERM_DEGREE, MAX_TRACE_ENTRIES
+from blockgd.polyfunc import DOMAIN_TOL, MAX_N, MAX_TERM_DEGREE, MAX_TRACE_ENTRIES
 from _audit_replay import replay
 
 # The documented exit code of each failure family (README's "Exit codes").
@@ -194,6 +200,18 @@ RULE_DOCS = [
     pytest.param(FACTOR_OVERFLOW_DOC, id="scale-factor-overflow"),
     pytest.param(QUARTIC_LONG_DOC, id="quartic-budget-overflow"),
     pytest.param(QUADRATIC_LONG_DOC, id="quadratic-budget-overflow"),
+]
+
+# Uniform starts whose slack 1/2 - eta*M*T is exactly 1/2 with T >= 1: eta = 0
+# (an all-constant generic objective), and an eta*M*T that 1/2 absorbs.
+SATURATED_UNIFORM_DOCS = [
+    pytest.param({"mode": "generic", "objective": {"n": 3, "M": 1.0, "terms": [
+        {"coeff": 0.3, "exponents": [0, 0, 0]}]}, "x0": {"uniform_q": "auto"},
+        "T": 2, "eps": 1e-3}, EXIT_OK, id="uniform-slack-half-eta-zero"),
+    pytest.param({"mode": "separable", "objective": {
+        "kind": "named", "name": "sin", "scale": 1.0, "n": 4, "M": 1.0},
+        "x0": {"uniform_q": "auto"}, "T": 1, "eps": 1e-3, "eta": 1e-20},
+        EXIT_OK, id="uniform-slack-half-eta-absorbed"),
 ]
 
 
@@ -576,7 +594,9 @@ class TestInputLimits:
     def test_trace_cap_is_inclusive(self):
         doc = _with(_with(SEPARABLE_DOC, ["objective", "n"], MAX_N), ["x0"], {"uniform_q": "auto"})
         largest = MAX_TRACE_ENTRIES // MAX_N - 1
-        assert parse_experiment(doc | {"T": largest}).steps == largest
+        # eta * M * largest stays below 1/2, so the uniform start exists at the cap.
+        doc["eta"] = 0.01
+        assert parse_experiment(doc | {"T": largest}).run.steps == largest
         with pytest.raises(SchemaError, match=f"T: expected integer in \\[0, {largest}\\]"):
             parse_experiment(doc | {"T": largest + 1})
 
@@ -678,7 +698,8 @@ class TestNoInternalError:
         assert message in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
-    @pytest.mark.parametrize("doc, code", UNDERFLOW_EDGE_DOCS + SEPARABLE_ETA_DOCS)
+    @pytest.mark.parametrize("doc, code",
+                             UNDERFLOW_EDGE_DOCS + SEPARABLE_ETA_DOCS + SATURATED_UNIFORM_DOCS)
     def test_underflow_edges_exit_alike(self, tmp_path, doc, code):
         """Both commands give one documented code; a run that passes writes its report."""
         path = write_config(tmp_path, doc)
@@ -754,6 +775,107 @@ def test_validate_config_agrees_with_run(tmp_path, doc):
     assert EXIT_INTERNAL not in (run_code, validate_code)
     expected = run_code if run_code in (EXIT_SCHEMA, EXIT_INFEASIBLE) else EXIT_OK
     assert validate_code == expected
+
+
+# The run schema's edge values for the exit-code property below: each limit
+# and one past it, signed zeros, subnormals, huge values, and damage.
+ABOVE = partial(math.nextafter, math.inf)
+DROP = object()
+
+
+def _pinned_eta(objective: dict) -> float:
+    k = sum(1 for t in objective["terms"] if any(t["exponents"]))
+    return 1.0 / (2.0 * objective["M"] * k) if k else 0.0
+
+
+@st.composite
+def run_docs(draw):
+    """A run config drawn from the schema's edge values, with at most one field broken."""
+    pick = lambda values: draw(st.sampled_from(values))  # noqa: E731
+    mode, n = pick(["generic", "separable"]), draw(st.integers(1, 4))
+    m_bound = pick([1.0, 0.5, 2.0, 1e-300, 5e-324, 1e300])
+    coeff = st.sampled_from([0.3, -0.7, 1.0, 0.0, -0.0, 5e-324, 1e-310, 1e300])
+    edges = [(["T"], MAX_TRACE_ENTRIES // n), (["T"], -1), (["T"], 1.5), (["T"], True),
+             (["eps"], ABOVE(MAX_EPS)), (["eps"], 0.0), (["eps"], -0.0), (["eps"], 1.0),
+             (["eps"], 1e300), (["eps"], DROP), (["objective", "M"], 0.0),
+             (["objective", "M"], DROP), (["objective", "n"], "2"), (["x0"], [0.1] * (n + 1)),
+             (["x0"], [ABOVE(0.5 + DOMAIN_TOL)] * n), (["x0"], [1e300] * n), (["x0"], 0.1),
+             (["x0"], {"uniform_q": "auto", "q": 3}), (["audit"], 1), (["out"], 5),
+             (["format"], "xml"), (["mode"], "other"), (["extra"], 0),
+             (["objective", "extra"], 0)]
+    if mode == "generic":
+        terms = draw(st.lists(st.fixed_dictionaries({
+            "coeff": coeff,
+            "exponents": st.lists(st.integers(0, 2), min_size=n, max_size=n)}),
+            min_size=1, max_size=3))
+        objective = {"n": n, "M": m_bound, "terms": terms}
+        pinned = _pinned_eta(objective)
+        etas = [DROP, pinned]
+        edges += [(["objective", "terms", 0, "exponents"], [degree] + [0] * (n - 1))
+                  for degree in (MAX_TERM_DEGREE, MAX_TERM_DEGREE + 1)]
+        edges += [(["eta"], pinned * (1 + 1e-6) + 1e-8), (["objective", "terms"], [])]
+    else:
+        if draw(st.booleans()):
+            func = {"kind": "named", "name": pick(NAMED_KINDS),
+                    "scale": pick([0.5, 1.0, 2.0, 50.0, 5e-324, 0.0, -1.0, 1e300])}
+        else:
+            func = {"kind": "poly", "coeffs": draw(st.lists(coeff, min_size=1, max_size=3))}
+            # DEGREE_CAP + 2 coefficients, the most a poly may have, and one more.
+            edges += [(["objective", "coeffs"], [0.0] * length + [0.3])
+                      for length in (DEGREE_CAP + 1, DEGREE_CAP + 2)]
+        objective = {**func, "n": n, "M": m_bound}
+        limit = 1.0 / (2.0 * m_bound)
+        etas = [limit, limit / 3, 1e-20, 5e-324]
+        edges += [(["eta"], 0.0), (["eta"], ABOVE(limit)), (["eta"], DROP)]
+    doc = {"mode": mode, "objective": objective,
+           "x0": {"uniform_q": "auto"} if draw(st.booleans())
+           else draw(st.lists(st.sampled_from([0.1, -0.2, 0.25, 0.0, -0.0, 5e-324, 0.5, -0.5]),
+                              min_size=n, max_size=n)),
+           "T": pick([0, 1, 2, 3, 13, 14]), "eps": pick([1e-6, 1e-3, MAX_EPS, 1e-320]),
+           "eta": pick(etas), "audit": pick([DROP, False, True]), "out": pick([DROP, "elsewhere"]),
+           "format": pick([DROP, "both"])}
+    # Half the docs keep every field in the schema; the rest break one.
+    edge = pick([None] * len(edges) + edges)
+    if edge:
+        node = doc
+        for key in edge[0][:-1]:
+            node = node[key]
+        node[edge[0][-1]] = edge[1]
+    return {k: v for k, v in doc.items() if v is not DROP} | {
+        "objective": {k: v for k, v in doc["objective"].items() if v is not DROP}}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(run_docs())
+def test_exit_codes_of_validate_config_and_run(doc):
+    """validate-config exits where run would; after it passes, run fails only in its pipeline.
+
+    Both commands run in-process on each drawn config.  Neither exits 1; a
+    non-zero validate-config code is run's code; after validate-config exits
+    0, run exits 0, 4, 5, 6 or 7, or 2 only for the separable eta above
+    1/divisor, which needs the derivative polynomial; and run's exit 0 writes
+    every artifact with the deviation within its bound.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), doc)
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            validate_code = main(["validate-config", "--config", str(path)])
+            err.seek(0)
+            err.truncate()
+            run_code = main(["run", "--config", str(path), "--out", str(out)])
+        assert EXIT_INTERNAL not in (validate_code, run_code), err.getvalue()
+        if validate_code != EXIT_OK:
+            assert run_code == validate_code
+        elif run_code == EXIT_SCHEMA:
+            assert "allowed by the measured derivative bound" in err.getvalue()
+        else:
+            assert run_code in (EXIT_OK, EXIT_NORM, EXIT_POLY, EXIT_DEGREE, EXIT_CONTRACT)
+        if run_code == EXIT_OK:
+            assert {"trace.json", "trace.csv", "report.json"} <= {p.name for p in out.iterdir()}
+            report = json.loads((out / "report.json").read_text())
+            assert report["deviation"]["within_bound"]
 
 
 def _sha256_of_files(out: Path) -> dict:
@@ -931,16 +1053,16 @@ class TestGoldenArtifacts:
 class TestParseExperiment:
     def test_generic_roundtrip(self):
         cfg = parse_experiment(json.loads(QUADRATIC.read_text()))
-        assert cfg.mode == "generic"
+        assert cfg.run.mode == "generic"
         assert cfg.objective.n == 2
-        assert cfg.steps == 5
+        assert cfg.run.steps == 5
         assert cfg.audit
 
     def test_separable_roundtrip(self):
         cfg = parse_experiment(json.loads(SEPARABLE.read_text()))
-        assert cfg.mode == "separable"
+        assert cfg.run.mode == "separable"
         assert cfg.objective.grad_bound == 1.0
-        assert cfg.x0_spec == "uniform"
+        assert np.array_equal(cfg.x0, initial_state_uniform(0.1, 1.0, 3, 8))
 
 
 # JSON scalars, with the floats json writes in its own ways: signed zeros,

@@ -63,6 +63,11 @@ class TestInitialStateUniform:
         with pytest.raises(InfeasibleSchedule):
             initial_state_uniform(0.5, 1.0, 1, 4)
 
+    def test_saturated_slack_with_steps_stays_below_half(self):
+        # eta*M*T = 0 leaves slack 1/2, where q = 2 would put x0 on 1/2 and the
+        # first step's amplification needs a norm strictly below it: q = 3.
+        assert np.allclose(initial_state_uniform(0.0, 1.0, 2, 3), 1 / math.sqrt(8))
+
     def test_large_n_gets_enough_amplitudes(self):
         x0 = initial_state_uniform(0.1, 1.0, 0, 8)
         # q = 2 would give only 4 amplitudes; n = 8 forces q = 3.
@@ -285,19 +290,19 @@ class TestRunGeneric:
 
 class TestGdStepSeparable:
     def test_identity_polynomial_contracts(self):
-        poly = ChebyshevPoly((0.0, 0.5), 1, 0.0)  # P(x) = x
+        poly = ChebyshevPoly((0.0, 0.5), 0.0)  # P(x) = x
         x = bc.diag_encode([0.3, -0.2])
         out = gd_step_separable(x, poly, 1.0, 0.1, 1e-6)
         assert np.allclose(np.diag(out.corner), [0.9 * 0.3, 0.9 * -0.2], atol=1e-12)
 
     def test_zero_polynomial_is_identity_step(self):
-        poly = ChebyshevPoly((0.0,), 0, 0.0)
+        poly = ChebyshevPoly((0.0,), 0.0)
         x = bc.diag_encode([0.3, -0.2])
         out = gd_step_separable(x, poly, 1.0, 0.1, 1e-6)
         assert np.allclose(out.corner, x.corner)
 
     def test_eta_beyond_measured_bound_rejected(self):
-        poly = ChebyshevPoly((0.0, 0.5), 1, 0.0)
+        poly = ChebyshevPoly((0.0, 0.5), 0.0)
         x = bc.diag_encode([0.3, -0.2])
         with pytest.raises(InvalidConfig):
             gd_step_separable(x, poly, 0.4, 1.3, 1e-6)

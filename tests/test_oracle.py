@@ -18,7 +18,7 @@ def finite_diff_grad(objective, x, h: float) -> np.ndarray:
     if h <= 0:
         raise ValueError("h must be positive")
     x = polyfunc.check_point(x, objective.n)
-    if polyfunc.first_outside_box(x, h) is not None:
+    if polyfunc.first_outside_box(np.abs(x) + h) is not None:
         raise DomainViolation("x +/- h e_m leaves [-1/2, 1/2]^n")
     grad = np.zeros(x.size)
     for m in range(x.size):
