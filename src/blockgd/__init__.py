@@ -1,11 +1,11 @@
 """Desk-scale simulator of gradient descent over a block-encoding calculus.
 
-The package exposes four layers: monomial objectives with exact symbolic
-differentiation (polyfunc), the corner-block encoding calculus with resource
-accounting (blockcalc), polynomial approximation of scalar derivatives
-(chebyshev), and the descent engines plus the classical reference oracle
-(descent, oracle).  The blockgd CLI batch-runs experiment configs and emits
-traces, comparison reports, and cost tables.
+The package exposes four layers: monomial objectives with their JSON schema
+and the box check of a point (polyfunc), the corner-block encoding calculus
+with resource accounting (blockcalc), polynomial approximation of scalar
+derivatives (chebyshev), and the descent engines plus the classical
+reference oracle (descent, oracle).  The blockgd CLI batch-runs experiment
+configs and emits traces, comparison reports, and cost tables.
 """
 
 from .blockcalc import (

@@ -602,24 +602,16 @@ def amplify(enc: BlockEncoding, gamma: float, eps_target: float) -> BlockEncodin
     return _log("amplify", [enc], out, gamma=gamma, delta=AMP_MARGIN, eps_target=eps_target, m=m)
 
 
-def _poly_degree(poly, degree: int | None) -> int:
-    if degree is not None:
-        return int(degree)
-    if hasattr(poly, "degree"):
-        return int(poly.degree())
-    raise ValueError("degree is required when poly does not expose .degree()")
+def qsvt_transform(enc: BlockEncoding, poly, degree: int) -> BlockEncoding:
+    """Apply a bounded real polynomial of the given degree to the corner's eigenvalues.
 
-
-def qsvt_transform(enc: BlockEncoding, poly, degree: int | None = None) -> BlockEncoding:
-    """Apply a bounded real polynomial to the eigenvalues of the corner.
-
-    ``poly`` is any callable polynomial (numpy polynomial objects work);
-    pass ``degree`` explicitly for plain callables.  Requires a Hermitian
-    corner and sup |poly| <= 1/2 on [-1, 1], checked on a 2048-point
-    Chebyshev grid.  The output is a fresh (alpha=1) encoding with two more
-    ancillas, degree extra depth/queries, and error 4*d*sqrt(eps/alpha).
+    ``poly`` is any callable that evaluates the polynomial on a float array
+    (numpy polynomial objects work).  Requires a Hermitian corner and sup
+    |poly| <= 1/2 on [-1, 1], checked on a 2048-point Chebyshev grid.  The
+    output is a fresh (alpha=1) encoding with two more ancillas, degree
+    extra depth/queries, and error 4*d*sqrt(eps/alpha).
     """
-    d = _poly_degree(poly, degree)
+    d = int(degree)
     if d < 0:
         raise ValueError("degree must be non-negative")
     if enc._dense:

@@ -19,7 +19,7 @@ from functools import cache, cached_property
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
-from .errors import DegreeCapExceeded, DomainViolation
+from .errors import DegreeCapExceeded
 from .polyfunc import (
     HALF,
     check_array,
@@ -27,7 +27,6 @@ from .polyfunc import (
     check_keys,
     check_number,
     check_point,
-    first_outside_box,
     init_size_and_bound,
 )
 
@@ -168,14 +167,8 @@ class ChebyshevPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x: float) -> float:
-        """P(x) at one point of [-1/2, 1/2]."""
-        if first_outside_box(x) is not None:
-            raise DomainViolation(f"x = {x!r} lies outside [-1/2, 1/2]")
-        return float(self.eval_unchecked(x))
-
     def eval_unchecked(self, xs) -> np.ndarray:
-        """Vectorized evaluation without the domain check (grids, extensions)."""
+        """Vectorized evaluation with no domain check (grids, extensions to [-1, 1])."""
         return ncheb.chebval(2.0 * np.asarray(xs, dtype=float), np.asarray(self.coeffs))
 
     @cached_property

@@ -15,7 +15,7 @@ MAX_TRACE_ENTRIES (which caps T at MAX_TRACE_ENTRIES // n - 1),
 chebyshev.DEGREE_CAP, descent.EPS_RANGES and descent.COST_INT_RANGES.  The
 step size comes from descent.step_size; the parse ends with the start
 vector, built by descent.initial_state_uniform for a uniform start and
-checked by descent.start_vector, the rules the engines apply too.
+checked by polyfunc.check_point, the rules the engines apply too.
 validate-config is parse_experiment and its print, so it exits 2, 3 or 7
 exactly where run would before any pipeline work (and before run creates its
 output directory), and 0 otherwise.  Only run reaches the two checks that
@@ -66,7 +66,6 @@ from .descent import (
     resource_predict,
     run_generic,
     run_separable,
-    start_vector,
     step_size,
 )
 from .errors import BlockgdError, SchemaError
@@ -79,6 +78,7 @@ from .polyfunc import (
     check_int,
     check_keys,
     check_number,
+    check_point,
     check_size_and_bound,
     load_objective,
 )
@@ -92,7 +92,7 @@ class ExperimentConfig:
     """One checked run request: the engine's inputs and the artifact options."""
 
     objective: ObjectiveFunction | SeparableObjective
-    x0: np.ndarray  # the start vector, checked by descent.start_vector
+    x0: np.ndarray  # the start vector, checked by polyfunc.check_point
     run: DescentConfig  # its eta is the step size the run uses (descent.step_size)
     audit: bool
     out: str | None
@@ -144,7 +144,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     if uniform:
         x0 = initial_state_uniform(eta, objective.grad_bound, steps, objective.n)
     return ExperimentConfig(
-        objective=objective, x0=start_vector(x0, objective.n),
+        objective=objective, x0=check_point(x0, objective.n),
         run=DescentConfig(steps=steps, eps=eps, mode=mode, eta=eta),
         audit=audit, out=out, fmt=fmt,
     )
@@ -413,7 +413,7 @@ def _cmd_compare_costs(args) -> int:
 def _cmd_validate_config(args) -> int:
     cfg = parse_experiment(_load_json_file(Path(args.config)))
     objective, run = cfg.objective, cfg.run
-    size = f"K={objective.term_count}" if run.mode == GENERIC else f"kind={objective.func.kind}"
+    size = f"K={len(objective.terms)}" if run.mode == GENERIC else f"kind={objective.func.kind}"
     print(
         f"ok: mode={run.mode} n={objective.n} {size} T={run.steps} "
         f"eps={run.eps} eta={run.eta} M={objective.grad_bound}"

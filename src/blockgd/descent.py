@@ -47,7 +47,6 @@ from .chebyshev import (
     approx_derivative,
 )
 from .errors import (
-    DomainViolation,
     InfeasibleSchedule,
     InvalidConfig,
     InvalidErrorBudget,
@@ -64,6 +63,7 @@ from .polyfunc import (
     check_int,
     check_keys,
     check_number,
+    check_point,
     first_outside_box,
 )
 
@@ -294,20 +294,6 @@ def initial_state_uniform(eta: float, grad_bound: float, steps: int, n: int) -> 
     return np.full(n, amplitude)
 
 
-def start_vector(x0, n: int) -> np.ndarray:
-    """x0 as a float vector, checked as every run checks its start.
-
-    Raises InvalidConfig unless x0 has n coordinates and DomainViolation
-    unless it lies in the box [-1/2, 1/2]^n.
-    """
-    vec = np.asarray(x0, dtype=float).ravel()
-    if vec.size != n:
-        raise InvalidConfig(f"x0 has {vec.size} coordinates, expected n={n}")
-    if first_outside_box(vec) is not None:
-        raise DomainViolation("x0 lies outside [-1/2, 1/2]^n")
-    return vec
-
-
 def _apply_scalar_factor(enc: BlockEncoding, factor: float, eps: float) -> BlockEncoding:
     """Multiply a corner by a real scalar via scale-down / amplification.
 
@@ -444,9 +430,9 @@ def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> Desc
     step maps the iterate encoding to the next one; a NormBoundViolated or
     InvalidErrorBudget it raises is re-raised with the index of the
     offending step.  The objective is read without a box check: x0 passed
-    start_vector, and every later iterate passed amplify's bound ||x|| < 1/2.
+    check_point, and every later iterate passed amplify's bound ||x|| < 1/2.
     """
-    vec = start_vector(x0, objective.n)
+    vec = check_point(x0, objective.n)
     enc = bc.diag_encode(vec)
     rows = np.empty((cfg.steps + 1, objective.n))
     gradients = np.empty_like(rows)

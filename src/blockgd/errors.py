@@ -1,11 +1,14 @@
 """Exception types shared across the package.
 
-Every contract violation raises a subclass of BlockgdError, whose
-``exit_code`` is the exit code of its failure family; blockgd.cli returns
-it.  These class attributes are the one list of the codes: 2 SchemaError
-(InvalidConfig included), 3 InfeasibleSchedule, 4 NormBoundViolated, 5
-PolyBoundViolated, 6 DegreeCapExceeded and 7 every other BlockgdError.  The
-CLI adds 0 (success) and 1 (an internal error, which no input should reach).
+Every failure a CLI input can reach raises a subclass of BlockgdError (the
+exit-code property test pins this), whose ``exit_code`` is the exit code of
+its failure family; blockgd.cli returns it.  A malformed argument of a
+library call (a sign of lcu, an alpha below 1, an eps outside
+approx_derivative's range) raises ValueError instead.  These class
+attributes are the one list of the codes: 2 SchemaError (InvalidConfig
+included), 3 InfeasibleSchedule, 4 NormBoundViolated, 5 PolyBoundViolated, 6
+DegreeCapExceeded and 7 every other BlockgdError.  The CLI adds 0 (success)
+and 1 (an internal error, which no input should reach).
 """
 
 

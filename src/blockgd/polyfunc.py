@@ -1,4 +1,4 @@
-"""Monomial-sum objectives with exact symbolic differentiation.
+"""Monomial-sum objectives, the box check of a point, and the JSON schema checks.
 
 An objective is f(x) = sum_i a_i * prod_m x_m^{e_im} over the fixed box
 [-1/2, 1/2]^n, together with a caller-supplied bound M on ||grad f||_2
@@ -6,21 +6,25 @@ there.  The bound is an input assumption; certified_bounds proves bounds on
 |f| and ||grad f||_2 in closed form from the coefficients, and M is
 certified when its gradient bound is at most M.
 
+check_point is the one box check of a point handed in from outside: a start
+vector (of a parse, a run or the oracle) or the argument of evaluate/gradient.
+
 Conventions: variable indices are 0-based, 0**0 == 1 (constant terms are
 legal), duplicate exponent tuples are merged at construction, and the zero
-function is represented by an empty term list (partial derivatives of
-constants produce it, so downstream code must accept it).
+function is represented by an empty term list (terms that cancel produce
+it, so downstream code must accept it).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, IndexOutOfRange, SchemaError
+from .errors import DomainViolation, InvalidConfig, SchemaError
 
 HALF = 0.5  # half-width of the box [-1/2, 1/2]^n every engine works in
 # Rounding slack on the box edge and on the step-size limits derived from it.
@@ -45,13 +49,17 @@ def first_outside_box(x) -> int | None:
 
 
 def check_point(x, n: int) -> np.ndarray:
-    """x as a flat float vector of n coordinates inside the box, else raise."""
+    """x as a flat float vector of n coordinates inside the box, else raise.
+
+    Raises InvalidConfig unless x has n coordinates and DomainViolation,
+    naming the first coordinate outside, unless it lies in [-1/2, 1/2]^n.
+    """
     vec = np.asarray(x, dtype=float).ravel()
     if vec.size != n:
-        raise ValueError(f"point has {vec.size} coordinates, expected {n}")
+        raise InvalidConfig(f"point has {vec.size} coordinates, expected n={n}")
     m = first_outside_box(vec)
     if m is not None:
-        raise DomainViolation(f"x[{m}] = {vec[m]!r} lies outside [-1/2, 1/2]")
+        raise DomainViolation(f"x[{m}] = {vec.item(m)!r} lies outside [-1/2, 1/2]")
     return vec
 
 
@@ -75,22 +83,18 @@ class MonomialTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "coeff", float(self.coeff))
-        # One pass coerces, checks and collects the support: at n = 2**20 a
-        # term's exponent tuple is a million entries long.
-        exps = []
-        support = []
-        for m, e in enumerate(self.exponents):
-            e = int(e)
-            if e < 0:
-                given = tuple(int(e) for e in self.exponents)
-                raise ValueError(f"exponents must be non-negative, got {given}")
-            if e:
-                support.append(m)
-            exps.append(e)
-        object.__setattr__(self, "exponents", tuple(exps))
+        # operator.index takes Python and numpy integers and, unlike int,
+        # rejects 2.7 (or 2.0) instead of truncating it.
+        try:
+            exps = tuple(map(operator.index, self.exponents))
+        except TypeError:
+            raise ValueError(f"exponents must be integers, got {tuple(self.exponents)}") from None
+        if min(exps, default=0) < 0:
+            raise ValueError(f"exponents must be non-negative, got {exps}")
+        object.__setattr__(self, "exponents", exps)
         # Sorted indices of variables that actually appear.  Stored outside
         # the dataclass fields, so eq, hash and repr see coeff and exponents only.
-        object.__setattr__(self, "support", tuple(support))
+        object.__setattr__(self, "support", tuple(m for m, e in enumerate(exps) if e))
 
     @property
     def degree(self) -> int:
@@ -129,10 +133,6 @@ class ObjectiveFunction:
         )
         object.__setattr__(self, "terms", canonical)
 
-    @property
-    def term_count(self) -> int:
-        return len(self.terms)
-
     def evaluate(self, x) -> float:
         """Value of f at a point of the box; 0**0 counts as 1."""
         return self._evaluate(check_point(x, self.n))
@@ -146,24 +146,6 @@ class ObjectiveFunction:
                 prod *= vec[m] ** term.exponents[m]
             total += prod
         return total
-
-    def partial(self, m: int) -> "ObjectiveFunction":
-        """Exact symbolic derivative with respect to variable m (0-based).
-
-        Terms without variable m vanish; the result may be the zero
-        function (empty term list).
-        """
-        if not 0 <= m < self.n:
-            raise IndexOutOfRange(f"variable index {m} not in [0, {self.n})")
-        out = []
-        for term in self.terms:
-            e = term.exponents[m]
-            if e == 0:
-                continue
-            new_exps = list(term.exponents)
-            new_exps[m] = e - 1
-            out.append(MonomialTerm(term.coeff * e, tuple(new_exps)))
-        return ObjectiveFunction(self.n, self.grad_bound, tuple(out))
 
     def gradient(self, x) -> np.ndarray:
         """All partial derivatives at a point, as a length-n array."""
@@ -199,15 +181,6 @@ class ObjectiveFunction:
                 c = abs(term.coeff) * term.exponents[m] * HALF ** (degree - 1)
                 partial_bounds[m] = partial_bounds.get(m, 0.0) + c
         return f_bound, math.hypot(*partial_bounds.values())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "M": self.grad_bound,
-            "terms": [
-                {"coeff": t.coeff, "exponents": list(t.exponents)} for t in self.terms
-            ],
-        }
 
 
 # The schema checks, one per kind of JSON value.  Each returns the checked

@@ -2,11 +2,32 @@
 
 The reference that ObjectiveFunction.certified_bounds is checked against,
 and the bound estimate behind acceptance criterion 1's random objectives.
+Its gradient comes from partial, an exact symbolic differentiator that
+shares nothing with the engines' or the objective's own gradient code.
 """
 
 import numpy as np
 
-from blockgd.polyfunc import HALF
+from blockgd.errors import IndexOutOfRange
+from blockgd.polyfunc import HALF, MonomialTerm, ObjectiveFunction
+
+
+def partial(objective: ObjectiveFunction, m: int) -> ObjectiveFunction:
+    """Exact symbolic derivative of objective with respect to variable m (0-based).
+
+    Terms without variable m vanish; the result may be the zero function
+    (empty term list).
+    """
+    if not 0 <= m < objective.n:
+        raise IndexOutOfRange(f"variable index {m} not in [0, {objective.n})")
+    out = []
+    for term in objective.terms:
+        e = term.exponents[m]
+        if e:
+            exps = list(term.exponents)
+            exps[m] = e - 1
+            out.append(MonomialTerm(term.coeff * e, tuple(exps)))
+    return ObjectiveFunction(objective.n, objective.grad_bound, tuple(out))
 
 
 def _eval_grid(objective, points: np.ndarray) -> np.ndarray:
@@ -26,6 +47,6 @@ def grid_maxima(objective, points_per_axis: int) -> tuple[float, float]:
     points = np.stack(mesh, axis=-1).reshape(-1, objective.n)
     # hypot, not the root of a sum of squares: the square of a partial near
     # 1e-160 is subnormal, and its root can exceed the exact norm by 1e-6.
-    grads = [_eval_grid(objective.partial(m), points) for m in range(objective.n)]
+    grads = [_eval_grid(partial(objective, m), points) for m in range(objective.n)]
     return (float(np.max(np.abs(_eval_grid(objective, points)))),
             float(np.max(np.hypot.reduce(grads, axis=0))))

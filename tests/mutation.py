@@ -1,0 +1,140 @@
+"""Mutation check: do the named tests kill each one-line mutant of src/?
+
+Run from anywhere, with pytest installed:
+
+    python3 tests/mutation.py            # every row of MUTANTS
+    python3 tests/mutation.py NAME ...   # only the named rows
+
+Each row of MUTANTS gives a file under src/blockgd, the exact text to
+replace (it must occur exactly once there, which tests/test_mutation_table.py
+checks), the mutant text, the test ids expected to kill the mutant, and, for
+a known survivor, the reason no test can kill it yet.  For each row the
+script copies src/, tests/ and the files the tests read into a temporary
+directory, applies the mutant there, runs the named ids with pytest, and
+prints "killed" or "survived".  It exits 1 when a row's outcome is not the
+expected one.  The checkout itself is never modified.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/blockgd
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+    survives: str | None = None  # why no test kills it yet, for a known survivor
+
+
+BLOCKCALC = "tests/test_blockcalc.py"
+CLI = "tests/test_cli.py"
+DESCENT = "tests/test_descent.py"
+GOLDEN = f"{CLI}::TestGoldenArtifacts"
+
+MUTANTS = (
+    Mutant("norm_tol", "blockcalc.py", "NORM_TOL = 1e-10", "NORM_TOL = 1e-6",
+           (f"{BLOCKCALC}::TestBlockEncodingType::test_norm_tolerance_forgives_rounding_only",)),
+    Mutant("qsvt_sup_cap", "blockcalc.py", "if sup > 0.5 + NORM_TOL:", "if sup > 0.6:",
+           (f"{BLOCKCALC}::TestQsvtTransform::test_poly_bound_is_tight_above_half",)),
+    Mutant("qsvt_negative_degree", "blockcalc.py", "    if d < 0:", "    if d < -1:",
+           (f"{BLOCKCALC}::TestQsvtTransform::test_negative_degree_rejected",)),
+    Mutant("scale_down_eps", "blockcalc.py", "enc.alpha, enc.eps / p,", "enc.alpha, enc.eps,",
+           (f"{GOLDEN}::test_generic_audit_run_padded_with_linear_and_pair_terms",)),
+    Mutant("lcu_eps", "blockcalc.py", "sum(e.eps for e in encs) / m,", "max(e.eps for e in encs),",
+           (f"{BLOCKCALC}::TestLcu::test_eps_averaged_and_queries_counted",)),
+    Mutant("qsvt_eps", "blockcalc.py", "4.0 * d * math.sqrt(enc.eps / enc.alpha)",
+           "2.0 * d * math.sqrt(enc.eps / enc.alpha)",
+           (f"{BLOCKCALC}::TestQsvtTransform::test_eps_formula",)),
+    Mutant("amplify_eps", "blockcalc.py", "gamma * enc.eps + eps_target * boosted_norm",
+           "enc.eps + eps_target * boosted_norm",
+           (f"{GOLDEN}::test_quadratic_audit_run",)),
+    Mutant("chebyshev_trim", "chebyshev.py", "eps / (10.0 * degree))", "eps / degree)",
+           ("tests/test_chebyshev.py::TestApproxDerivative::test_trim_threshold_sets_the_degree",)),
+    Mutant("uniform_floor", "descent.py", "3 if steps else 2)", "2)",
+           (f"{DESCENT}::TestInitialStateUniform::test_saturated_slack_with_steps_stays_below_half",)),
+    Mutant("schedule_two_norm", "descent.py",
+           "bool(float(np.linalg.norm(vec)) <= radius", "bool(float(np.abs(vec).max()) <= radius",
+           (f"{GOLDEN}::test_separable_audit_run",)),
+    Mutant("qsvt_divisor_margin", "descent.py", "2.0 * poly.grid_sup * (1.0 + 1e-12)",
+           "2.0 * poly.grid_sup", (f"{GOLDEN}::test_separable_audit_run",),
+           survives="equivalent while rounding stays below NORM_TOL: without the margin the "
+                    "scaled sup is 1/2 to about 1e-16, and the cap forgives 1e-10"),
+    Mutant("report_zero_step_bound", "cli.py", "bound = 16.0 * trace.steps * trace.eps",
+           "bound = 16.0 * max(trace.steps, 1) * trace.eps",
+           (f"{GOLDEN}::test_zero_step_audit_run",)),
+    Mutant("report_matches_tolerance", "cli.py",
+           "abs(trace.probability - expected_prob) <= 1e-10",
+           "abs(trace.probability - expected_prob) <= 1e-3", (GOLDEN,),
+           survives="every run realizes its corners exactly, so the two probabilities "
+                    "agree to rounding; a perturbed realization (ROADMAP item 3) can split them"),
+    Mutant("check_point_box_bound", "polyfunc.py", "np.abs(x) > HALF + DOMAIN_TOL",
+           "np.abs(x) > HALF + 0.25",
+           ("tests/test_polyfunc.py::TestEvaluate::test_domain_violation_names_the_first_coordinate_outside",
+            f"{CLI}::TestValidateConfig::test_x0_outside_the_box_fails_in_both_commands")),
+    Mutant("monomial_sign_check", "polyfunc.py", "if min(exps, default=0) < 0:",
+           "if min(exps, default=0) < -1:",
+           ("tests/test_polyfunc.py::TestConstruction::test_negative_exponent_rejected",)),
+)
+
+# What the named tests read besides src/ and tests/.
+COPIED = ("src", "tests", "configs", "bench", "README.md", "pyproject.toml")
+IGNORED = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis", "_out", "_work")
+
+
+def apply(root: Path, mutant: Mutant) -> None:
+    """Replace the row's one occurrence of old by new in root's copy of src/."""
+    path = root / "src" / "blockgd" / mutant.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.name}: old text must occur once in {mutant.file}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def killed(mutant: Mutant) -> bool:
+    """Whether the named tests fail with the mutant applied to a copy of the checkout."""
+    with tempfile.TemporaryDirectory(prefix="blockgd-mutant-") as tmp:
+        root = Path(tmp)
+        for name in COPIED:
+            source = REPO / name
+            if source.is_dir():
+                shutil.copytree(source, root / name, ignore=IGNORED)
+            elif source.exists():
+                shutil.copy2(source, root / name)
+        apply(root, mutant)
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        if run.returncode not in (0, 1):  # 1 is "tests failed"; others mean no run
+            raise SystemExit(f"{mutant.name}: pytest exited {run.returncode}")
+        return run.returncode == 1
+
+
+def main(argv: list[str]) -> int:
+    rows = [m for m in MUTANTS if not argv or m.name in argv]
+    unexpected = 0
+    for mutant in rows:
+        outcome = "killed" if killed(mutant) else "survived"
+        expected = "survived" if mutant.survives else "killed"
+        note = "" if outcome == expected else "  UNEXPECTED"
+        if mutant.survives and outcome == "survived":
+            note = f"  (known: {mutant.survives})"
+        unexpected += outcome != expected
+        print(f"{mutant.name:28} {outcome}{note}", flush=True)
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -136,7 +136,7 @@ def test_criterion_03_primitive_exactness():
         poly = np.polynomial.Polynomial(coeffs)
         sup = float(np.max(np.abs(poly(np.linspace(-1, 1, 2001)))))
         poly = np.polynomial.Polynomial(coeffs * (0.45 / max(sup, 1e-9)))
-        out = bc.qsvt_transform(BlockEncoding(np.diag(diag)), poly)
+        out = bc.qsvt_transform(BlockEncoding(np.diag(diag)), poly, len(coeffs) - 1)
         assert np.max(np.abs(np.diag(out.corner) - poly(diag))) <= 1e-10
     _passed("criterion 3: diagonal encodings exact to 1e-12, dilations unitary "
             "to 1e-10, eigenvalue transforms elementwise to 1e-10")

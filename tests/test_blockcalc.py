@@ -51,7 +51,7 @@ def primitive_outputs(x, y):
         "lcu": bc.lcu([x, y, x], [1, -1, -1]),
         "scale_down": bc.scale_down(y, 3.0),
         "amplify": bc.amplify(x, 2.0, 1e-6),
-        "qsvt_transform": bc.qsvt_transform(y, Polynomial([0.05, -0.1, 0.3])),
+        "qsvt_transform": bc.qsvt_transform(y, Polynomial([0.05, -0.1, 0.3]), 2),
     }
 
 
@@ -64,6 +64,24 @@ class TestBlockEncodingType:
     def test_norm_invariant_enforced(self):
         with pytest.raises(NormTooLarge):
             BlockEncoding(np.diag([1.2, 0.0]))
+
+    @pytest.mark.parametrize("excess, fits", [(0.5e-10, True), (1e-8, False)])
+    def test_norm_tolerance_forgives_rounding_only(self, excess, fits):
+        # NORM_TOL = 1e-10 admits a rounding excess, not a norm of 1 + 1e-8,
+        # in every storage of a corner and in diag_encode's amplitude vector.
+        top = 1.0 + excess
+        builds = (
+            lambda: BlockEncoding(np.diag([top, 0.0])),
+            lambda: bc._encoding(np.array([top, 0.0], dtype=complex), 2, 1.0, 0.0, (), 0, 0, 0),
+            lambda: bc._encoding({0: complex(top)}, 2, 1.0, 0.0, (), 0, 0, 0),
+            lambda: bc.diag_encode([top]),
+        )
+        for build in builds:
+            if fits:
+                build()
+            else:
+                with pytest.raises(NormTooLarge):
+                    build()
 
     def test_padding_to_power_of_two(self):
         enc = BlockEncoding(np.diag([0.5, 0.5, 0.5]))
@@ -308,7 +326,7 @@ class TestQsvtTransform:
     def test_half_identity_polynomial(self):
         # The steepest admissible linear transform: P(x) = x/2.
         enc = bc.diag_encode([0.3, -0.2])
-        out = bc.qsvt_transform(enc, Polynomial([0.0, 0.5]))
+        out = bc.qsvt_transform(enc, Polynomial([0.0, 0.5]), 1)
         assert np.allclose(out.corner, enc.corner / 2)
         assert out.alpha == 1.0
         assert out.ancillas == enc.ancillas + 2
@@ -317,27 +335,38 @@ class TestQsvtTransform:
         # |x| reaches 1 on [-1, 1], above the 1/2 cap the transform requires.
         enc = bc.diag_encode([0.3, -0.2])
         with pytest.raises(PolyBoundViolated):
-            bc.qsvt_transform(enc, Polynomial([0.0, 1.0]))
+            bc.qsvt_transform(enc, Polynomial([0.0, 1.0]), 1)
 
     def test_half_square(self):
         enc = bc.diag_encode([0.4, 0.2])
-        out = bc.qsvt_transform(enc, Polynomial([0.0, 0.0, 0.5]))
+        out = bc.qsvt_transform(enc, Polynomial([0.0, 0.0, 0.5]), 2)
         assert np.allclose(np.diag(out.corner), [0.08, 0.02])
 
     def test_eps_formula(self):
         enc = BlockEncoding(np.diag([0.3, 0.3]), alpha=1.0, eps=1e-4)
-        out = bc.qsvt_transform(enc, Polynomial([0.0, 0.5]))
+        out = bc.qsvt_transform(enc, Polynomial([0.0, 0.5]), 1)
         assert out.eps == pytest.approx(4 * 1 * math.sqrt(1e-4))
 
     def test_poly_bound_violated(self):
         enc = bc.diag_encode([0.3, 0.0])
         with pytest.raises(PolyBoundViolated):
-            bc.qsvt_transform(enc, Polynomial([0.7]))
+            bc.qsvt_transform(enc, Polynomial([0.7]), 0)
+
+    def test_poly_bound_is_tight_above_half(self):
+        # Constants, so the sup is exact: 0.55 fails, within NORM_TOL of 1/2 passes.
+        enc = bc.diag_encode([0.3, 0.0])
+        with pytest.raises(PolyBoundViolated, match=r"sup \|poly\| = 0\.55 "):
+            bc.qsvt_transform(enc, Polynomial([0.55]), 0)
+        bc.qsvt_transform(enc, Polynomial([0.5 + 0.5e-10]), 0)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="degree must be non-negative"):
+            bc.qsvt_transform(bc.diag_encode([0.3, 0.0]), Polynomial([0.1]), -1)
 
     def test_requires_hermitian(self):
         mat = np.array([[0.0, 0.5], [0.0, 0.0]])
         with pytest.raises(NotHermitian):
-            bc.qsvt_transform(BlockEncoding(mat), Polynomial([0.0, 0.5]))
+            bc.qsvt_transform(BlockEncoding(mat), Polynomial([0.0, 0.5]), 1)
 
     def test_dense_hermitian_eigen_transform(self):
         rng = np.random.default_rng(8)
@@ -346,7 +375,7 @@ class TestQsvtTransform:
         mat /= np.linalg.norm(mat, 2) * 1.5
         enc = BlockEncoding(mat)
         poly = Polynomial([0.0, 0.0, 0.4])
-        out = bc.qsvt_transform(enc, poly)
+        out = bc.qsvt_transform(enc, poly, 2)
         w, v = np.linalg.eigh(mat)
         expected = (v * poly(w)) @ v.T
         assert np.max(np.abs(out.corner - expected)) <= 1e-10
@@ -360,7 +389,7 @@ class TestQsvtTransform:
             poly = Polynomial(coeffs)
             sup = np.max(np.abs(poly(np.linspace(-1, 1, 2001))))
             poly = Polynomial(coeffs * (0.45 / max(sup, 1e-9)))
-            out = bc.qsvt_transform(enc, poly)
+            out = bc.qsvt_transform(enc, poly, len(coeffs) - 1)
             assert np.max(np.abs(np.diag(out.corner) - poly(diag))) <= 1e-10
 
 

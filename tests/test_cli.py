@@ -481,7 +481,7 @@ class TestValidateConfig:
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONTRACT
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: x0 lies outside [-1/2, 1/2]^n"] * 2
+        assert err == ["error: x[0] = 0.7 lies outside [-1/2, 1/2]"] * 2
 
     def test_factor_error_names_no_sorted_index(self, tmp_path, capsys):
         path = write_config(tmp_path, FACTOR_SUBNORMAL_DOC)
@@ -894,7 +894,7 @@ def _wide_generic_doc(n: int, supports, x0) -> dict:
 
 
 class TestGoldenArtifacts:
-    """SHA-256 of every artifact of eight commands (Python 3.11, numpy 2.4).
+    """SHA-256 of every artifact of ten commands (Python 3.11, numpy 2.4).
 
     A changed digest means a changed output byte; update it only on purpose.
     Every audit.jsonl written here also replays: its ledger follows from its
@@ -910,6 +910,28 @@ class TestGoldenArtifacts:
             "trace.csv": "ad489119d77848f2ddb165b319947a0583e681074ba606f6587a9ab61c283b84",
             "trace.json": "844b25e8b830def7c257d9929aa4257ed5a299b34771c87a626ae7e94c3b13cb",
         }
+        assert replay((out / "audit.jsonl").read_text()) is None
+
+    @pytest.mark.parametrize("config, digests", [
+        (QUADRATIC, {
+            "audit.jsonl": "570b3f0d21d717db2e92756fb05e6e5c84a79de883a9a3d9c4378ff7b9bc19f8",
+            "report.json": "a3901460e23b89fd6fe92c00b93b591090cd689761cedb229856948c56c3abae",
+            "trace.csv": "389454505f509565f52c84b2df60a6ecc7b7ac18b4c22892885bce6d794ff9dd",
+            "trace.json": "20de1c2d0c9d7621bd6e6fb6ff706eed1d7e67ca9ac36a865c398c6bce34a13f",
+        }),
+        (SEPARABLE, {
+            "audit.jsonl": "856ffb2bea89555883185f0323a4fd5de95c91f5fea56ec94eb304027168a24d",
+            "report.json": "3a5a4e15994b057f4d2a62bd4da00c9ade08c53c5cc9e01f84abf818548e4ec9",
+            "trace.csv": "a192438fabef515aa8ac3d02532e6202b165bd0c8c921c0fcb5ad9ae1c64392c",
+            "trace.json": "46153336f63b83c8ea28c423a6a923b31452f999b97c759dd16fdd080b762c07",
+        }),
+    ], ids=["generic", "separable"])
+    def test_zero_step_audit_run(self, tmp_path, config, digests):
+        # At T=0 the report's deviation bound 16*T*eps is 0, not 16*eps.
+        path = write_config(tmp_path, json.loads(config.read_text()) | {"T": 0})
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(path), "--audit", "--out", str(out)]) == EXIT_OK
+        assert _sha256_of_files(out) == digests
         assert replay((out / "audit.jsonl").read_text()) is None
 
     def test_quadratic_audit_run_past_int64_counters(self, tmp_path):

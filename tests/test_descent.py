@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import blockgd.blockcalc as bc
-from blockgd import chebyshev, oracle, polyfunc
+from blockgd import chebyshev, cli, descent, oracle, polyfunc
 from blockgd.chebyshev import POLY_GRID_POINTS, ChebyshevPoly, ScalarFunction, SeparableObjective
 from blockgd.descent import (
     CostParams,
@@ -603,22 +603,46 @@ class TestDiagonalFastPath:
         assert built == []
         assert trace.records[-1].queries > 0
 
-    def test_gradient_encoding_allocates_no_length_n_vector(self):
-        # One length-N complex vector takes 4 MiB at n = 2**18; the gradient's
-        # partials hold at most K*v non-zeros, so its encoding needs none.
-        n = 2**18
-        objective = _canonical_objective(n, 3, 4, 3)
-        iterate = bc.diag_encode(_probe_start(n))
-        tracemalloc.start()
-        try:
-            grad = build_gradient_be(iterate, objective, eps=1e-6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-        assert (grad.resources.queries, grad.resources.depth_units, grad.ancillas) == (
-            384, 1263, 1154)
-        assert grad.resources.ancilla_high_water == 1154
+    def test_gradient_encoding_allocates_no_length_n_vector(self, monkeypatch):
+        # Complexity fences, each an upper bound with its measured slack (Python
+        # 3.11, numpy 2.4).  One length-N complex vector takes 16 KiB at
+        # n = 2**10 and 4 MiB at 2**18; the gradient's partials hold at most
+        # K*v non-zeros, so its encoding needs no vector at any n, and only the
+        # update turns a slot map (the gradient) into one.
+        vectors = []
+        original = bc._vector
+
+        def counted(slots, dim):
+            vectors.append(dim)
+            return original(slots, dim)
+
+        def traced_peak(build):
+            tracemalloc.start()
+            try:
+                return build(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(bc, "_vector", counted)
+        # (depth_units, ancillas): queries are 384 at every n; depth and
+        # ancillas add 54 per doubling of n, through the iterate's log2 N charge.
+        counts = {2**10: (831, 722), 2**16: (1155, 1046), 2**18: (1263, 1154)}
+        for n, (depth, ancillas) in counts.items():
+            objective = _canonical_objective(n, 3, 4, 3)
+            iterate = bc.diag_encode(_probe_start(n))
+            grad, peak = traced_peak(lambda: build_gradient_be(iterate, objective, eps=1e-6))
+            # Measured: 7032 B at n = 2**10, 6840 B at 2**16 and 2**18.
+            assert peak <= 8 * 1024
+            assert vectors == []
+            assert (grad.resources.queries, grad.resources.depth_units, grad.ancillas,
+                    grad.resources.ancilla_high_water) == (384, depth, ancillas, ancillas)
+            if n == 2**16:
+                _, peak = traced_peak(lambda: gd_step_generic(iterate, grad, eps=1e-6))
+                # Measured: 3.50 complex vectors.  Not fenced at 2**10, where the
+                # fixed overhead alone brings the peak to 4.09 vectors.
+                assert peak <= 4 * 16 * n
+                assert vectors == [n]
+                vectors.clear()
 
     def test_separable_run_samples_the_polynomial_grid_once(self, monkeypatch):
         calls = []
@@ -685,7 +709,8 @@ class TestBoxChecks:
             calls.append(n)
             return original(x, n)
 
-        for module in (polyfunc, chebyshev, oracle):
+        # Every module that imports the one point check, so none escapes the count.
+        for module in (polyfunc, chebyshev, oracle, descent, cli):
             monkeypatch.setattr(module, "check_point", counted)
         n, steps = 8, 3
         generic = _canonical_objective(n, 3, 4, 3)
@@ -693,11 +718,12 @@ class TestBoxChecks:
         x0 = _probe_start(n)
         run_generic(generic, x0, DescentConfig(steps=steps, eps=1e-6, mode="generic"))
         run_separable(separable, x0, DescentConfig(steps=steps, eps=1e-6, mode="separable", eta=0.1))
-        assert calls == []
+        # x0 once per engine run; its iterates pass amplify's norm bound.
+        assert calls == [n, n]
         classical_gd(generic, x0, eta_generic(generic), steps)
         classical_gd(separable, x0, 0.1, steps)
         # x0 once per oracle run; its iterates are checked by first_outside_box.
-        assert calls == [n, n]
+        assert calls == [n, n, n, n]
 
     @pytest.mark.parametrize("method", ["evaluate", "gradient"])
     def test_public_calls_outside_the_box_still_raise(self, method):

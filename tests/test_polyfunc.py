@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockgd.errors import DomainViolation, IndexOutOfRange, SchemaError
+from blockgd.errors import DomainViolation, IndexOutOfRange, InvalidConfig, SchemaError
 from blockgd.polyfunc import MonomialTerm, ObjectiveFunction, load_objective
-from _grid import grid_maxima
+from _grid import grid_maxima, partial
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -37,33 +37,47 @@ class TestEvaluate:
         with pytest.raises(DomainViolation):
             f.evaluate([0.6, 0.0])
 
+    def test_domain_violation_names_the_first_coordinate_outside(self):
+        # The value prints as a float, not as numpy's repr np.float64(0.6).
+        f = make(2, 1.0, (1.0, (1, 0)))
+        with pytest.raises(DomainViolation) as err:
+            f.evaluate([0.1, 0.6])
+        assert str(err.value) == "x[1] = 0.6 lies outside [-1/2, 1/2]"
+
+    def test_wrong_size_point_is_an_invalid_config(self):
+        f = make(2, 1.0, (1.0, (1, 0)))
+        with pytest.raises(InvalidConfig, match=r"^point has 3 coordinates, expected n=2$"):
+            f.gradient([0.1, 0.1, 0.1])
+
     def test_zero_function(self):
         f = ObjectiveFunction(2, 1.0, ())
         assert f.evaluate([0.1, 0.1]) == 0.0
 
 
 class TestPartial:
+    """The reference differentiator of tests/_grid.py."""
+
     def test_hand_differentiated_monomial(self):
         f = make(5, 1.0, (1.0, (2, 3, 0, 0, 1)))
-        df = f.partial(0)
+        df = partial(f, 0)
         assert len(df.terms) == 1
         assert df.terms[0].coeff == 2.0
         assert df.terms[0].exponents == (1, 3, 0, 0, 1)
 
     def test_absent_variable_gives_zero_function(self):
         f = make(5, 1.0, (1.0, (2, 3, 0, 0, 1)))
-        assert f.partial(2).terms == ()
+        assert partial(f, 2).terms == ()
 
     def test_linear_term_gives_constant(self):
         f = make(1, 1.0, (1.0, (1,)))
-        df = f.partial(0)
+        df = partial(f, 0)
         assert df.terms[0].coeff == 1.0
         assert df.terms[0].exponents == (0,)
 
     def test_index_out_of_range(self):
         f = make(2, 1.0, (1.0, (1, 0)))
         with pytest.raises(IndexOutOfRange):
-            f.partial(2)
+            partial(f, 2)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -76,7 +90,7 @@ class TestPartial:
             f = make(n, 10.0, *terms)
             x = rng.uniform(-0.4, 0.4, size=n)
             for m in range(n):
-                exact = f.partial(m).evaluate(x)
+                exact = partial(f, m).evaluate(x)
                 errs = []
                 for h in (1e-3, 1e-4):
                     step = np.zeros(n)
@@ -99,7 +113,7 @@ class TestPartial:
             union = set()
             for t in f.terms:
                 union.update(t.support)
-            nonzero = sum(1 for m in range(n) if f.partial(m).terms)
+            nonzero = sum(1 for m in range(n) if partial(f, m).terms)
             assert nonzero == len(union)
 
 
@@ -176,6 +190,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"got \(0, 2, -1\)"):
             MonomialTerm(1.0, (0, 2, -1))
 
+    def test_exponents_must_be_integers(self):
+        # Like the JSON schema, a term takes no 2.7 and no 2.0 as an exponent;
+        # numpy integers are integers.
+        for exps in ((2.7, 0), (2.0, 0), (1, np.float64(1.0))):
+            with pytest.raises(ValueError, match="exponents must be integers"):
+                MonomialTerm(1.0, exps)
+        term = MonomialTerm(1.0, (np.int64(2), np.uint8(0), 1))
+        assert term.exponents == (2, 0, 1)
+        assert all(type(e) is int for e in term.exponents)
+
 
 # Objectives with n <= 4, K <= 4 and term degree <= 4; constant terms, terms
 # that merge or cancel, and K = 0 (the zero function) included.
@@ -211,7 +235,8 @@ class TestCertifiedBounds:
 class TestJsonSchema:
     def test_roundtrip(self):
         f = make(2, 1.5, (1.0, (2, 0)), (-0.5, (0, 1)))
-        again = load_objective(json.dumps(f.to_json_dict()))
+        again = load_objective(json.dumps({"n": 2, "M": 1.5, "terms": [
+            {"coeff": 1.0, "exponents": [2, 0]}, {"coeff": -0.5, "exponents": [0, 1]}]}))
         assert again == f
 
     @pytest.mark.parametrize(
