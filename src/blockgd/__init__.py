@@ -1,11 +1,13 @@
 """Desk-scale simulator of gradient descent over a block-encoding calculus.
 
-The package exposes four layers: monomial objectives with their JSON schema
-and the box check of a point (polyfunc), the corner-block encoding calculus
-with resource accounting (blockcalc), polynomial approximation of scalar
-derivatives (chebyshev), and the descent engines plus the classical
-reference oracle (descent, oracle).  The blockgd CLI batch-runs experiment
-configs and emits traces, comparison reports, and cost tables.
+The package exposes four layers: monomial objectives and the box check of
+a point (polyfunc), the corner-block encoding calculus with resource
+accounting (blockcalc), polynomial approximation of scalar derivatives
+(chebyshev), and the descent engines plus the classical reference oracle
+(descent, oracle); they take and return Python values.  The blockgd CLI
+(cli) reads and writes every document: it checks configs against the JSON
+schema (load_objective and load_scalar_function are its loaders),
+batch-runs them and emits traces, comparison reports, and cost tables.
 """
 
 from .blockcalc import (
@@ -29,8 +31,8 @@ from .chebyshev import (
     ScalarFunction,
     SeparableObjective,
     approx_derivative,
-    load_scalar_function,
 )
+from .cli import load_objective, load_scalar_function
 from .descent import (
     CostParams,
     DescentConfig,
@@ -46,7 +48,7 @@ from .descent import (
     run_separable,
 )
 from .oracle import OracleTrace, classical_gd
-from .polyfunc import MonomialTerm, ObjectiveFunction, load_objective
+from .polyfunc import MonomialTerm, ObjectiveFunction
 from . import errors
 
 __version__ = "0.1.0"

@@ -20,21 +20,12 @@ import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
 from .errors import DegreeCapExceeded
-from .polyfunc import (
-    HALF,
-    check_array,
-    check_choice,
-    check_keys,
-    check_number,
-    check_point,
-    init_size_and_bound,
-)
+from .polyfunc import HALF, check_point, init_size_and_bound
 
 GRID_POINTS = 4096
 POLY_GRID_POINTS = 2048
 DEGREE_CAP = 512
-# Largest eps approx_derivative accepts; the CLI rejects a larger separable
-# eps (and a larger compare-costs eps, which probes the separable engine).
+# Largest eps approx_derivative accepts; cli.EPS_RANGES applies it to JSON inputs.
 MAX_EPS = 0.25
 
 
@@ -225,20 +216,3 @@ def approx_derivative(func: ScalarFunction, eps: float) -> ChebyshevPoly:
         f"no degree <= {DEGREE_CAP} reaches sup error {eps} for kind={func.kind!r}"
     )
 
-
-def load_scalar_function(doc: dict) -> ScalarFunction:
-    """Parse {"kind": "named", "name": ..., "scale": ...} or {"kind": "poly", "coeffs": [...]}.
-
-    A poly has at most DEGREE_CAP + 2 coefficients, so that its derivative
-    stays within the degree cap.
-    """
-    check_keys(doc, "$", ("kind",), ("coeffs", "name", "scale"))
-    if check_choice(doc["kind"], "kind", ("poly", "named")) == "poly":
-        check_keys(doc, "$", ("kind", "coeffs"))
-        coeffs = check_array(doc["coeffs"], "coeffs", 1, DEGREE_CAP + 2)
-        return ScalarFunction.polynomial(
-            [check_number(c, f"coeffs[{i}]") for i, c in enumerate(coeffs)]
-        )
-    check_keys(doc, "$", ("kind", "name"), ("scale",))
-    name = check_choice(doc["name"], "name", NAMED_KINDS)
-    return ScalarFunction.named(name, check_number(doc.get("scale", 1.0), "scale"))

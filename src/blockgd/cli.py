@@ -6,21 +6,21 @@ Subcommands
     compare-costs    render the per-regime cost report as CSV and a text table
     validate-config  parse the config as run does and print the resolved summary
 
-A run request is checked once, by parse_experiment, into the engine's
-inputs: the objective, the start vector and the DescentConfig.  Every JSON
-field is checked by the polyfunc checks (an object's keys, an integer in a
-range, a finite number in a range, an array's length, one of fixed values),
-against limits stated once: polyfunc.MAX_N, MAX_TERM_DEGREE and
-MAX_TRACE_ENTRIES (which caps T at MAX_TRACE_ENTRIES // n - 1),
-chebyshev.DEGREE_CAP, descent.EPS_RANGES and descent.COST_INT_RANGES.  The
-step size comes from descent.step_size; the parse ends with the start
-vector, built by descent.initial_state_uniform for a uniform start and
-checked by polyfunc.check_point, the rules the engines apply too.
-validate-config is parse_experiment and its print, so it exits 2, 3 or 7
-exactly where run would before any pipeline work (and before run creates its
-output directory), and 0 otherwise.  Only run reaches the two checks that
-need the separable derivative polynomial: an eta above 1/divisor (exit 2)
-and the degree cap (exit 6).
+This is the one module that reads and writes documents (the JSON schemas,
+their limits and the artifact formats); the library modules take and return
+Python values.  A run request is checked once, by parse_experiment, into the
+engine's inputs: the objective, the start vector and the DescentConfig.
+Every JSON field is checked by the checks below (an object's keys, an
+integer in a range, a finite number in a range, an array's length, one of
+fixed values), against limits stated once below.  The step size comes from
+descent.step_size; the parse ends with the start vector, built by
+descent.initial_state_uniform for a uniform start and checked by
+polyfunc.check_point, the rules the engines apply too.  validate-config is
+parse_experiment and its print, so it exits 2, 3 or 7 exactly where run
+would before any pipeline work (and before run creates its output
+directory), and 0 otherwise.  Only run reaches the two checks that need the
+separable derivative polynomial: an eta above 1/divisor (exit 2) and the
+degree cap (exit 6).
 
 With --audit (or "audit": true), run wraps the engine call, and only it, in
 blockcalc.recording, so audit.jsonl holds one record per calculus primitive
@@ -43,19 +43,18 @@ step-size error and an unwritable --out, 3 to 7 for the other families.
 
 from __future__ import annotations
 
-import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .blockcalc import AuditLog, next_power_of_two, recording
-from .chebyshev import SeparableObjective, load_scalar_function
+from .chebyshev import DEGREE_CAP, MAX_EPS, NAMED_KINDS, ScalarFunction, SeparableObjective
 from .descent import (
     COUNTERS,
-    EPS_RANGES,
     GENERIC,
     SEPARABLE,
     CostParams,
@@ -70,21 +69,161 @@ from .descent import (
 )
 from .errors import BlockgdError, SchemaError
 from .oracle import classical_gd
-from .polyfunc import (
-    MAX_TRACE_ENTRIES,
-    ObjectiveFunction,
-    check_array,
-    check_choice,
-    check_int,
-    check_keys,
-    check_number,
-    check_point,
-    check_size_and_bound,
-    load_objective,
-)
+from .polyfunc import MonomialTerm, ObjectiveFunction, check_point
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
+# Largest n a JSON input may ask for: one complex vector of 2**20 entries is
+# 16 MiB, while a larger n would fail (or exhaust memory) before any output.
+MAX_N = 2**20
+# Largest (T + 1) * n of a run: its traces keep (T + 1) x n floats for the
+# iterates, the gradients and the oracle's iterates, 128 MiB each at this cap;
+# a larger run would fail (or exhaust memory) before any output.
+MAX_TRACE_ENTRIES = 2**24
+# Largest total degree of a generic term: assembling a partial derivative
+# takes one product per power, so the cap bounds a step's primitive calls.
+# compare-costs shares it as its largest d.
+MAX_TERM_DEGREE = 64
+# Range of each compare-costs integer, by JSON key.  The generic probe makes
+# about K*v*(v + d) primitive calls on K length-n exponent tuples, the
+# crossover table has T rows and the envelopes raise s and p_tensor to powers
+# up to 5*T, so these caps bound every accepted report (about 20 s and
+# 0.4 GiB at the largest n, K, v and d); d shares the generic term-degree
+# cap, deg_P the separable engine's degree cap and n the objectives' size cap.
+COST_INT_RANGES = {
+    "n": (1, MAX_N), "K": (1, 16), "d": (1, MAX_TERM_DEGREE), "v": (1, 16), "T": (1, 1000),
+    "deg_P": (0, DEGREE_CAP), "s": (1, MAX_N), "S_rows": (1, MAX_N), "p_tensor": (1, 16),
+}
+# Range (low, high, high_open) of eps per engine: the separable engine
+# approximates F' to eps, so its eps is at most MAX_EPS.  compare-costs
+# probes both engines and takes the separable range.
+EPS_RANGES = {GENERIC: (0.0, 1.0, True), SEPARABLE: (0.0, MAX_EPS, False)}
+# CostParams field of each compare-costs JSON key.
+COST_FIELDS = {
+    "n": "n", "K": "terms", "d": "degree", "v": "vars_per_term", "T": "steps",
+    "eps": "eps", "deg_P": "poly_degree", "s": "sparsity", "S_rows": "sparse_rows",
+    "p_tensor": "tensor_order",
+}
+
+
+# The schema checks, one per kind of JSON value.  Each returns the checked
+# value or raises SchemaError with the key path of the offending entry, so a
+# loader reads as one check per field.
+def check_keys(doc, path: str, required, optional=()) -> dict:
+    """doc as a JSON object holding every required key and no other than optional."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected object, got {type(doc).__name__}")
+    unknown = set(doc) - set(required) - set(optional)
+    if unknown:
+        raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
+    for key in required:
+        if key not in doc:
+            raise SchemaError(f"{path}: missing required key '{key}'")
+    return doc
+
+
+def check_int(value, path: str, low: int, high: int) -> int:
+    """value as a JSON integer in [low, high]; bools and integral floats are not integers."""
+    if isinstance(value, int) and not isinstance(value, bool) and low <= value <= high:
+        return value
+    raise SchemaError(f"{path}: expected integer in [{low}, {high}], got {value!r}")
+
+
+def check_number(value, path: str, low: float = -math.inf, high: float = math.inf,
+                 high_open: bool = True) -> float:
+    """value as a float: a finite JSON number with low < value < high.
+
+    With high_open=False the range is (low, high] instead.  json accepts NaN,
+    Infinity and overflowing literals such as 1e400; none of them is a valid
+    number anywhere in the schemas, and neither is a bool.
+    """
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    if math.isfinite(number) and low < number and (
+        number < high or (number == high and not high_open)
+    ):
+        return number
+    span = "" if (low, high) == (-math.inf, math.inf) else (
+        f" in ({low:g}, {high:g}{')' if high_open else ']'}"
+    )
+    raise SchemaError(f"{path}: expected finite number{span}, got {value!r}")
+
+
+def check_array(value, path: str, low: int, high: float = math.inf) -> list:
+    """value as a JSON array of low to high entries."""
+    if isinstance(value, list) and low <= len(value) <= high:
+        return value
+    span = (f"at least {low}" if high == math.inf else str(low) if high == low
+            else f"{low} to {high}")
+    got = f"length {len(value)}" if isinstance(value, list) else type(value).__name__
+    raise SchemaError(f"{path}: expected array of length {span}, got {got}")
+
+
+def check_choice(value, path: str, choices):
+    """value as one of choices, compared by type and value (so 1 is not True)."""
+    if any(type(value) is type(c) and value == c for c in choices):
+        return value
+    raise SchemaError(f"{path}: expected one of {list(choices)}, got {value!r}")
+
+
+def _check_size_and_bound(doc: dict) -> tuple[int, float]:
+    """An objective object's n in [1, MAX_N] and gradient bound M > 0."""
+    return check_int(doc.get("n"), "n", 1, MAX_N), check_number(doc.get("M"), "M", 0.0)
+
+
+def load_objective(doc) -> ObjectiveFunction:
+    """Build an ObjectiveFunction from a parsed JSON object.
+
+    Schema: {"n": int in [1, MAX_N], "M": number > 0,
+             "terms": [{"coeff": number, "exponents": [int >= 0] * n}, ...]};
+    numbers must be finite and each term's total degree is at most
+    MAX_TERM_DEGREE.  Schema errors carry the key path of the offending entry.
+    """
+    check_keys(doc, "$", ("n", "M", "terms"))
+    n, m_bound = _check_size_and_bound(doc)
+    parsed = []
+    for i, entry in enumerate(check_array(doc["terms"], "terms", 1)):
+        path = f"terms[{i}]"
+        check_keys(entry, path, ("coeff", "exponents"))
+        coeff = check_number(entry["coeff"], f"{path}.coeff")
+        exps = check_array(entry["exponents"], f"{path}.exponents", n, n)
+        for j, e in enumerate(exps):
+            check_int(e, f"{path}.exponents[{j}]", 0, MAX_TERM_DEGREE)
+        check_int(sum(exps), f"{path} total degree", 0, MAX_TERM_DEGREE)
+        parsed.append(MonomialTerm(coeff, tuple(exps)))
+    return ObjectiveFunction(n, m_bound, tuple(parsed))
+
+
+def load_scalar_function(doc) -> ScalarFunction:
+    """Parse {"kind": "named", "name": ..., "scale": ...} or {"kind": "poly", "coeffs": [...]}.
+
+    A poly has at most DEGREE_CAP + 2 coefficients, so that its derivative
+    stays within the degree cap.
+    """
+    check_keys(doc, "$", ("kind",), ("coeffs", "name", "scale"))
+    if check_choice(doc["kind"], "kind", ("poly", "named")) == "poly":
+        check_keys(doc, "$", ("kind", "coeffs"))
+        coeffs = check_array(doc["coeffs"], "coeffs", 1, DEGREE_CAP + 2)
+        return ScalarFunction.polynomial(
+            [check_number(c, f"coeffs[{i}]") for i, c in enumerate(coeffs)]
+        )
+    check_keys(doc, "$", ("kind", "name"), ("scale",))
+    name = check_choice(doc["name"], "name", NAMED_KINDS)
+    return ScalarFunction.named(name, check_number(doc.get("scale", 1.0), "scale"))
+
+
+def load_cost_params(doc) -> CostParams:
+    """Build CostParams from a compare-costs document, each key optional (COST_FIELDS)."""
+    check_keys(doc, "$", (), COST_FIELDS)
+    return CostParams(**{
+        COST_FIELDS[key]: check_number(value, key, *EPS_RANGES[SEPARABLE]) if key == "eps"
+        else check_int(value, key, *COST_INT_RANGES[key])
+        for key, value in doc.items()
+    })
 
 
 @dataclass(frozen=True, eq=False)  # x0 is an array, so a field-wise == would raise
@@ -95,7 +234,7 @@ class ExperimentConfig:
     x0: np.ndarray  # the start vector, checked by polyfunc.check_point
     run: DescentConfig  # its eta is the step size the run uses (descent.step_size)
     audit: bool
-    out: str | None
+    out: str | Path | None
     fmt: str
 
 
@@ -117,7 +256,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
         if mode == GENERIC:
             objective = load_objective(obj_doc)
         else:
-            n, m_bound = check_size_and_bound(obj_doc)
+            n, m_bound = _check_size_and_bound(obj_doc)
             func = load_scalar_function(
                 {k: v for k, v in obj_doc.items() if k not in ("n", "M")}
             )
@@ -183,6 +322,31 @@ def _indented(value, newline: str) -> str:
     return ("{" if is_dict else "[") + inner + body + newline + ("}" if is_dict else "]")
 
 
+def _trace_doc(trace: DescentTrace) -> dict:
+    """The trace.json document: the run's fields and one entry per iterate."""
+    doc = {
+        "mode": trace.mode, "n": trace.n, "eta": trace.eta, "eps": trace.eps,
+        "T": trace.steps, "grad_bound": trace.grad_bound, "probability": trace.probability,
+        "schedule_bound_ok": trace.schedule_bound_ok, "norm_safety_ok": trace.norm_safety_ok,
+        "iterations": [
+            {"t": r.t, "x": r.x, "f": r.f_value, "gradient": r.gradient,
+             "eps_budget": r.eps_budget, **{k: getattr(r, k) for k in COUNTERS}}
+            for r in trace.records
+        ],
+    }
+    if trace.poly_degree is not None:
+        doc["poly_degree"] = trace.poly_degree
+        doc["poly_sup_error"] = trace.poly_sup_error
+    return doc
+
+
+def _trace_csv(trace: DescentTrace) -> str:
+    """The trace.csv text: a header t,x0,...,x{n-1} and each iterate as reprs."""
+    lines = ["t," + ",".join(f"x{i}" for i in range(trace.n))]
+    lines += [f"{t}," + ",".join(map(repr, x)) for t, x in enumerate(trace.rows.tolist())]
+    return "\n".join(lines) + "\n"
+
+
 def _build_report(objective: ObjectiveFunction | SeparableObjective, trace: DescentTrace,
                   oracle_trace) -> dict:
     sim = trace.rows
@@ -242,23 +406,23 @@ def _build_report(objective: ObjectiveFunction | SeparableObjective, trace: Desc
     }
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Path, fmt: str, audit_on: bool) -> int:
-    """Execute one config and write its artifacts under out_dir."""
-    audit = AuditLog() if audit_on else None
+def run_experiment(cfg: ExperimentConfig) -> int:
+    """Execute one config and write its artifacts under cfg.out (default out/)."""
+    audit = AuditLog() if cfg.audit else None
     engine = run_generic if cfg.run.mode == GENERIC else run_separable
     with recording(audit):
         trace = engine(cfg.objective, cfg.x0, cfg.run)
     oracle_trace = classical_gd(cfg.objective, cfg.x0, trace.eta, trace.steps)
     report = _build_report(cfg.objective, trace, oracle_trace)
     texts = {}
-    if fmt in ("json", "both"):
-        texts["trace.json"] = _json_text(trace.to_json_dict())
-    if fmt in ("csv", "both"):
-        texts["trace.csv"] = trace.to_csv_text()
+    if cfg.fmt in ("json", "both"):
+        texts["trace.json"] = _json_text(_trace_doc(trace))
+    if cfg.fmt in ("csv", "both"):
+        texts["trace.csv"] = _trace_csv(trace)
     texts["report.json"] = _json_text(report)
     if audit is not None:
         texts["audit.jsonl"] = audit.to_jsonl()
-    _write_artifacts(out_dir, texts)
+    _write_artifacts(Path(cfg.out or "out"), texts)
     return EXIT_OK
 
 
@@ -337,6 +501,7 @@ def _csv_text(rows: list[dict]) -> str:
 def compare_costs(params: CostParams, out_dir: Path) -> str:
     """Write costs.csv, crossover.csv, report.json and table.txt; return the text table."""
     report = resource_predict(params)
+    report["params"] = {key: getattr(params, field) for key, field in COST_FIELDS.items()}
     rows = _costs_rows(report)
     table = _costs_table_text(rows)
     _write_artifacts(out_dir, {
@@ -365,8 +530,8 @@ def _run_one_config(config_path: Path, out: str | Path | None, fmt: str | None,
                     audit: bool) -> int:
     """Run one config file; the flag values out, fmt and audit override its fields."""
     cfg = parse_experiment(_load_json_file(config_path))
-    return run_experiment(cfg, Path(out or cfg.out or "out"), fmt or cfg.fmt,
-                          bool(audit or cfg.audit))
+    return run_experiment(replace(cfg, out=out or cfg.out, fmt=fmt or cfg.fmt,
+                                  audit=audit or cfg.audit))
 
 
 def _cmd_run(args) -> int:
@@ -401,10 +566,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare_costs(args) -> int:
-    if args.params:
-        params = CostParams.from_json_dict(_load_json_file(Path(args.params)))
-    else:
-        params = CostParams()
+    params = load_cost_params(_load_json_file(Path(args.params))) if args.params else CostParams()
     table = compare_costs(params, Path(args.out) if args.out else Path("out"))
     print(table, end="")
     return EXIT_OK
@@ -422,6 +584,8 @@ def _cmd_validate_config(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here: `import blockgd` loads this module, and only main parses
+
     parser = argparse.ArgumentParser(
         prog="blockgd",
         description="Batch runner for encoding-driven gradient descent experiments",

@@ -39,8 +39,6 @@ import numpy as np
 from . import blockcalc as bc
 from .blockcalc import BlockEncoding
 from .chebyshev import (
-    DEGREE_CAP,
-    MAX_EPS,
     ChebyshevPoly,
     ScalarFunction,
     SeparableObjective,
@@ -57,12 +55,9 @@ from .errors import (
 from .polyfunc import (
     DOMAIN_TOL,
     HALF,
-    MAX_N,
-    MAX_TERM_DEGREE,
+    MonomialTerm,
     ObjectiveFunction,
-    check_int,
-    check_keys,
-    check_number,
+    as_index,
     check_point,
     first_outside_box,
 )
@@ -88,6 +83,7 @@ class DescentConfig:
     eta: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "steps", as_index(self.steps, "steps", InvalidConfig))
         if self.steps < 0:
             raise InvalidConfig(f"T must be non-negative, got {self.steps}")
         if not (0.0 < self.eps < 1.0):
@@ -151,15 +147,12 @@ class DescentTrace:
         pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
         return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
-    def _columns(self):
-        """(t, (x, f, gradient, eps_budget, counters)) per iterate, x and gradient as lists."""
-        return enumerate(zip(self.rows.tolist(), self.f_values, self.gradients.tolist(),
-                             self.eps_budgets, self.counters))
-
     @property
     def records(self) -> list[IterationRecord]:
+        columns = zip(self.rows.tolist(), self.f_values, self.gradients.tolist(),
+                      self.eps_budgets, self.counters)
         return [IterationRecord(t, tuple(x), f, tuple(g), e, *c)
-                for t, (x, f, g, e, c) in self._columns()]
+                for t, (x, f, g, e, c) in enumerate(columns)]
 
     def iterates(self) -> np.ndarray:
         return self.rows.copy()
@@ -173,41 +166,6 @@ class DescentTrace:
              "ancillas": cur[2] - prev[2]}
             for t, (prev, cur) in enumerate(zip(self.counters, self.counters[1:]), start=1)
         ]
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "mode": self.mode,
-            "n": self.n,
-            "eta": self.eta,
-            "eps": self.eps,
-            "T": self.steps,
-            "grad_bound": self.grad_bound,
-            "probability": self.probability,
-            "schedule_bound_ok": self.schedule_bound_ok,
-            "norm_safety_ok": self.norm_safety_ok,
-            "iterations": [
-                {
-                    "t": t,
-                    "x": x,
-                    "f": f,
-                    "gradient": g,
-                    "eps_budget": e,
-                    **dict(zip(COUNTERS, c)),
-                }
-                for t, (x, f, g, e, c) in self._columns()
-            ],
-        }
-        if self.poly_degree is not None:
-            doc["poly_degree"] = self.poly_degree
-            doc["poly_sup_error"] = self.poly_sup_error
-        return doc
-
-    def to_csv_text(self) -> str:
-        header = "t," + ",".join(f"x{i}" for i in range(self.n))
-        lines = [header]
-        for t, x in enumerate(self.rows.tolist()):
-            lines.append(str(t) + "," + ",".join(map(repr, x)))
-        return "\n".join(lines) + "\n"
 
 
 def eta_generic(objective: ObjectiveFunction) -> float:
@@ -523,31 +481,9 @@ ENVELOPE_NOTE = (
 )
 
 
-# Range of each compare-costs integer, by JSON key.  The generic probe makes
-# about K*v*(v + d) primitive calls on K length-n exponent tuples, the
-# crossover table has T rows and the envelopes raise s and p_tensor to powers
-# up to 5*T, so these caps bound every accepted report (about 20 s and
-# 0.4 GiB at the largest n, K, v and d); d shares the generic term-degree
-# cap, deg_P the separable engine's degree cap and n the objectives' size cap.
-COST_INT_RANGES = {
-    "n": (1, MAX_N), "K": (1, 16), "d": (1, MAX_TERM_DEGREE), "v": (1, 16), "T": (1, 1000),
-    "deg_P": (0, DEGREE_CAP), "s": (1, MAX_N), "S_rows": (1, MAX_N), "p_tensor": (1, 16),
-}
-# Range (low, high, high_open) of eps per engine: the separable engine
-# approximates F' to eps, so its eps is at most MAX_EPS.  compare-costs
-# probes both engines and takes the separable range.
-EPS_RANGES = {GENERIC: (0.0, 1.0, True), SEPARABLE: (0.0, MAX_EPS, False)}
-# CostParams field of each compare-costs JSON key.
-COST_FIELDS = {
-    "n": "n", "K": "terms", "d": "degree", "v": "vars_per_term", "T": "steps",
-    "eps": "eps", "deg_P": "poly_degree", "s": "sparsity", "S_rows": "sparse_rows",
-    "p_tensor": "tensor_order",
-}
-
-
 @dataclass(frozen=True)
 class CostParams:
-    """Inputs for the cost report; JSON keys follow the compare-costs schema."""
+    """Inputs for the cost report (blockgd.cli.load_cost_params reads them from JSON)."""
 
     n: int = 16
     terms: int = 3          # K
@@ -561,25 +497,15 @@ class CostParams:
     tensor_order: int = 2   # p, half the homogeneous degree
 
     def __post_init__(self):
-        for name in ("n", "terms", "degree", "vars_per_term", "sparsity",
-                     "sparse_rows", "tensor_order"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1")
-        if self.steps < 1:
-            raise InvalidConfig("steps must be >= 1")
-        if self.poly_degree < 0:
-            raise InvalidConfig("poly_degree must be >= 0")
+        for f in fields(self):
+            if f.type == "int":  # every field but eps; deg(P) may be 0
+                value = as_index(getattr(self, f.name), f.name, InvalidConfig)
+                low = 0 if f.name == "poly_degree" else 1
+                if value < low:
+                    raise InvalidConfig(f"{f.name} must be >= {low}")
+                object.__setattr__(self, f.name, value)
         if not (0.0 < self.eps < 1.0):
             raise InvalidConfig("eps must lie in (0, 1)")
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "CostParams":
-        check_keys(doc, "$", (), COST_FIELDS)
-        return cls(**{
-            COST_FIELDS[key]: check_number(value, key, *EPS_RANGES[SEPARABLE]) if key == "eps"
-            else check_int(value, key, *COST_INT_RANGES[key])
-            for key, value in doc.items()
-        })
 
 
 def _finite_or_none(formula) -> float | None:
@@ -623,8 +549,6 @@ def _canonical_objective(n: int, terms: int, degree: int, vars_per_term: int) ->
         raise InvalidConfig(f"probe family requires K <= n, got K = {terms}")
     if degree < vars_per_term:
         raise InvalidConfig(f"d = {degree} cannot be below v = {vars_per_term}")
-    from .polyfunc import MonomialTerm
-
     coeff = 1.0 / (4.0 * terms)
     built = []
     for i in range(terms):
@@ -691,7 +615,6 @@ def resource_predict(params: CostParams) -> dict:
             }
         )
     return {
-        "params": {key: getattr(params, field) for key, field in COST_FIELDS.items()},
         "implemented_per_iteration": measured,
         "envelopes": envelope_formulas(params),
         "envelope_note": ENVELOPE_NOTE,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainExit
-from .polyfunc import check_point, first_outside_box
+from .polyfunc import as_index, check_point, first_outside_box
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,6 +45,7 @@ def classical_gd(objective, x0, eta: float, steps: int) -> OracleTrace:
     point is box-checked once, x0 by check_point and every later iterate
     before its use, so the objective is read through its unchecked path.
     """
+    steps = as_index(steps, "steps")
     if steps < 0:
         raise ValueError("steps must be non-negative")
     x = check_point(x0, objective.n)

@@ -1,4 +1,4 @@
-"""Monomial-sum objectives, the box check of a point, and the JSON schema checks.
+"""Monomial-sum objectives and the box check of a point.
 
 An objective is f(x) = sum_i a_i * prod_m x_m^{e_im} over the fixed box
 [-1/2, 1/2]^n, together with a caller-supplied bound M on ||grad f||_2
@@ -12,34 +12,22 @@ vector (of a parse, a run or the oracle) or the argument of evaluate/gradient.
 Conventions: variable indices are 0-based, 0**0 == 1 (constant terms are
 legal), duplicate exponent tuples are merged at construction, and the zero
 function is represented by an empty term list (terms that cancel produce
-it, so downstream code must accept it).
+it, so downstream code must accept it).  Its JSON schema is in blockgd.cli.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, InvalidConfig, SchemaError
+from .errors import DomainViolation, InvalidConfig
 
 HALF = 0.5  # half-width of the box [-1/2, 1/2]^n every engine works in
 # Rounding slack on the box edge and on the step-size limits derived from it.
 DOMAIN_TOL = 1e-12
-# Largest n a JSON input may ask for: one complex vector of 2**20 entries is
-# 16 MiB, while a larger n would fail (or exhaust memory) before any output.
-MAX_N = 2**20
-# Largest (T + 1) * n of a run: its traces keep (T + 1) x n floats for the
-# iterates, the gradients and the oracle's iterates, 128 MiB each at this cap;
-# a larger run would fail (or exhaust memory) before any output.
-MAX_TRACE_ENTRIES = 2**24
-# Largest total degree of a generic term: assembling a partial derivative
-# takes one product per power, so the cap bounds a step's primitive calls.
-# compare-costs shares it as its largest d.
-MAX_TERM_DEGREE = 64
 
 
 def first_outside_box(x) -> int | None:
@@ -63,6 +51,14 @@ def check_point(x, n: int) -> np.ndarray:
     return vec
 
 
+def as_index(value, name: str, error: type[Exception] = ValueError) -> int:
+    """value as a plain int by operator.index: numpy ints pass, 2.0 and "2" raise error."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 def init_size_and_bound(objective) -> None:
     """Shared __post_init__ of the objectives: n >= 1 and M > 0 finite, coerced."""
     if int(objective.n) < 1:
@@ -84,13 +80,17 @@ class MonomialTerm:
     def __post_init__(self):
         object.__setattr__(self, "coeff", float(self.coeff))
         # operator.index takes Python and numpy integers and, unlike int,
-        # rejects 2.7 (or 2.0) instead of truncating it.
+        # rejects 2.7 (or 2.0) instead of truncating it.  An error names the
+        # first offending exponent only, as check_point names one coordinate.
+        given = tuple(self.exponents)
         try:
-            exps = tuple(map(operator.index, self.exponents))
+            exps = tuple(map(operator.index, given))
         except TypeError:
-            raise ValueError(f"exponents must be integers, got {tuple(self.exponents)}") from None
+            m, e = next((m, e) for m, e in enumerate(given) if not hasattr(e, "__index__"))
+            raise ValueError(f"exponents must be integers, got exponents[{m}] = {e!r}") from None
         if min(exps, default=0) < 0:
-            raise ValueError(f"exponents must be non-negative, got {exps}")
+            m, e = next((m, e) for m, e in enumerate(exps) if e < 0)
+            raise ValueError(f"exponents must be non-negative, got exponents[{m}] = {e}")
         object.__setattr__(self, "exponents", exps)
         # Sorted indices of variables that actually appear.  Stored outside
         # the dataclass fields, so eq, hash and repr see coeff and exponents only.
@@ -182,97 +182,3 @@ class ObjectiveFunction:
                 partial_bounds[m] = partial_bounds.get(m, 0.0) + c
         return f_bound, math.hypot(*partial_bounds.values())
 
-
-# The schema checks, one per kind of JSON value.  Each returns the checked
-# value or raises SchemaError with the key path of the offending entry, so a
-# loader reads as one check per field.
-def check_keys(doc, path: str, required, optional=()) -> dict:
-    """doc as a JSON object holding every required key and no other than optional."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected object, got {type(doc).__name__}")
-    unknown = set(doc) - set(required) - set(optional)
-    if unknown:
-        raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
-    for key in required:
-        if key not in doc:
-            raise SchemaError(f"{path}: missing required key '{key}'")
-    return doc
-
-
-def check_int(value, path: str, low: int, high: int) -> int:
-    """value as a JSON integer in [low, high]; bools and integral floats are not integers."""
-    if isinstance(value, int) and not isinstance(value, bool) and low <= value <= high:
-        return value
-    raise SchemaError(f"{path}: expected integer in [{low}, {high}], got {value!r}")
-
-
-def check_number(value, path: str, low: float = -math.inf, high: float = math.inf,
-                 high_open: bool = True) -> float:
-    """value as a float: a finite JSON number with low < value < high.
-
-    With high_open=False the range is (low, high] instead.  json accepts NaN,
-    Infinity and overflowing literals such as 1e400; none of them is a valid
-    number anywhere in the schemas, and neither is a bool.
-    """
-    number = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an int too large for a float
-            pass
-    if math.isfinite(number) and low < number and (
-        number < high or (number == high and not high_open)
-    ):
-        return number
-    span = "" if (low, high) == (-math.inf, math.inf) else (
-        f" in ({low:g}, {high:g}{')' if high_open else ']'}"
-    )
-    raise SchemaError(f"{path}: expected finite number{span}, got {value!r}")
-
-
-def check_array(value, path: str, low: int, high: float = math.inf) -> list:
-    """value as a JSON array of low to high entries."""
-    if isinstance(value, list) and low <= len(value) <= high:
-        return value
-    span = (f"at least {low}" if high == math.inf else str(low) if high == low
-            else f"{low} to {high}")
-    got = f"length {len(value)}" if isinstance(value, list) else type(value).__name__
-    raise SchemaError(f"{path}: expected array of length {span}, got {got}")
-
-
-def check_choice(value, path: str, choices):
-    """value as one of choices, compared by type and value (so 1 is not True)."""
-    if any(type(value) is type(c) and value == c for c in choices):
-        return value
-    raise SchemaError(f"{path}: expected one of {list(choices)}, got {value!r}")
-
-
-def check_size_and_bound(doc: dict) -> tuple[int, float]:
-    """An objective object's n in [1, MAX_N] and gradient bound M > 0."""
-    return check_int(doc.get("n"), "n", 1, MAX_N), check_number(doc.get("M"), "M", 0.0)
-
-
-def load_objective(source) -> ObjectiveFunction:
-    """Build an ObjectiveFunction from a JSON text or an already-parsed dict.
-
-    Schema: {"n": int in [1, MAX_N], "M": number > 0,
-             "terms": [{"coeff": number, "exponents": [int >= 0] * n}, ...]};
-    numbers must be finite and each term's total degree is at most
-    MAX_TERM_DEGREE.
-    Parse errors keep json's line/column info; schema errors carry the key
-    path of the offending entry.
-    """
-    doc = json.loads(source) if isinstance(source, (str, bytes)) else source
-    check_keys(doc, "$", ("n", "M", "terms"))
-    n, m_bound = check_size_and_bound(doc)
-    parsed = []
-    for i, entry in enumerate(check_array(doc["terms"], "terms", 1)):
-        path = f"terms[{i}]"
-        check_keys(entry, path, ("coeff", "exponents"))
-        coeff = check_number(entry["coeff"], f"{path}.coeff")
-        exps = check_array(entry["exponents"], f"{path}.exponents", n, n)
-        for j, e in enumerate(exps):
-            check_int(e, f"{path}.exponents[{j}]", 0, MAX_TERM_DEGREE)
-        check_int(sum(exps), f"{path} total degree", 0, MAX_TERM_DEGREE)
-        parsed.append(MonomialTerm(coeff, tuple(exps)))
-    return ObjectiveFunction(n, m_bound, tuple(parsed))

@@ -85,6 +85,27 @@ MUTANTS = (
     Mutant("monomial_sign_check", "polyfunc.py", "if min(exps, default=0) < 0:",
            "if min(exps, default=0) < -1:",
            ("tests/test_polyfunc.py::TestConstruction::test_negative_exponent_rejected",)),
+    Mutant("monomial_first_bad_index", "polyfunc.py", "enumerate(exps) if e < 0)",
+           "enumerate(exps) if e <= 0)",
+           ("tests/test_polyfunc.py::TestConstruction::test_error_names_the_first_bad_exponent_only",)),
+    Mutant("int_coercion", "polyfunc.py", "return operator.index(value)", "return value",
+           (f"{DESCENT}::TestDescentConfigValidation::"
+            "test_integer_arguments_are_coerced_by_operator_index",)),
+    Mutant("norm_safety_flag", "descent.py", "norm_safety_ok=first_outside_box(rows) is None",
+           "norm_safety_ok=True", (GOLDEN, f"{DESCENT}::TestTraceShape"),
+           survives="x0 passed check_point and every later iterate passed amplify's strict "
+                    "bound ||x|| < 1/2, so no row of a finished run lies outside the box"),
+    Mutant("check_int_rejects_bool", "cli.py",
+           "isinstance(value, int) and not isinstance(value, bool) and low <= value",
+           "isinstance(value, int) and low <= value",
+           (f"{CLI}::TestNonFiniteNumbers::test_compare_costs_params_typed",)),
+    Mutant("trace_cap", "cli.py", "MAX_TRACE_ENTRIES // objective.n - 1)",
+           "MAX_TRACE_ENTRIES // objective.n)",
+           (f"{CLI}::TestInputLimits::test_trace_cap_is_inclusive",)),
+    Mutant("cost_cap_k", "cli.py", '"K": (1, 16)', '"K": (1, 17)',
+           (f"{CLI}::TestInputLimits::test_compare_costs_rejects_with_schema_exit",)),
+    Mutant("poly_coeff_cap", "cli.py", "DEGREE_CAP + 2)", "DEGREE_CAP + 3)",
+           ("tests/test_chebyshev.py::TestScalarFunctionSchema::test_schema_errors",)),
 )
 
 # What the named tests read besides src/ and tests/.

@@ -8,8 +8,8 @@ from blockgd.chebyshev import (
     SeparableObjective,
     approx_derivative,
     chebyshev_nodes,
-    load_scalar_function,
 )
+from blockgd.cli import load_scalar_function
 from blockgd.errors import DegreeCapExceeded, DomainViolation, SchemaError
 
 

@@ -13,11 +13,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockgd.chebyshev import DEGREE_CAP, MAX_EPS, NAMED_KINDS
-from blockgd.cli import EXIT_INTERNAL, EXIT_OK, _json_text, main, parse_experiment
+from blockgd.cli import (
+    COST_INT_RANGES,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    MAX_N,
+    MAX_TERM_DEGREE,
+    MAX_TRACE_ENTRIES,
+    _json_text,
+    main,
+    parse_experiment,
+)
 from blockgd.descent import initial_state_uniform
 from blockgd.errors import (
     DegreeCapExceeded,
@@ -28,7 +38,7 @@ from blockgd.errors import (
     PolyBoundViolated,
     SchemaError,
 )
-from blockgd.polyfunc import DOMAIN_TOL, MAX_N, MAX_TERM_DEGREE, MAX_TRACE_ENTRIES
+from blockgd.polyfunc import DOMAIN_TOL
 from _audit_replay import replay
 
 # The documented exit code of each failure family (README's "Exit codes").
@@ -604,8 +614,9 @@ class TestInputLimits:
         "params, message",
         [({"eps": 0.9}, str(MAX_EPS)), ({"n": 10**30}, str(MAX_N)),
          ({"n": 2, "K": 3, "v": 1, "d": 1}, "probe family requires K <= n"),
-         ({"d": 1, "v": 2}, "d = 1 cannot be below v = 2")],
-        ids=["eps", "n", "K-above-n", "d-below-v"],
+         ({"d": 1, "v": 2}, "d = 1 cannot be below v = 2"),
+         ({"n": 32, "K": 17}, "K: expected integer in [1, 16]")],
+        ids=["eps", "n", "K-above-n", "d-below-v", "K-above-its-cap"],
     )
     def test_compare_costs_rejects_with_schema_exit(self, tmp_path, capsys, params, message):
         path = write_config(tmp_path, params, "params.json")
@@ -876,6 +887,49 @@ def test_exit_codes_of_validate_config_and_run(doc):
             assert {"trace.json", "trace.csv", "report.json"} <= {p.name for p in out.iterdir()}
             report = json.loads((out / "report.json").read_text())
             assert report["deviation"]["within_bound"]
+            again = Path(tmp) / "again"
+            assert main(["run", "--config", str(path), "--out", str(again)]) == EXIT_OK
+            assert _sha256_of_files(again) == _sha256_of_files(out)
+
+
+# compare-costs edge values for the property below: each integer's limits and
+# one past each, a bool and an integral float, and eps at its edges (n is
+# drawn apart, up to 64; its upper limit is an example).
+COST_EDGES = {key: [low, high, low - 1, high + 1, True, float(high)]
+              for key, (low, high) in COST_INT_RANGES.items() if key != "n"}
+COST_EDGES["eps"] = [5e-324, 1e-320, 1e-6, MAX_EPS, ABOVE(MAX_EPS), 0.0]
+
+
+@st.composite
+def cost_docs(draw):
+    """A compare-costs document of up to three edge fields, sometimes no object or an unknown key."""
+    doc = {"n": draw(st.integers(0, 64))}
+    for key in draw(st.lists(st.sampled_from(sorted(COST_EDGES)), max_size=3, unique=True)):
+        doc[key] = draw(st.sampled_from(COST_EDGES[key]))
+    damage = draw(st.sampled_from([None] * 8 + ["not-an-object", "unknown-key"]))
+    return [doc] if damage == "not-an-object" else doc | {"bogus": 1} if damage else doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(cost_docs())
+@example({"n": MAX_N})
+@example({"n": MAX_N + 1})
+@example({"n": 2, "K": 3})
+@example({"d": 1, "v": 2})
+def test_exit_codes_of_compare_costs(doc):
+    """compare-costs exits 0, 2 or 7 and never 1; exit 0 writes all four artifacts,
+    and exit 7 is only an amplification whose repetition count overflows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), doc, "params.json")
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["compare-costs", "--params", str(path), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_CONTRACT), err.getvalue()
+        if code == EXIT_OK:
+            assert {p.name for p in out.iterdir()} == {
+                "costs.csv", "crossover.csv", "report.json", "table.txt"}
+        assert (code == EXIT_CONTRACT) == ("takes inf repetitions" in err.getvalue())
 
 
 def _sha256_of_files(out: Path) -> dict:

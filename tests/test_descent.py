@@ -416,9 +416,9 @@ class TestTraceShape:
         deltas = trace.per_iteration_deltas()
         assert len(deltas) == 3
         assert all(d["depth_units"] > 0 for d in deltas)
-        doc = trace.to_json_dict()
+        doc = cli._trace_doc(trace)
         assert doc["T"] == 3 and len(doc["iterations"]) == 4
-        csv_text = trace.to_csv_text()
+        csv_text = cli._trace_csv(trace)
         assert csv_text.splitlines()[0] == "t,x0,x1"
         assert len(csv_text.splitlines()) == 5
 
@@ -427,7 +427,7 @@ class TestTraceShape:
         cfg = DescentConfig(steps=3, eps=1e-6, mode="generic")
         a = run_generic(f, [0.2, 0.1], cfg)
         b = run_generic(f, [0.2, 0.1], cfg)
-        assert a.to_json_dict() == b.to_json_dict()
+        assert cli._trace_doc(a) == cli._trace_doc(b)
         assert a.per_iteration_deltas() == b.per_iteration_deltas()
 
     def test_iterate_arrays_match_the_tuples_and_are_fresh(self):
@@ -549,6 +549,25 @@ class TestDescentConfigValidation:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(InvalidConfig):
             DescentConfig(**kwargs)
+
+    @pytest.mark.parametrize("steps, expected", [(2.0, None), ("2", None), (True, 1),
+                                                 (np.int64(2), 2)],
+                             ids=["float", "string", "bool", "numpy-int"])
+    def test_integer_arguments_are_coerced_by_operator_index(self, steps, expected):
+        """The library's step counts take what operator.index takes, as a plain int."""
+        f = quadratic_bowl()
+        if expected is None:
+            with pytest.raises(InvalidConfig, match="steps must be an integer"):
+                DescentConfig(steps=steps, eps=1e-6, mode="generic")
+            with pytest.raises(InvalidConfig, match="steps must be an integer"):
+                CostParams(steps=steps)
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                classical_gd(f, [0.2, 0.1], 0.1, steps)
+            return
+        trace = run_generic(f, [0.2, 0.1], DescentConfig(steps=steps, eps=1e-6, mode="generic"))
+        assert type(trace.steps) is int and trace.steps == expected
+        assert len(resource_predict(CostParams(steps=steps))["crossover"]) == expected
+        assert classical_gd(f, [0.2, 0.1], 0.1, steps).rows.shape[0] == expected + 1
 
 
 class TestDiagonalFastPath:

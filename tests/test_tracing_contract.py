@@ -19,7 +19,8 @@ from blockgd.polyfunc import MonomialTerm, ObjectiveFunction
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 REQUIRED = ("descent.run", "descent.step", "descent.gradient", "descent.partial",
-            "chebyshev.approx_derivative", "oracle.classical_gd")
+            "chebyshev.approx_derivative", "oracle.classical_gd", "cli.parse",
+            "polyfunc.load_objective")
 
 
 def _load_spans(monkeypatch):
@@ -49,6 +50,13 @@ def test_traced_runs_record_every_layer(tmp_path, monkeypatch):
         "objective": {"kind": "named", "name": "sin", "n": 2, "M": 1.0},
         "x0": [0.1, -0.2], "T": 2, "eps": 1e-6, "eta": 0.1,
     }))
+    # A generic config, so that the parse reaches cli.load_objective.
+    generic_config = tmp_path / "cube.json"
+    generic_config.write_text(json.dumps({
+        "mode": "generic",
+        "objective": {"n": 2, "M": 1.0, "terms": [{"coeff": 0.25, "exponents": [2, 1]}]},
+        "x0": [0.1, 0.2], "T": 2, "eps": 1e-6,
+    }))
     tracer = spans.Tracer()
     saved = spans.install(tracer)
     try:
@@ -57,14 +65,19 @@ def test_traced_runs_record_every_layer(tmp_path, monkeypatch):
         descent.run_separable(separable, [0.1, -0.2],
                               DescentConfig(steps=2, eps=1e-6, mode="separable", eta=0.1))
         assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert cli.main(["run", "--config", str(generic_config),
+                         "--out", str(tmp_path / "cube")]) == 0
     finally:
         spans.uninstall(saved)
     names = [span[0] for span in tracer.spans]
     assert set(REQUIRED) <= set(names)
-    # Two direct runs plus the CLI run, each with its two steps inside a run span.
-    assert names.count("descent.run") == 3
+    # Two direct runs plus two CLI runs, each with its two steps inside a run span.
+    assert names.count("descent.run") == 4
     steps = [i for i, name in enumerate(names) if name == "descent.step"]
-    assert len(steps) == 6
+    assert len(steps) == 8
+    # The objective is loaded inside the parse of the generic CLI run.
+    loads = [i for i, name in enumerate(names) if name == "polyfunc.load_objective"]
+    assert len(loads) == 1 and "cli.parse" in _ancestors(tracer.spans, loads[0])
     assert all("descent.run" in _ancestors(tracer.spans, i) for i in steps)
 
 
