@@ -58,7 +58,9 @@ iterate update (one lcu and one amplify on vectors) costs O(N); the hot path
 avoids copies of stored data and generic Python passes over the operands.
 A recorded primitive adds the output's id, a SHA-1 over the indices and
 values of its non-zeros (O(slots) for a slot map, 16*N bytes for a full
-vector), plus one summary text and one JSON line built from text.
+vector), plus one summary text and one JSON line built from text.  A slot
+map's id is one sha1 call on one buffer that struct packs; a vector's or a
+dense corner's id hashes numpy's bytes of the same layout.
 
 Recording: within ``with recording(log):`` every primitive that makes an
 encoding appends one record to the AuditLog log, through AuditLog.record;
@@ -66,9 +68,13 @@ elsewhere nothing is recorded.  The active log is held in a ContextVar that
 _log alone reads, so neither the primitives nor the descent code that calls
 them takes a log argument.  Each encoding renders its summary to JSON text
 once, when it is first an output or an input, and later records reuse that
-text; a record's line is joined from those texts as it is appended.  The
-log keeps only those lines: AuditLog.to_jsonl joins them, and
-AuditLog.records parses each line once, on the first read after it was
+text; a record's line is joined from those texts and from its parameters,
+rendered in one pass over their sorted names, as it is appended.  The
+lazy values of an encoding (its vector, id, summary text and
+ResourceCounter) are cached_attribute descriptors: the first read stores the
+value in the instance dict and takes no lock, unlike functools.cached_property
+on Python 3.11.  The log keeps only the lines: AuditLog.to_jsonl joins them,
+and AuditLog.records parses each line once, on the first read after it was
 appended.
 """
 
@@ -77,10 +83,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +104,7 @@ from .errors import (
     NotNormalized,
     PolyBoundViolated,
 )
+from .polyfunc import cached_attribute
 
 NORM_TOL = 1e-10
 DIAG_TOL = 1e-12
@@ -181,24 +188,31 @@ def _digest(data, dim: int) -> str:
     which is then read as N entries, else "dense", read as N x N), the flat
     indices of the non-zero entries as int64 (left out when no entry is zero),
     their values plus 0.0 as complex128 (so -0.0 hashes as +0.0) and the shape.
+    A slot map packs those same bytes with struct into one buffer.
     """
+    shape = str((dim, dim)).encode()
     if type(data) is dict:
         index = sorted(k for k, value in data.items() if value)
-        values = np.array([data[k] for k in index], dtype=complex)
-        tag, full = b"diag", len(index) == dim
-    else:
-        if data.ndim == 2 and np.count_nonzero(data) == np.count_nonzero(np.diag(data)):
-            data = np.diag(data)
-        values = data.ravel()
-        tag, full = (b"diag" if data.ndim == 1 else b"dense"), bool(values.all())
-        if not full:
-            index = np.flatnonzero(values)
-            values = values[index]
+        parts = []
+        for k in index:
+            value = data[k]
+            parts += (value.real + 0.0, value.imag + 0.0)
+        if len(index) == dim:
+            index = []
+        packed = struct.pack(f"={len(index)}q{len(parts)}d", *index, *parts)
+        return hashlib.sha1(b"diag" + packed + shape).hexdigest()[:12]
+    if data.ndim == 2 and np.count_nonzero(data) == np.count_nonzero(np.diag(data)):
+        data = np.diag(data)
+    values = data.ravel()
+    tag, full = (b"diag" if data.ndim == 1 else b"dense"), bool(values.all())
+    if not full:
+        index = np.flatnonzero(values)
+        values = values[index]
     digest = hashlib.sha1(tag)
     if not full:
         digest.update(np.asarray(index, dtype=np.int64))
     digest.update(values + 0.0)
-    digest.update(str((dim, dim)).encode())
+    digest.update(shape)
     return digest.hexdigest()[:12]
 
 
@@ -246,7 +260,7 @@ class BlockEncoding:
     def _dense(self) -> bool:
         return type(self._data) is not dict and self._data.ndim == 2
 
-    @cached_property
+    @cached_attribute
     def _vec(self) -> np.ndarray:
         """A diagonal corner's read-only length-N vector (built once for a slot map)."""
         vec = _vector(self._data, self.dim)
@@ -271,11 +285,11 @@ class BlockEncoding:
     def diagonal(self) -> np.ndarray:
         return np.diag(self._data).copy() if self._dense else self._vec.copy()
 
-    @cached_property
+    @cached_attribute
     def _id(self) -> str:
         return _digest(self._data, self.dim)
 
-    @cached_property
+    @cached_attribute
     def resources(self) -> ResourceCounter:
         """The counters as a ResourceCounter, built on first read."""
         return ResourceCounter(*self._counts)
@@ -283,7 +297,7 @@ class BlockEncoding:
     def summary(self) -> dict:
         return json.loads(self._audited)
 
-    @cached_property
+    @cached_attribute
     def _audited(self) -> str:
         """The summary as json.dumps(summary, sort_keys=True) writes it, made once.
 
@@ -385,13 +399,6 @@ class PostSelection:
     prob: float
 
 
-def _param_json(value) -> str:
-    """json.dumps(value) for an audit parameter; an int's or a finite float's repr is that text."""
-    if type(value) is int or type(value) is float and math.isfinite(value):
-        return repr(value)
-    return json.dumps(value)
-
-
 class AuditLog:
     """Append-only record of calculus operations, one JSON line each.
 
@@ -419,9 +426,14 @@ class AuditLog:
     def record(self, op: str, inputs, output: BlockEncoding, **params):
         # The record as json.dumps(record, sort_keys=True) writes it, joined
         # from texts that each encoding renders once; op and the parameter
-        # names are identifiers, which json writes as they are.
+        # names are identifiers, which json writes as they are, and an int's
+        # or a finite float's repr is json's text for it.
         ins = ", ".join([e._audited for e in inputs])
-        pars = ", ".join([f'"{k}": {_param_json(params[k])}' for k in sorted(params)])
+        pars = ", ".join([
+            f'"{k}": {v!r}' if type(v) is int or type(v) is float and math.isfinite(v)
+            else f'"{k}": {json.dumps(v)}'
+            for k, v in sorted(params.items())
+        ])
         self._lines.append(
             f'{{"in": [{ins}], "op": "{op}", "out": {output._audited}, '
             f'"params": {{{pars}}}, "seq": {len(self._lines)}}}\n'

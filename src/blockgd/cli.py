@@ -31,9 +31,10 @@ deterministic: sorted JSON keys, shortest round-trip float formatting, no
 timestamps or absolute paths, so reruns of the same config are
 byte-identical.  trace.json and report.json are exactly
 json.dumps(doc, sort_keys=True, indent=2); _json_text writes that text with
-json's C encoder for every container of scalars (the long number lists) and
-joins only the containers above them in Python, and trace.csv joins the
-reprs of each row.
+json's C encoder for every container of scalars and joins only the
+containers above them in Python.  The iterates and gradients are formatted
+by _number_texts: each distinct number of a run once, keyed by its bits, as
+json writes it; trace.json and trace.csv both join those shared strings.
 
 Exit codes: 0 on success, 1 for an unexpected internal error (no input is
 meant to reach it), and otherwise the ``exit_code`` of the BlockgdError
@@ -294,14 +295,19 @@ def _json_text(payload) -> str:
     return _indented(payload, "\n") + "\n"
 
 
+class _Rendered(list):
+    """A JSON array whose entries are already JSON text, for _indented to join."""
+
+
 def _indented(value, newline: str) -> str:
     """value as json's indent=2 writes it at the depth newline indents to.
 
     json drops to its pure-Python encoder whenever indent is set, so a
-    container whose entries are all scalars (a trace row, a counter block) is
-    handed to the C encoder with the item separator the indented form puts
-    between them; only the containers above them are joined here.  Keys are
-    strings, as in every artifact.
+    container whose entries are all scalars (a counter block) is handed to
+    the C encoder with the item separator the indented form puts between
+    them, a _Rendered array's texts are joined with it, and only the
+    containers above them are joined here.  Keys are strings, as in every
+    artifact.
     """
     is_dict = isinstance(value, dict)
     if not (is_dict or isinstance(value, (list, tuple))):
@@ -309,6 +315,8 @@ def _indented(value, newline: str) -> str:
     if not value:
         return "{}" if is_dict else "[]"
     inner = newline + "  "
+    if type(value) is _Rendered:
+        return "[" + inner + ("," + inner).join(value) + newline + "]"
     # One pass in C over the entries' types, not an isinstance call per entry.
     types = set(map(type, value.values() if is_dict else value))
     if any(issubclass(t, (dict, list, tuple)) for t in types):
@@ -322,16 +330,44 @@ def _indented(value, newline: str) -> str:
     return ("{" if is_dict else "[") + inner + body + newline + ("}" if is_dict else "]")
 
 
-def _trace_doc(trace: DescentTrace) -> dict:
-    """The trace.json document: the run's fields and one entry per iterate."""
+def _float_text(value: float) -> str:
+    """value as json writes it: its repr when finite, else NaN, Infinity or -Infinity."""
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _number_texts(trace: DescentTrace) -> tuple[list, list]:
+    """trace.rows and trace.gradients as lists of rows of _float_text strings.
+
+    Each distinct float of the two columns is formatted once, keyed by its
+    bits so that -0.0 stays apart from 0.0, and every entry holding it
+    shares that string.
+    """
+    rows, grads = trace.rows, trace.gradients
+    values = np.concatenate((rows.ravel(), grads.ravel()), dtype=float)
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([_float_text(v) for v in keys.view(float).tolist()], dtype=object)
+    # The shape of inverse has changed across numpy 2.x releases.
+    shared = texts[inverse.reshape(-1)]
+    return (shared[:rows.size].reshape(rows.shape).tolist(),
+            shared[rows.size:].reshape(grads.shape).tolist())
+
+
+def _trace_doc(trace: DescentTrace, texts: tuple[list, list] | None = None) -> dict:
+    """The trace.json document: the run's fields and one entry per iterate.
+
+    texts is _number_texts(trace), made here unless the caller shares it.
+    """
+    if texts is None:
+        texts = _number_texts(trace)
     doc = {
         "mode": trace.mode, "n": trace.n, "eta": trace.eta, "eps": trace.eps,
         "T": trace.steps, "grad_bound": trace.grad_bound, "probability": trace.probability,
         "schedule_bound_ok": trace.schedule_bound_ok, "norm_safety_ok": trace.norm_safety_ok,
         "iterations": [
-            {"t": r.t, "x": r.x, "f": r.f_value, "gradient": r.gradient,
-             "eps_budget": r.eps_budget, **{k: getattr(r, k) for k in COUNTERS}}
-            for r in trace.records
+            {"t": t, "x": _Rendered(x), "f": f, "gradient": _Rendered(g), "eps_budget": e,
+             **dict(zip(COUNTERS, c))}
+            for t, (x, g, f, e, c) in enumerate(zip(*texts, trace.f_values, trace.eps_budgets,
+                                                    trace.counters))
         ],
     }
     if trace.poly_degree is not None:
@@ -340,10 +376,16 @@ def _trace_doc(trace: DescentTrace) -> dict:
     return doc
 
 
-def _trace_csv(trace: DescentTrace) -> str:
-    """The trace.csv text: a header t,x0,...,x{n-1} and each iterate as reprs."""
+def _trace_csv(trace: DescentTrace, texts: tuple[list, list] | None = None) -> str:
+    """The trace.csv text: a header t,x0,...,x{n-1} and each iterate's reprs.
+
+    texts is _number_texts(trace), made here unless the caller shares it.  The
+    iterates are finite (each one was encoded), so their texts are their reprs.
+    """
+    if texts is None:
+        texts = _number_texts(trace)
     lines = ["t," + ",".join(f"x{i}" for i in range(trace.n))]
-    lines += [f"{t}," + ",".join(map(repr, x)) for t, x in enumerate(trace.rows.tolist())]
+    lines += [f"{t}," + ",".join(x) for t, x in enumerate(texts[0])]
     return "\n".join(lines) + "\n"
 
 
@@ -414,11 +456,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         trace = engine(cfg.objective, cfg.x0, cfg.run)
     oracle_trace = classical_gd(cfg.objective, cfg.x0, trace.eta, trace.steps)
     report = _build_report(cfg.objective, trace, oracle_trace)
+    numbers = _number_texts(trace)
     texts = {}
     if cfg.fmt in ("json", "both"):
-        texts["trace.json"] = _json_text(_trace_doc(trace))
+        texts["trace.json"] = _json_text(_trace_doc(trace, numbers))
     if cfg.fmt in ("csv", "both"):
-        texts["trace.csv"] = _trace_csv(trace)
+        texts["trace.csv"] = _trace_csv(trace, numbers)
     texts["report.json"] = _json_text(report)
     if audit is not None:
         texts["audit.jsonl"] = audit.to_jsonl()
@@ -624,7 +667,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -106,6 +106,15 @@ MUTANTS = (
            (f"{CLI}::TestInputLimits::test_compare_costs_rejects_with_schema_exit",)),
     Mutant("poly_coeff_cap", "cli.py", "DEGREE_CAP + 2)", "DEGREE_CAP + 3)",
            ("tests/test_chebyshev.py::TestScalarFunctionSchema::test_schema_errors",)),
+    Mutant("slot_id_signed_zero", "blockcalc.py", "parts += (value.real + 0.0, value.imag + 0.0)",
+           "parts += (value.real, value.imag)",
+           (f"{BLOCKCALC}::TestSlotMapIds::test_id_is_the_digest_of_the_vector",)),
+    Mutant("writer_bits_key", "cli.py", "np.unique(values.view(np.int64), return_inverse=True)",
+           "np.unique(values, return_inverse=True)",
+           (f"{CLI}::TestTraceWriters::test_writers_match_json_dumps_and_repr",)),
+    Mutant("objective_size_index", "polyfunc.py", 'n = as_index(objective.n, "n")',
+           "n = int(objective.n)",
+           ("tests/test_polyfunc.py::TestConstruction::test_size_is_coerced_by_operator_index",)),
 )
 
 # What the named tests read besides src/ and tests/.

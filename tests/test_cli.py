@@ -1,9 +1,12 @@
 import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+import blockgd.cli as cli
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,10 +30,13 @@ from blockgd.cli import (
     MAX_TERM_DEGREE,
     MAX_TRACE_ENTRIES,
     _json_text,
+    _trace_csv,
+    _trace_doc,
     main,
     parse_experiment,
+    run_experiment,
 )
-from blockgd.descent import initial_state_uniform
+from blockgd.descent import COUNTERS, DescentTrace, initial_state_uniform, run_generic
 from blockgd.errors import (
     DegreeCapExceeded,
     DomainExit,
@@ -947,6 +955,15 @@ def _wide_generic_doc(n: int, supports, x0) -> dict:
             "x0": x0, "T": 3, "eps": 1e-06}
 
 
+# The artifacts of `run --config configs/quadratic.json --audit`.
+QUADRATIC_AUDIT_DIGESTS = {
+    "audit.jsonl": "25d18188703f9747279e5a1039ab5906acc14a4f27759440f6847183f4945f11",
+    "report.json": "9cd26f9ef0f80078b169f90c9bcc5fa90e4c969d218cad0d3bd0073d1b450c15",
+    "trace.csv": "ad489119d77848f2ddb165b319947a0583e681074ba606f6587a9ab61c283b84",
+    "trace.json": "844b25e8b830def7c257d9929aa4257ed5a299b34771c87a626ae7e94c3b13cb",
+}
+
+
 class TestGoldenArtifacts:
     """SHA-256 of every artifact of ten commands (Python 3.11, numpy 2.4).
 
@@ -958,12 +975,7 @@ class TestGoldenArtifacts:
     def test_quadratic_audit_run(self, tmp_path):
         out = tmp_path / "run"
         assert main(["run", "--config", str(QUADRATIC), "--audit", "--out", str(out)]) == EXIT_OK
-        assert _sha256_of_files(out) == {
-            "audit.jsonl": "25d18188703f9747279e5a1039ab5906acc14a4f27759440f6847183f4945f11",
-            "report.json": "9cd26f9ef0f80078b169f90c9bcc5fa90e4c969d218cad0d3bd0073d1b450c15",
-            "trace.csv": "ad489119d77848f2ddb165b319947a0583e681074ba606f6587a9ab61c283b84",
-            "trace.json": "844b25e8b830def7c257d9929aa4257ed5a299b34771c87a626ae7e94c3b13cb",
-        }
+        assert _sha256_of_files(out) == QUADRATIC_AUDIT_DIGESTS
         assert replay((out / "audit.jsonl").read_text()) is None
 
     @pytest.mark.parametrize("config, digests", [
@@ -1172,3 +1184,130 @@ class TestJsonText:
         assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
         if "nan" in doc:
             assert text.count("NaN") == 2
+
+
+def _trace_of(rows, grads) -> DescentTrace:
+    """A DescentTrace holding the given iterate and gradient rows."""
+    steps = len(rows) - 1
+    return DescentTrace(
+        mode="generic", n=len(rows[0]), eta=0.125, eps=1e-6, steps=steps, grad_bound=1.0,
+        probability=0.25, schedule_bound_ok=True, norm_safety_ok=True,
+        rows=np.array(rows, dtype=float), gradients=np.array(grads, dtype=float),
+        f_values=[0.5 - 0.1 * t for t in range(steps + 1)],
+        eps_budgets=[1e-6 * t for t in range(steps + 1)],
+        counters=[(t, 3 * t, 2 * t, 2 * t + 1) for t in range(steps + 1)],
+    )
+
+
+# Iterate entries: signed zeros, the least subnormal and values drawn again
+# and again; gradients add the non-finite values json writes in its own ways.
+ROW_POOL = [0.0, -0.0, 5e-324, 0.1, -0.25, 0.3333333333333333, -1e-300]
+GRADIENT_POOL = ROW_POOL + [-5e-324, 1e300, NAN, INF, -INF]
+
+
+@st.composite
+def drawn_traces(draw):
+    n, steps = draw(st.integers(1, 32)), draw(st.integers(0, 4))
+    size = (steps + 1) * n
+    rows, grads = (np.reshape(draw(st.lists(st.sampled_from(pool), min_size=size,
+                                            max_size=size)), (steps + 1, n))
+                   for pool in (ROW_POOL, GRADIENT_POOL))
+    return _trace_of(rows.tolist(), grads.tolist())
+
+
+class TestTraceWriters:
+    """Each distinct number is formatted once, and the writers still write json's and repr's text."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(drawn_traces())
+    @example(_trace_of([[-0.0, 0.0, 0.1], [0.0, -0.0, 0.1]], [[0.0, -0.0, NAN], [-0.0, 0.0, 0.0]]))
+    def test_writers_match_json_dumps_and_repr(self, trace):
+        # The trace.json document as it was built from trace.records.
+        ref = {
+            "mode": trace.mode, "n": trace.n, "eta": trace.eta, "eps": trace.eps,
+            "T": trace.steps, "grad_bound": trace.grad_bound, "probability": trace.probability,
+            "schedule_bound_ok": trace.schedule_bound_ok,
+            "norm_safety_ok": trace.norm_safety_ok,
+            "iterations": [
+                {"t": r.t, "x": r.x, "f": r.f_value, "gradient": r.gradient,
+                 "eps_budget": r.eps_budget, **{k: getattr(r, k) for k in COUNTERS}}
+                for r in trace.records
+            ],
+        }
+        assert _json_text(_trace_doc(trace)) == json.dumps(ref, sort_keys=True, indent=2) + "\n"
+        lines = ["t," + ",".join(f"x{i}" for i in range(trace.n))]
+        lines += [f"{t}," + ",".join(map(repr, x)) for t, x in enumerate(trace.rows.tolist())]
+        assert _trace_csv(trace) == "\n".join(lines) + "\n"
+
+    def test_formatting_calls_count_distinct_numbers_at_every_n(self, tmp_path, monkeypatch):
+        # A constant start changes only the coordinates in the terms' supports
+        # (6 of them here), so the columns hold the same few values at every n.
+        formatted = []
+        original = cli._float_text
+
+        def counted(value):
+            formatted.append(value)
+            return original(value)
+
+        monkeypatch.setattr(cli, "_float_text", counted)
+        counts = {}
+        for n in (2**10, 2**14):
+            doc = _wide_generic_doc(n, [(0, 100, n - 1), (100, 17, 200), (n - 1, 3, 17)],
+                                    [2.0**-8] * n) | {"out": str(tmp_path / str(n))}
+            cfg = parse_experiment(doc)
+            formatted.clear()
+            assert run_experiment(cfg) == EXIT_OK
+            trace = run_generic(cfg.objective, cfg.x0, cfg.run)
+            columns = np.concatenate((trace.rows.ravel(), trace.gradients.ravel()))
+            assert len(formatted) == len(set(columns.view(np.int64).tolist()))
+            counts[n] = len(formatted)
+        assert counts == {2**10: 44, 2**14: 44}  # measured: 44 at both sizes
+
+
+def _blockgd(*args, cwd):
+    """Run `python -m blockgd ARGS` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    return subprocess.run([sys.executable, "-m", "blockgd", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestProcessEntry:
+    """`python -m blockgd` freezes the import graph and then runs main, with the same outputs."""
+
+    def test_compare_costs_prints_the_table_through_exit(self, tmp_path):
+        out = tmp_path / "costs"
+        proc = _blockgd("compare-costs", "--params", str(COSTS), "--out", str(out), cwd=tmp_path)
+        assert proc.returncode == EXIT_OK and proc.stderr == ""
+        assert proc.stdout == (out / "table.txt").read_text()
+
+    def test_audit_run_writes_the_golden_artifacts(self, tmp_path):
+        out = tmp_path / "run"
+        proc = _blockgd("run", "--config", str(QUADRATIC), "--audit", "--out", str(out),
+                        cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "", "")
+        assert _sha256_of_files(out) == QUADRATIC_AUDIT_DIGESTS
+
+    def test_schema_error_exits_2_with_its_line(self, tmp_path):
+        path = write_config(tmp_path, {"mode": "generic"})
+        proc = _blockgd("run", "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == EXIT_SCHEMA
+        assert proc.stderr == "error: $: missing required key 'objective'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_entry_freezes_and_the_console_script_uses_it(self, tmp_path):
+        code = ("import gc, sys\nfrom blockgd.__main__ import entry\n"
+                f"sys.argv[1:] = ['validate-config', '--config', {str(QUADRATIC)!r}]\n"
+                "assert gc.get_freeze_count() == 0\nassert entry() == 0\n"
+                "print(gc.get_freeze_count() > 0)")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True"
+        pyproject = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+        assert re.search(r'^blockgd = "blockgd\.__main__:entry"$', pyproject, re.M)
+
+    def test_main_in_process_does_not_freeze(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["run", "--config", str(QUADRATIC), "--out", str(tmp_path / "run")]) == EXIT_OK
+        assert gc.get_freeze_count() == before

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockgd.chebyshev import ScalarFunction, SeparableObjective
 from blockgd.errors import DomainViolation, IndexOutOfRange, InvalidConfig, SchemaError
 from blockgd.cli import load_objective
 from blockgd.polyfunc import MonomialTerm, ObjectiveFunction
@@ -200,6 +201,24 @@ class TestConstruction:
         term = MonomialTerm(1.0, (np.int64(2), np.uint8(0), 1))
         assert term.exponents == (2, 0, 1)
         assert all(type(e) is int for e in term.exponents)
+
+    @pytest.mark.parametrize("n, expected", [(2.0, None), ("2", None), (2.7, None), (True, 1),
+                                             (np.int64(2), 2)],
+                             ids=["float", "string", "fraction", "bool", "numpy-int"])
+    @pytest.mark.parametrize("kind", ["monomial", "separable"])
+    def test_size_is_coerced_by_operator_index(self, kind, n, expected):
+        """Both objectives take n as the step counts take T (test_descent's rule)."""
+        def build(size):
+            if kind == "monomial":
+                return ObjectiveFunction(n, 1.0, ((1.0, (1,) * size),))
+            return SeparableObjective(ScalarFunction.named("sin"), n=n, grad_bound=1.0)
+
+        if expected is None:
+            with pytest.raises(ValueError, match="n must be an integer"):
+                build(2)
+            return
+        objective = build(expected)
+        assert type(objective.n) is int and objective.n == expected
 
     def test_error_names_the_first_bad_exponent_only(self):
         n = 2**20
