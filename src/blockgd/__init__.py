@@ -4,10 +4,10 @@ The package exposes four layers: monomial objectives and the box check of
 a point (polyfunc), the corner-block encoding calculus with resource
 accounting (blockcalc), polynomial approximation of scalar derivatives
 (chebyshev), and the descent engines plus the classical reference oracle
-(descent, oracle); they take and return Python values.  The blockgd CLI
-(cli) reads and writes every document: it checks configs against the JSON
-schema (load_objective and load_scalar_function are its loaders),
-batch-runs them and emits traces, comparison reports, and cost tables.
+(descent, oracle); they take and return Python values.  The CLI (blockgd.cli,
+not loaded by the package) reads and writes every document: it checks
+configs against the JSON schema (its loaders are load_objective and
+load_scalar_function), batch-runs them and emits traces, reports and cost tables.
 """
 
 from .blockcalc import (
@@ -32,7 +32,6 @@ from .chebyshev import (
     SeparableObjective,
     approx_derivative,
 )
-from .cli import load_objective, load_scalar_function
 from .descent import (
     CostParams,
     DescentConfig,
@@ -81,8 +80,6 @@ __all__ = [
     "gd_step_separable",
     "initial_state_uniform",
     "lcu",
-    "load_objective",
-    "load_scalar_function",
     "product",
     "projector_encode",
     "qsvt_transform",

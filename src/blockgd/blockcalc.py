@@ -468,17 +468,26 @@ def _log(op: str, inputs, output: BlockEncoding, **params):
     return output
 
 
-def diag_encode(psi, alpha: float = 1.0) -> BlockEncoding:
-    """Encode a vector of amplitudes as a diagonal corner block.
+def check_amplitudes(psi) -> np.ndarray:
+    """psi as a flat complex vector of 2-norm <= 1 + NORM_TOL, else NormTooLarge.
 
-    Sub-unit vectors are allowed: they are read as the leading amplitudes
-    of a larger unit state.  Costs ceil(log2 N) depth units and
-    ceil(log2 N) + 3 ancillas; the encoding is exact (eps = 0).
+    The one amplitude-norm rule, of diag_encode and of the CLI's start vector.
     """
     vec = np.asarray(psi, dtype=complex).ravel()
     norm = float(np.linalg.norm(vec))
     if not norm <= 1.0 + NORM_TOL:
         raise NormTooLarge(f"amplitude vector norm {norm} exceeds 1")
+    return vec
+
+
+def diag_encode(psi, alpha: float = 1.0) -> BlockEncoding:
+    """Encode a vector of amplitudes as a diagonal corner block.
+
+    Sub-unit vectors are allowed: they are read as the leading amplitudes
+    of a larger unit state (check_amplitudes).  Costs ceil(log2 N) depth
+    units and ceil(log2 N) + 3 ancillas; the encoding is exact (eps = 0).
+    """
+    vec = check_amplitudes(psi)
     dim = next_power_of_two(len(vec))
     padded = np.zeros(dim, dtype=complex)
     padded[: len(vec)] = vec

@@ -146,13 +146,17 @@ class SeparableObjective:
 
 @dataclass(frozen=True)
 class ChebyshevPoly:
-    """Chebyshev series on [-1/2, 1/2] with its grid-measured sup error."""
+    """Chebyshev series on [-1/2, 1/2] with its grid-measured sup error.
+
+    Zero coefficients are +0.0: approx_derivative caches by ScalarFunction
+    equality, which takes -0.0 for 0.0, so equal functions get equal bits.
+    """
 
     coeffs: tuple[float, ...]
     sup_error_bound: float
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(float(c) + 0.0 for c in self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -175,15 +179,17 @@ def _trim_trailing(coeffs: np.ndarray, threshold: float) -> np.ndarray:
     return coeffs[:keep]
 
 
+@cache
 @np.errstate(all="ignore")
 def approx_derivative(func: ScalarFunction, eps: float) -> ChebyshevPoly:
-    """Approximate F' on [-1/2, 1/2] to measured sup error <= eps.
+    """Approximate F' on [-1/2, 1/2] to measured sup error <= eps, once per (F, eps).
 
     Polynomial inputs are differentiated exactly (degree deg(F)-1, reported
     error 0).  Named functions are interpolated at Chebyshev nodes with the
     candidate degree doubling from 2 up to the cap of 512; trailing
     coefficients below eps/(10*degree) are trimmed before measurement.  An F'
     not finite on the grid raises DegreeCapExceeded, without numpy warnings.
+    Cached (an error is not): a run's step-size check and engine share one.
     """
     if not 0.0 < eps <= MAX_EPS:
         raise ValueError(f"eps must lie in (0, 1/4], got {eps}")

@@ -13,14 +13,14 @@ engine's inputs: the objective, the start vector and the DescentConfig.
 Every JSON field is checked by the checks below (an object's keys, an
 integer in a range, a finite number in a range, an array's length, one of
 fixed values), against limits stated once below.  The step size comes from
-descent.step_size; the parse ends with the start vector, built by
+descent.step_size, which builds a separable run's derivative polynomial;
+the parse ends with the start vector, built by
 descent.initial_state_uniform for a uniform start and checked by
-polyfunc.check_point, the rules the engines apply too.  validate-config is
-parse_experiment and its print, so it exits 2, 3 or 7 exactly where run
-would before any pipeline work (and before run creates its output
-directory), and 0 otherwise.  Only run reaches the two checks that need the
-separable derivative polynomial: an eta above 1/divisor (exit 2) and the
-degree cap (exit 6).
+polyfunc.check_point and blockcalc.check_amplitudes.  These are the rules
+the engines apply before their first step, so validate-config, which is
+parse_experiment and its print, exits 2, 3, 6 or 7 exactly where run would
+before any pipeline work (and before run creates its output directory),
+and 0 otherwise.
 
 With --audit (or "audit": true), run wraps the engine call, and only it, in
 blockcalc.recording, so audit.jsonl holds one record per calculus primitive
@@ -52,11 +52,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockcalc import AuditLog, next_power_of_two, recording
+from .blockcalc import AuditLog, check_amplitudes, next_power_of_two, recording
 from .chebyshev import DEGREE_CAP, MAX_EPS, NAMED_KINDS, ScalarFunction, SeparableObjective
 from .descent import (
     COUNTERS,
     GENERIC,
+    REGIMES,
     SEPARABLE,
     CostParams,
     DescentConfig,
@@ -232,7 +233,7 @@ class ExperimentConfig:
     """One checked run request: the engine's inputs and the artifact options."""
 
     objective: ObjectiveFunction | SeparableObjective
-    x0: np.ndarray  # the start vector, checked by polyfunc.check_point
+    x0: np.ndarray  # the start vector: polyfunc.check_point, blockcalc.check_amplitudes
     run: DescentConfig  # its eta is the step size the run uses (descent.step_size)
     audit: bool
     out: str | Path | None
@@ -242,8 +243,10 @@ class ExperimentConfig:
 def parse_experiment(doc: dict) -> ExperimentConfig:
     """Check a parsed JSON run request and resolve it into an ExperimentConfig.
 
-    The start vector is resolved last, so every schema error comes before an
-    infeasible uniform schedule (exit 3) or an x0 outside the box (exit 7).
+    Every check run makes before its first step, in this order: the fields,
+    the step size (exit 2, or 6 for an F' without a derivative polynomial),
+    then the start vector (exit 3 for an infeasible uniform schedule, 7 for
+    an x0 outside the box or of 2-norm above 1).
     """
     check_keys(doc, "$", ("mode", "objective", "x0", "T", "eps"),
                ("eta", "audit", "out", "format"))
@@ -275,16 +278,19 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     steps = check_int(doc["T"], "T", 0, MAX_TRACE_ENTRIES // objective.n - 1)
     eps = check_number(doc["eps"], "eps", *EPS_RANGES[mode])
     eta = doc.get("eta")
-    eta = step_size(mode, objective, None if eta is None else check_number(eta, "eta"))
+    eta = None if eta is None else check_number(eta, "eta")
     audit = check_choice(doc.get("audit", False), "audit", (False, True))
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise SchemaError(f"out: expected string, got {out!r}")
     fmt = check_choice(doc.get("format", "both"), "format", ("json", "csv", "both"))
+    eta = step_size(mode, objective, eta, eps)
     if uniform:
         x0 = initial_state_uniform(eta, objective.grad_bound, steps, objective.n)
+    x0 = check_point(x0, objective.n)
+    check_amplitudes(x0)
     return ExperimentConfig(
-        objective=objective, x0=check_point(x0, objective.n),
+        objective=objective, x0=x0,
         run=DescentConfig(steps=steps, eps=eps, mode=mode, eta=eta),
         audit=audit, out=out, fmt=fmt,
     )
@@ -481,47 +487,25 @@ def _write_artifacts(out_dir: Path, texts: dict) -> None:
         raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
-REGIME_ORDER = ("generic", "separable", "highly_sparse", "tensor_oracle", "classical")
-
-
 def _costs_rows(report: dict) -> list[dict]:
-    env = report["envelopes"]
-    measured = report["implemented_per_iteration"]
-    rows = []
-    for regime in REGIME_ORDER:
-        per_iter = env.get(f"{regime}_per_iteration")
-        rows.append(
-            {
-                "regime": regime,
-                "envelope_per_iteration": per_iter,
-                "envelope_total": env[f"{regime}_total"],
-                "measured_depth_per_iteration": (
-                    measured[regime]["depth_units"] if regime in measured else None
-                ),
-            }
-        )
-    return rows
+    env, measured = report["envelopes"], report["implemented_per_iteration"]
+    return [{"regime": r, "envelope_per_iteration": env.get(f"{r}_per_iteration"),
+             "envelope_total": env[f"{r}_total"],
+             "measured_depth_per_iteration": measured[r]["depth_units"] if r in measured else None}
+            for r in REGIMES]
 
 
 def _format_cell(value) -> str:
     if value is None:
         return "-"
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     return f"{value:.6g}"
 
 
 def _costs_table_text(rows: list[dict]) -> str:
     headers = ["regime", "envelope/iter", "envelope total", "measured depth/iter"]
-    cells = [
-        [
-            row["regime"],
-            _format_cell(row["envelope_per_iteration"]),
-            _format_cell(row["envelope_total"]),
-            _format_cell(row["measured_depth_per_iteration"]),
-        ]
-        for row in rows
-    ]
+    cells = [[_format_cell(value) for value in row.values()] for row in rows]
     widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
     lines.append("  ".join("-" * w for w in widths))

@@ -74,7 +74,9 @@ class DescentConfig:
 
     In generic mode the step size is derived from the objective
     (eta = 1/(2*M*K)); supplying a different eta is a configuration error.
-    In separable mode eta is required and must satisfy 0 < eta <= 1/(2*M).
+    In separable mode eta is required and must satisfy 0 < eta <= 1/divisor
+    with divisor = max(2*M, 2 * sup |P|) over the derivative polynomial P
+    (descent.step_size applies the rule).
     """
 
     steps: int
@@ -186,16 +188,17 @@ def _reciprocal(x: float) -> float:
     return 1.0 / x if x else math.inf
 
 
-def step_size(mode: str, objective, eta: float | None) -> float:
+def step_size(mode: str, objective, eta: float | None, eps: float) -> float:
     """The step size a run of mode uses, or InvalidConfig if eta breaks its rule.
 
     Generic mode pins eta to eta_generic(objective), so a given eta must
     match it, and the pinned eta must be finite; each coefficient factor
     coeff * exponent / M that build_partial_be applies must have a finite
     reciprocal, the scale_down factor of a factor below 1 (one pass over the
-    K*v exponents).  Separable mode requires an eta > 0 whose 1/(2*eta*M) is
-    finite and at least 1 - DOMAIN_TOL: the relative rule gd_step_separable
-    applies to its scale_down factor 1/(eta*divisor), at the least divisor 2*M.
+    K*v exponents).  Separable mode requires an eta that _insert_factor
+    accepts for the divisor of approx_derivative(F, eps), the rule every
+    gd_step_separable applies (an F' without such a polynomial raises
+    DegreeCapExceeded).
     """
     if mode == GENERIC:
         pinned = eta_generic(objective)
@@ -219,12 +222,8 @@ def step_size(mode: str, objective, eta: float | None) -> float:
         return pinned
     if eta is None:
         raise InvalidConfig("eta: separable mode requires an explicit eta")
-    p = _reciprocal(2.0 * eta * objective.grad_bound) if eta > 0.0 else 0.0
-    if not (math.isfinite(p) and p >= 1.0 - DOMAIN_TOL):
-        raise InvalidConfig(
-            f"eta: expected a value in (0, 1/(2*M)] = (0, {1.0 / (2.0 * objective.grad_bound)}] "
-            f"whose 1/(2*eta*M) is finite, got {eta}"
-        )
+    poly = approx_derivative(objective.func, eps)
+    _insert_factor(eta, _qsvt_divisor(poly, objective.grad_bound))
     return eta
 
 
@@ -353,6 +352,21 @@ def _qsvt_divisor(poly: ChebyshevPoly, grad_bound: float) -> float:
     return max(2.0 * grad_bound, 2.0 * poly.grid_sup * (1.0 + 1e-12))
 
 
+def _insert_factor(eta: float, divisor: float) -> float:
+    """The down-scale p = 1/(eta*divisor) that inserts eta, or InvalidConfig.
+
+    The one separable step-size rule: eta > 0 with p finite and at least
+    1 - DOMAIN_TOL (a NaN or too large eta would leave P/divisor unscaled).
+    """
+    p = _reciprocal(eta * divisor) if eta > 0.0 else 0.0
+    if not (math.isfinite(p) and p >= 1.0 - DOMAIN_TOL):
+        raise InvalidConfig(
+            f"eta: expected a value in (0, 1/{divisor}] whose 1/(eta*divisor) is finite, "
+            f"got {eta}; divisor = max(2*M, 2*sup|P|) by the measured derivative bound"
+        )
+    return p
+
+
 def gd_step_separable(
     iterate: BlockEncoding, poly: ChebyshevPoly, grad_bound: float, eta: float, eps: float
 ) -> BlockEncoding:
@@ -364,12 +378,7 @@ def gd_step_separable(
     amplification strips the 1/2.
     """
     divisor = _qsvt_divisor(poly, grad_bound)
-    p_insert = _reciprocal(eta * divisor)
-    if p_insert < 1.0 - DOMAIN_TOL:
-        raise InvalidConfig(
-            f"eta = {eta} exceeds 1/{divisor} allowed by the measured "
-            "derivative bound; amplifying the step size is not supported"
-        )
+    p_insert = _insert_factor(eta, divisor)
     scaled_coeffs = np.asarray(poly.coeffs) / divisor
     transformed = bc.qsvt_transform(
         iterate,
@@ -445,7 +454,7 @@ def run_generic(objective: ObjectiveFunction, x0, cfg: DescentConfig) -> Descent
     """
     if cfg.mode != GENERIC:
         raise InvalidConfig(f"run_generic requires mode='{GENERIC}', got {cfg.mode!r}")
-    eta = step_size(GENERIC, objective, cfg.eta)
+    eta = step_size(GENERIC, objective, cfg.eta, cfg.eps)
 
     def step(enc: BlockEncoding) -> BlockEncoding:
         grad = build_gradient_be(enc, objective, eps=cfg.eps)
@@ -460,8 +469,8 @@ def run_separable(objective: SeparableObjective, x0, cfg: DescentConfig) -> Desc
         raise InvalidConfig(
             f"run_separable requires mode='{SEPARABLE}', got {cfg.mode!r}"
         )
-    eta = step_size(SEPARABLE, objective, cfg.eta)
-    poly = approx_derivative(objective.func, cfg.eps)
+    eta = step_size(SEPARABLE, objective, cfg.eta, cfg.eps)
+    poly = approx_derivative(objective.func, cfg.eps)  # the one step_size built
 
     def step(enc: BlockEncoding) -> BlockEncoding:
         return gd_step_separable(enc, poly, objective.grad_bound, eta, cfg.eps)
@@ -479,6 +488,9 @@ def run_separable(objective: SeparableObjective, x0, cfg: DescentConfig) -> Desc
 ENVELOPE_NOTE = (
     "asymptotic envelopes with unit constants; scaling guides, not runtime predictions"
 )
+# The cost regimes, in the order of the report's rows; each has an envelope
+# "<regime>_total".
+REGIMES = ("generic", "separable", "highly_sparse", "tensor_oracle", "classical")
 
 
 @dataclass(frozen=True)
@@ -604,16 +616,7 @@ def resource_predict(params: CostParams) -> dict:
     crossover = []
     for t in range(1, params.steps + 1):
         env = envelope_formulas(replace(params, steps=t))
-        crossover.append(
-            {
-                "T": t,
-                "generic": env["generic_total"],
-                "separable": env["separable_total"],
-                "highly_sparse": env["highly_sparse_total"],
-                "tensor_oracle": env["tensor_oracle_total"],
-                "classical": env["classical_total"],
-            }
-        )
+        crossover.append({"T": t, **{r: env[f"{r}_total"] for r in REGIMES}})
     return {
         "implemented_per_iteration": measured,
         "envelopes": envelope_formulas(params),

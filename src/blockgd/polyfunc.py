@@ -33,8 +33,8 @@ DOMAIN_TOL = 1e-12
 
 
 def first_outside_box(x) -> int | None:
-    """Flat index of the first entry with |x| > 1/2 + DOMAIN_TOL, or None."""
-    bad = np.flatnonzero(np.abs(x) > HALF + DOMAIN_TOL)
+    """Flat index of the first entry (NaN too) without |x| <= 1/2 + DOMAIN_TOL, or None."""
+    bad = np.flatnonzero(~(np.abs(x) <= HALF + DOMAIN_TOL))
     return int(bad[0]) if bad.size else None
 
 

@@ -41,6 +41,7 @@ BLOCKCALC = "tests/test_blockcalc.py"
 CLI = "tests/test_cli.py"
 DESCENT = "tests/test_descent.py"
 GOLDEN = f"{CLI}::TestGoldenArtifacts"
+REPLAY = "tests/test_bench_api.py::test_cli_audit_sweep_replays"
 
 MUTANTS = (
     Mutant("norm_tol", "blockcalc.py", "NORM_TOL = 1e-10", "NORM_TOL = 1e-6",
@@ -78,8 +79,8 @@ MUTANTS = (
            "abs(trace.probability - expected_prob) <= 1e-3", (GOLDEN,),
            survives="every run realizes its corners exactly, so the two probabilities "
                     "agree to rounding; a perturbed realization (ROADMAP item 3) can split them"),
-    Mutant("check_point_box_bound", "polyfunc.py", "np.abs(x) > HALF + DOMAIN_TOL",
-           "np.abs(x) > HALF + 0.25",
+    Mutant("check_point_box_bound", "polyfunc.py", "np.abs(x) <= HALF + DOMAIN_TOL",
+           "np.abs(x) <= HALF + 0.25",
            ("tests/test_polyfunc.py::TestEvaluate::test_domain_violation_names_the_first_coordinate_outside",
             f"{CLI}::TestValidateConfig::test_x0_outside_the_box_fails_in_both_commands")),
     Mutant("monomial_sign_check", "polyfunc.py", "if min(exps, default=0) < 0:",
@@ -112,6 +113,31 @@ MUTANTS = (
     Mutant("writer_bits_key", "cli.py", "np.unique(values.view(np.int64), return_inverse=True)",
            "np.unique(values, return_inverse=True)",
            (f"{CLI}::TestTraceWriters::test_writers_match_json_dumps_and_repr",)),
+    Mutant("box_check_flags_nan", "polyfunc.py", "~(np.abs(x) <= HALF + DOMAIN_TOL)",
+           "np.abs(x) > HALF + DOMAIN_TOL",
+           (f"{DESCENT}::TestBoxChecks::test_nan_coordinates_lie_outside_the_box",)),
+    Mutant("chebyshev_positive_zero", "chebyshev.py", "float(c) + 0.0 for c in self.coeffs",
+           "float(c) for c in self.coeffs",
+           ("tests/test_chebyshev.py::TestApproxDerivative::"
+            "test_signed_zero_coefficients_give_one_polynomial",)),
+    Mutant("separable_insert_factor", "descent.py", "p >= 1.0 - DOMAIN_TOL", "p >= 0.5",
+           (f"{DESCENT}::TestRunSeparable::test_step_size_rule",
+            f"{CLI}::TestValidateConfig::test_pre_step_checks_fail_alike_in_both_commands")),
+    Mutant("parse_amplitude_norm", "cli.py", "    check_amplitudes(x0)", "    x0 = x0",
+           (f"{CLI}::TestValidateConfig::test_pre_step_checks_fail_alike_in_both_commands",)),
+    # Each primitive's own charge (depth, queries, ancillas): the cli_audit
+    # sweep's replay recomputes every charge from the audit records.
+    *(Mutant(f"charge_{op}", "blockcalc.py", old, new, (REPLAY,)) for op, old, new in (
+        ("diag_encode", "(), log_n, 0, log_n + 3)", "(), log_n, 0, log_n + 2)"),
+        ("entry_project", "log_n, 2, log_n + 3,", "log_n, 1, log_n + 3,"),
+        ("product", "[a, b], 0, 2, 0,", "[a, b], 1, 2, 0,"),
+        ("lcu", "0, m, (m - 1).bit_length(),", "0, m, m.bit_length(),"),
+        ("scale_down", "[enc], 1, 0, 1)", "[enc], 1, 0, 0)"),
+        ("amplify", "[enc], m, m, 1,", "[enc], m, m, 2,"),
+        ("qsvt_transform", "[enc], d, d, 2,", "[enc], d, d + 1, 2,"),
+    )),
+    Mutant("charge_projector_encode", "blockcalc.py", "(), 1, 0, log_n)", "(), 1, 0, log_n + 1)",
+           (GOLDEN, BLOCKCALC)),
     Mutant("objective_size_index", "polyfunc.py", 'n = as_index(objective.n, "n")',
            "n = int(objective.n)",
            ("tests/test_polyfunc.py::TestConstruction::test_size_is_coerced_by_operator_index",)),

@@ -53,6 +53,18 @@ class TestApproxDerivative:
         for x in np.linspace(-0.5, 0.5, 17):
             assert poly.eval_unchecked(x) == pytest.approx(func.derivative(x), abs=1e-13)
 
+    def test_signed_zero_coefficients_give_one_polynomial(self):
+        # Equal functions share one cached polynomial, so it must not depend
+        # on the sign of a zero coefficient, which equality ignores.
+        negative = ScalarFunction.polynomial([0.1, -0.0, -0.3])
+        positive = ScalarFunction.polynomial([0.1, 0.0, -0.3])
+        assert negative == positive
+        approx_derivative.cache_clear()
+        cached = approx_derivative(negative, 1e-6)
+        assert approx_derivative(positive, 1e-6) is cached
+        fresh = approx_derivative.__wrapped__(positive, 1e-6)
+        assert np.array(cached.coeffs).tobytes() == np.array(fresh.coeffs).tobytes()
+
     def test_sin_low_degree_high_accuracy(self):
         poly = approx_derivative(ScalarFunction.named("sin"), 1e-6)
         assert poly.degree <= 20

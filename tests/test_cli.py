@@ -220,6 +220,26 @@ RULE_DOCS = [
     pytest.param(QUADRATIC_LONG_DOC, id="quadratic-budget-overflow"),
 ]
 
+# Configs whose fields all pass but which fail a check run makes before its
+# first step: an eta above 1/divisor (sup |P| = 2 > M makes the divisor about
+# 4, and no step checks eta at T = 0), a named F' that no degree up to the cap
+# approximates, and an x0 inside the box whose 2-norm is sqrt(2).
+SIN_SCALE_2_DOC = {"mode": "separable", "objective": {
+    "kind": "named", "name": "sin", "scale": 2.0, "n": 4, "M": 1.0},
+    "x0": [0.1] * 4, "T": 3, "eps": 1e-6, "eta": 0.5}
+GAUSSIAN_400_DOC = {"mode": "separable", "objective": {
+    "kind": "named", "name": "gaussian", "scale": 400.0, "n": 4, "M": 1.0},
+    "x0": [0.1] * 4, "T": 2, "eps": 1e-6, "eta": 0.1}
+X0_NORM_DOC = {"mode": "generic", "objective": {
+    "n": 8, "M": 1.0, "terms": [{"coeff": 0.1, "exponents": [1] + [0] * 7}]},
+    "x0": [0.5] * 8, "T": 1, "eps": 1e-6}
+PRE_STEP_DOCS = [
+    pytest.param(SIN_SCALE_2_DOC, EXIT_SCHEMA, id="separable-eta-above-1/divisor"),
+    pytest.param({**SIN_SCALE_2_DOC, "T": 0}, EXIT_SCHEMA, id="separable-eta-above-1/divisor-T0"),
+    pytest.param(GAUSSIAN_400_DOC, EXIT_DEGREE, id="degree-cap"),
+    pytest.param(X0_NORM_DOC, EXIT_CONTRACT, id="x0-two-norm-above-1"),
+]
+
 # Uniform starts whose slack 1/2 - eta*M*T is exactly 1/2 with T >= 1: eta = 0
 # (an all-constant generic objective), and an eta*M*T that 1/2 absorbs.
 SATURATED_UNIFORM_DOCS = [
@@ -500,6 +520,16 @@ class TestValidateConfig:
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: x[0] = 0.7 lies outside [-1/2, 1/2]"] * 2
+
+    @pytest.mark.parametrize("doc, code", PRE_STEP_DOCS)
+    def test_pre_step_checks_fail_alike_in_both_commands(self, tmp_path, capsys, doc, code):
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["validate-config", "--config", str(path)]) == code
+        assert main(["run", "--config", str(path), "--out", str(out)]) == code
+        assert not out.exists()
+        validate_err, run_err = capsys.readouterr().err.splitlines()
+        assert validate_err == run_err
 
     def test_factor_error_names_no_sorted_index(self, tmp_path, capsys):
         path = write_config(tmp_path, FACTOR_SUBNORMAL_DOC)
@@ -866,14 +896,18 @@ def run_docs(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(run_docs())
+@example(SIN_SCALE_2_DOC)
+@example({**SIN_SCALE_2_DOC, "T": 0})
+@example(GAUSSIAN_400_DOC)
+@example(X0_NORM_DOC)
 def test_exit_codes_of_validate_config_and_run(doc):
-    """validate-config exits where run would; after it passes, run fails only in its pipeline.
+    """validate-config exits where run would; after it passes, run fails only in its steps.
 
     Both commands run in-process on each drawn config.  Neither exits 1; a
-    non-zero validate-config code is run's code; after validate-config exits
-    0, run exits 0, 4, 5, 6 or 7, or 2 only for the separable eta above
-    1/divisor, which needs the derivative polynomial; and run's exit 0 writes
-    every artifact with the deviation within its bound.
+    non-zero validate-config code and message are run's; after
+    validate-config exits 0, run exits 0, 4, 5 or 7, never on the amplitude
+    norm of x0; and run's exit 0 writes every artifact with the deviation
+    within its bound.
     """
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(Path(tmp), doc)
@@ -881,16 +915,17 @@ def test_exit_codes_of_validate_config_and_run(doc):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             validate_code = main(["validate-config", "--config", str(path)])
+            validate_err = err.getvalue()
             err.seek(0)
             err.truncate()
             run_code = main(["run", "--config", str(path), "--out", str(out)])
         assert EXIT_INTERNAL not in (validate_code, run_code), err.getvalue()
         if validate_code != EXIT_OK:
-            assert run_code == validate_code
-        elif run_code == EXIT_SCHEMA:
-            assert "allowed by the measured derivative bound" in err.getvalue()
+            assert (run_code, err.getvalue()) == (validate_code, validate_err)
+            assert not out.exists()
         else:
-            assert run_code in (EXIT_OK, EXIT_NORM, EXIT_POLY, EXIT_DEGREE, EXIT_CONTRACT)
+            assert run_code in (EXIT_OK, EXIT_NORM, EXIT_POLY, EXIT_CONTRACT), err.getvalue()
+            assert "amplitude vector norm" not in err.getvalue()
         if run_code == EXIT_OK:
             assert {"trace.json", "trace.csv", "report.json"} <= {p.name for p in out.iterdir()}
             report = json.loads((out / "report.json").read_text())
@@ -1306,6 +1341,14 @@ class TestProcessEntry:
         assert proc.stdout.splitlines()[-1] == "True"
         pyproject = (REPO / "pyproject.toml").read_text(encoding="utf-8")
         assert re.search(r'^blockgd = "blockgd\.__main__:entry"$', pyproject, re.M)
+
+    def test_importing_the_package_leaves_the_cli_unloaded(self, tmp_path):
+        # A library process pays for no document layer: blockgd.cli loads on demand.
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, blockgd\nprint('blockgd.cli' in sys.modules)"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
     def test_main_in_process_does_not_freeze(self, tmp_path):
         before = gc.get_freeze_count()

@@ -28,6 +28,7 @@ from blockgd.descent import (
     step_size,
 )
 from blockgd.errors import (
+    DomainExit,
     DomainViolation,
     InfeasibleSchedule,
     InvalidConfig,
@@ -304,8 +305,9 @@ class TestGdStepSeparable:
     def test_eta_beyond_measured_bound_rejected(self):
         poly = ChebyshevPoly((0.0, 0.5), 0.0)
         x = bc.diag_encode([0.3, -0.2])
-        with pytest.raises(InvalidConfig):
-            gd_step_separable(x, poly, 0.4, 1.3, 1e-6)
+        for eta in (1.3, math.nan):  # a NaN eta would leave P/divisor unscaled
+            with pytest.raises(InvalidConfig, match="eta"):
+                gd_step_separable(x, poly, 0.4, eta, 1e-6)
 
 
 class TestRunSeparable:
@@ -336,14 +338,19 @@ class TestRunSeparable:
 
     def test_step_size_rule(self):
         sep = SeparableObjective(ScalarFunction.named("sin"), n=2, grad_bound=1.0)
-        assert step_size("separable", sep, 0.5) == 0.5  # 1/(2M) itself
+        assert step_size("separable", sep, 0.5, 1e-6) == 0.5  # 1/(2M) itself
         for eta in (None, 0.0, -0.1, 0.51, math.nan, 5e-324):
             with pytest.raises(InvalidConfig, match="eta"):
-                step_size("separable", sep, eta)
+                step_size("separable", sep, eta, 1e-6)
+        # sup |P| = 2 > M at scale 2, so the divisor is about 4 and 1/(2M) is too large.
+        steep = replace(sep, func=ScalarFunction.named("sin", 2.0))
+        assert step_size("separable", steep, 0.25, 1e-6) == 0.25
+        with pytest.raises(InvalidConfig, match=r"1/3\.99999"):
+            step_size("separable", steep, 0.5, 1e-6)
         f = quadratic_bowl()
-        assert step_size("generic", f, None) == step_size("generic", f, eta_generic(f))
+        assert step_size("generic", f, None, 1e-6) == step_size("generic", f, eta_generic(f), 1e-6)
         with pytest.raises(InvalidConfig, match="pins eta"):
-            step_size("generic", f, 2 * eta_generic(f))
+            step_size("generic", f, 2 * eta_generic(f), 1e-6)
 
     def test_eta_required_and_ranged(self):
         sep = SeparableObjective(ScalarFunction.named("sin"), n=2, grad_bound=1.0)
@@ -663,6 +670,30 @@ class TestDiagonalFastPath:
                 assert vectors == [n]
                 vectors.clear()
 
+    def test_recorded_gradient_hashes_only_its_slots(self, monkeypatch):
+        # Every encoding of a gradient build is a slot map, and its audit id
+        # hashes those slots alone, so the ids cost the same at every n.
+        hashed = []
+        original = bc._digest
+
+        def spied(data, dim):
+            hashed.append(len(data) if type(data) is dict else f"vector of {len(data)}")
+            return original(data, dim)
+
+        forms = []
+        for n in (2**10, 2**16):
+            objective = _canonical_objective(n, 3, 4, 3)
+            with bc.recording(bc.AuditLog()):
+                iterate = bc.diag_encode(_probe_start(n))  # its id hashes the vector here
+                monkeypatch.setattr(bc, "_digest", spied)
+                build_gradient_be(iterate, objective, eps=1e-6)
+                monkeypatch.undo()
+            forms.append(hashed.copy())
+            hashed.clear()
+        # Measured: 55 ids, of slot maps with 1, 3 or 5 slots.
+        assert forms[0] == forms[1]
+        assert len(forms[0]) == 55 and set(forms[0]) == {1, 3, 5}
+
     def test_separable_run_samples_the_polynomial_grid_once(self, monkeypatch):
         calls = []
         original = ChebyshevPoly.eval_unchecked
@@ -672,6 +703,7 @@ class TestDiagonalFastPath:
             return original(poly, xs)
 
         monkeypatch.setattr(ChebyshevPoly, "eval_unchecked", counted)
+        chebyshev.approx_derivative.cache_clear()  # a cached poly has its grid_sup already
         n, steps = 8, 4
         objective = SeparableObjective(ScalarFunction.named("sin", 1.0), n, 1.0)
         x0 = initial_state_uniform(0.1, 1.0, steps, n)
@@ -743,6 +775,21 @@ class TestBoxChecks:
         classical_gd(separable, x0, 0.1, steps)
         # x0 once per oracle run; its iterates are checked by first_outside_box.
         assert calls == [n, n, n, n]
+
+    def test_nan_coordinates_lie_outside_the_box(self):
+        nan_first = [math.nan, 0.1, 0.0, 0.0]
+        generic = _canonical_objective(4, 2, 3, 2)
+        separable = SeparableObjective(ScalarFunction.named("sin", 1.0), 4, 1.0)
+        for objective in (generic, separable):
+            for call in (objective.evaluate, objective.gradient,
+                         lambda x, f=objective: classical_gd(f, x, 0.1, 2)):
+                with pytest.raises(DomainViolation, match=r"x\[0\] = nan"):
+                    call(nan_first)
+        # The gradient at 0.4 is inf - inf, so the oracle's first iterate is NaN.
+        blowup = ObjectiveFunction(1, 1.0, (MonomialTerm(1e308, (2,)), MonomialTerm(-1e308, (3,))))
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(DomainExit) as info:
+            classical_gd(blowup, [0.4], 0.1, 2)
+        assert info.value.step == 1
 
     @pytest.mark.parametrize("method", ["evaluate", "gradient"])
     def test_public_calls_outside_the_box_still_raise(self, method):
