@@ -108,9 +108,9 @@ from .polyfunc import cached_attribute
 
 NORM_TOL = 1e-10
 DIAG_TOL = 1e-12
-# The margin delta of every amplification (its audit record logs "delta"):
-# the boosted corner norm must stay below 1 - AMP_MARGIN = 1/2, the iterates'
-# containment bound, and the repetition count grows as 1/AMP_MARGIN.
+# The margin delta of every amplification (its audit record logs "delta"): the
+# boosted corner norm must not exceed 1 - AMP_MARGIN = 1/2, the containment
+# bound max_i |x_i| <= 1/2, and the repetition count grows as 1/AMP_MARGIN.
 AMP_MARGIN = 0.5
 
 
@@ -589,13 +589,14 @@ def scale_down(enc: BlockEncoding, p: float) -> BlockEncoding:
 
 
 def amplify(enc: BlockEncoding, gamma: float, eps_target: float) -> BlockEncoding:
-    """Boost the corner by gamma > 1, requiring ||gamma * corner|| < 1 - AMP_MARGIN.
+    """Boost the corner by gamma > 1, requiring ||gamma * corner|| <= 1 - AMP_MARGIN.
 
     Realized at desk scale as an exact rescale; the multiplicative
     singular-value perturbation allowed by the construction is charged to
     the error budget instead of being injected.  Uses m =
     ceil((2*gamma/AMP_MARGIN) * ln(4*gamma/eps_target)) repetitions, one
-    extra ancilla; the bound on the boosted norm is strict.
+    extra ancilla.  The bound is closed, as in GSLW 2019's amplification
+    lemma; rounding is monotone, so every output entry has |gamma*d_i| <= 1/2.
     """
     gamma = float(gamma)
     eps_target = float(eps_target)
@@ -605,10 +606,9 @@ def amplify(enc: BlockEncoding, gamma: float, eps_target: float) -> BlockEncodin
     if not 0.0 < eps_target < math.inf:
         raise InvalidErrorBudget(f"eps_target must be positive and finite, got {eps_target}")
     boosted_norm = gamma * enc.norm
-    if not boosted_norm < 1.0 - AMP_MARGIN:
+    if not boosted_norm <= 1.0 - AMP_MARGIN:
         raise NormBoundViolated(
-            f"||gamma * corner|| = {boosted_norm} must stay strictly below "
-            f"{1.0 - AMP_MARGIN}"
+            f"||gamma * corner|| = {boosted_norm} must not exceed {1.0 - AMP_MARGIN}"
         )
     reps = (2.0 * gamma / AMP_MARGIN) * math.log(4.0 * gamma / eps_target)
     if not math.isfinite(reps):

@@ -358,13 +358,11 @@ def _number_texts(trace: DescentTrace) -> tuple[list, list]:
             shared[rows.size:].reshape(grads.shape).tolist())
 
 
-def _trace_doc(trace: DescentTrace, texts: tuple[list, list] | None = None) -> dict:
+def _trace_doc(trace: DescentTrace, texts: tuple[list, list]) -> dict:
     """The trace.json document: the run's fields and one entry per iterate.
 
-    texts is _number_texts(trace), made here unless the caller shares it.
+    texts is _number_texts(trace), which the caller shares with _trace_csv.
     """
-    if texts is None:
-        texts = _number_texts(trace)
     doc = {
         "mode": trace.mode, "n": trace.n, "eta": trace.eta, "eps": trace.eps,
         "T": trace.steps, "grad_bound": trace.grad_bound, "probability": trace.probability,
@@ -382,14 +380,12 @@ def _trace_doc(trace: DescentTrace, texts: tuple[list, list] | None = None) -> d
     return doc
 
 
-def _trace_csv(trace: DescentTrace, texts: tuple[list, list] | None = None) -> str:
+def _trace_csv(trace: DescentTrace, texts: tuple[list, list]) -> str:
     """The trace.csv text: a header t,x0,...,x{n-1} and each iterate's reprs.
 
-    texts is _number_texts(trace), made here unless the caller shares it.  The
-    iterates are finite (each one was encoded), so their texts are their reprs.
+    texts is _number_texts(trace).  The iterates are finite (each one was
+    encoded), so their texts are their reprs.
     """
-    if texts is None:
-        texts = _number_texts(trace)
     lines = ["t," + ",".join(f"x{i}" for i in range(trace.n))]
     lines += [f"{t}," + ",".join(x) for t, x in enumerate(texts[0])]
     return "\n".join(lines) + "\n"

@@ -19,10 +19,10 @@ holds by construction while the net inserted factor stays exactly eta.
 
 Iterates are read directly off the diagonal corner (the simulator's
 privilege); the measurement-style read-out still reports the terminal
-post-selection probability.  Containment is enforced at run time: every
-step's amplification requires the next iterate's infinity norm to stay
-strictly below 1/2, so a bad schedule raises rather than silently clipping.
-That bound is 1 - blockcalc.AMP_MARGIN, the margin amplify applies itself.
+post-selection probability.  Containment, max_i |x_i| <= 1/2, is enforced
+at run time: every step's amplification requires it of the next iterate,
+so a bad schedule raises rather than silently clipping.  That bound is
+1 - blockcalc.AMP_MARGIN, the margin amplify applies itself.
 
 Nothing here takes an audit log: each blockcalc primitive records itself
 into the log of the enclosing ``blockcalc.recording(log)`` block, so a
@@ -119,9 +119,10 @@ class DescentTrace:
     holds the COUNTERS of each iterate as Python ints (long runs outgrow
     int64).  ``records`` builds IterationRecords from the columns on each
     read.  Equality compares every field, the arrays by value.
-    ``schedule_bound_ok`` records whether ||x0||_2 <= 1/2 - eta*M*T held (the
-    sufficient containment condition); runs with explicit initial vectors may
-    proceed without it, relying on the runtime norm guards instead.
+    ``schedule_bound_ok`` records whether max_i |x0_i| <= 1/2 - eta*M*T held
+    (the sufficient containment condition a uniform start is built to); runs
+    with explicit initial vectors may proceed without it, relying on the
+    runtime norm guards instead.
     ``ancillas`` counts naive cumulative consumption; per-iteration deltas
     are available via per_iteration_deltas() since reuse is not modeled.
     """
@@ -231,12 +232,9 @@ def initial_state_uniform(eta: float, grad_bound: float, steps: int, n: int) -> 
     """First n amplitudes of the uniform q-qubit state meeting the schedule.
 
     q = ceil(log2(1/(1/2 - eta*M*T)^2)), raised to ceil(log2 n) when n needs
-    more amplitudes and to 3 when T >= 1; each amplitude is 2**(-q/2), so the
-    diagonal operator built from the result has norm max_i |x_i| <=
-    1/2 - eta*M*T by construction.  The floor q >= 3 matters only at slack
-    exactly 1/2 (eta*M*T = 0, or below half an ulp of 1/2): there q = 2 would
-    put x0 on 1/2, and the first step's amplification needs a norm strictly
-    below it.
+    more amplitudes; each amplitude is 2**(-q/2), so the diagonal operator
+    built from the result has norm max_i |x_i| <= 1/2 - eta*M*T by
+    construction.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -246,7 +244,7 @@ def initial_state_uniform(eta: float, grad_bound: float, steps: int, n: int) -> 
             f"eta*M*T = {eta * grad_bound * steps} must stay below 1/2"
         )
     q = math.ceil(math.log2(1.0 / slack**2))
-    q = max(q, math.ceil(math.log2(n)), 3 if steps else 2)
+    q = max(q, math.ceil(math.log2(n)))
     amplitude = 1.0 / math.sqrt(2.0**q)
     return np.full(n, amplitude)
 
@@ -255,7 +253,7 @@ def _apply_scalar_factor(enc: BlockEncoding, factor: float, eps: float) -> Block
     """Multiply a corner by a real scalar via scale-down / amplification.
 
     |factor| < 1 is a plain down-scale, |factor| > 1 an amplification
-    (subject to its strict norm bound); a negative sign rides on a one-term
+    (subject to its norm bound); a negative sign rides on a one-term
     signed average.  A factor that would push the corner past unit norm is
     rejected: the caller's gradient bound M is too small.  A factor without
     a finite reciprocal (0 or subnormal) fails in scale_down (InvalidScale).
@@ -341,7 +339,7 @@ def gd_step_generic(
     """One update: signed average of iterate and gradient, then remove the 1/2.
 
     The amplification precondition is exactly the containment requirement
-    max_i |x_{i,t+1}| < 1/2; its failure signals an invalid schedule.
+    max_i |x_{i,t+1}| <= 1/2; its failure signals an invalid schedule.
     """
     halved = bc.lcu([iterate, gradient], [1, -1])
     return bc.amplify(halved, 2.0, eps)
@@ -397,7 +395,9 @@ def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> Desc
     step maps the iterate encoding to the next one; a NormBoundViolated or
     InvalidErrorBudget it raises is re-raised with the index of the
     offending step.  The objective is read without a box check: x0 passed
-    check_point, and every later iterate passed amplify's bound ||x|| < 1/2.
+    check_point and each later iterate amplify's max_i |x_i| <= 1/2.  As
+    |df/dx_i| <= M on the box, a step moves a coordinate by at most eta*M,
+    so schedule_bound_ok is max_i |x0_i| <= 1/2 - eta*M*T.
     """
     vec = check_point(x0, objective.n)
     enc = bc.diag_encode(vec)
@@ -433,7 +433,7 @@ def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> Desc
         steps=cfg.steps,
         grad_bound=objective.grad_bound,
         probability=bc.apply_postselect(enc, uniform).prob,
-        schedule_bound_ok=bool(float(np.linalg.norm(vec)) <= radius + DOMAIN_TOL),
+        schedule_bound_ok=bool(float(np.abs(vec).max()) <= radius + DOMAIN_TOL),
         norm_safety_ok=first_outside_box(rows) is None,
         rows=rows,
         gradients=gradients,
@@ -447,7 +447,7 @@ def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> Desc
 def run_generic(objective: ObjectiveFunction, x0, cfg: DescentConfig) -> DescentTrace:
     """Drive T generic steps from diag-encoded x0 and trace every iterate.
 
-    The sufficient containment condition ||x0||_2 <= 1/2 - eta*M*T is
+    The sufficient containment condition max_i |x0_i| <= 1/2 - eta*M*T is
     recorded on the trace, not enforced up front: objectives that contract
     (or an explicit, well-chosen x0) may run safely far beyond it, and any
     actual violation surfaces as NormBoundViolated at the offending step.

@@ -73,7 +73,7 @@ class InvalidErrorBudget(BlockgdError, ValueError):
 
 
 class NormBoundViolated(BlockgdError):
-    """Amplification requires the boosted corner norm to stay below 1 - AMP_MARGIN."""
+    """Amplification requires the boosted corner norm not to exceed 1 - AMP_MARGIN."""
     exit_code = 4
 
 

@@ -62,11 +62,14 @@ MUTANTS = (
            (f"{GOLDEN}::test_quadratic_audit_run",)),
     Mutant("chebyshev_trim", "chebyshev.py", "eps / (10.0 * degree))", "eps / degree)",
            ("tests/test_chebyshev.py::TestApproxDerivative::test_trim_threshold_sets_the_degree",)),
-    Mutant("uniform_floor", "descent.py", "3 if steps else 2)", "2)",
-           (f"{DESCENT}::TestInitialStateUniform::test_saturated_slack_with_steps_stays_below_half",)),
     Mutant("schedule_two_norm", "descent.py",
-           "bool(float(np.linalg.norm(vec)) <= radius", "bool(float(np.abs(vec).max()) <= radius",
-           (f"{GOLDEN}::test_separable_audit_run",)),
+           "bool(float(np.abs(vec).max()) <= radius", "bool(float(np.linalg.norm(vec)) <= radius",
+           (f"{GOLDEN}::test_separable_audit_run",
+            f"{DESCENT}::TestRunSeparable::test_schedule_flag_is_the_max_norm_bound")),
+    Mutant("amplify_bound_closed", "blockcalc.py", "if not boosted_norm <= 1.0 - AMP_MARGIN:",
+           "if not boosted_norm < 1.0 - AMP_MARGIN:",
+           (f"{BLOCKCALC}::TestAmplify::test_norm_bound_is_closed",
+            f"{CLI}::TestValidateConfig::test_exact_saturation_runs_onto_the_closed_bound")),
     Mutant("qsvt_divisor_margin", "descent.py", "2.0 * poly.grid_sup * (1.0 + 1e-12)",
            "2.0 * poly.grid_sup", (f"{GOLDEN}::test_separable_audit_run",),
            survives="equivalent while rounding stays below NORM_TOL: without the margin the "
@@ -94,8 +97,8 @@ MUTANTS = (
             "test_integer_arguments_are_coerced_by_operator_index",)),
     Mutant("norm_safety_flag", "descent.py", "norm_safety_ok=first_outside_box(rows) is None",
            "norm_safety_ok=True", (GOLDEN, f"{DESCENT}::TestTraceShape"),
-           survives="x0 passed check_point and every later iterate passed amplify's strict "
-                    "bound ||x|| < 1/2, so no row of a finished run lies outside the box"),
+           survives="x0 passed check_point and every later iterate passed amplify's "
+                    "bound max|x_i| <= 1/2, so no row of a finished run lies outside the box"),
     Mutant("check_int_rejects_bool", "cli.py",
            "isinstance(value, int) and not isinstance(value, bool) and low <= value",
            "isinstance(value, int) and low <= value",
@@ -141,6 +144,31 @@ MUTANTS = (
     Mutant("objective_size_index", "polyfunc.py", 'n = as_index(objective.n, "n")',
            "n = int(objective.n)",
            ("tests/test_polyfunc.py::TestConstruction::test_size_is_coerced_by_operator_index",)),
+    Mutant("eta_generic", "descent.py", "k_eff = sum(1 for t in objective.terms if t.support)",
+           "k_eff = len(objective.terms)",
+           (f"{DESCENT}::TestEtaGeneric::test_constant_terms_do_not_count",)),
+    Mutant("certified_grad_power", "polyfunc.py", "HALF ** (degree - 1)", "HALF ** degree",
+           ("tests/test_polyfunc.py::TestCertifiedBounds::test_bounds_the_grid_maxima",)),
+    Mutant("classical_gd_update", "oracle.py", "x = x - eta * objective._gradient(x)",
+           "x = x + eta * objective._gradient(x)",
+           ("tests/test_oracle.py::TestClassicalGd::test_quadratic_contraction_closed_form",)),
+    Mutant("report_within_bound", "cli.py", '"within_bound": bool(max_dev <= bound)',
+           '"within_bound": bool(max_dev < bound)',
+           (f"{CLI}::test_exit_codes_of_validate_config_and_run",)),
+    # Each error class's exit code, moved to the internal-error code 1.
+    *(Mutant(f"exit_code_{code}", "errors.py", f"exit_code = {code}", "exit_code = 1",
+             (f"{CLI}::TestExitCodes::test_every_error_family_has_one_code",))
+      for code in (3, 4, 5, 6)),
+    # Alpha rules: a product multiplies its inputs' alphas, a transform starts afresh at 1.
+    Mutant("product_alpha", "blockcalc.py", "a.alpha * b.alpha", "max(a.alpha, b.alpha)",
+           (f"{BLOCKCALC}::TestProduct::test_alphas_multiply",)),
+    Mutant("qsvt_alpha", "blockcalc.py", "transformed, enc.dim, 1.0,",
+           "transformed, enc.dim, enc.alpha,",
+           (f"{BLOCKCALC}::TestQsvtTransform::test_output_is_a_fresh_unit_alpha_encoding",)),
+    Mutant("degree_cap_inclusive", "chebyshev.py", "while degree <= DEGREE_CAP:",
+           "while degree < DEGREE_CAP:",
+           ("tests/test_chebyshev.py::TestApproxDerivative::"
+            "test_the_cap_itself_is_a_candidate_degree",)),
 )
 
 # What the named tests read besides src/ and tests/.

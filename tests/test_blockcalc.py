@@ -214,6 +214,11 @@ class TestProduct:
         with pytest.raises(DimensionMismatch):
             bc.product(bc.diag_encode([0.5, 0.5]), bc.diag_encode([0.5] * 4))
 
+    def test_alphas_multiply(self):
+        a = BlockEncoding(np.diag([0.5, 0.5]), alpha=2.0)
+        b = BlockEncoding(np.diag([0.4, 0.4]), alpha=3.0)
+        assert bc.product(a, b).alpha == 6.0
+
 
 class TestLcu:
     def test_signed_difference(self):
@@ -293,6 +298,15 @@ class TestAmplify:
         with pytest.raises(NormBoundViolated):
             bc.amplify(enc, 2.0, 1e-6)  # 0.6 > 1/2
 
+    def test_norm_bound_is_closed(self):
+        # The containment bound max_i |x_i| <= 1/2 is closed: a boosted norm of
+        # exactly 1/2 passes, and the next float above it does not.
+        out = bc.amplify(bc.diag_encode([0.25, -0.1]), 2.0, 1e-6)
+        assert out.norm == 0.5
+        above = bc.diag_encode([np.nextafter(0.25, 1), 0.0])
+        with pytest.raises(NormBoundViolated, match="= 0.5000000000000001 must not exceed 0.5"):
+            bc.amplify(above, 2.0, 1e-6)
+
     def test_gamma_must_exceed_one(self):
         enc = bc.diag_encode([0.3, 0.0])
         with pytest.raises(InvalidScale):
@@ -341,6 +355,12 @@ class TestQsvtTransform:
         enc = bc.diag_encode([0.4, 0.2])
         out = bc.qsvt_transform(enc, Polynomial([0.0, 0.0, 0.5]), 2)
         assert np.allclose(np.diag(out.corner), [0.08, 0.02])
+
+    def test_output_is_a_fresh_unit_alpha_encoding(self):
+        enc = BlockEncoding(np.diag([0.3, -0.2]), alpha=2.0, eps=1e-4)
+        out = bc.qsvt_transform(enc, Polynomial([0.0, 0.5]), 1)
+        assert out.alpha == 1.0
+        assert out.eps == pytest.approx(4 * math.sqrt(1e-4 / 2.0))
 
     def test_eps_formula(self):
         enc = BlockEncoding(np.diag([0.3, 0.3]), alpha=1.0, eps=1e-4)
@@ -925,3 +945,33 @@ class TestSlotMapIds:
         assert len(enc._id) == 12
         assert "_vec" not in enc.__dict__
         assert 0 < CountingSha1.fed <= 24 * len(slots) + 64
+
+
+def _set_alpha(enc):
+    enc.alpha = 2.0
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: BlockEncoding(np.zeros((2, 3))), DimensionMismatch,
+     "corner must be square, got shape (2, 3)"),
+    (lambda: _set_alpha(bc.diag_encode([0.1, 0.2])), AttributeError,
+     "BlockEncoding is immutable; cannot set 'alpha'"),
+    (lambda: bc.projector_encode(3, 4), IndexOutOfRange, "index 4 not in [0, 4)"),
+    (lambda: bc.entry_project(bc.diag_encode([0.1, 0.2]), 0, 2), IndexOutOfRange,
+     "target index 2 not in [0, 2)"),
+    (lambda: bc.lcu([], []), ValueError, "lcu requires at least one encoding"),
+    (lambda: bc.lcu([bc.diag_encode([0.1, 0.2])], [1, 1]), ValueError,
+     "signs and encodings must have equal length"),
+    (lambda: bc.lcu([bc.diag_encode([0.1, 0.2])] * 2, [1, 2]), ValueError,
+     "signs must be +/-1, got [1, 2]"),
+    (lambda: bc.lcu([bc.diag_encode([0.1, 0.2]), bc.diag_encode([0.1] * 4)], [1, 1]),
+     DimensionMismatch, "lcu inputs must share one dimension"),
+    (lambda: bc.apply_postselect(bc.diag_encode([0.1, 0.2]), [1.0, 0.0, 0.0, 0.0]),
+     DimensionMismatch, "state has dim 4, corner 2"),
+], ids=["non-square-corner", "setattr", "projector-index", "entry-project-target",
+        "lcu-empty", "lcu-signs-length", "lcu-sign-value", "lcu-dimensions",
+        "postselect-dimension"])
+def test_argument_errors_name_their_rule(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -3,6 +3,7 @@ import pytest
 from numpy.polynomial import chebyshev as ncheb
 
 from blockgd.chebyshev import (
+    DEGREE_CAP,
     ChebyshevPoly,
     ScalarFunction,
     SeparableObjective,
@@ -105,6 +106,11 @@ class TestApproxDerivative:
             approx_derivative(ScalarFunction.named("sin"), 0.3)
         with pytest.raises(ValueError):
             approx_derivative(ScalarFunction.named("sin"), 0.0)
+
+    def test_the_cap_itself_is_a_candidate_degree(self):
+        # sin at scale 600 misses 1e-6 at degree 256 and meets it at 512, the cap.
+        poly = approx_derivative(ScalarFunction.named("sin", 600.0), 1e-6)
+        assert 256 < poly.degree <= DEGREE_CAP
 
     def test_degree_cap_exceeded(self):
         # A needle-sharp gaussian derivative is not approximable at 1e-6

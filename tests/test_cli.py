@@ -30,6 +30,7 @@ from blockgd.cli import (
     MAX_TERM_DEGREE,
     MAX_TRACE_ENTRIES,
     _json_text,
+    _number_texts,
     _trace_csv,
     _trace_doc,
     main,
@@ -250,6 +251,18 @@ SATURATED_UNIFORM_DOCS = [
         "kind": "named", "name": "sin", "scale": 1.0, "n": 4, "M": 1.0},
         "x0": {"uniform_q": "auto"}, "T": 1, "eps": 1e-3, "eta": 1e-20},
         EXIT_OK, id="uniform-slack-half-eta-absorbed"),
+]
+
+
+# Uniform starts at exact saturation (max|x0| == 1/2 - eta*M*T) under F' = -1,
+# which pushes every coordinate outward by exactly eta*M per step: the last
+# step lands each coordinate on the closed bound 1/2.
+EXACT_SATURATION_DOCS = [
+    pytest.param({"mode": "separable", "objective": {"kind": "poly", "coeffs": [0, -1],
+                                                     "n": 4, "M": 1.0},
+                  "x0": {"uniform_q": "auto"}, "T": steps, "eps": 1e-6, "eta": eta},
+                 id=f"eta-{eta}-T{steps}")
+    for eta, steps in ((0.25, 1), (0.125, 2), (0.0625, 4))
 ]
 
 
@@ -530,6 +543,17 @@ class TestValidateConfig:
         assert not out.exists()
         validate_err, run_err = capsys.readouterr().err.splitlines()
         assert validate_err == run_err
+
+    @pytest.mark.parametrize("doc", EXACT_SATURATION_DOCS)
+    def test_exact_saturation_runs_onto_the_closed_bound(self, tmp_path, doc):
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["validate-config", "--config", str(path)]) == EXIT_OK
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["norm_safety"] == {
+            "max_abs_iterate": 0.5, "ok": True, "schedule_bound_ok": True}
+        assert report["deviation"]["max"] == 0.0
 
     def test_factor_error_names_no_sorted_index(self, tmp_path, capsys):
         path = write_config(tmp_path, FACTOR_SUBNORMAL_DOC)
@@ -1022,9 +1046,9 @@ class TestGoldenArtifacts:
         }),
         (SEPARABLE, {
             "audit.jsonl": "856ffb2bea89555883185f0323a4fd5de95c91f5fea56ec94eb304027168a24d",
-            "report.json": "3a5a4e15994b057f4d2a62bd4da00c9ade08c53c5cc9e01f84abf818548e4ec9",
+            "report.json": "541b53672c9e1b9df88c68da00f1380f86a27be60dc9b551561b435dd7291154",
             "trace.csv": "a192438fabef515aa8ac3d02532e6202b165bd0c8c921c0fcb5ad9ae1c64392c",
-            "trace.json": "46153336f63b83c8ea28c423a6a923b31452f999b97c759dd16fdd080b762c07",
+            "trace.json": "48ff488d18e4170d41018a0e38500b582b082f40ce74e6f743bd5639d2369c01",
         }),
     ], ids=["generic", "separable"])
     def test_zero_step_audit_run(self, tmp_path, config, digests):
@@ -1056,9 +1080,9 @@ class TestGoldenArtifacts:
         assert main(["run", "--config", str(SEPARABLE), "--audit", "--out", str(out)]) == EXIT_OK
         assert _sha256_of_files(out) == {
             "audit.jsonl": "0adabc2a18f59725ee5bb33b06cefce5598c961472475d8fbeff6df948bf5568",
-            "report.json": "0f09ffc92f64c1ce2165b037971aa0a65ef99658d3ee174d79412175d39f557d",
+            "report.json": "0c8fcf31dc833ad08316a117f60880d22d582e5fb72a38782c57363b90267fb3",
             "trace.csv": "8a946611af98ff383f93e9f4a10f24b6b023205e4971fe77943e4cc20ee04289",
-            "trace.json": "7bf9f992f211b363d727b97ed167151be582f6a2f36f122ab1dd486f3bb8d463",
+            "trace.json": "8c058b7d7d7ef1b087b44735dc561a5d7bfcef323137e3c057356fcbf52ae04c",
         }
         assert replay((out / "audit.jsonl").read_text()) is None
 
@@ -1139,9 +1163,9 @@ class TestGoldenArtifacts:
         assert replay((out / "generic" / "audit.jsonl").read_text()) is None
         assert _sha256_of_files(out / "separable") == {
             "audit.jsonl": "82b18f9affb186999bcd42cc3f51e77c1350eb0993c152641a04548f09c010e4",
-            "report.json": "6fb92155f96112ff2fddd5877069f77b0a112ef0d9d1669df8e6f1d73259b47a",
+            "report.json": "ab51f6a0ce5d3b08ba532deca690b1cc18be9b514a434c2eaa7fbcd13ca6244d",
             "trace.csv": "a038e00cd8d3dca0791f700e69619709930ff5cddfc05f018bee4693f95c6915",
-            "trace.json": "30e20fc7e5baf21557beff6d0bfe5620803f9af562aa7ebcf5815d478dd70bc6",
+            "trace.json": "97d1c6468f44de62ed2114db8ea57d449205a565dcd67b0719ca42f24d13a17d",
         }
         assert replay((out / "separable" / "audit.jsonl").read_text()) is None
 
@@ -1269,10 +1293,12 @@ class TestTraceWriters:
                 for r in trace.records
             ],
         }
-        assert _json_text(_trace_doc(trace)) == json.dumps(ref, sort_keys=True, indent=2) + "\n"
+        texts = _number_texts(trace)
+        doc = _trace_doc(trace, texts)
+        assert _json_text(doc) == json.dumps(ref, sort_keys=True, indent=2) + "\n"
         lines = ["t," + ",".join(f"x{i}" for i in range(trace.n))]
         lines += [f"{t}," + ",".join(map(repr, x)) for t, x in enumerate(trace.rows.tolist())]
-        assert _trace_csv(trace) == "\n".join(lines) + "\n"
+        assert _trace_csv(trace, texts) == "\n".join(lines) + "\n"
 
     def test_formatting_calls_count_distinct_numbers_at_every_n(self, tmp_path, monkeypatch):
         # A constant start changes only the coordinates in the terms' supports

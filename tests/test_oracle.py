@@ -152,3 +152,10 @@ class TestFiniteDiffGrad:
         f = ObjectiveFunction(1, 1.0, (MonomialTerm(1.0, (2,)),))
         with pytest.raises(DomainViolation):
             finite_diff_grad(f, [0.5], 1e-3)
+
+
+@pytest.mark.parametrize("steps", [-1, -2**70])
+def test_negative_step_count_is_rejected(steps):
+    with pytest.raises(ValueError) as info:
+        classical_gd(quadratic_bowl(), [0.2, 0.1], 0.1, steps)
+    assert type(info.value) is ValueError and str(info.value) == "steps must be non-negative"

@@ -293,3 +293,18 @@ class TestJsonSchema:
         with pytest.raises(SchemaError) as err:
             load_objective(doc)
         assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ObjectiveFunction(0, 1.0, ()), "n must be >= 1, got 0"),
+    (lambda: SeparableObjective(ScalarFunction.named("sin"), -3, 1.0), "n must be >= 1, got -3"),
+    (lambda: ObjectiveFunction(1, 0.0, ()), "grad_bound must be positive and finite, got 0.0"),
+    (lambda: ObjectiveFunction(1, -1.0, ()), "grad_bound must be positive and finite, got -1.0"),
+    (lambda: SeparableObjective(ScalarFunction.named("sin"), 1, math.inf),
+     "grad_bound must be positive and finite, got inf"),
+    (lambda: ObjectiveFunction(1, math.nan, ()), "grad_bound must be positive and finite, got nan"),
+], ids=["generic-n", "separable-n", "m-zero", "m-negative", "m-inf", "m-nan"])
+def test_size_and_bound_errors_name_their_rule(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == message
