@@ -50,7 +50,7 @@ Per-call cost: a primitive on slot maps does O(number of slots) Python
 arithmetic; on vectors, a handful of O(N) numpy operations (its arithmetic,
 plus |d| and its max for the norm).  Both add a fixed amount of Python work:
 argument checks and one pass through _encoding, the one sealing path, which
-adds the inputs' plain (depth, queries, high-water) tuples to the own charge,
+adds the inputs' plain (depth, queries, ancillas) tuples to the own charge,
 checks the output and builds the one BlockEncoding.  No primitive builds a
 ResourceCounter: BlockEncoding.resources builds it from the tuple on first
 read.  A generic step's gradient has at most K*v slots, so only the
@@ -218,7 +218,7 @@ def _digest(data, dim: int) -> str:
 
 @dataclass(frozen=True)
 class ResourceCounter:
-    """Abstract cost ledger; all fields only ever grow under composition."""
+    """Cost ledger that only grows under composition; ancilla_high_water is the ancilla count."""
 
     depth_units: int = 0
     queries: int = 0
@@ -233,9 +233,9 @@ class BlockEncoding:
     a vector (see the module docstring); ``corner`` then builds the
     read-only N x N matrix on each access.  ``norm`` is the spectral norm,
     computed once at construction.  The counters are kept as the plain
-    tuple ``_counts`` = (depth, queries, high-water), which only _encoding
+    tuple ``_counts`` = (depth, queries, ancillas), which only _encoding
     (adding an input's ledger) and the audit summary read; ``resources``
-    builds the public ResourceCounter from it on first read and keeps it.
+    builds the ResourceCounter from it once, with ancilla_high_water = ancillas.
     """
 
     def __init__(self, corner, alpha: float = 1.0, ancillas: int = 0,
@@ -250,7 +250,9 @@ class BlockEncoding:
             grown[:n, :n] = mat
             mat = grown
         sealed = _encoding(mat, padded, alpha, eps, (), resources.depth_units,
-                           resources.queries, ancillas, resources.ancilla_high_water)
+                           resources.queries, ancillas)
+        if resources.ancilla_high_water > sealed.ancillas:
+            raise ValueError("ancilla_high_water must not exceed ancillas: the mark is the count")
         self.__dict__.update(sealed.__dict__)
 
     def __setattr__(self, name, value):
@@ -304,33 +306,31 @@ class BlockEncoding:
         The counters are ints and alpha and eps finite floats, whose repr is
         what json writes for them.
         """
-        depth, queries, high_water = self._counts
+        depth, queries, ancillas = self._counts
         return (
-            f'{{"alpha": {self.alpha!r}, "ancilla_high_water": {high_water!r}, '
-            f'"ancillas": {self.ancillas!r}, "depth_units": {depth!r}, '
+            f'{{"alpha": {self.alpha!r}, "ancilla_high_water": {ancillas!r}, '
+            f'"ancillas": {ancillas!r}, "depth_units": {depth!r}, '
             f'"eps": {self.eps!r}, "id": "{self._id}", "queries": {queries!r}}}'
         )
 
 
 def _encoding(data, dim: int, alpha: float, eps: float, inputs, depth: int, queries: int,
-              ancillas: int, high_water: int = 0) -> BlockEncoding:
+              ancillas: int) -> BlockEncoding:
     """Seal a corner, stored in the form data has, into a BlockEncoding.
 
     Every encoding is built here, the constructor's included: the norm
     (max |value| of a diagonal, the spectral norm of a dense matrix), the
     checks on norm, alpha, eps and ancillas, and the ledger, by the one rule:
     depth, queries and ancillas are the own charge plus the sum over the
-    operand positions ``inputs`` (product(x, x) charges x twice), and the
-    high-water mark is the largest of the inputs' marks, high_water and the
-    output's ancillas.  The constructor passes () and its given counters.
+    operand positions ``inputs`` (product(x, x) charges x twice).  No operand
+    then holds more ancillas than the output, so the ancilla count is also
+    the high-water mark.  The constructor passes () and its given counters.
     """
     for e in inputs:
-        d, q, h = e._counts
+        d, q, a = e._counts
         depth += d
         queries += q
-        ancillas += e.ancillas
-        if h > high_water:
-            high_water = h
+        ancillas += a
     if type(data) is dict:
         norm = 0.0
         for value in data.values():
@@ -367,7 +367,7 @@ def _encoding(data, dim: int, alpha: float, eps: float, inputs, depth: int, quer
             fields["_vec"] = data
     fields.update(
         _data=data, dim=dim, norm=norm, alpha=alpha, eps=eps, ancillas=ancillas,
-        _counts=(depth, queries, high_water if high_water > ancillas else ancillas),
+        _counts=(depth, queries, ancillas),
     )
     return enc
 

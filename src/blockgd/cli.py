@@ -607,7 +607,7 @@ def _cmd_validate_config(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    import argparse  # here: `import blockgd` loads this module, and only main parses
+    import argparse  # deferred: some in-process importers (bench's set-up) never parse
 
     parser = argparse.ArgumentParser(
         prog="blockgd",

@@ -123,8 +123,8 @@ class DescentTrace:
     (the sufficient containment condition a uniform start is built to); runs
     with explicit initial vectors may proceed without it, relying on the
     runtime norm guards instead.
-    ``ancillas`` counts naive cumulative consumption; per-iteration deltas
-    are available via per_iteration_deltas() since reuse is not modeled.
+    ``ancillas`` counts naive cumulative consumption and the high-water mark
+    equals it, since reuse is not modelled; per_iteration_deltas() has deltas.
     """
 
     mode: str
@@ -419,8 +419,7 @@ def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> Desc
         gradients[t] = objective._gradient(x)
         f_values.append(float(objective._evaluate(x)))
         eps_budgets.append(enc.eps)
-        depth, queries, high_water = enc._counts
-        counters.append((depth, queries, enc.ancillas, high_water))
+        counters.append((*enc._counts, enc.ancillas))  # the mark is the ancilla count
     rows.setflags(write=False)
     gradients.setflags(write=False)
     uniform = np.full(enc.dim, 1.0 / math.sqrt(enc.dim))

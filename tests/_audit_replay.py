@@ -8,8 +8,8 @@ restated here from the blockcalc docs rather than imported, so a log is
 checked against the rule as documented, not against the code that wrote it.
 
 The ledger rule: depth, queries and ancillas are the operation's own charge
-plus the sum over its operand positions, and the high-water mark is the
-largest of the inputs' marks and the output's ancillas.  No summary carries
+plus the sum over its operand positions, and the high-water mark equals the
+output's ancillas (reuse is not modelled).  No summary carries
 the dimension N: it is read from the params of diag_encode and
 projector_encode and carried along the output ids.  amplify's eps needs the
 input's norm, which no summary carries, so only its bound
@@ -57,14 +57,14 @@ def replay(jsonl: str):
         op, params, ins, out = rec["op"], rec["params"], rec["in"], rec["out"]
         dim = params["dim"] if "dim" in params else dims[ins[0]["id"]]
         depth, queries, ancillas, alpha, eps = _own(op, params, ins, int(math.log2(dim)))
+        ancillas += sum(e["ancillas"] for e in ins)
         want = {
             "alpha": alpha,
-            "ancillas": ancillas + sum(e["ancillas"] for e in ins),
+            "ancilla_high_water": ancillas,
+            "ancillas": ancillas,
             "depth_units": depth + sum(e["depth_units"] for e in ins),
             "queries": queries + sum(e["queries"] for e in ins),
         }
-        marks = [e["ancilla_high_water"] for e in ins]
-        want["ancilla_high_water"] = max([want["ancillas"], *marks])
         if eps is None:
             gamma, delta, target = params["gamma"], params["delta"], params["eps_target"]
             m = math.ceil((2.0 * gamma / delta) * math.log(4.0 * gamma / target))

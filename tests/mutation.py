@@ -158,13 +158,26 @@ MUTANTS = (
     # Each error class's exit code, moved to the internal-error code 1.
     *(Mutant(f"exit_code_{code}", "errors.py", f"exit_code = {code}", "exit_code = 1",
              (f"{CLI}::TestExitCodes::test_every_error_family_has_one_code",))
-      for code in (3, 4, 5, 6)),
-    # Alpha rules: a product multiplies its inputs' alphas, a transform starts afresh at 1.
+      for code in (2, 3, 4, 5, 6, 7)),
+    # Alpha rules: a product multiplies its inputs' alphas, a transform starts afresh at 1,
+    # and lcu, scale_down and amplify keep their input's alpha.
     Mutant("product_alpha", "blockcalc.py", "a.alpha * b.alpha", "max(a.alpha, b.alpha)",
            (f"{BLOCKCALC}::TestProduct::test_alphas_multiply",)),
     Mutant("qsvt_alpha", "blockcalc.py", "transformed, enc.dim, 1.0,",
            "transformed, enc.dim, enc.alpha,",
            (f"{BLOCKCALC}::TestQsvtTransform::test_output_is_a_fresh_unit_alpha_encoding",)),
+    *(Mutant(f"{op}_alpha", "blockcalc.py", old, new,
+             (f"{BLOCKCALC}::TestClosureAndCounters::"
+              "test_lcu_scale_down_and_amplify_keep_the_input_alpha",)) for op, old, new in (
+        ("lcu", "signs), dim, alpha,", "signs), dim, 1.0,"),
+        ("scale_down", "enc.dim, enc.alpha, enc.eps / p", "enc.dim, 1.0, enc.eps / p"),
+        ("amplify", "enc.dim, enc.alpha, gamma * enc.eps", "enc.dim, 1.0, gamma * enc.eps"),
+    )),
+    # The one rule of the constructor's counters: no high-water mark above ancillas.
+    Mutant("constructor_high_water", "blockcalc.py",
+           "resources.ancilla_high_water > sealed.ancillas:",
+           "resources.ancilla_high_water > sealed.ancillas + 1:",
+           (f"{BLOCKCALC}::TestBlockEncodingType::test_high_water_mark_is_the_ancilla_count",)),
     Mutant("degree_cap_inclusive", "chebyshev.py", "while degree <= DEGREE_CAP:",
            "while degree < DEGREE_CAP:",
            ("tests/test_chebyshev.py::TestApproxDerivative::"

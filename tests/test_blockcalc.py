@@ -98,6 +98,19 @@ class TestBlockEncodingType:
         with pytest.raises(ValueError):
             BlockEncoding(np.diag([0.5, 0.5]), alpha=0.5)
 
+    def test_high_water_mark_is_the_ancilla_count(self):
+        # A leaf's mark may not exceed its ancillas; a mark at or below them
+        # reads back as the ancilla count, as on every primitive's output.
+        rule = "^ancilla_high_water must not exceed ancillas: the mark is the count$"
+        with pytest.raises(ValueError, match=rule):
+            BlockEncoding(np.diag([0.5, 0.5]), ancillas=3,
+                          resources=bc.ResourceCounter(1, 2, ancilla_high_water=4))
+        for mark in (0, 2, 3):
+            enc = BlockEncoding(np.diag([0.5, 0.5]), ancillas=3,
+                                resources=bc.ResourceCounter(1, 2, ancilla_high_water=mark))
+            assert enc.resources == bc.ResourceCounter(1, 2, ancilla_high_water=3)
+            assert enc.summary()["ancilla_high_water"] == 3
+
     @pytest.mark.parametrize("corner, kwargs, error", [
         (np.diag([1.2, 0.0]), {}, NormTooLarge),
         (np.diag([math.nan, 0.1]), {}, NormTooLarge),
@@ -627,6 +640,7 @@ class TestStorageEquivalence:
             vec = reference_step(step, [vectors[j] for j in picked])
             assert out.diagonal().tobytes() == vec.tobytes(), i
             assert out.norm == float(np.abs(vec).max()), i
+            assert out.resources.ancilla_high_water == out.ancillas, i
             if all(svd_is_exact(e) for e in (*operands, out)):
                 twin = apply_step(step, twins)
                 assert_same_corner(out, twin, i)
@@ -697,6 +711,11 @@ class TestClosureAndCounters:
                     assert getattr(out.resources, field) >= max(
                         getattr(a.resources, field), 0
                     )
+
+    def test_lcu_scale_down_and_amplify_keep_the_input_alpha(self):
+        enc = BlockEncoding(np.diag([0.2, -0.1]), alpha=2.0, eps=1e-4)
+        outs = [bc.lcu([enc, enc], [1, -1]), bc.scale_down(enc, 3.0), bc.amplify(enc, 2.0, 1e-6)]
+        assert [out.alpha for out in outs] == [2.0, 2.0, 2.0]
 
     def test_counters_monotone_under_composition(self):
         x = bc.diag_encode([0.2, 0.1, 0.3, 0.05])

@@ -825,6 +825,40 @@ class TestNoInternalError:
         assert not out.exists()
 
 
+def _check_validate_config_and_run(tmp: Path, doc: dict) -> None:
+    """validate-config exits where run would; after it passes, run fails only in its steps.
+
+    Neither command exits 1; a non-zero validate-config code and message are
+    run's, and run then writes nothing; after validate-config exits 0, run
+    exits 0, 4, 5 or 7, never on the amplitude norm of x0; and run's exit 0
+    writes every artifact with the deviation within its bound, byte-identical
+    on a second run.
+    """
+    path = write_config(tmp, doc)
+    out = tmp / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        validate_code = main(["validate-config", "--config", str(path)])
+        validate_err = err.getvalue()
+        err.seek(0)
+        err.truncate()
+        run_code = main(["run", "--config", str(path), "--out", str(out)])
+    assert EXIT_INTERNAL not in (validate_code, run_code), err.getvalue()
+    if validate_code != EXIT_OK:
+        assert (run_code, err.getvalue()) == (validate_code, validate_err)
+        assert not out.exists()
+    else:
+        assert run_code in (EXIT_OK, EXIT_NORM, EXIT_POLY, EXIT_CONTRACT), err.getvalue()
+        assert "amplitude vector norm" not in err.getvalue()
+    if run_code == EXIT_OK:
+        assert {"trace.json", "trace.csv", "report.json"} <= {p.name for p in out.iterdir()}
+        report = json.loads((out / "report.json").read_text())
+        assert report["deviation"]["within_bound"]
+        again = tmp / "again"
+        assert main(["run", "--config", str(path), "--out", str(again)]) == EXIT_OK
+        assert _sha256_of_files(again) == _sha256_of_files(out)
+
+
 @pytest.mark.parametrize(
     "doc",
     [pytest.param({**GENERIC_DOC, **patch}, id=f"patch{i}")
@@ -833,21 +867,13 @@ class TestNoInternalError:
     # exponent-huge is left to its subprocess test: without its cap, run loops.
     + [pytest.param(p.values[0], id=p.id) for p in LIMIT_DOCS + DEGREE_CAP_DOCS
        if p.id != "exponent-huge"]
-    + RULE_DOCS,
+    + RULE_DOCS
+    + [pytest.param(GAUSSIAN_400_DOC, id="degree-cap"),
+       pytest.param(X0_NORM_DOC, id="x0-two-norm-above-1")],
 )
 def test_validate_config_agrees_with_run(tmp_path, doc):
-    """validate-config fails exactly where run fails before its pipeline.
-
-    run's exit 2 (schema) and 3 (infeasible schedule) come before any
-    pipeline work, and validate-config must give the same code; every other
-    run outcome means the config passed those checks, so it validates.
-    """
-    path = write_config(tmp_path, doc)
-    run_code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
-    validate_code = main(["validate-config", "--config", str(path)])
-    assert EXIT_INTERNAL not in (run_code, validate_code)
-    expected = run_code if run_code in (EXIT_SCHEMA, EXIT_INFEASIBLE) else EXIT_OK
-    assert validate_code == expected
+    """validate-config fails exactly where run fails before its first step."""
+    _check_validate_config_and_run(tmp_path, doc)
 
 
 # The run schema's edge values for the exit-code property below: each limit
@@ -925,38 +951,9 @@ def run_docs(draw):
 @example(GAUSSIAN_400_DOC)
 @example(X0_NORM_DOC)
 def test_exit_codes_of_validate_config_and_run(doc):
-    """validate-config exits where run would; after it passes, run fails only in its steps.
-
-    Both commands run in-process on each drawn config.  Neither exits 1; a
-    non-zero validate-config code and message are run's; after
-    validate-config exits 0, run exits 0, 4, 5 or 7, never on the amplitude
-    norm of x0; and run's exit 0 writes every artifact with the deviation
-    within its bound.
-    """
+    """Both commands run in-process on each drawn config (see _check_validate_config_and_run)."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_config(Path(tmp), doc)
-        out = Path(tmp) / "out"
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            validate_code = main(["validate-config", "--config", str(path)])
-            validate_err = err.getvalue()
-            err.seek(0)
-            err.truncate()
-            run_code = main(["run", "--config", str(path), "--out", str(out)])
-        assert EXIT_INTERNAL not in (validate_code, run_code), err.getvalue()
-        if validate_code != EXIT_OK:
-            assert (run_code, err.getvalue()) == (validate_code, validate_err)
-            assert not out.exists()
-        else:
-            assert run_code in (EXIT_OK, EXIT_NORM, EXIT_POLY, EXIT_CONTRACT), err.getvalue()
-            assert "amplitude vector norm" not in err.getvalue()
-        if run_code == EXIT_OK:
-            assert {"trace.json", "trace.csv", "report.json"} <= {p.name for p in out.iterdir()}
-            report = json.loads((out / "report.json").read_text())
-            assert report["deviation"]["within_bound"]
-            again = Path(tmp) / "again"
-            assert main(["run", "--config", str(path), "--out", str(again)]) == EXIT_OK
-            assert _sha256_of_files(again) == _sha256_of_files(out)
+        _check_validate_config_and_run(Path(tmp), doc)
 
 
 # compare-costs edge values for the property below: each integer's limits and
