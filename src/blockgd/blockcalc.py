@@ -50,32 +50,38 @@ Per-call cost: a primitive on slot maps does O(number of slots) Python
 arithmetic; on vectors, a handful of O(N) numpy operations (its arithmetic,
 plus |d| and its max for the norm).  Both add a fixed amount of Python work:
 argument checks and one pass through _encoding, the one sealing path, which
-adds the inputs' plain (depth, queries, ancillas) tuples to the own charge,
-checks the output and builds the one BlockEncoding.  No primitive builds a
-ResourceCounter: BlockEncoding.resources builds it from the tuple on first
-read.  A generic step's gradient has at most K*v slots, so only the
-iterate update (one lcu and one amplify on vectors) costs O(N); the hot path
-avoids copies of stored data and generic Python passes over the operands.
-A recorded primitive adds the output's id, a SHA-1 over the indices and
-values of its non-zeros (O(slots) for a slot map, 16*N bytes for a full
-vector), plus one summary text and one JSON line built from text.  A slot
-map's id is one sha1 call on one buffer that struct packs; a vector's or a
-dense corner's id hashes numpy's bytes of the same layout.
+adds the inputs' plain (depth, queries) tuples and ancilla counts to the own
+charge, checks the output and builds the one BlockEncoding, which keeps its
+ancilla count once, as ``ancillas``.  No primitive builds a ResourceCounter:
+BlockEncoding.resources builds it on first read.  product and lcu hand the
+stored corners to the storage operations as they are when every input is a
+slot map, and lcu adds up eps in its check loop.  A generic step's gradient has at most K*v slots,
+so only the iterate update (one lcu and one amplify on vectors) costs O(N);
+the hot path avoids copies of stored data and generic Python passes over the
+operands.  With no log active, that is all: a primitive reads the active
+log once and builds no record arguments.  A recorded primitive adds the
+output's id, a SHA-1 over the indices and values of its non-zeros (O(slots)
+for a slot map, 16*N bytes for a full vector), plus one summary text and one
+JSON line built from text.  A slot map's id is one sha1 call on one buffer
+that struct packs; a vector's or a dense corner's id hashes numpy's bytes of
+the same layout.
 
 Recording: within ``with recording(log):`` every primitive that makes an
-encoding appends one record to the AuditLog log, through AuditLog.record;
-elsewhere nothing is recorded.  The active log is held in a ContextVar that
-_log alone reads, so neither the primitives nor the descent code that calls
-them takes a log argument.  Each encoding renders its summary to JSON text
-once, when it is first an output or an input, and later records reuse that
-text; a record's line is joined from those texts and from its parameters,
-rendered in one pass over their sorted names, as it is appended.  The
-lazy values of an encoding (its vector, id, summary text and
-ResourceCounter) are cached_attribute descriptors: the first read stores the
-value in the instance dict and takes no lock, unlike functools.cached_property
-on Python 3.11.  The log keeps only the lines: AuditLog.to_jsonl joins them,
-and AuditLog.records parses each line once, on the first read after it was
-appended.
+encoding appends one record to the AuditLog log, through _log and
+AuditLog.record; elsewhere nothing is recorded.  The active log is held in a
+ContextVar, so neither the primitives nor the descent code that calls them
+takes a log argument.  Each primitive checks it once after sealing its
+output and calls _log only when a log is active, so an unrecorded call
+builds no inputs list or parameters and makes no second call.  Each
+encoding renders its summary to JSON text once, when it is first an output
+or an input, and later records reuse that text; a record's line is joined
+from those texts and from its parameters, rendered in one pass over their
+sorted names, as it is appended.  The lazy values of an encoding (its
+vector, id, summary text and ResourceCounter) are cached_attribute
+descriptors: the first read stores the value in the instance dict and takes
+no lock, unlike functools.cached_property on Python 3.11.  The log keeps only
+the lines: AuditLog.to_jsonl joins them, and AuditLog.records parses each
+line once, on the first read after it was appended.
 """
 
 from __future__ import annotations
@@ -133,14 +139,16 @@ def _vector(slots: dict, dim: int) -> np.ndarray:
     return vec
 
 
-def _over(value: complex, p: float) -> complex:
-    """value / p for a real p > 0, rounded as numpy's complex division rounds it."""
+def _over(slots: dict, p: float) -> dict:
+    """Each slot value / p for a real p > 0, rounded as numpy's complex division rounds it."""
     inv = 1.0 / p
-    return complex((value.real + value.imag * 0.0) * inv, (value.imag - value.real * 0.0) * inv)
+    return {k: complex((v.real + v.imag * 0.0) * inv, (v.imag - v.real * 0.0) * inv)
+            for k, v in slots.items()}
 
 
-# Storage operations: each takes corners in one form (see _operands) and
-# returns the result in that form, with the bits numpy gives for vectors.
+# Storage operations: each takes corners in one form (product and lcu pick
+# it from their inputs) and returns the result in that form, with the bits
+# numpy gives for vectors.
 
 def _times(x, y):
     """The product of two corners."""
@@ -163,7 +171,7 @@ def _signed_mean(parts, signs):
         s = complex(s)
         for k, value in part.items():
             total[k] = total.get(k, 0j) + s * value
-    return {k: _over(value, m) for k, value in total.items()}
+    return _over(total, m)
 
 
 def _scaled(data, factor: float):
@@ -178,7 +186,7 @@ def _shrunk(data, p: float):
     """corner / p for a real p > 0."""
     if type(data) is not dict:
         return data / p
-    return {k: _over(value, p) for k, value in data.items()}
+    return _over(data, p)
 
 
 def _digest(data, dim: int) -> str:
@@ -232,10 +240,12 @@ class BlockEncoding:
     given matrix dense.  Primitives store a diagonal corner as a slot map or
     a vector (see the module docstring); ``corner`` then builds the
     read-only N x N matrix on each access.  ``norm`` is the spectral norm,
-    computed once at construction.  The counters are kept as the plain
-    tuple ``_counts`` = (depth, queries, ancillas), which only _encoding
-    (adding an input's ledger) and the audit summary read; ``resources``
-    builds the ResourceCounter from it once, with ancilla_high_water = ancillas.
+    computed once at construction.  The counters are kept as the attribute
+    ``ancillas``, the one place the ancilla count lives, and the plain tuple
+    ``_counts`` = (depth, queries), which only _encoding (adding an input's
+    ledger), the audit summary and the descent trace read; ``resources``
+    builds the ResourceCounter from both once, with ancilla_high_water =
+    ancillas.
     """
 
     def __init__(self, corner, alpha: float = 1.0, ancillas: int = 0,
@@ -294,7 +304,7 @@ class BlockEncoding:
     @cached_attribute
     def resources(self) -> ResourceCounter:
         """The counters as a ResourceCounter, built on first read."""
-        return ResourceCounter(*self._counts)
+        return ResourceCounter(*self._counts, self.ancillas)
 
     def summary(self) -> dict:
         return json.loads(self._audited)
@@ -306,7 +316,8 @@ class BlockEncoding:
         The counters are ints and alpha and eps finite floats, whose repr is
         what json writes for them.
         """
-        depth, queries, ancillas = self._counts
+        depth, queries = self._counts
+        ancillas = self.ancillas
         return (
             f'{{"alpha": {self.alpha!r}, "ancilla_high_water": {ancillas!r}, '
             f'"ancillas": {ancillas!r}, "depth_units": {depth!r}, '
@@ -327,10 +338,10 @@ def _encoding(data, dim: int, alpha: float, eps: float, inputs, depth: int, quer
     the high-water mark.  The constructor passes () and its given counters.
     """
     for e in inputs:
-        d, q, a = e._counts
+        d, q = e._counts
         depth += d
         queries += q
-        ancillas += a
+        ancillas += e.ancillas
     if type(data) is dict:
         norm = 0.0
         for value in data.values():
@@ -358,34 +369,20 @@ def _encoding(data, dim: int, alpha: float, eps: float, inputs, depth: int, quer
         raise InvalidErrorBudget(f"eps must be finite and >= 0, got {eps}")
     if ancillas < 0:
         raise ValueError("ancillas must be non-negative")
-    ancillas = int(ancillas)
     enc = BlockEncoding.__new__(BlockEncoding)
     fields = enc.__dict__
     if type(data) is not dict:
         data.setflags(write=False)
         if data.ndim == 1:
             fields["_vec"] = data
-    fields.update(
-        _data=data, dim=dim, norm=norm, alpha=alpha, eps=eps, ancillas=ancillas,
-        _counts=(depth, queries, ancillas),
-    )
+    fields["_data"] = data
+    fields["dim"] = dim
+    fields["norm"] = norm
+    fields["alpha"] = alpha
+    fields["eps"] = eps
+    fields["ancillas"] = int(ancillas)
+    fields["_counts"] = (depth, queries)
     return enc
-
-
-def _operands(encodings) -> list:
-    """The inputs' corners in one form.
-
-    Slot maps when every input has one, else length-N vectors when every
-    input is diagonal, else dense matrices.
-    """
-    stored = [e._data for e in encodings]
-    vectors = False
-    for data in stored:
-        if type(data) is not dict:
-            if data.ndim == 2:
-                return [e.corner for e in encodings]
-            vectors = True
-    return [e._vec for e in encodings] if vectors else stored
 
 
 @dataclass(frozen=True)
@@ -460,12 +457,13 @@ def recording(log: AuditLog | None):
         _RECORDER.reset(token)
 
 
-def _log(op: str, inputs, output: BlockEncoding, **params):
-    """Record op in the active log, if any, and return output."""
-    log = _RECORDER.get()
-    if log is not None:
-        log.record(op, inputs, output, **params)
-    return output
+def _log(op: str, inputs, output: BlockEncoding, **params) -> None:
+    """Record op in the active log.
+
+    Each primitive calls it only after checking that a log is active, so an
+    unrecorded call builds none of its arguments.
+    """
+    _RECORDER.get().record(op, inputs, output, **params)
 
 
 def check_amplitudes(psi) -> np.ndarray:
@@ -491,9 +489,11 @@ def diag_encode(psi, alpha: float = 1.0) -> BlockEncoding:
     dim = next_power_of_two(len(vec))
     padded = np.zeros(dim, dtype=complex)
     padded[: len(vec)] = vec
-    log_n = int(math.log2(dim))
+    log_n = dim.bit_length() - 1
     enc = _encoding(padded, dim, float(alpha), 0.0, (), log_n, 0, log_n + 3)
-    return _log("diag_encode", [], enc, dim=dim, alpha=float(alpha))
+    if _RECORDER.get() is not None:
+        _log("diag_encode", [], enc, dim=dim, alpha=float(alpha))
+    return enc
 
 
 def projector_encode(dim: int, k: int) -> BlockEncoding:
@@ -501,48 +501,63 @@ def projector_encode(dim: int, k: int) -> BlockEncoding:
     dim = next_power_of_two(dim)
     if not 0 <= k < dim:
         raise IndexOutOfRange(f"index {k} not in [0, {dim})")
-    log_n = int(math.log2(dim))
+    log_n = dim.bit_length() - 1
     enc = _encoding({k: complex(1.0, 0.0)}, dim, 1.0, 0.0, (), 1, 0, log_n)
-    return _log("projector_encode", [], enc, dim=dim, k=k)
+    if _RECORDER.get() is not None:
+        _log("projector_encode", [], enc, dim=dim, k=k)
+    return enc
 
 
 def entry_project(enc: BlockEncoding, j: int, k: int) -> BlockEncoding:
     """From a diagonal encoding, keep entry j alone and park it at slot k.
 
     Produces the diagonal matrix x_j |k><k| using the input encoding twice;
-    costs ceil(log2 N) depth and ceil(log2 N) + 3 ancillas on top.
+    costs ceil(log2 N) depth and ceil(log2 N) + 3 ancillas on top.  A slot
+    map or vector is diagonal by its form; only a dense corner is checked.
     """
-    if not enc.is_diagonal():
+    src = enc._data
+    dense = type(src) is not dict and src.ndim == 2
+    if dense and not enc.is_diagonal():
         raise NotDiagonal("entry_project requires a diagonal corner")
     dim = enc.dim
     if not 0 <= j < dim:
         raise IndexOutOfRange(f"source index {j} not in [0, {dim})")
     if not 0 <= k < dim:
         raise IndexOutOfRange(f"target index {k} not in [0, {dim})")
-    src = enc._data
     if type(src) is dict:
         value = src.get(j, 0j)
     else:
-        value = src.item(j) if src.ndim == 1 else src.item(j, j)
+        value = src.item(j, j) if dense else src.item(j)
     # Slot arithmetic matches numpy's rounding for real values only.
     slots = {k: value}
-    log_n = int(math.log2(dim))
+    log_n = dim.bit_length() - 1
     out = _encoding(
         slots if value.imag == 0.0 else _vector(slots, dim), dim, enc.alpha, enc.eps, [enc],
         log_n, 2, log_n + 3,
     )
-    return _log("entry_project", [enc], out, j=j, k=k)
+    if _RECORDER.get() is not None:
+        _log("entry_project", [enc], out, j=j, k=k)
+    return out
 
 
 def product(a: BlockEncoding, b: BlockEncoding) -> BlockEncoding:
-    """Encoding of the operator product, one use of each input."""
+    """Encoding of the operator product, one use of each input.
+
+    Two slot maps multiply as they are stored; otherwise both corners are
+    read as vectors, or as dense matrices when either input is dense.
+    """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    x, y = a._data, b._data
+    if type(x) is not dict or type(y) is not dict:
+        x, y = (a.corner, b.corner) if a._dense or b._dense else (a._vec, b._vec)
     out = _encoding(
-        _times(*_operands([a, b])), a.dim, a.alpha * b.alpha, a.alpha * b.eps + b.alpha * a.eps,
+        _times(x, y), a.dim, a.alpha * b.alpha, a.alpha * b.eps + b.alpha * a.eps,
         [a, b], 0, 2, 0,
     )
-    return _log("product", [a, b], out)
+    if _RECORDER.get() is not None:
+        _log("product", [a, b], out)
+    return out
 
 
 def lcu(encodings, signs) -> BlockEncoding:
@@ -550,7 +565,9 @@ def lcu(encodings, signs) -> BlockEncoding:
 
     All inputs must share dimension and alpha; callers rescale explicitly
     first so the resource ledger stays honest.  Costs m queries plus
-    ceil(log2 m) ancillas.
+    ceil(log2 m) ancillas.  The corners are averaged as slot maps when every
+    input has one, else as vectors, or as dense matrices when any input is
+    dense.
     """
     encs = list(encodings)
     signs = [int(s) for s in signs]
@@ -561,6 +578,9 @@ def lcu(encodings, signs) -> BlockEncoding:
     dim = encs[0].dim
     alpha = encs[0].alpha
     m = len(encs)
+    eps = 0.0
+    parts = []
+    widest = 0  # the largest ndim among the stored arrays; 0 when all are slot maps
     for e, s in zip(encs, signs):
         if s != 1 and s != -1:
             raise ValueError(f"signs must be +/-1, got {signs}")
@@ -568,12 +588,20 @@ def lcu(encodings, signs) -> BlockEncoding:
             raise DimensionMismatch("lcu inputs must share one dimension")
         if e.alpha != alpha:
             raise MixedAlpha("lcu inputs must share one alpha; rescale first")
+        eps += e.eps
+        data = e._data
+        if type(data) is not dict and data.ndim > widest:
+            widest = data.ndim
+        parts.append(data)
+    if widest:
+        parts = [e._vec for e in encs] if widest == 1 else [e.corner for e in encs]
     # (m - 1).bit_length() is ceil(log2(m)) for m >= 1.
     out = _encoding(
-        _signed_mean(_operands(encs), signs), dim, alpha, sum(e.eps for e in encs) / m, encs,
-        0, m, (m - 1).bit_length(),
+        _signed_mean(parts, signs), dim, alpha, eps / m, encs, 0, m, (m - 1).bit_length(),
     )
-    return _log("lcu", encs, out, m=m, signs=signs)
+    if _RECORDER.get() is not None:
+        _log("lcu", encs, out, m=m, signs=signs)
+    return out
 
 
 def scale_down(enc: BlockEncoding, p: float) -> BlockEncoding:
@@ -585,7 +613,9 @@ def scale_down(enc: BlockEncoding, p: float) -> BlockEncoding:
         raise InvalidScale(f"scale factor must be finite and exceed 1, got {p}")
     theta = 2.0 * math.acos(1.0 / p)
     out = _encoding(_shrunk(enc._data, p), enc.dim, enc.alpha, enc.eps / p, [enc], 1, 0, 1)
-    return _log("scale_down", [enc], out, p=p, theta=theta)
+    if _RECORDER.get() is not None:
+        _log("scale_down", [enc], out, p=p, theta=theta)
+    return out
 
 
 def amplify(enc: BlockEncoding, gamma: float, eps_target: float) -> BlockEncoding:
@@ -620,7 +650,9 @@ def amplify(enc: BlockEncoding, gamma: float, eps_target: float) -> BlockEncodin
         _scaled(enc._data, gamma), enc.dim, enc.alpha, gamma * enc.eps + eps_target * boosted_norm,
         [enc], m, m, 1,
     )
-    return _log("amplify", [enc], out, gamma=gamma, delta=AMP_MARGIN, eps_target=eps_target, m=m)
+    if _RECORDER.get() is not None:
+        _log("amplify", [enc], out, gamma=gamma, delta=AMP_MARGIN, eps_target=eps_target, m=m)
+    return out
 
 
 def qsvt_transform(enc: BlockEncoding, poly, degree: int) -> BlockEncoding:
@@ -654,7 +686,9 @@ def qsvt_transform(enc: BlockEncoding, poly, degree: int) -> BlockEncoding:
     out = _encoding(
         transformed, enc.dim, 1.0, 4.0 * d * math.sqrt(enc.eps / enc.alpha), [enc], d, d, 2,
     )
-    return _log("qsvt_transform", [enc], out, degree=d, sup=sup)
+    if _RECORDER.get() is not None:
+        _log("qsvt_transform", [enc], out, degree=d, sup=sup)
+    return out
 
 
 def apply_postselect(enc: BlockEncoding, phi) -> PostSelection:

@@ -419,7 +419,7 @@ def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> Desc
         gradients[t] = objective._gradient(x)
         f_values.append(float(objective._evaluate(x)))
         eps_budgets.append(enc.eps)
-        counters.append((*enc._counts, enc.ancillas))  # the mark is the ancilla count
+        counters.append((*enc._counts, enc.ancillas, enc.ancillas))  # the mark is the count
     rows.setflags(write=False)
     gradients.setflags(write=False)
     uniform = np.full(enc.dim, 1.0 / math.sqrt(enc.dim))

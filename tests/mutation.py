@@ -52,7 +52,7 @@ MUTANTS = (
            (f"{BLOCKCALC}::TestQsvtTransform::test_negative_degree_rejected",)),
     Mutant("scale_down_eps", "blockcalc.py", "enc.alpha, enc.eps / p,", "enc.alpha, enc.eps,",
            (f"{GOLDEN}::test_generic_audit_run_padded_with_linear_and_pair_terms",)),
-    Mutant("lcu_eps", "blockcalc.py", "sum(e.eps for e in encs) / m,", "max(e.eps for e in encs),",
+    Mutant("lcu_eps", "blockcalc.py", "eps += e.eps", "eps = max(eps, e.eps)",
            (f"{BLOCKCALC}::TestLcu::test_eps_averaged_and_queries_counted",)),
     Mutant("qsvt_eps", "blockcalc.py", "4.0 * d * math.sqrt(enc.eps / enc.alpha)",
            "2.0 * d * math.sqrt(enc.eps / enc.alpha)",
@@ -178,6 +178,10 @@ MUTANTS = (
            "resources.ancilla_high_water > sealed.ancillas:",
            "resources.ancilla_high_water > sealed.ancillas + 1:",
            (f"{BLOCKCALC}::TestBlockEncodingType::test_high_water_mark_is_the_ancilla_count",)),
+    # The recording guard of a primitive, inverted: recorded runs lose their lcu
+    # records (the text after the guard names the one guard of the row).
+    Mutant("lcu_record_guard", "blockcalc.py", 'is not None:\n        _log("lcu"',
+           'is None:\n        _log("lcu"', (GOLDEN,)),
     Mutant("degree_cap_inclusive", "chebyshev.py", "while degree <= DEGREE_CAP:",
            "while degree < DEGREE_CAP:",
            ("tests/test_chebyshev.py::TestApproxDerivative::"

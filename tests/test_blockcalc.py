@@ -202,6 +202,24 @@ class TestEntryProject:
         with pytest.raises(IndexOutOfRange):
             bc.entry_project(x, 2, 0)
 
+    def test_dense_diagonal_check_comes_first_and_forgives_diag_tol(self):
+        off = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NotDiagonal, match="entry_project requires a diagonal corner"):
+            bc.entry_project(BlockEncoding(np.diag([0.3, 0.2]) + 1e3 * bc.DIAG_TOL * off), 5, 0)
+        near = BlockEncoding(np.diag([0.3, 0.2]) + bc.DIAG_TOL * off)
+        out = bc.entry_project(near, 1, 0)
+        assert np.array_equal(out.diagonal(), [0.2, 0.0])
+
+    def test_slot_maps_and_vectors_are_diagonal_by_their_form(self, monkeypatch):
+        def refuse(enc):
+            raise AssertionError("a diagonal form was checked for off-diagonal entries")
+
+        monkeypatch.setattr(BlockEncoding, "is_diagonal", refuse)
+        vector = bc.diag_encode([0.1, 0.2, 0.3, 0.4])
+        slots = bc.entry_project(vector, 2, 1)
+        assert type(vector._data) is not dict and type(slots._data) is dict
+        assert np.array_equal(bc.entry_project(slots, 1, 3).diagonal(), [0, 0, 0, 0.3])
+
 
 class TestProduct:
     def test_diagonal_product(self):

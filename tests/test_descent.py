@@ -777,6 +777,42 @@ class TestRecordedRuns:
         # vector, reads a slot map (the gradient) as a vector.
         assert [e for e in slot_maps.values() if "_vec" in e.__dict__] == [grad]
 
+    def test_unrecorded_run_seals_the_same_encodings_and_records_nothing(self, monkeypatch):
+        """A trim of the unrecorded path may not drop or duplicate a primitive."""
+        sealed, recorded, logged = [], [], []
+        seal, record, log = bc._encoding, bc.AuditLog.record, bc._log
+
+        def spy_seal(*args):
+            sealed.append(seal(*args))
+            return sealed[-1]
+
+        def spy_record(self, op, inputs, output, **params):
+            recorded.append(output)
+            record(self, op, inputs, output, **params)
+
+        def spy_log(op, inputs, output, **params):
+            logged.append(output)
+            log(op, inputs, output, **params)
+
+        monkeypatch.setattr(bc, "_encoding", spy_seal)
+        monkeypatch.setattr(bc.AuditLog, "record", spy_record)
+        monkeypatch.setattr(bc, "_log", spy_log)
+        n = 16
+        objective = _canonical_objective(n, 3, 4, 3)
+        cfg = DescentConfig(steps=2, eps=1e-6, mode="generic")
+        plain = run_generic(objective, _probe_start(n), cfg)
+        unrecorded = len(sealed)
+        assert unrecorded > 100
+        assert recorded == logged == []
+        sealed.clear()
+        audit = bc.AuditLog()
+        with bc.recording(audit):
+            assert run_generic(objective, _probe_start(n), cfg) == plain
+        assert len(sealed) == unrecorded
+        # One record per sealing, in sealing order.
+        assert [id(e) for e in recorded] == [id(e) for e in sealed]
+        assert [r["out"]["id"] for r in audit.records] == [e._id for e in sealed]
+
 
 class TestBoxChecks:
     def test_runs_check_each_point_once(self, monkeypatch):
