@@ -226,11 +226,10 @@ def _digest(data, dim: int) -> str:
 
 @dataclass(frozen=True)
 class ResourceCounter:
-    """Cost ledger that only grows under composition; ancilla_high_water is the ancilla count."""
+    """Depth and query ledger, which only grows; the ancilla count is BlockEncoding.ancillas."""
 
     depth_units: int = 0
     queries: int = 0
-    ancilla_high_water: int = 0
 
 
 class BlockEncoding:
@@ -244,8 +243,7 @@ class BlockEncoding:
     ``ancillas``, the one place the ancilla count lives, and the plain tuple
     ``_counts`` = (depth, queries), which only _encoding (adding an input's
     ledger), the audit summary and the descent trace read; ``resources``
-    builds the ResourceCounter from both once, with ancilla_high_water =
-    ancillas.
+    builds the ResourceCounter from ``_counts`` once.
     """
 
     def __init__(self, corner, alpha: float = 1.0, ancillas: int = 0,
@@ -261,8 +259,6 @@ class BlockEncoding:
             mat = grown
         sealed = _encoding(mat, padded, alpha, eps, (), resources.depth_units,
                            resources.queries, ancillas)
-        if resources.ancilla_high_water > sealed.ancillas:
-            raise ValueError("ancilla_high_water must not exceed ancillas: the mark is the count")
         self.__dict__.update(sealed.__dict__)
 
     def __setattr__(self, name, value):
@@ -304,7 +300,7 @@ class BlockEncoding:
     @cached_attribute
     def resources(self) -> ResourceCounter:
         """The counters as a ResourceCounter, built on first read."""
-        return ResourceCounter(*self._counts, self.ancillas)
+        return ResourceCounter(*self._counts)
 
     def summary(self) -> dict:
         return json.loads(self._audited)
@@ -317,10 +313,8 @@ class BlockEncoding:
         what json writes for them.
         """
         depth, queries = self._counts
-        ancillas = self.ancillas
         return (
-            f'{{"alpha": {self.alpha!r}, "ancilla_high_water": {ancillas!r}, '
-            f'"ancillas": {ancillas!r}, "depth_units": {depth!r}, '
+            f'{{"alpha": {self.alpha!r}, "ancillas": {self.ancillas!r}, "depth_units": {depth!r}, '
             f'"eps": {self.eps!r}, "id": "{self._id}", "queries": {queries!r}}}'
         )
 
@@ -333,9 +327,8 @@ def _encoding(data, dim: int, alpha: float, eps: float, inputs, depth: int, quer
     (max |value| of a diagonal, the spectral norm of a dense matrix), the
     checks on norm, alpha, eps and ancillas, and the ledger, by the one rule:
     depth, queries and ancillas are the own charge plus the sum over the
-    operand positions ``inputs`` (product(x, x) charges x twice).  No operand
-    then holds more ancillas than the output, so the ancilla count is also
-    the high-water mark.  The constructor passes () and its given counters.
+    operand positions ``inputs`` (product(x, x) charges x twice).  The
+    constructor passes () and its given counters.
     """
     for e in inputs:
         d, q = e._counts

@@ -65,7 +65,7 @@ from .polyfunc import (
 GENERIC = "generic"
 SEPARABLE = "separable"
 # The counters of one iterate, in the order of each DescentTrace.counters entry.
-COUNTERS = ("depth_units", "queries", "ancillas", "ancilla_high_water")
+COUNTERS = ("depth_units", "queries", "ancillas")
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class IterationRecord:
     depth_units: int
     queries: int
     ancillas: int
-    ancilla_high_water: int
+    ancilla_high_water: int  # repeats ancillas while bench/worker.py reads it
 
 
 @dataclass(eq=False)
@@ -123,8 +123,8 @@ class DescentTrace:
     (the sufficient containment condition a uniform start is built to); runs
     with explicit initial vectors may proceed without it, relying on the
     runtime norm guards instead.
-    ``ancillas`` counts naive cumulative consumption and the high-water mark
-    equals it, since reuse is not modelled; per_iteration_deltas() has deltas.
+    ``ancillas`` counts naive cumulative consumption, since reuse is not
+    modelled; per_iteration_deltas() has the deltas of every counter.
     """
 
     mode: str
@@ -140,7 +140,7 @@ class DescentTrace:
     gradients: np.ndarray
     f_values: list[float]
     eps_budgets: list[float]
-    counters: list[tuple[int, int, int, int]]
+    counters: list[tuple[int, int, int]]
     poly_degree: int | None = None
     poly_sup_error: float | None = None
 
@@ -154,7 +154,7 @@ class DescentTrace:
     def records(self) -> list[IterationRecord]:
         columns = zip(self.rows.tolist(), self.f_values, self.gradients.tolist(),
                       self.eps_budgets, self.counters)
-        return [IterationRecord(t, tuple(x), f, tuple(g), e, *c)
+        return [IterationRecord(t, tuple(x), f, tuple(g), e, *c, ancilla_high_water=c[2])
                 for t, (x, f, g, e, c) in enumerate(columns)]
 
     def iterates(self) -> np.ndarray:
@@ -165,8 +165,7 @@ class DescentTrace:
 
     def per_iteration_deltas(self) -> list[dict]:
         return [
-            {"t": t, "depth_units": cur[0] - prev[0], "queries": cur[1] - prev[1],
-             "ancillas": cur[2] - prev[2]}
+            {"t": t, **{k: c - p for k, c, p in zip(COUNTERS, cur, prev)}}
             for t, (prev, cur) in enumerate(zip(self.counters, self.counters[1:]), start=1)
         ]
 
@@ -419,7 +418,7 @@ def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> Desc
         gradients[t] = objective._gradient(x)
         f_values.append(float(objective._evaluate(x)))
         eps_budgets.append(enc.eps)
-        counters.append((*enc._counts, enc.ancillas, enc.ancillas))  # the mark is the count
+        counters.append((*enc._counts, enc.ancillas))
     rows.setflags(write=False)
     gradients.setflags(write=False)
     uniform = np.full(enc.dim, 1.0 / math.sqrt(enc.dim))

@@ -1,15 +1,14 @@
 """Replay the resource ledger of an audit log from its records alone.
 
 Each line of ``audit.jsonl`` names an operation and its params and carries
-the summaries (alpha, ancillas, ancilla_high_water, depth_units, eps, id,
-queries) of its inputs and output.  replay recomputes every output field from
+the summaries of its inputs and output, each with exactly the keys SUMMARY.
+replay checks those key sets and recomputes every output field from
 the record's inputs and params, with each primitive's own charge and eps rule
 restated here from the blockcalc docs rather than imported, so a log is
 checked against the rule as documented, not against the code that wrote it.
 
 The ledger rule: depth, queries and ancillas are the operation's own charge
-plus the sum over its operand positions, and the high-water mark equals the
-output's ancillas (reuse is not modelled).  No summary carries
+plus the sum over its operand positions.  No summary carries
 the dimension N: it is read from the params of diag_encode and
 projector_encode and carried along the output ids.  amplify's eps needs the
 input's norm, which no summary carries, so only its bound
@@ -19,6 +18,8 @@ repetition count m = ceil((2 * gamma / delta) * ln(4 * gamma / eps_target)).
 
 import json
 import math
+
+SUMMARY = {"alpha", "ancillas", "depth_units", "eps", "id", "queries"}
 
 
 def _own(op: str, params: dict, ins: list, log_n: int):
@@ -49,18 +50,21 @@ def _own(op: str, params: dict, ins: list, log_n: int):
 def replay(jsonl: str):
     """The first (seq, field, logged, replayed) at which a record's output differs, else None.
 
-    A field is an output summary field, or "m" for amplify's repetition count.
+    A field is an output summary field, "m" for amplify's repetition count,
+    or "keys" for a summary whose key set is not SUMMARY.
     """
     dims = {}
     for line in jsonl.splitlines():
         rec = json.loads(line)
         op, params, ins, out = rec["op"], rec["params"], rec["in"], rec["out"]
+        for summary in (*ins, out):
+            if summary.keys() != SUMMARY:
+                return rec["seq"], "keys", sorted(summary), sorted(SUMMARY)
         dim = params["dim"] if "dim" in params else dims[ins[0]["id"]]
         depth, queries, ancillas, alpha, eps = _own(op, params, ins, int(math.log2(dim)))
         ancillas += sum(e["ancillas"] for e in ins)
         want = {
             "alpha": alpha,
-            "ancilla_high_water": ancillas,
             "ancillas": ancillas,
             "depth_units": depth + sum(e["depth_units"] for e in ins),
             "queries": queries + sum(e["queries"] for e in ins),

@@ -173,11 +173,14 @@ MUTANTS = (
         ("scale_down", "enc.dim, enc.alpha, enc.eps / p", "enc.dim, 1.0, enc.eps / p"),
         ("amplify", "enc.dim, enc.alpha, gamma * enc.eps", "enc.dim, 1.0, gamma * enc.eps"),
     )),
-    # The one rule of the constructor's counters: no high-water mark above ancillas.
-    Mutant("constructor_high_water", "blockcalc.py",
-           "resources.ancilla_high_water > sealed.ancillas:",
-           "resources.ancilla_high_water > sealed.ancillas + 1:",
-           (f"{BLOCKCALC}::TestBlockEncodingType::test_high_water_mark_is_the_ancilla_count",)),
+    # The one ancilla count, as the audit summary renders it and as the
+    # report's per-iteration deltas carry it.
+    Mutant("audited_ancillas", "blockcalc.py", '"ancillas": {self.ancillas!r}',
+           '"ancillas": {self.ancillas + 1!r}', (REPLAY,)),
+    Mutant("deltas_drop_a_counter", "descent.py", "zip(COUNTERS, cur, prev)",
+           "zip(COUNTERS[:2], cur, prev)",
+           (f"{DESCENT}::TestTraceShape::test_trace_records_and_deltas",
+            f"{GOLDEN}::test_quadratic_audit_run")),
     # The recording guard of a primitive, inverted: recorded runs lose their lcu
     # records (the text after the guard names the one guard of the row).
     Mutant("lcu_record_guard", "blockcalc.py", 'is not None:\n        _log("lcu"',

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import blockgd
 from blockgd.blockcalc import AuditLog, recording
 from blockgd.cli import parse_experiment
 from blockgd.descent import run_generic, run_separable
@@ -34,11 +35,22 @@ def _load(monkeypatch, name):
 
 @pytest.mark.parametrize("workload", ["generic_dense", "separable_steps"])
 def test_descent_workload_runs(monkeypatch, workload):
+    """Every operation runs, and its trace.records repeat ancillas as ancilla_high_water.
+
+    IterationRecord keeps ancilla_high_water only while bench/worker.py reads
+    it into its fingerprints; the trace itself stores one ancilla count.
+    """
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(BENCH))
     _load(monkeypatch, "spans")
     gen = _load(monkeypatch, "gen")
     worker = _load(monkeypatch, "worker")
+    traces = []
+    for name in ("run_generic", "run_separable"):
+        def kept(*args, _engine=getattr(blockgd, name)):
+            traces.append(_engine(*args))
+            return traces[-1]
+        monkeypatch.setattr(blockgd, name, kept)
     inputs = gen.generate(workload, 1, tiny=True)
     ops = worker._descent_ops(inputs)
     assert len(ops) == len(inputs["instances"]) > 0
@@ -47,6 +59,9 @@ def test_descent_workload_runs(monkeypatch, workload):
         assert result["steps"] == inst["T"], name
         assert len(result["fingerprint"]) == 40
         assert result["facts"][""]["queries"] > 0
+    assert len(traces) == len(ops)
+    for trace in traces:
+        assert all(r.ancilla_high_water == r.ancillas for r in trace.records)
 
 
 def test_cli_audit_sweep_replays(monkeypatch):

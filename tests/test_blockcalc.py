@@ -24,7 +24,7 @@ from blockgd.errors import (
     NotNormalized,
     PolyBoundViolated,
 )
-from _audit_replay import replay
+from _audit_replay import SUMMARY, replay
 from _dilation import corner_of, realize_dilation
 
 
@@ -97,19 +97,6 @@ class TestBlockEncodingType:
     def test_alpha_below_one_rejected(self):
         with pytest.raises(ValueError):
             BlockEncoding(np.diag([0.5, 0.5]), alpha=0.5)
-
-    def test_high_water_mark_is_the_ancilla_count(self):
-        # A leaf's mark may not exceed its ancillas; a mark at or below them
-        # reads back as the ancilla count, as on every primitive's output.
-        rule = "^ancilla_high_water must not exceed ancillas: the mark is the count$"
-        with pytest.raises(ValueError, match=rule):
-            BlockEncoding(np.diag([0.5, 0.5]), ancillas=3,
-                          resources=bc.ResourceCounter(1, 2, ancilla_high_water=4))
-        for mark in (0, 2, 3):
-            enc = BlockEncoding(np.diag([0.5, 0.5]), ancillas=3,
-                                resources=bc.ResourceCounter(1, 2, ancilla_high_water=mark))
-            assert enc.resources == bc.ResourceCounter(1, 2, ancilla_high_water=3)
-            assert enc.summary()["ancilla_high_water"] == 3
 
     @pytest.mark.parametrize("corner, kwargs, error", [
         (np.diag([1.2, 0.0]), {}, NormTooLarge),
@@ -658,7 +645,6 @@ class TestStorageEquivalence:
             vec = reference_step(step, [vectors[j] for j in picked])
             assert out.diagonal().tobytes() == vec.tobytes(), i
             assert out.norm == float(np.abs(vec).max()), i
-            assert out.resources.ancilla_high_water == out.ancillas, i
             if all(svd_is_exact(e) for e in (*operands, out)):
                 twin = apply_step(step, twins)
                 assert_same_corner(out, twin, i)
@@ -725,10 +711,11 @@ class TestClosureAndCounters:
                 assert out.dim & (out.dim - 1) == 0
                 assert math.isfinite(out.eps) and out.eps >= 0
                 assert out.alpha >= 1.0
-                for field in ("depth_units", "queries", "ancilla_high_water"):
+                for field in ("depth_units", "queries"):
                     assert getattr(out.resources, field) >= max(
                         getattr(a.resources, field), 0
                     )
+                assert out.ancillas >= a.ancillas
 
     def test_lcu_scale_down_and_amplify_keep_the_input_alpha(self):
         enc = BlockEncoding(np.diag([0.2, -0.1]), alpha=2.0, eps=1e-4)
@@ -858,6 +845,22 @@ class TestAuditLog:
                 bc.scale_down(g, math.inf)
         assert audit.to_jsonl() == "".join(
             json.dumps(r, sort_keys=True) + "\n" for r in audit.records)
+
+    def test_replay_requires_the_exact_summary_keys(self):
+        audit = AuditLog()
+        with bc.recording(audit):
+            x = bc.diag_encode([0.2, 0.1])
+            bc.scale_down(x, 2.0)
+        assert replay(audit.to_jsonl()) is None
+        assert all(s.keys() == SUMMARY for r in audit.records for s in (*r["in"], r["out"]))
+        # A stray key (such as a second ancilla count) or a missing one is a
+        # replay failure, in an input summary as in an output summary.
+        stray, missing = (json.loads(json.dumps(audit.records)) for _ in range(2))
+        stray[1]["in"][0]["ancilla_high_water"] = stray[1]["in"][0]["ancillas"]
+        del missing[0]["out"]["eps"]
+        for records, seq in ((stray, 1), (missing, 0)):
+            jsonl = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+            assert replay(jsonl)[:2] == (seq, "keys")
 
     def test_block_left_by_an_exception_leaves_no_log_active(self):
         audit = AuditLog()

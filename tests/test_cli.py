@@ -1013,10 +1013,10 @@ def _wide_generic_doc(n: int, supports, x0) -> dict:
 
 # The artifacts of `run --config configs/quadratic.json --audit`.
 QUADRATIC_AUDIT_DIGESTS = {
-    "audit.jsonl": "25d18188703f9747279e5a1039ab5906acc14a4f27759440f6847183f4945f11",
-    "report.json": "9cd26f9ef0f80078b169f90c9bcc5fa90e4c969d218cad0d3bd0073d1b450c15",
+    "audit.jsonl": "ec9e06f49c28286620c056728ce248b96b1b91a1d75f5c7c91a4a870e321d902",
+    "report.json": "75e3fc24fba31ae47df2a833e36eaf413525b0da67c7d8acf0966fd07d99a398",
     "trace.csv": "ad489119d77848f2ddb165b319947a0583e681074ba606f6587a9ab61c283b84",
-    "trace.json": "844b25e8b830def7c257d9929aa4257ed5a299b34771c87a626ae7e94c3b13cb",
+    "trace.json": "9e77bb696f77c4e77256b260b9224f52742247f0052f9898917f4501153f81a9",
 }
 
 
@@ -1026,6 +1026,12 @@ class TestGoldenArtifacts:
     A changed digest means a changed output byte; update it only on purpose.
     Every audit.jsonl written here also replays: its ledger follows from its
     records alone (tests/_audit_replay.py).
+
+    Last re-pinned when the second ancilla count, ancilla_high_water, left
+    every summary and counter list: each re-pinned audit.jsonl, trace.json
+    and report.json (here and in TestProcessEntry) was checked to equal the
+    previous file with that key removed and re-dumped as the writer dumps
+    it; every trace.csv and compare-costs digest stayed as it was.
     """
 
     def test_quadratic_audit_run(self, tmp_path):
@@ -1036,16 +1042,16 @@ class TestGoldenArtifacts:
 
     @pytest.mark.parametrize("config, digests", [
         (QUADRATIC, {
-            "audit.jsonl": "570b3f0d21d717db2e92756fb05e6e5c84a79de883a9a3d9c4378ff7b9bc19f8",
-            "report.json": "a3901460e23b89fd6fe92c00b93b591090cd689761cedb229856948c56c3abae",
+            "audit.jsonl": "d744a93f6f5db230d37b8c685e5c87201b05a73eb6902887326a9fd1d2d1897a",
+            "report.json": "29c6e496f927aded2827c8f29ff9ca4054b6b88f7c0d361471e8010bc8d630ff",
             "trace.csv": "389454505f509565f52c84b2df60a6ecc7b7ac18b4c22892885bce6d794ff9dd",
-            "trace.json": "20de1c2d0c9d7621bd6e6fb6ff706eed1d7e67ca9ac36a865c398c6bce34a13f",
+            "trace.json": "46c95c5d4455e937ccc45249670181ba9761d6e844c06aa2d1590690b30e8a47",
         }),
         (SEPARABLE, {
-            "audit.jsonl": "856ffb2bea89555883185f0323a4fd5de95c91f5fea56ec94eb304027168a24d",
-            "report.json": "541b53672c9e1b9df88c68da00f1380f86a27be60dc9b551561b435dd7291154",
+            "audit.jsonl": "e02ee2cdc54f1ac62a6364747994229868b764fc900067db2dcf544406dd621f",
+            "report.json": "af43996ff82d4dbb90853ed2625695695857333f92f8c28a760d4644c90705ed",
             "trace.csv": "a192438fabef515aa8ac3d02532e6202b165bd0c8c921c0fcb5ad9ae1c64392c",
-            "trace.json": "48ff488d18e4170d41018a0e38500b582b082f40ce74e6f743bd5639d2369c01",
+            "trace.json": "ddd17dce70eee79b15d20a623ca2f4fc6e21e786a85d30ed51d0760c2bb0772f",
         }),
     ], ids=["generic", "separable"])
     def test_zero_step_audit_run(self, tmp_path, config, digests):
@@ -1063,10 +1069,10 @@ class TestGoldenArtifacts:
         out = tmp_path / "run"
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
         assert _sha256_of_files(out) == {
-            "audit.jsonl": "4f9cffae81af01276490ea897658e97250231e9874b5d5c5955835e93e00ef18",
-            "report.json": "e3c1e0d65317c204eeee5b2cd9cf8a64ac2ffc9ca23fed6e5b6a7601b8bcaf76",
+            "audit.jsonl": "c5de1ea0affdcae4eb75c743f8d451a39fb16834b1a4a3eb5e46b1f74df65fbd",
+            "report.json": "e19f02975c742b03e296e24e832a2a66651804d5b6dd0abb37c28c4db3d6d2c4",
             "trace.csv": "ecf78b8d59cfa6398bec2b8dd4ea0d7a9cb0b2cc082ce25d15fd9dc5b3629af5",
-            "trace.json": "f90c1b23327a393719cf80b586e51ef78d9a1742f1fd94c9c00d727ae8b219d0",
+            "trace.json": "3ff4c0a5d2a0aa2c566db3e49dd73bf46b8c0a67b709dc78405b028e71d5ae8a",
         }
         assert replay((out / "audit.jsonl").read_text()) is None
         final = json.loads((out / "report.json").read_text())["resources"]["final"]
@@ -1076,10 +1082,10 @@ class TestGoldenArtifacts:
         out = tmp_path / "run"
         assert main(["run", "--config", str(SEPARABLE), "--audit", "--out", str(out)]) == EXIT_OK
         assert _sha256_of_files(out) == {
-            "audit.jsonl": "0adabc2a18f59725ee5bb33b06cefce5598c961472475d8fbeff6df948bf5568",
-            "report.json": "0c8fcf31dc833ad08316a117f60880d22d582e5fb72a38782c57363b90267fb3",
+            "audit.jsonl": "e48203c11148d9ee23e236b4099e4ad432db016e2a19016df14f10d855316f12",
+            "report.json": "05c8af7472db33c16c92ffc2765674922c9143772e5f24b05516101d3595d20c",
             "trace.csv": "8a946611af98ff383f93e9f4a10f24b6b023205e4971fe77943e4cc20ee04289",
-            "trace.json": "8c058b7d7d7ef1b087b44735dc561a5d7bfcef323137e3c057356fcbf52ae04c",
+            "trace.json": "ccbfb4b1c300f31a3c0016ab65a3d0f334dfed7439d10c12e1beb21b9332c96a",
         }
         assert replay((out / "audit.jsonl").read_text()) is None
 
@@ -1102,10 +1108,10 @@ class TestGoldenArtifacts:
         out = tmp_path / "run"
         assert main(["run", "--config", str(path), "--audit", "--out", str(out)]) == EXIT_OK
         assert _sha256_of_files(out) == {
-            "audit.jsonl": "4cd26c821f75bdc8a5900f6132b2827ac4ce5746d301cbae754033fbc703216f",
-            "report.json": "290d32770ce9e7e1c4cc5fc0d365e38cee55578289829b43daf2cbb905a67978",
+            "audit.jsonl": "d2796f8a66ef01e1e3f88ba3d78ee9aeffeb8fc2a71d4e5f1485898314403384",
+            "report.json": "71eeca9dbf5d14870bc1f0b725a4dc5eb73a866c069f7f4629451608a9d1f518",
             "trace.csv": "4c7aaca46a58040a1cc0d969b6c3125bfe6a36877d728421e070727d51e61c7b",
-            "trace.json": "2390503ec555df4e473442d1d15f094de2efef89c79be7550704805898529a7a",
+            "trace.json": "7c5e0e5837f4d2e0090f2e1e003c46e96520381ef8da3fb6830963cb3d7c7fef",
         }
         assert replay((out / "audit.jsonl").read_text()) is None
 
@@ -1129,10 +1135,10 @@ class TestGoldenArtifacts:
         out = tmp_path / "run"
         assert main(["run", "--config", str(path), "--audit", "--out", str(out)]) == EXIT_OK
         assert _sha256_of_files(out) == {
-            "audit.jsonl": "629b65df50999f0e2f74e780074938d1ac647cbc0bd928acda131f8a1dd55227",
-            "report.json": "1bf1e1391a75799c6471a81f0cbf0d8c8e576d7cb335cb4722deebb52e425463",
+            "audit.jsonl": "9e21e5238c9bcc171fe4ce937e9400250bd1f2a212ce662cf3445b1cac15d65e",
+            "report.json": "c9a1d8adb3ff60bce7b0be7ff2019abff8dc7b8704d91ab52cd07d2c24f11798",
             "trace.csv": "6f0d11323bcf213d104fc1957da9fd086913c452c631bc3275e92f27a014920a",
-            "trace.json": "3df0bd93cc9fc67e2c3086bac2b010e29a98632fe86775ab5e8072b6ac2afb22",
+            "trace.json": "abee9d34dda5bf9e278a45ee1b90fe815dc573a2f78475994baab06219b3c0af",
         }
         assert replay((out / "audit.jsonl").read_text()) is None
 
@@ -1152,17 +1158,17 @@ class TestGoldenArtifacts:
         assert main(["run", "--sweep", str(sweep), "--audit", "--out", str(out)]) == EXIT_OK
         assert [p.name for p in sorted(out.iterdir())] == ["generic", "separable"]
         assert _sha256_of_files(out / "generic") == {
-            "audit.jsonl": "9c43160c03e4da0b329acccfe02dec587c74ce372768a7360c7eb96018f2951a",
-            "report.json": "16a1ce8f7cd87ae403b70ad17fb4ba6e3286a315d1a94592eaaae479cc17f93b",
+            "audit.jsonl": "7b04b4e17e4070b6657e07bb7c392a99bb9aa5cb0df6a07ef275edb12200c1d6",
+            "report.json": "b978515a7f8afc990887a52cdc0976ffd57f4e7a1c76c8c1a99f6e872cf8e553",
             "trace.csv": "8a226b498877764029189fd167bbbb774e33e2412e8a1ec77301f6d2949e1060",
-            "trace.json": "eeae29a42b38c84fad369c45278d0f9efdca2043e59e0d6fcbdaf9bc89bf0b99",
+            "trace.json": "7bb9722f8a59584dd878a4fe656e93bebc303aa8c2e68f27a4265032340c4054",
         }
         assert replay((out / "generic" / "audit.jsonl").read_text()) is None
         assert _sha256_of_files(out / "separable") == {
-            "audit.jsonl": "82b18f9affb186999bcd42cc3f51e77c1350eb0993c152641a04548f09c010e4",
-            "report.json": "ab51f6a0ce5d3b08ba532deca690b1cc18be9b514a434c2eaa7fbcd13ca6244d",
+            "audit.jsonl": "678a2dc65c6b42083c37d72bcb1fd6433ffd2ee8397504d8fa5f7823cbf22fb8",
+            "report.json": "1ee5ec387a93449d23b0f7bb6c0f2cba1a0d4bf8bd50df22a272966d976be112",
             "trace.csv": "a038e00cd8d3dca0791f700e69619709930ff5cddfc05f018bee4693f95c6915",
-            "trace.json": "97d1c6468f44de62ed2114db8ea57d449205a565dcd67b0719ca42f24d13a17d",
+            "trace.json": "335b8d9b1dd2386842e56f2a437010fb92afbe0e8925e2fb643a3beb15d9c1db",
         }
         assert replay((out / "separable" / "audit.jsonl").read_text()) is None
 
@@ -1175,10 +1181,10 @@ class TestGoldenArtifacts:
         out = tmp_path / "run"
         assert main(["run", "--config", str(path), "--audit", "--out", str(out)]) == EXIT_OK
         assert _sha256_of_files(out) == {
-            "audit.jsonl": "6fd0c826ee252f883b37544ccc6f5de17f7d8af6090021c8424d08046b7d843c",
-            "report.json": "1915711666fd8a565ae46d2bd5f254c17787ed0db08f427f9379150f429d486b",
+            "audit.jsonl": "ffbc44860195141f11c201e27440f2624df0f7c01a2e93c156ec73f1d32da10d",
+            "report.json": "d3e3d3e0aa674fa52696b64aefcf324dcfab027816b17ef26d5f14f11a62b2f6",
             "trace.csv": "1c9a51c6cf95a8d9df10643a472ac825e5c6c3eaf748e9f339f1ba414aebded8",
-            "trace.json": "5cb4c0377b9f846953a263fbc7cdd09191c22c95059912da48db04b3d4a7f0da",
+            "trace.json": "9396b4ced1458f49ea4a736d081cfbd89af6ff37d2a3f13f5c08b3dd8e9ab2e3",
         }
         assert replay((out / "audit.jsonl").read_text()) is None
 
@@ -1251,7 +1257,7 @@ def _trace_of(rows, grads) -> DescentTrace:
         rows=np.array(rows, dtype=float), gradients=np.array(grads, dtype=float),
         f_values=[0.5 - 0.1 * t for t in range(steps + 1)],
         eps_budgets=[1e-6 * t for t in range(steps + 1)],
-        counters=[(t, 3 * t, 2 * t, 2 * t + 1) for t in range(steps + 1)],
+        counters=[(t, 3 * t, 2 * t) for t in range(steps + 1)],
     )
 
 

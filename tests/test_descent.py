@@ -433,6 +433,10 @@ class TestTraceShape:
         deltas = trace.per_iteration_deltas()
         assert len(deltas) == 3
         assert all(d["depth_units"] > 0 for d in deltas)
+        # One delta per counter, and each counter's deltas add up to its growth.
+        assert all(d.keys() == {"t", *descent.COUNTERS} for d in deltas)
+        for i, name in enumerate(descent.COUNTERS):
+            assert sum(d[name] for d in deltas) == trace.counters[-1][i] - trace.counters[0][i]
         texts = cli._number_texts(trace)
         doc = cli._trace_doc(trace, texts)
         assert doc["T"] == 3 and len(doc["iterations"]) == 4
@@ -482,8 +486,7 @@ class TestTraceShape:
         assert first == again and first is not again
         assert all(type(v) is float for r in first for v in (*r.x, *r.gradient, r.f_value))
         assert [r.eps_budget for r in first] == trace.eps_budgets
-        assert [(r.depth_units, r.queries, r.ancillas, r.ancilla_high_water)
-                for r in first] == trace.counters
+        assert [(r.depth_units, r.queries, r.ancillas) for r in first] == trace.counters
 
     def test_traces_differing_in_one_coordinate_are_unequal(self):
         f = quadratic_bowl()
@@ -677,8 +680,8 @@ class TestDiagonalFastPath:
             if n >= 2**16:
                 assert peak <= 16 * n // 32
             assert vectors == []
-            assert (grad.resources.queries, grad.resources.depth_units, grad.ancillas,
-                    grad.resources.ancilla_high_water) == (384, depth, ancillas, ancillas)
+            assert (grad.resources.queries, grad.resources.depth_units,
+                    grad.ancillas) == (384, depth, ancillas)
             if n == 2**16:
                 _, peak = traced_peak(lambda: gd_step_generic(iterate, grad, eps=1e-6))
                 # Measured: 3.50 complex vectors.  Not fenced at 2**10, where the
