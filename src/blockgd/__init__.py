@@ -14,7 +14,6 @@ from .blockcalc import (
     AuditLog,
     BlockEncoding,
     PostSelection,
-    ResourceCounter,
     amplify,
     apply_postselect,
     diag_encode,
@@ -63,7 +62,6 @@ __all__ = [
     "ObjectiveFunction",
     "OracleTrace",
     "PostSelection",
-    "ResourceCounter",
     "ScalarFunction",
     "SeparableObjective",
     "amplify",

@@ -8,10 +8,11 @@ propagates the worst-case error budget by triangle-inequality rules, and
 accumulates abstract resource counters (depth units, queries to input
 encodings, ancilla qubits).  Gate-level synthesis is out of scope.
 
-Counter semantics: _encoding states the ledger rule, and each primitive
-only its own charge (depth, queries, ancillas), repeated uses inside it
-(entry_project's two) counting as ``queries``.  Totals over a T-step
-pipeline that feeds each output back in grow geometrically with T.
+Counter semantics: every encoding carries the ledger as the plain int
+attributes COUNTERS names.  _encoding states the ledger rule, and each
+primitive only its own charge (depth, queries, ancillas), repeated uses
+inside it (entry_project's two) counting as ``queries``.  Totals over a
+T-step pipeline that feeds each output back in grow geometrically with T.
 
 Conventions: corners are complex with power-of-two size (inputs are
 zero-padded at construction) and indices are 0-based.  Norm and
@@ -50,10 +51,8 @@ Per-call cost: a primitive on slot maps does O(number of slots) Python
 arithmetic; on vectors, a handful of O(N) numpy operations (its arithmetic,
 plus |d| and its max for the norm).  Both add a fixed amount of Python work:
 argument checks and one pass through _encoding, the one sealing path, which
-adds the inputs' plain (depth, queries) tuples and ancilla counts to the own
-charge, checks the output and builds the one BlockEncoding, which keeps its
-ancilla count once, as ``ancillas``.  No primitive builds a ResourceCounter:
-BlockEncoding.resources builds it on first read.  product and lcu hand the
+adds the inputs' three counter attributes to the own charge, checks the
+output and builds the one BlockEncoding.  product and lcu hand the
 stored corners to the storage operations as they are when every input is a
 slot map, and lcu adds up eps in its check loop.  A generic step's gradient has at most K*v slots,
 so only the iterate update (one lcu and one amplify on vectors) costs O(N);
@@ -77,7 +76,7 @@ encoding renders its summary to JSON text once, when it is first an output
 or an input, and later records reuse that text; a record's line is joined
 from those texts and from its parameters, rendered in one pass over their
 sorted names, as it is appended.  The lazy values of an encoding (its
-vector, id, summary text and ResourceCounter) are cached_attribute
+vector, id and summary text) are cached_attribute
 descriptors: the first read stores the value in the instance dict and takes
 no lock, unlike functools.cached_property on Python 3.11.  The log keeps only
 the lines: AuditLog.to_jsonl joins them, and AuditLog.records parses each
@@ -89,6 +88,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -110,7 +110,7 @@ from .errors import (
     NotNormalized,
     PolyBoundViolated,
 )
-from .polyfunc import cached_attribute
+from .polyfunc import as_index, cached_attribute
 
 NORM_TOL = 1e-10
 DIAG_TOL = 1e-12
@@ -118,6 +118,9 @@ DIAG_TOL = 1e-12
 # boosted corner norm must not exceed 1 - AMP_MARGIN = 1/2, the containment
 # bound max_i |x_i| <= 1/2, and the repetition count grows as 1/AMP_MARGIN.
 AMP_MARGIN = 0.5
+# The ledger of an encoding: the names of its counter attributes, in the
+# order of each DescentTrace.counters entry and of every counter listing.
+COUNTERS = ("depth_units", "queries", "ancillas")
 
 
 def spectral_norm(mat: np.ndarray) -> float:
@@ -224,30 +227,20 @@ def _digest(data, dim: int) -> str:
     return digest.hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class ResourceCounter:
-    """Depth and query ledger, which only grows; the ancilla count is BlockEncoding.ancillas."""
-
-    depth_units: int = 0
-    queries: int = 0
-
-
 class BlockEncoding:
-    """Immutable corner block plus (alpha, ancillas, eps) and counters.
+    """Immutable corner block plus alpha, eps and the COUNTERS ledger.
 
-    ``BlockEncoding(corner, alpha, ancillas, eps, resources)`` stores the
-    given matrix dense.  Primitives store a diagonal corner as a slot map or
-    a vector (see the module docstring); ``corner`` then builds the
-    read-only N x N matrix on each access.  ``norm`` is the spectral norm,
-    computed once at construction.  The counters are kept as the attribute
-    ``ancillas``, the one place the ancilla count lives, and the plain tuple
-    ``_counts`` = (depth, queries), which only _encoding (adding an input's
-    ledger), the audit summary and the descent trace read; ``resources``
-    builds the ResourceCounter from ``_counts`` once.
+    ``BlockEncoding(corner, alpha, ancillas, eps, depth_units=, queries=)``
+    stores the given matrix dense.  Primitives store a diagonal corner as a
+    slot map or a vector (see the module docstring); ``corner`` then builds
+    the read-only N x N matrix on each access.  ``norm`` is the spectral
+    norm, computed once at construction.  The ledger is the three plain int
+    attributes named by COUNTERS, ``depth_units``, ``queries`` and
+    ``ancillas``, each of which only grows along a pipeline.
     """
 
     def __init__(self, corner, alpha: float = 1.0, ancillas: int = 0,
-                 eps: float = 0.0, resources: ResourceCounter = ResourceCounter()):
+                 eps: float = 0.0, *, depth_units: int = 0, queries: int = 0):
         mat = np.array(corner, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"corner must be square, got shape {mat.shape}")
@@ -257,8 +250,7 @@ class BlockEncoding:
             grown = np.zeros((padded, padded), dtype=complex)
             grown[:n, :n] = mat
             mat = grown
-        sealed = _encoding(mat, padded, alpha, eps, (), resources.depth_units,
-                           resources.queries, ancillas)
+        sealed = _encoding(mat, padded, alpha, eps, (), depth_units, queries, ancillas)
         self.__dict__.update(sealed.__dict__)
 
     def __setattr__(self, name, value):
@@ -297,11 +289,6 @@ class BlockEncoding:
     def _id(self) -> str:
         return _digest(self._data, self.dim)
 
-    @cached_attribute
-    def resources(self) -> ResourceCounter:
-        """The counters as a ResourceCounter, built on first read."""
-        return ResourceCounter(*self._counts)
-
     def summary(self) -> dict:
         return json.loads(self._audited)
 
@@ -312,10 +299,10 @@ class BlockEncoding:
         The counters are ints and alpha and eps finite floats, whose repr is
         what json writes for them.
         """
-        depth, queries = self._counts
         return (
-            f'{{"alpha": {self.alpha!r}, "ancillas": {self.ancillas!r}, "depth_units": {depth!r}, '
-            f'"eps": {self.eps!r}, "id": "{self._id}", "queries": {queries!r}}}'
+            f'{{"alpha": {self.alpha!r}, "ancillas": {self.ancillas!r}, '
+            f'"depth_units": {self.depth_units!r}, "eps": {self.eps!r}, "id": "{self._id}", '
+            f'"queries": {self.queries!r}}}'
         )
 
 
@@ -331,9 +318,8 @@ def _encoding(data, dim: int, alpha: float, eps: float, inputs, depth: int, quer
     constructor passes () and its given counters.
     """
     for e in inputs:
-        d, q = e._counts
-        depth += d
-        queries += q
+        depth += e.depth_units
+        queries += e.queries
         ancillas += e.ancillas
     if type(data) is dict:
         norm = 0.0
@@ -373,8 +359,9 @@ def _encoding(data, dim: int, alpha: float, eps: float, inputs, depth: int, quer
     fields["norm"] = norm
     fields["alpha"] = alpha
     fields["eps"] = eps
+    fields["depth_units"] = depth
+    fields["queries"] = queries
     fields["ancillas"] = int(ancillas)
-    fields["_counts"] = (depth, queries)
     return enc
 
 
@@ -563,7 +550,10 @@ def lcu(encodings, signs) -> BlockEncoding:
     dense.
     """
     encs = list(encodings)
-    signs = [int(s) for s in signs]
+    try:
+        signs = list(map(operator.index, signs))
+    except TypeError:
+        raise ValueError(f"signs must be +/-1, got {signs}") from None
     if not encs:
         raise ValueError("lcu requires at least one encoding")
     if len(signs) != len(encs):
@@ -657,7 +647,7 @@ def qsvt_transform(enc: BlockEncoding, poly, degree: int) -> BlockEncoding:
     output is a fresh (alpha=1) encoding with two more ancillas, degree
     extra depth/queries, and error 4*d*sqrt(eps/alpha).
     """
-    d = int(degree)
+    d = as_index(degree, "degree")
     if d < 0:
         raise ValueError("degree must be non-negative")
     if enc._dense:
@@ -667,7 +657,8 @@ def qsvt_transform(enc: BlockEncoding, poly, degree: int) -> BlockEncoding:
     if herm_defect > NORM_TOL:
         raise NotHermitian(f"corner deviates from Hermitian by {herm_defect}")
     sup = float(np.max(np.abs(np.asarray(poly(poly_grid()), dtype=float))))
-    if sup > 0.5 + NORM_TOL:
+    # The negated comparison is true for NaN as well.
+    if not sup <= 0.5 + NORM_TOL:
         raise PolyBoundViolated(
             f"sup |poly| = {sup} on [-1, 1] exceeds the 1/2 cap"
         )

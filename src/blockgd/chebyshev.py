@@ -13,6 +13,7 @@ sum_k c_k T_k(2x) for x in [-1/2, 1/2]; the polynomial extends to all of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -179,6 +180,14 @@ def _trim_trailing(coeffs: np.ndarray, threshold: float) -> np.ndarray:
     return coeffs[:keep]
 
 
+def _finite(poly: ChebyshevPoly, func: ScalarFunction) -> ChebyshevPoly:
+    """poly, or DegreeCapExceeded when its sup on [-1, 1] is not finite."""
+    if not math.isfinite(poly.grid_sup):
+        raise DegreeCapExceeded(f"the polynomial for F' of kind={func.kind!r} has sup "
+                                f"{poly.grid_sup} on [-1, 1], which is not finite")
+    return poly
+
+
 @cache
 @np.errstate(all="ignore")
 def approx_derivative(func: ScalarFunction, eps: float) -> ChebyshevPoly:
@@ -188,8 +197,10 @@ def approx_derivative(func: ScalarFunction, eps: float) -> ChebyshevPoly:
     error 0).  Named functions are interpolated at Chebyshev nodes with the
     candidate degree doubling from 2 up to the cap of 512; trailing
     coefficients below eps/(10*degree) are trimmed before measurement.  An F'
-    not finite on the grid raises DegreeCapExceeded, without numpy warnings.
-    Cached (an error is not): a run's step-size check and engine share one.
+    not finite on the grid, or a P whose sup on [-1, 1] is not finite (a
+    poly F' whose coefficients overflow), raises DegreeCapExceeded, without
+    numpy warnings.  Cached (an error is not): a run's step-size check and
+    engine share one.
     """
     if not 0.0 < eps <= MAX_EPS:
         raise ValueError(f"eps must lie in (0, 1/4], got {eps}")
@@ -198,7 +209,7 @@ def approx_derivative(func: ScalarFunction, eps: float) -> ChebyshevPoly:
         # p(t/2) in the power basis, then convert: exact up to rounding.
         mapped = [c / (2.0**k) for k, c in enumerate(dcoef)]
         coeffs = ncheb.poly2cheb(mapped)
-        return ChebyshevPoly(tuple(coeffs), 0.0)
+        return _finite(ChebyshevPoly(tuple(coeffs), 0.0), func)
 
     grid = chebyshev_nodes(GRID_POINTS)
     target = np.asarray(func.derivative(grid), dtype=float)
@@ -216,7 +227,7 @@ def approx_derivative(func: ScalarFunction, eps: float) -> ChebyshevPoly:
                                 eps / (10.0 * degree))
         err = float(np.max(np.abs(ncheb.chebval(2.0 * grid, coeffs) - target)))
         if err <= eps:
-            return ChebyshevPoly(tuple(coeffs), err)
+            return _finite(ChebyshevPoly(tuple(coeffs), err), func)
         degree *= 2
     raise DegreeCapExceeded(
         f"no degree <= {DEGREE_CAP} reaches sup error {eps} for kind={func.kind!r}"

@@ -52,10 +52,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockcalc import AuditLog, check_amplitudes, next_power_of_two, recording
+from .blockcalc import COUNTERS, AuditLog, check_amplitudes, next_power_of_two, recording
 from .chebyshev import DEGREE_CAP, MAX_EPS, NAMED_KINDS, ScalarFunction, SeparableObjective
 from .descent import (
-    COUNTERS,
     GENERIC,
     REGIMES,
     SEPARABLE,

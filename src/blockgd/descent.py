@@ -32,12 +32,13 @@ caller that wants the per-operation record wraps the run in that block.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import blockcalc as bc
-from .blockcalc import BlockEncoding
+from .blockcalc import COUNTERS, BlockEncoding
 from .chebyshev import (
     ChebyshevPoly,
     ScalarFunction,
@@ -64,8 +65,6 @@ from .polyfunc import (
 
 GENERIC = "generic"
 SEPARABLE = "separable"
-# The counters of one iterate, in the order of each DescentTrace.counters entry.
-COUNTERS = ("depth_units", "queries", "ancillas")
 
 
 @dataclass(frozen=True)
@@ -403,6 +402,7 @@ def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> Desc
     rows = np.empty((cfg.steps + 1, objective.n))
     gradients = np.empty_like(rows)
     f_values, eps_budgets, counters = [], [], []
+    ledger = operator.attrgetter(*COUNTERS)
     for t in range(cfg.steps + 1):
         if t:
             try:
@@ -418,7 +418,7 @@ def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> Desc
         gradients[t] = objective._gradient(x)
         f_values.append(float(objective._evaluate(x)))
         eps_budgets.append(enc.eps)
-        counters.append((*enc._counts, enc.ancillas))
+        counters.append(ledger(enc))
     rows.setflags(write=False)
     gradients.setflags(write=False)
     uniform = np.full(enc.dim, 1.0 / math.sqrt(enc.dim))

@@ -125,8 +125,8 @@ class MonomialTerm:
 
     @property
     def degree(self) -> int:
-        """Total degree: sum of all exponents."""
-        return sum(self.exponents)
+        """Total degree: the sum of the exponents, read over the support only (O(v))."""
+        return sum(self.exponents[m] for m in self.support)
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,7 @@ class ObjectiveFunction:
         f_bound = 0.0
         partial_bounds: dict[int, float] = {}
         for term in self.terms:
-            degree = sum(term.exponents[m] for m in term.support)
+            degree = term.degree
             f_bound += abs(term.coeff) * HALF**degree
             for m in term.support:
                 c = abs(term.coeff) * term.exponents[m] * HALF ** (degree - 1)

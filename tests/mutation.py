@@ -46,8 +46,19 @@ REPLAY = "tests/test_bench_api.py::test_cli_audit_sweep_replays"
 MUTANTS = (
     Mutant("norm_tol", "blockcalc.py", "NORM_TOL = 1e-10", "NORM_TOL = 1e-6",
            (f"{BLOCKCALC}::TestBlockEncodingType::test_norm_tolerance_forgives_rounding_only",)),
-    Mutant("qsvt_sup_cap", "blockcalc.py", "if sup > 0.5 + NORM_TOL:", "if sup > 0.6:",
+    Mutant("qsvt_sup_cap", "blockcalc.py", "if not sup <= 0.5 + NORM_TOL:", "if not sup <= 0.6:",
            (f"{BLOCKCALC}::TestQsvtTransform::test_poly_bound_is_tight_above_half",)),
+    Mutant("qsvt_sup_nan", "blockcalc.py", "if not sup <= 0.5 + NORM_TOL:",
+           "if sup > 0.5 + NORM_TOL:",
+           (f"{BLOCKCALC}::TestQsvtTransform::test_nan_polynomial_violates_the_cap",)),
+    Mutant("qsvt_degree_index", "blockcalc.py", 'd = as_index(degree, "degree")', "d = int(degree)",
+           (f"{BLOCKCALC}::test_argument_errors_name_their_rule",)),
+    Mutant("lcu_sign_index", "blockcalc.py", "list(map(operator.index, signs))",
+           "list(map(int, signs))", (f"{BLOCKCALC}::test_argument_errors_name_their_rule",)),
+    Mutant("poly_derivative_finite", "chebyshev.py",
+           "return _finite(ChebyshevPoly(tuple(coeffs), 0.0), func)",
+           "return ChebyshevPoly(tuple(coeffs), 0.0)",
+           (f"{CLI}::TestValidateConfig::test_pre_step_checks_fail_alike_in_both_commands",)),
     Mutant("qsvt_negative_degree", "blockcalc.py", "    if d < 0:", "    if d < -1:",
            (f"{BLOCKCALC}::TestQsvtTransform::test_negative_degree_rejected",)),
     Mutant("scale_down_eps", "blockcalc.py", "enc.alpha, enc.eps / p,", "enc.alpha, enc.eps,",
@@ -139,6 +150,11 @@ MUTANTS = (
         ("amplify", "[enc], m, m, 1,", "[enc], m, m, 2,"),
         ("qsvt_transform", "[enc], d, d, 2,", "[enc], d, d + 1, 2,"),
     )),
+    # The ledger rule of _encoding, one counter at a time: an output's count is
+    # its own charge plus the sum over its operand positions.
+    *(Mutant(f"ledger_sum_{name}", "blockcalc.py", f"{var} += e.{name}", f"{var} += 0", (REPLAY,))
+      for var, name in (("depth", "depth_units"), ("queries", "queries"),
+                        ("ancillas", "ancillas"))),
     Mutant("charge_projector_encode", "blockcalc.py", "(), 1, 0, log_n)", "(), 1, 0, log_n + 1)",
            (GOLDEN, BLOCKCALC)),
     Mutant("objective_size_index", "polyfunc.py", 'n = as_index(objective.n, "n")',

@@ -40,7 +40,8 @@ def random_diagonal(rng, dim, bound=0.2):
 
 
 def dense_twin(enc):
-    return BlockEncoding(enc.corner, enc.alpha, enc.ancillas, enc.eps, enc.resources)
+    return BlockEncoding(enc.corner, enc.alpha, enc.ancillas, enc.eps,
+                         depth_units=enc.depth_units, queries=enc.queries)
 
 
 def primitive_outputs(x, y):
@@ -94,6 +95,12 @@ class TestBlockEncodingType:
                 enc.corner[0, 0] = 1.0
             assert np.array_equal(enc.corner, np.diag([0.5, 0.5]))
 
+    def test_counters_are_keyword_only(self):
+        enc = BlockEncoding(np.diag([0.5, 0.5]), 1.0, 3, 0.0, depth_units=4, queries=5)
+        assert tuple(getattr(enc, name) for name in bc.COUNTERS) == (4, 5, 3)
+        with pytest.raises(TypeError):
+            BlockEncoding(np.diag([0.5, 0.5]), 1.0, 3, 0.0, (4, 5))
+
     def test_alpha_below_one_rejected(self):
         with pytest.raises(ValueError):
             BlockEncoding(np.diag([0.5, 0.5]), alpha=0.5)
@@ -141,7 +148,7 @@ class TestDiagEncode:
         assert np.allclose(enc.corner, np.diag([1, 0, 0, 0]))
         assert enc.ancillas == 5  # log2(4) + 3
         assert enc.eps == 0.0
-        assert enc.resources.depth_units == 2
+        assert enc.depth_units == 2
 
     def test_uniform_state(self):
         enc = bc.diag_encode([0.5] * 4)
@@ -171,7 +178,7 @@ class TestEntryProject:
         x = bc.diag_encode([0.1, 0.2, 0.3, 0.4])
         out = bc.entry_project(x, 1, 3)
         assert np.allclose(out.corner, np.diag([0, 0, 0, 0.2]))
-        assert out.resources.queries == x.resources.queries + 2
+        assert out.queries == x.queries + 2
         assert out.ancillas == x.ancillas + 2 + 3
 
     def test_zero_entry(self):
@@ -266,7 +273,7 @@ class TestLcu:
         b = BlockEncoding(np.diag([0.2, 0.2]), eps=1e-4)
         out = bc.lcu([a, b], [1, 1])
         assert out.eps == pytest.approx(2e-4)
-        assert out.resources.queries == 2
+        assert out.queries == 2
         assert out.ancillas == 1  # ceil(log2 2)
 
     def test_mixed_alpha_rejected(self):
@@ -282,7 +289,7 @@ class TestScaleDown:
         out = bc.scale_down(enc, 4.0)
         assert np.allclose(np.diag(out.corner), [0.1, -0.05])
         assert out.ancillas == enc.ancillas + 1
-        assert out.resources.depth_units == enc.resources.depth_units + 1
+        assert out.depth_units == enc.depth_units + 1
 
     def test_rotation_angle_recorded(self):
         audit = AuditLog()
@@ -308,7 +315,7 @@ class TestAmplify:
     def test_repetition_count_formula(self):
         enc = bc.diag_encode([0.05, 0.02])
         out = bc.amplify(enc, 3.0, 1e-6)
-        added = out.resources.depth_units - enc.resources.depth_units
+        added = out.depth_units - enc.depth_units
         assert added == 196  # ceil(12 * ln(1.2e7))
 
     def test_norm_bound_strict(self):
@@ -396,6 +403,12 @@ class TestQsvtTransform:
         with pytest.raises(PolyBoundViolated, match=r"sup \|poly\| = 0\.55 "):
             bc.qsvt_transform(enc, Polynomial([0.55]), 0)
         bc.qsvt_transform(enc, Polynomial([0.5 + 0.5e-10]), 0)
+
+    def test_nan_polynomial_violates_the_cap(self):
+        # A NaN sup fails the cap; it must not reach the corner as a NaN norm.
+        enc = bc.diag_encode([0.3, 0.0])
+        with pytest.raises(PolyBoundViolated, match=r"sup \|poly\| = nan "):
+            bc.qsvt_transform(enc, Polynomial([math.nan]), 0)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError, match="degree must be non-negative"):
@@ -711,11 +724,8 @@ class TestClosureAndCounters:
                 assert out.dim & (out.dim - 1) == 0
                 assert math.isfinite(out.eps) and out.eps >= 0
                 assert out.alpha >= 1.0
-                for field in ("depth_units", "queries"):
-                    assert getattr(out.resources, field) >= max(
-                        getattr(a.resources, field), 0
-                    )
-                assert out.ancillas >= a.ancillas
+                for field in bc.COUNTERS:
+                    assert getattr(out, field) >= max(getattr(a, field), 0)
 
     def test_lcu_scale_down_and_amplify_keep_the_input_alpha(self):
         enc = BlockEncoding(np.diag([0.2, -0.1]), alpha=2.0, eps=1e-4)
@@ -729,9 +739,8 @@ class TestClosureAndCounters:
         w = bc.lcu([z, z], [1, -1])
         chain = [x, y, z, w]
         for before, after in zip(chain, chain[1:]):
-            assert after.resources.depth_units >= before.resources.depth_units
-            assert after.resources.queries >= before.resources.queries
-            assert after.ancillas >= before.ancillas
+            for field in bc.COUNTERS:
+                assert getattr(after, field) >= getattr(before, field)
 
 
 class TestErrorBudgetSoundness:
@@ -1004,13 +1013,24 @@ def _set_alpha(enc):
      "signs and encodings must have equal length"),
     (lambda: bc.lcu([bc.diag_encode([0.1, 0.2])] * 2, [1, 2]), ValueError,
      "signs must be +/-1, got [1, 2]"),
+    (lambda: bc.lcu([bc.diag_encode([0.1, 0.2])], [1.5]), ValueError,
+     "signs must be +/-1, got [1.5]"),
+    (lambda: bc.lcu([bc.diag_encode([0.1, 0.2])], [-1.9]), ValueError,
+     "signs must be +/-1, got [-1.9]"),
+    (lambda: bc.lcu([bc.diag_encode([0.1, 0.2])], ["1"]), ValueError,
+     "signs must be +/-1, got ['1']"),
     (lambda: bc.lcu([bc.diag_encode([0.1, 0.2]), bc.diag_encode([0.1] * 4)], [1, 1]),
      DimensionMismatch, "lcu inputs must share one dimension"),
+    (lambda: bc.qsvt_transform(bc.diag_encode([0.1, 0.2]), Polynomial([0.1]), 2.9),
+     ValueError, "degree must be an integer, got 2.9"),
+    (lambda: bc.qsvt_transform(bc.diag_encode([0.1, 0.2]), Polynomial([0.1]), "3"),
+     ValueError, "degree must be an integer, got '3'"),
     (lambda: bc.apply_postselect(bc.diag_encode([0.1, 0.2]), [1.0, 0.0, 0.0, 0.0]),
      DimensionMismatch, "state has dim 4, corner 2"),
 ], ids=["non-square-corner", "setattr", "projector-index", "entry-project-target",
-        "lcu-empty", "lcu-signs-length", "lcu-sign-value", "lcu-dimensions",
-        "postselect-dimension"])
+        "lcu-empty", "lcu-signs-length", "lcu-sign-value", "lcu-sign-fraction",
+        "lcu-sign-negative-fraction", "lcu-sign-string", "lcu-dimensions",
+        "qsvt-degree-fraction", "qsvt-degree-string", "postselect-dimension"])
 def test_argument_errors_name_their_rule(call, error, message):
     with pytest.raises(error) as info:
         call()

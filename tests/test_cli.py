@@ -238,6 +238,11 @@ PRE_STEP_DOCS = [
     pytest.param(SIN_SCALE_2_DOC, EXIT_SCHEMA, id="separable-eta-above-1/divisor"),
     pytest.param({**SIN_SCALE_2_DOC, "T": 0}, EXIT_SCHEMA, id="separable-eta-above-1/divisor-T0"),
     pytest.param(GAUSSIAN_400_DOC, EXIT_DEGREE, id="degree-cap"),
+    # F' = 1e308 + 2e308*x: its coefficients overflow, so sup |P| is NaN.
+    pytest.param({"mode": "separable", "objective": {
+        "kind": "poly", "coeffs": [0, 1e308, 1e308], "n": 2, "M": 1.0},
+        "x0": [0.1, 0.1], "T": 1, "eps": 1e-6, "eta": 0.1}, EXIT_DEGREE,
+        id="poly-derivative-overflows"),
     pytest.param(X0_NORM_DOC, EXIT_CONTRACT, id="x0-two-norm-above-1"),
 ]
 

@@ -626,24 +626,6 @@ class TestDiagonalFastPath:
         # One read per trace record (t = 0..T); entry_project reads its one entry in place.
         assert len(calls) == steps + 1
 
-    def test_generic_run_builds_resource_counters_only_in_snapshots(self, monkeypatch):
-        built = []
-        original = bc.ResourceCounter.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(args or kwargs)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(bc.ResourceCounter, "__init__", counted)
-        n, steps = 16, 3
-        objective = _canonical_objective(n, 3, 4, 3)
-        trace = run_generic(
-            objective, np.full(n, 0.05), DescentConfig(steps=steps, eps=1e-6, mode="generic"))
-        # Primitives keep their counters as a tuple, and the trace copies
-        # them from it, so no run builds the public ResourceCounter.
-        assert built == []
-        assert trace.records[-1].queries > 0
-
     def test_gradient_encoding_allocates_no_length_n_vector(self, monkeypatch):
         # Complexity fences, each an upper bound with its measured slack (Python
         # 3.11, numpy 2.4).  One length-N complex vector takes 16 KiB at
@@ -680,7 +662,7 @@ class TestDiagonalFastPath:
             if n >= 2**16:
                 assert peak <= 16 * n // 32
             assert vectors == []
-            assert (grad.resources.queries, grad.resources.depth_units,
+            assert (grad.queries, grad.depth_units,
                     grad.ancillas) == (384, depth, ancillas)
             if n == 2**16:
                 _, peak = traced_peak(lambda: gd_step_generic(iterate, grad, eps=1e-6))
