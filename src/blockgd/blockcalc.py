@@ -52,35 +52,36 @@ arithmetic; on vectors, a handful of O(N) numpy operations (its arithmetic,
 plus |d| and its max for the norm).  Both add a fixed amount of Python work:
 argument checks and one pass through _encoding, the one sealing path, which
 adds the inputs' three counter attributes to the own charge, checks the
-output and builds the one BlockEncoding.  product and lcu hand the
+output's norm, alpha and eps and builds the one BlockEncoding (only the
+public constructor converts foreign values).  product and lcu hand the
 stored corners to the storage operations as they are when every input is a
-slot map, and lcu adds up eps in its check loop.  A generic step's gradient has at most K*v slots,
-so only the iterate update (one lcu and one amplify on vectors) costs O(N);
-the hot path avoids copies of stored data and generic Python passes over the
-operands.  With no log active, that is all: a primitive reads the active
-log once and builds no record arguments.  A recorded primitive adds the
-output's id, a SHA-1 over the indices and values of its non-zeros (O(slots)
-for a slot map, 16*N bytes for a full vector), plus one summary text and one
-JSON line built from text.  A slot map's id is one sha1 call on one buffer
-that struct packs; a vector's or a dense corner's id hashes numpy's bytes of
-the same layout.
+slot map, and lcu adds up eps in its check loop.  A generic step's gradient
+has at most K*v slots, so only the iterate update (one lcu and one amplify
+on vectors) costs O(N); the hot path avoids copies of stored data and
+generic Python passes over the operands.  With no log active, that is all: a
+primitive reads the active log once and builds no record arguments.  A
+recorded primitive adds the output's id, a SHA-1 over the indices and values
+of its non-zeros (O(slots) for a slot map, 16*N bytes for a full vector),
+plus one summary text and one JSON line built from text.  A slot map's id is
+one sha1 call on one buffer that struct packs; a vector's or a dense
+corner's id hashes numpy's bytes of the same layout.
 
 Recording: within ``with recording(log):`` every primitive that makes an
-encoding appends one record to the AuditLog log, through _log and
-AuditLog.record; elsewhere nothing is recorded.  The active log is held in a
-ContextVar, so neither the primitives nor the descent code that calls them
-takes a log argument.  Each primitive checks it once after sealing its
-output and calls _log only when a log is active, so an unrecorded call
-builds no inputs list or parameters and makes no second call.  Each
-encoding renders its summary to JSON text once, when it is first an output
-or an input, and later records reuse that text; a record's line is joined
-from those texts and from its parameters, rendered in one pass over their
-sorted names, as it is appended.  The lazy values of an encoding (its
-vector, id and summary text) are cached_attribute
-descriptors: the first read stores the value in the instance dict and takes
-no lock, unlike functools.cached_property on Python 3.11.  The log keeps only
-the lines: AuditLog.to_jsonl joins them, and AuditLog.records parses each
-line once, on the first read after it was appended.
+encoding appends one record to the AuditLog log, through AuditLog.record;
+elsewhere nothing is recorded.  The active log is held in a ContextVar, so
+neither the primitives nor the descent code that calls them takes a log
+argument.  Each primitive reads it once after sealing its output and calls
+its record method only when a log is active, so an unrecorded call builds no
+inputs list or parameters and makes no second call.  Each encoding renders
+its summary to JSON text once, when it is first an output or an input, and
+later records reuse that text; a record's line is joined from those texts
+and from its parameters, rendered in one pass over their sorted names, as it
+is appended.  The lazy values of an encoding (its vector, id and summary
+text) are cached_attribute descriptors: the first read stores the value in
+the instance dict and takes no lock, unlike functools.cached_property on
+Python 3.11.  The log keeps only the lines: AuditLog.to_jsonl joins them,
+and AuditLog.records parses each line once, on the first read after it was
+appended.
 """
 
 from __future__ import annotations
@@ -236,7 +237,10 @@ class BlockEncoding:
     the read-only N x N matrix on each access.  ``norm`` is the spectral
     norm, computed once at construction.  The ledger is the three plain int
     attributes named by COUNTERS, ``depth_units``, ``queries`` and
-    ``ancillas``, each of which only grows along a pipeline.
+    ``ancillas``, each of which only grows along a pipeline.  The
+    constructor alone converts foreign values: alpha and eps by float(), each
+    counter by polyfunc.as_index, and a negative counter is a ValueError
+    naming it; _encoding checks the norm, alpha and eps.
     """
 
     def __init__(self, corner, alpha: float = 1.0, ancillas: int = 0,
@@ -250,7 +254,13 @@ class BlockEncoding:
             grown = np.zeros((padded, padded), dtype=complex)
             grown[:n, :n] = mat
             mat = grown
-        sealed = _encoding(mat, padded, alpha, eps, (), depth_units, queries, ancillas)
+        counts = []
+        for name, value in zip(COUNTERS, (depth_units, queries, ancillas)):
+            count = as_index(value, name)
+            if count < 0:
+                raise ValueError(f"{name} must be non-negative, got {count}")
+            counts.append(count)
+        sealed = _encoding(mat, padded, float(alpha), float(eps), (), *counts)
         self.__dict__.update(sealed.__dict__)
 
     def __setattr__(self, name, value):
@@ -296,8 +306,9 @@ class BlockEncoding:
     def _audited(self) -> str:
         """The summary as json.dumps(summary, sort_keys=True) writes it, made once.
 
-        The counters are ints and alpha and eps finite floats, whose repr is
-        what json writes for them.
+        The counters are ints and alpha and eps finite floats (as the
+        constructor converts them and every primitive passes them), whose
+        repr is what json writes for them.
         """
         return (
             f'{{"alpha": {self.alpha!r}, "ancillas": {self.ancillas!r}, '
@@ -312,10 +323,11 @@ def _encoding(data, dim: int, alpha: float, eps: float, inputs, depth: int, quer
 
     Every encoding is built here, the constructor's included: the norm
     (max |value| of a diagonal, the spectral norm of a dense matrix), the
-    checks on norm, alpha, eps and ancillas, and the ledger, by the one rule:
-    depth, queries and ancillas are the own charge plus the sum over the
-    operand positions ``inputs`` (product(x, x) charges x twice).  The
-    constructor passes () and its given counters.
+    checks that arithmetic can fail by overflow or NaN (norm, alpha, eps),
+    and the ledger, by the one rule: depth, queries and ancillas are the own
+    charge plus the sum over the operand positions ``inputs`` (product(x, x)
+    charges x twice).  alpha and eps arrive as floats and the charges as
+    non-negative ints; the constructor converts its arguments and passes ().
     """
     for e in inputs:
         depth += e.depth_units
@@ -328,10 +340,10 @@ def _encoding(data, dim: int, alpha: float, eps: float, inputs, depth: int, quer
             if mag > norm or mag != mag:  # a NaN, once met, stays the norm
                 norm = mag
     elif data.ndim == 1:
-        # Indexing at argmax (which picks the first NaN, if any) gives max |d_i|
-        # without the ufunc-reduce set-up of .max() on a few hundred entries.
+        # The entry at argmax (which picks the first NaN, if any) is max |d_i|, read
+        # as a Python float without the ufunc-reduce set-up of .max().
         mags = np.abs(data)
-        norm = float(mags[mags.argmax()])
+        norm = mags.item(mags.argmax())
     else:
         if not np.isfinite(data).all():
             raise NormTooLarge("corner has a non-finite entry")
@@ -340,14 +352,10 @@ def _encoding(data, dim: int, alpha: float, eps: float, inputs, depth: int, quer
     if not norm <= 1.0 + NORM_TOL:
         raise NormTooLarge(f"corner spectral norm {norm} exceeds 1")
     # The chained comparisons are false for NaN as well.
-    alpha = float(alpha)
     if not 1.0 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
-    eps = float(eps)
     if not 0.0 <= eps < math.inf:
         raise InvalidErrorBudget(f"eps must be finite and >= 0, got {eps}")
-    if ancillas < 0:
-        raise ValueError("ancillas must be non-negative")
     enc = BlockEncoding.__new__(BlockEncoding)
     fields = enc.__dict__
     if type(data) is not dict:
@@ -361,7 +369,7 @@ def _encoding(data, dim: int, alpha: float, eps: float, inputs, depth: int, quer
     fields["eps"] = eps
     fields["depth_units"] = depth
     fields["queries"] = queries
-    fields["ancillas"] = int(ancillas)
+    fields["ancillas"] = ancillas
     return enc
 
 
@@ -437,15 +445,6 @@ def recording(log: AuditLog | None):
         _RECORDER.reset(token)
 
 
-def _log(op: str, inputs, output: BlockEncoding, **params) -> None:
-    """Record op in the active log.
-
-    Each primitive calls it only after checking that a log is active, so an
-    unrecorded call builds none of its arguments.
-    """
-    _RECORDER.get().record(op, inputs, output, **params)
-
-
 def check_amplitudes(psi) -> np.ndarray:
     """psi as a flat complex vector of 2-norm <= 1 + NORM_TOL, else NormTooLarge.
 
@@ -471,20 +470,21 @@ def diag_encode(psi, alpha: float = 1.0) -> BlockEncoding:
     padded[: len(vec)] = vec
     log_n = dim.bit_length() - 1
     enc = _encoding(padded, dim, float(alpha), 0.0, (), log_n, 0, log_n + 3)
-    if _RECORDER.get() is not None:
-        _log("diag_encode", [], enc, dim=dim, alpha=float(alpha))
+    if (log := _RECORDER.get()) is not None:
+        log.record("diag_encode", [], enc, dim=dim, alpha=enc.alpha)
     return enc
 
 
 def projector_encode(dim: int, k: int) -> BlockEncoding:
     """Exact encoding of the basis projector |k><k|: depth 1, log2 N ancillas."""
-    dim = next_power_of_two(dim)
+    dim = next_power_of_two(as_index(dim, "dim"))
+    k = as_index(k, "k")
     if not 0 <= k < dim:
         raise IndexOutOfRange(f"index {k} not in [0, {dim})")
     log_n = dim.bit_length() - 1
     enc = _encoding({k: complex(1.0, 0.0)}, dim, 1.0, 0.0, (), 1, 0, log_n)
-    if _RECORDER.get() is not None:
-        _log("projector_encode", [], enc, dim=dim, k=k)
+    if (log := _RECORDER.get()) is not None:
+        log.record("projector_encode", [], enc, dim=dim, k=k)
     return enc
 
 
@@ -495,6 +495,7 @@ def entry_project(enc: BlockEncoding, j: int, k: int) -> BlockEncoding:
     costs ceil(log2 N) depth and ceil(log2 N) + 3 ancillas on top.  A slot
     map or vector is diagonal by its form; only a dense corner is checked.
     """
+    j, k = as_index(j, "j"), as_index(k, "k")
     src = enc._data
     dense = type(src) is not dict and src.ndim == 2
     if dense and not enc.is_diagonal():
@@ -515,8 +516,8 @@ def entry_project(enc: BlockEncoding, j: int, k: int) -> BlockEncoding:
         slots if value.imag == 0.0 else _vector(slots, dim), dim, enc.alpha, enc.eps, [enc],
         log_n, 2, log_n + 3,
     )
-    if _RECORDER.get() is not None:
-        _log("entry_project", [enc], out, j=j, k=k)
+    if (log := _RECORDER.get()) is not None:
+        log.record("entry_project", [enc], out, j=j, k=k)
     return out
 
 
@@ -535,8 +536,8 @@ def product(a: BlockEncoding, b: BlockEncoding) -> BlockEncoding:
         _times(x, y), a.dim, a.alpha * b.alpha, a.alpha * b.eps + b.alpha * a.eps,
         [a, b], 0, 2, 0,
     )
-    if _RECORDER.get() is not None:
-        _log("product", [a, b], out)
+    if (log := _RECORDER.get()) is not None:
+        log.record("product", [a, b], out)
     return out
 
 
@@ -582,8 +583,8 @@ def lcu(encodings, signs) -> BlockEncoding:
     out = _encoding(
         _signed_mean(parts, signs), dim, alpha, eps / m, encs, 0, m, (m - 1).bit_length(),
     )
-    if _RECORDER.get() is not None:
-        _log("lcu", encs, out, m=m, signs=signs)
+    if (log := _RECORDER.get()) is not None:
+        log.record("lcu", encs, out, m=m, signs=signs)
     return out
 
 
@@ -596,8 +597,8 @@ def scale_down(enc: BlockEncoding, p: float) -> BlockEncoding:
         raise InvalidScale(f"scale factor must be finite and exceed 1, got {p}")
     theta = 2.0 * math.acos(1.0 / p)
     out = _encoding(_shrunk(enc._data, p), enc.dim, enc.alpha, enc.eps / p, [enc], 1, 0, 1)
-    if _RECORDER.get() is not None:
-        _log("scale_down", [enc], out, p=p, theta=theta)
+    if (log := _RECORDER.get()) is not None:
+        log.record("scale_down", [enc], out, p=p, theta=theta)
     return out
 
 
@@ -633,8 +634,8 @@ def amplify(enc: BlockEncoding, gamma: float, eps_target: float) -> BlockEncodin
         _scaled(enc._data, gamma), enc.dim, enc.alpha, gamma * enc.eps + eps_target * boosted_norm,
         [enc], m, m, 1,
     )
-    if _RECORDER.get() is not None:
-        _log("amplify", [enc], out, gamma=gamma, delta=AMP_MARGIN, eps_target=eps_target, m=m)
+    if (log := _RECORDER.get()) is not None:
+        log.record("amplify", [enc], out, gamma=gamma, delta=AMP_MARGIN, eps_target=eps_target, m=m)
     return out
 
 
@@ -670,8 +671,8 @@ def qsvt_transform(enc: BlockEncoding, poly, degree: int) -> BlockEncoding:
     out = _encoding(
         transformed, enc.dim, 1.0, 4.0 * d * math.sqrt(enc.eps / enc.alpha), [enc], d, d, 2,
     )
-    if _RECORDER.get() is not None:
-        _log("qsvt_transform", [enc], out, degree=d, sup=sup)
+    if (log := _RECORDER.get()) is not None:
+        log.record("qsvt_transform", [enc], out, degree=d, sup=sup)
     return out
 
 

@@ -14,7 +14,8 @@ Every JSON field is checked by the checks below (an object's keys, an
 integer in a range, a finite number in a range, an array's length, one of
 fixed values), against limits stated once below.  The step size comes from
 descent.step_size, which builds a separable run's derivative polynomial;
-the parse ends with the start vector, built by
+check_bounded then requires finite bounds on f over the box (else a run
+could write Infinity), and the parse ends with the start vector, built by
 descent.initial_state_uniform for a uniform start and checked by
 polyfunc.check_point and blockcalc.check_amplitudes.  These are the rules
 the engines apply before their first step, so validate-config, which is
@@ -53,7 +54,10 @@ from pathlib import Path
 import numpy as np
 
 from .blockcalc import COUNTERS, AuditLog, check_amplitudes, next_power_of_two, recording
-from .chebyshev import DEGREE_CAP, MAX_EPS, NAMED_KINDS, ScalarFunction, SeparableObjective
+from .chebyshev import (
+    DEGREE_CAP, GRID_POINTS, MAX_EPS, NAMED_KINDS, ScalarFunction, SeparableObjective,
+    chebyshev_nodes,
+)
 from .descent import (
     GENERIC,
     REGIMES,
@@ -227,6 +231,28 @@ def load_cost_params(doc) -> CostParams:
     })
 
 
+def check_bounded(objective) -> None:
+    """SchemaError unless the objective's values and gradient are bounded finitely on the box.
+
+    A generic objective's certified_bounds must both be finite (O(K*v)); for
+    a separable one, n * max |F| on the GRID_POINTS Chebyshev nodes of
+    [-1/2, 1/2] must be, evaluated without numpy warnings (its F' is
+    approx_derivative's to check).  Otherwise a run could write Infinity
+    into trace.json, which strict JSON has no token for.
+    """
+    if isinstance(objective, SeparableObjective):
+        with np.errstate(all="ignore"):
+            values = objective.func.value(chebyshev_nodes(GRID_POINTS))
+            bound = objective.n * float(np.max(np.abs(values)))
+        if not math.isfinite(bound):
+            raise SchemaError(f"objective: n * max |F| on [-1/2, 1/2] = {bound} must be finite")
+        return
+    f_bound, grad_bound = objective.certified_bounds()
+    if not (math.isfinite(f_bound) and math.isfinite(grad_bound)):
+        raise SchemaError(f"objective: the certified bounds |f| <= {f_bound} and "
+                          f"||grad f||_2 <= {grad_bound} over the box must be finite")
+
+
 @dataclass(frozen=True, eq=False)  # x0 is an array, so a field-wise == would raise
 class ExperimentConfig:
     """One checked run request: the engine's inputs and the artifact options."""
@@ -244,8 +270,9 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
 
     Every check run makes before its first step, in this order: the fields,
     the step size (exit 2, or 6 for an F' without a derivative polynomial),
-    then the start vector (exit 3 for an infeasible uniform schedule, 7 for
-    an x0 outside the box or of 2-norm above 1).
+    the objective's finite bounds on the box (exit 2, check_bounded), then
+    the start vector (exit 3 for an infeasible uniform schedule, 7 for an x0
+    outside the box or of 2-norm above 1).
     """
     check_keys(doc, "$", ("mode", "objective", "x0", "T", "eps"),
                ("eta", "audit", "out", "format"))
@@ -284,6 +311,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
         raise SchemaError(f"out: expected string, got {out!r}")
     fmt = check_choice(doc.get("format", "both"), "format", ("json", "csv", "both"))
     eta = step_size(mode, objective, eta, eps)
+    check_bounded(objective)
     if uniform:
         x0 = initial_state_uniform(eta, objective.grad_bound, steps, objective.n)
     x0 = check_point(x0, objective.n)

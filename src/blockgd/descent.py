@@ -46,6 +46,7 @@ from .chebyshev import (
     approx_derivative,
 )
 from .errors import (
+    BlockgdError,
     InfeasibleSchedule,
     InvalidConfig,
     InvalidErrorBudget,
@@ -395,7 +396,10 @@ def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> Desc
     offending step.  The objective is read without a box check: x0 passed
     check_point and each later iterate amplify's max_i |x_i| <= 1/2.  As
     |df/dx_i| <= M on the box, a step moves a coordinate by at most eta*M,
-    so schedule_bound_ok is max_i |x0_i| <= 1/2 - eta*M*T.
+    so schedule_bound_ok is max_i |x0_i| <= 1/2 - eta*M*T.  f and its
+    gradient are evaluated without numpy warnings, and a non-finite one (an
+    objective that overflows between the grid points of cli.check_bounded)
+    raises BlockgdError (exit 7) naming the step.
     """
     vec = check_point(x0, objective.n)
     enc = bc.diag_encode(vec)
@@ -415,8 +419,12 @@ def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> Desc
                 raise InvalidErrorBudget(f"step {t}: {exc}") from exc
         x = rows[t]
         x[:] = np.real(enc.diagonal()[: objective.n])
-        gradients[t] = objective._gradient(x)
-        f_values.append(float(objective._evaluate(x)))
+        with np.errstate(all="ignore"):
+            gradients[t] = objective._gradient(x)
+            f = float(objective._evaluate(x))
+        if not (math.isfinite(f) and np.isfinite(gradients[t]).all()):
+            raise BlockgdError(f"step {t}: f = {f} or its gradient is not finite at the iterate")
+        f_values.append(f)
         eps_budgets.append(enc.eps)
         counters.append(ledger(enc))
     rows.setflags(write=False)

@@ -199,8 +199,20 @@ MUTANTS = (
             f"{GOLDEN}::test_quadratic_audit_run")),
     # The recording guard of a primitive, inverted: recorded runs lose their lcu
     # records (the text after the guard names the one guard of the row).
-    Mutant("lcu_record_guard", "blockcalc.py", 'is not None:\n        _log("lcu"',
-           'is None:\n        _log("lcu"', (GOLDEN,)),
+    Mutant("lcu_record_guard", "blockcalc.py", 'is not None:\n        log.record("lcu"',
+           'is None:\n        log.record("lcu"', (GOLDEN,)),
+    # The public constructor's counter rule, entry_project's integer indices,
+    # the parse's rule that f have finite bounds on the box, and the descent
+    # loop's check of each iterate's f and gradient.
+    Mutant("constructor_counter_sign", "blockcalc.py", "            if count < 0:",
+           "            if count < -1:", (f"{BLOCKCALC}::test_argument_errors_name_their_rule",)),
+    Mutant("entry_project_index", "blockcalc.py", 'j, k = as_index(j, "j"), as_index(k, "k")',
+           "j, k = int(j), int(k)", (f"{BLOCKCALC}::test_argument_errors_name_their_rule",)),
+    Mutant("parse_bounded_objective", "cli.py", "\n    check_bounded(objective)\n", "\n",
+           (f"{CLI}::TestValidateConfig::test_pre_step_checks_fail_alike_in_both_commands",)),
+    Mutant("drive_finite_iterate", "descent.py",
+           "if not (math.isfinite(f) and np.isfinite(gradients[t]).all()):", "if False:",
+           (f"{CLI}::TestValidateConfig::test_iterate_overflow_past_the_parse_fails_at_its_step",)),
     Mutant("degree_cap_inclusive", "chebyshev.py", "while degree <= DEGREE_CAP:",
            "while degree < DEGREE_CAP:",
            ("tests/test_chebyshev.py::TestApproxDerivative::"

@@ -101,6 +101,15 @@ class TestBlockEncodingType:
         with pytest.raises(TypeError):
             BlockEncoding(np.diag([0.5, 0.5]), 1.0, 3, 0.0, (4, 5))
 
+    def test_numpy_scalars_render_as_json_numbers(self):
+        # The constructor makes alpha and eps floats and the counters ints.
+        enc = BlockEncoding(np.eye(2) * 0.5, np.float64(1.0), np.int64(2), np.float32(0.0),
+                            depth_units=np.int32(3), queries=True)
+        assert enc._audited.startswith(
+            '{"alpha": 1.0, "ancillas": 2, "depth_units": 3, "eps": 0.0, "id": ')
+        assert enc._audited.endswith('"queries": 1}')
+        assert json.loads(enc._audited) == enc.summary()
+
     def test_alpha_below_one_rejected(self):
         with pytest.raises(ValueError):
             BlockEncoding(np.diag([0.5, 0.5]), alpha=0.5)
@@ -203,6 +212,13 @@ class TestEntryProject:
         near = BlockEncoding(np.diag([0.3, 0.2]) + bc.DIAG_TOL * off)
         out = bc.entry_project(near, 1, 0)
         assert np.array_equal(out.diagonal(), [0.2, 0.0])
+
+    def test_indices_are_recorded_as_plain_ints(self):
+        audit = AuditLog()
+        with bc.recording(audit):
+            bc.entry_project(bc.projector_encode(np.int64(4), True), np.int64(1), True)
+        assert [r["params"] for r in audit.records] == [{"dim": 4, "k": 1}, {"j": 1, "k": 1}]
+        assert [type(v) for r in audit.records for v in r["params"].values()] == [int] * 4
 
     def test_slot_maps_and_vectors_are_diagonal_by_their_form(self, monkeypatch):
         def refuse(enc):
@@ -1005,9 +1021,25 @@ def _set_alpha(enc):
      "corner must be square, got shape (2, 3)"),
     (lambda: _set_alpha(bc.diag_encode([0.1, 0.2])), AttributeError,
      "BlockEncoding is immutable; cannot set 'alpha'"),
+    (lambda: BlockEncoding(np.eye(2) * 0.5, ancillas=2.7), ValueError,
+     "ancillas must be an integer, got 2.7"),
+    (lambda: BlockEncoding(np.eye(2) * 0.5, depth_units=1.5), ValueError,
+     "depth_units must be an integer, got 1.5"),
+    (lambda: BlockEncoding(np.eye(2) * 0.5, queries="q"), ValueError,
+     "queries must be an integer, got 'q'"),
+    (lambda: BlockEncoding(np.eye(2) * 0.5, depth_units=-4), ValueError,
+     "depth_units must be non-negative, got -4"),
+    (lambda: BlockEncoding(np.eye(2) * 0.5, queries=-1), ValueError,
+     "queries must be non-negative, got -1"),
     (lambda: bc.projector_encode(3, 4), IndexOutOfRange, "index 4 not in [0, 4)"),
+    (lambda: bc.projector_encode(4, 1.0), ValueError, "k must be an integer, got 1.0"),
+    (lambda: bc.projector_encode(4.0, 1), ValueError, "dim must be an integer, got 4.0"),
     (lambda: bc.entry_project(bc.diag_encode([0.1, 0.2]), 0, 2), IndexOutOfRange,
      "target index 2 not in [0, 2)"),
+    (lambda: bc.entry_project(bc.diag_encode([0.1, 0.2, 0.3, 0.4]), 1, 2.0), ValueError,
+     "k must be an integer, got 2.0"),
+    (lambda: bc.entry_project(bc.projector_encode(4, 1), 1.0, 2), ValueError,
+     "j must be an integer, got 1.0"),
     (lambda: bc.lcu([], []), ValueError, "lcu requires at least one encoding"),
     (lambda: bc.lcu([bc.diag_encode([0.1, 0.2])], [1, 1]), ValueError,
      "signs and encodings must have equal length"),
@@ -1027,7 +1059,10 @@ def _set_alpha(enc):
      ValueError, "degree must be an integer, got '3'"),
     (lambda: bc.apply_postselect(bc.diag_encode([0.1, 0.2]), [1.0, 0.0, 0.0, 0.0]),
      DimensionMismatch, "state has dim 4, corner 2"),
-], ids=["non-square-corner", "setattr", "projector-index", "entry-project-target",
+], ids=["non-square-corner", "setattr", "ancillas-fraction", "depth-units-fraction",
+        "queries-string", "depth-units-negative", "queries-negative", "projector-index",
+        "projector-index-float", "projector-dim-float", "entry-project-target",
+        "entry-project-target-float", "entry-project-source-float",
         "lcu-empty", "lcu-signs-length", "lcu-sign-value", "lcu-sign-fraction",
         "lcu-sign-negative-fraction", "lcu-sign-string", "lcu-dimensions",
         "qsvt-degree-fraction", "qsvt-degree-string", "postselect-dimension"])

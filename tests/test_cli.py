@@ -243,6 +243,18 @@ PRE_STEP_DOCS = [
         "kind": "poly", "coeffs": [0, 1e308, 1e308], "n": 2, "M": 1.0},
         "x0": [0.1, 0.1], "T": 1, "eps": 1e-6, "eta": 0.1}, EXIT_DEGREE,
         id="poly-derivative-overflows"),
+    # Objectives whose values or gradients overflow on the box: a run would
+    # write Infinity into trace.json.
+    pytest.param({"mode": "separable", "objective": {
+        "kind": "poly", "coeffs": [1e308, 0, 0], "n": 2, "M": 1.0},
+        "x0": [0.1, 0.1], "T": 1, "eps": 1e-6, "eta": 0.1}, EXIT_SCHEMA,
+        id="separable-sum-overflows"),
+    pytest.param({"mode": "generic", "objective": {"n": 1, "M": 2.0, "terms": [
+        {"coeff": 1.7976931348623157e308, "exponents": [3]}]},
+        "x0": [0.1], "T": 0, "eps": 1e-3}, EXIT_SCHEMA, id="generic-gradient-bound-overflows"),
+    pytest.param({"mode": "generic", "objective": {"n": 1, "M": 1e300, "terms": [
+        {"coeff": 1e300, "exponents": [1]}, {"coeff": 1.7976931348623157e308, "exponents": [1]}]},
+        "x0": [0.1], "T": 0, "eps": 1e-3}, EXIT_SCHEMA, id="generic-merged-coeff-overflows"),
     pytest.param(X0_NORM_DOC, EXIT_CONTRACT, id="x0-two-norm-above-1"),
 ]
 
@@ -549,6 +561,20 @@ class TestValidateConfig:
         validate_err, run_err = capsys.readouterr().err.splitlines()
         assert validate_err == run_err
 
+    def test_iterate_overflow_past_the_parse_fails_at_its_step(self, tmp_path, capsys):
+        # n * max |F| on the parse's grid is finite, but F(1/2), just past the
+        # outermost grid point, makes f(x0) = 4 * F(1/2) overflow.
+        doc = {"mode": "separable", "objective": {
+            "kind": "poly", "coeffs": [4.49423278715579e307, 1e300], "n": 4, "M": 1.0},
+            "x0": [0.5] * 4, "T": 0, "eps": 1e-6, "eta": 1e-301}
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["validate-config", "--config", str(path)]) == EXIT_OK
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONTRACT
+        assert not out.exists()
+        assert capsys.readouterr().err.endswith(
+            "error: step 0: f = inf or its gradient is not finite at the iterate\n")
+
     @pytest.mark.parametrize("doc", EXACT_SATURATION_DOCS)
     def test_exact_saturation_runs_onto_the_closed_bound(self, tmp_path, doc):
         path = write_config(tmp_path, doc)
@@ -837,7 +863,7 @@ def _check_validate_config_and_run(tmp: Path, doc: dict) -> None:
     run's, and run then writes nothing; after validate-config exits 0, run
     exits 0, 4, 5 or 7, never on the amplitude norm of x0; and run's exit 0
     writes every artifact with the deviation within its bound, byte-identical
-    on a second run.
+    on a second run, as strict JSON (no NaN or Infinity).
     """
     path = write_config(tmp, doc)
     out = tmp / "out"
@@ -857,7 +883,10 @@ def _check_validate_config_and_run(tmp: Path, doc: dict) -> None:
         assert "amplitude vector norm" not in err.getvalue()
     if run_code == EXIT_OK:
         assert {"trace.json", "trace.csv", "report.json"} <= {p.name for p in out.iterdir()}
-        report = json.loads((out / "report.json").read_text())
+        docs = [(out / "trace.json").read_text(), (out / "report.json").read_text()]
+        if (out / "audit.jsonl").exists():
+            docs += (out / "audit.jsonl").read_text().splitlines()
+        report = [json.loads(doc, parse_constant=reject_constant) for doc in docs][1]
         assert report["deviation"]["within_bound"]
         again = tmp / "again"
         assert main(["run", "--config", str(path), "--out", str(again)]) == EXIT_OK

@@ -764,8 +764,8 @@ class TestRecordedRuns:
 
     def test_unrecorded_run_seals_the_same_encodings_and_records_nothing(self, monkeypatch):
         """A trim of the unrecorded path may not drop or duplicate a primitive."""
-        sealed, recorded, logged = [], [], []
-        seal, record, log = bc._encoding, bc.AuditLog.record, bc._log
+        sealed, recorded = [], []
+        seal, record = bc._encoding, bc.AuditLog.record
 
         def spy_seal(*args):
             sealed.append(seal(*args))
@@ -775,20 +775,15 @@ class TestRecordedRuns:
             recorded.append(output)
             record(self, op, inputs, output, **params)
 
-        def spy_log(op, inputs, output, **params):
-            logged.append(output)
-            log(op, inputs, output, **params)
-
         monkeypatch.setattr(bc, "_encoding", spy_seal)
         monkeypatch.setattr(bc.AuditLog, "record", spy_record)
-        monkeypatch.setattr(bc, "_log", spy_log)
         n = 16
         objective = _canonical_objective(n, 3, 4, 3)
         cfg = DescentConfig(steps=2, eps=1e-6, mode="generic")
         plain = run_generic(objective, _probe_start(n), cfg)
         unrecorded = len(sealed)
         assert unrecorded > 100
-        assert recorded == logged == []
+        assert recorded == []
         sealed.clear()
         audit = bc.AuditLog()
         with bc.recording(audit):
