@@ -18,6 +18,7 @@ Conventions: corners are complex with power-of-two size (inputs are
 zero-padded at construction) and indices are 0-based.  Norm and
 polynomial-bound checks allow a 1e-10 grace for float noise.  amplify
 applies the one margin AMP_MARGIN defined here; no caller passes one.
+qsvt_transform reads its degree and sup from the ChebyshevPoly it applies.
 
 Storage: a corner is kept in one of three forms, picked from the inputs of
 the primitive that makes it; there is no option.
@@ -97,7 +98,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import poly_grid
+from .chebyshev import ChebyshevPoly
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -639,35 +640,31 @@ def amplify(enc: BlockEncoding, gamma: float, eps_target: float) -> BlockEncodin
     return out
 
 
-def qsvt_transform(enc: BlockEncoding, poly, degree: int) -> BlockEncoding:
-    """Apply a bounded real polynomial of the given degree to the corner's eigenvalues.
+def qsvt_transform(enc: BlockEncoding, poly: ChebyshevPoly) -> BlockEncoding:
+    """Apply a bounded real polynomial to the corner's eigenvalues.
 
-    ``poly`` is any callable that evaluates the polynomial on a float array
-    (numpy polynomial objects work).  Requires a Hermitian corner and sup
-    |poly| <= 1/2 on [-1, 1], checked on a 2048-point Chebyshev grid.  The
-    output is a fresh (alpha=1) encoding with two more ancillas, degree
-    extra depth/queries, and error 4*d*sqrt(eps/alpha).
+    Requires a Hermitian corner and sup |poly| <= 1/2 on [-1, 1], read off
+    poly.grid_sup.  The output is a fresh (alpha=1) encoding with two more
+    ancillas, d = poly.degree extra depth/queries, and error 4*d*sqrt(eps/alpha).
     """
-    d = as_index(degree, "degree")
-    if d < 0:
-        raise ValueError("degree must be non-negative")
     if enc._dense:
         herm_defect = spectral_norm(enc._data - enc._data.conj().T)
     else:
         herm_defect = float(np.max(np.abs(enc._vec - enc._vec.conj())))
     if herm_defect > NORM_TOL:
         raise NotHermitian(f"corner deviates from Hermitian by {herm_defect}")
-    sup = float(np.max(np.abs(np.asarray(poly(poly_grid()), dtype=float))))
+    sup = poly.grid_sup
     # The negated comparison is true for NaN as well.
     if not sup <= 0.5 + NORM_TOL:
         raise PolyBoundViolated(
             f"sup |poly| = {sup} on [-1, 1] exceeds the 1/2 cap"
         )
     if enc.is_diagonal():
-        transformed = np.asarray(poly(enc.diagonal().real), dtype=complex)
+        transformed = np.asarray(poly.eval_unchecked(enc.diagonal().real), dtype=complex)
     else:
         eigvals, eigvecs = np.linalg.eigh(enc.corner)
-        transformed = (eigvecs * np.asarray(poly(eigvals), dtype=complex)) @ eigvecs.conj().T
+        transformed = (eigvecs * poly.eval_unchecked(eigvals).astype(complex)) @ eigvecs.conj().T
+    d = poly.degree
     out = _encoding(
         transformed, enc.dim, 1.0, 4.0 * d * math.sqrt(enc.eps / enc.alpha), [enc], d, d, 2,
     )

@@ -149,15 +149,19 @@ class SeparableObjective:
 class ChebyshevPoly:
     """Chebyshev series on [-1/2, 1/2] with its grid-measured sup error.
 
-    Zero coefficients are +0.0: approx_derivative caches by ScalarFunction
-    equality, which takes -0.0 for 0.0, so equal functions get equal bits.
+    coeffs is never empty, so degree >= 0, and zero coefficients are +0.0:
+    approx_derivative caches by ScalarFunction equality, which takes -0.0
+    for 0.0, so equal functions get equal bits.
     """
 
     coeffs: tuple[float, ...]
     sup_error_bound: float
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) + 0.0 for c in self.coeffs))
+        coeffs = tuple(float(c) + 0.0 for c in self.coeffs)
+        if not coeffs:
+            raise ValueError("a ChebyshevPoly needs at least one coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:

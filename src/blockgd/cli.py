@@ -74,7 +74,7 @@ from .descent import (
 )
 from .errors import BlockgdError, SchemaError
 from .oracle import classical_gd
-from .polyfunc import MonomialTerm, ObjectiveFunction, check_point
+from .polyfunc import HALF, MonomialTerm, ObjectiveFunction, check_point
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -235,14 +235,15 @@ def check_bounded(objective) -> None:
     """SchemaError unless the objective's values and gradient are bounded finitely on the box.
 
     A generic objective's certified_bounds must both be finite (O(K*v)); for
-    a separable one, n * max |F| on the GRID_POINTS Chebyshev nodes of
-    [-1/2, 1/2] must be, evaluated without numpy warnings (its F' is
+    a separable one, n * max |F| over the GRID_POINTS Chebyshev nodes of
+    [-1/2, 1/2] and its two ends (the box is closed, and the outermost node
+    lies inside it) must be, evaluated without numpy warnings (its F' is
     approx_derivative's to check).  Otherwise a run could write Infinity
     into trace.json, which strict JSON has no token for.
     """
     if isinstance(objective, SeparableObjective):
         with np.errstate(all="ignore"):
-            values = objective.func.value(chebyshev_nodes(GRID_POINTS))
+            values = objective.func.value(np.append(chebyshev_nodes(GRID_POINTS), (-HALF, HALF)))
             bound = objective.n * float(np.max(np.abs(values)))
         if not math.isfinite(bound):
             raise SchemaError(f"objective: n * max |F| on [-1/2, 1/2] = {bound} must be finite")

@@ -369,19 +369,15 @@ def gd_step_separable(
 ) -> BlockEncoding:
     """One update x <- x - eta * P(x) applied coordinate-wise.
 
-    The eigenvalue transform applies P/divisor (divisor chosen so the
-    sup-norm cap holds on [-1, 1]); the down-scale by 1/(eta*divisor)
-    restores exactly eta * P, the signed average subtracts, and the final
-    amplification strips the 1/2.
+    The eigenvalue transform applies the ChebyshevPoly P/divisor (divisor
+    chosen so the sup-norm cap holds on [-1, 1]); the down-scale by
+    1/(eta*divisor) restores exactly eta * P, the signed average subtracts,
+    and the final amplification strips the 1/2.
     """
     divisor = _qsvt_divisor(poly, grad_bound)
     p_insert = _insert_factor(eta, divisor)
-    scaled_coeffs = np.asarray(poly.coeffs) / divisor
-    transformed = bc.qsvt_transform(
-        iterate,
-        lambda xs: np.polynomial.chebyshev.chebval(2.0 * np.asarray(xs, dtype=float), scaled_coeffs),
-        poly.degree,
-    )
+    scaled = ChebyshevPoly(tuple(c / divisor for c in poly.coeffs), poly.sup_error_bound / divisor)
+    transformed = bc.qsvt_transform(iterate, scaled)
     if p_insert > 1.0 + DOMAIN_TOL:
         transformed = bc.scale_down(transformed, p_insert)
     halved = bc.lcu([iterate, transformed], [1, -1])

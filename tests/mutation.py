@@ -51,16 +51,12 @@ MUTANTS = (
     Mutant("qsvt_sup_nan", "blockcalc.py", "if not sup <= 0.5 + NORM_TOL:",
            "if sup > 0.5 + NORM_TOL:",
            (f"{BLOCKCALC}::TestQsvtTransform::test_nan_polynomial_violates_the_cap",)),
-    Mutant("qsvt_degree_index", "blockcalc.py", 'd = as_index(degree, "degree")', "d = int(degree)",
-           (f"{BLOCKCALC}::test_argument_errors_name_their_rule",)),
     Mutant("lcu_sign_index", "blockcalc.py", "list(map(operator.index, signs))",
            "list(map(int, signs))", (f"{BLOCKCALC}::test_argument_errors_name_their_rule",)),
     Mutant("poly_derivative_finite", "chebyshev.py",
            "return _finite(ChebyshevPoly(tuple(coeffs), 0.0), func)",
            "return ChebyshevPoly(tuple(coeffs), 0.0)",
            (f"{CLI}::TestValidateConfig::test_pre_step_checks_fail_alike_in_both_commands",)),
-    Mutant("qsvt_negative_degree", "blockcalc.py", "    if d < 0:", "    if d < -1:",
-           (f"{BLOCKCALC}::TestQsvtTransform::test_negative_degree_rejected",)),
     Mutant("scale_down_eps", "blockcalc.py", "enc.alpha, enc.eps / p,", "enc.alpha, enc.eps,",
            (f"{GOLDEN}::test_generic_audit_run_padded_with_linear_and_pair_terms",)),
     Mutant("lcu_eps", "blockcalc.py", "eps += e.eps", "eps = max(eps, e.eps)",
@@ -202,8 +198,8 @@ MUTANTS = (
     Mutant("lcu_record_guard", "blockcalc.py", 'is not None:\n        log.record("lcu"',
            'is None:\n        log.record("lcu"', (GOLDEN,)),
     # The public constructor's counter rule, entry_project's integer indices,
-    # the parse's rule that f have finite bounds on the box, and the descent
-    # loop's check of each iterate's f and gradient.
+    # the parse's rule that f have finite bounds on the box (ends included),
+    # and the descent loop's check of each iterate's f and gradient.
     Mutant("constructor_counter_sign", "blockcalc.py", "            if count < 0:",
            "            if count < -1:", (f"{BLOCKCALC}::test_argument_errors_name_their_rule",)),
     Mutant("entry_project_index", "blockcalc.py", 'j, k = as_index(j, "j"), as_index(k, "k")',
@@ -212,7 +208,14 @@ MUTANTS = (
            (f"{CLI}::TestValidateConfig::test_pre_step_checks_fail_alike_in_both_commands",)),
     Mutant("drive_finite_iterate", "descent.py",
            "if not (math.isfinite(f) and np.isfinite(gradients[t]).all()):", "if False:",
-           (f"{CLI}::TestValidateConfig::test_iterate_overflow_past_the_parse_fails_at_its_step",)),
+           (f"{DESCENT}::TestRunSeparable::test_iterate_overflow_fails_at_its_step",)),
+    Mutant("bounded_box_edges", "cli.py",
+           "np.append(chebyshev_nodes(GRID_POINTS), (-HALF, HALF))", "chebyshev_nodes(GRID_POINTS)",
+           (f"{CLI}::TestValidateConfig::test_pre_step_checks_fail_alike_in_both_commands",)),
+    # A ChebyshevPoly has at least one coefficient, so qsvt_transform's charge,
+    # its degree, is never negative.
+    Mutant("chebyshev_nonempty", "chebyshev.py", "if not coeffs:", "if coeffs is None:",
+           ("tests/test_chebyshev.py::TestEvalPoly::test_empty_coefficients_rejected",)),
     Mutant("degree_cap_inclusive", "chebyshev.py", "while degree <= DEGREE_CAP:",
            "while degree < DEGREE_CAP:",
            ("tests/test_chebyshev.py::TestApproxDerivative::"

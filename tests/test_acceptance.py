@@ -31,6 +31,7 @@ from blockgd.oracle import classical_gd
 from blockgd.polyfunc import MonomialTerm, ObjectiveFunction
 from _dilation import corner_of, realize_dilation
 from _grid import grid_maxima
+from _poly import cheb_poly
 
 REPO = Path(__file__).resolve().parents[1]
 SQRT2 = math.sqrt(2)
@@ -135,8 +136,9 @@ def test_criterion_03_primitive_exactness():
         coeffs = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 6)))
         poly = np.polynomial.Polynomial(coeffs)
         sup = float(np.max(np.abs(poly(np.linspace(-1, 1, 2001)))))
-        poly = np.polynomial.Polynomial(coeffs * (0.45 / max(sup, 1e-9)))
-        out = bc.qsvt_transform(BlockEncoding(np.diag(diag)), poly, len(coeffs) - 1)
+        coeffs = coeffs * (0.45 / max(sup, 1e-9))
+        out = bc.qsvt_transform(BlockEncoding(np.diag(diag)), cheb_poly(coeffs))
+        poly = np.polynomial.Polynomial(coeffs)
         assert np.max(np.abs(np.diag(out.corner) - poly(diag))) <= 1e-10
     _passed("criterion 3: diagonal encodings exact to 1e-12, dilations unitary "
             "to 1e-10, eigenvalue transforms elementwise to 1e-10")

@@ -26,6 +26,7 @@ from blockgd.errors import (
 )
 from _audit_replay import SUMMARY, replay
 from _dilation import corner_of, realize_dilation
+from _poly import cheb_poly
 
 
 def refuse_svd(mat):
@@ -52,7 +53,7 @@ def primitive_outputs(x, y):
         "lcu": bc.lcu([x, y, x], [1, -1, -1]),
         "scale_down": bc.scale_down(y, 3.0),
         "amplify": bc.amplify(x, 2.0, 1e-6),
-        "qsvt_transform": bc.qsvt_transform(y, Polynomial([0.05, -0.1, 0.3]), 2),
+        "qsvt_transform": bc.qsvt_transform(y, cheb_poly([0.05, -0.1, 0.3])),
     }
 
 
@@ -381,7 +382,7 @@ class TestQsvtTransform:
     def test_half_identity_polynomial(self):
         # The steepest admissible linear transform: P(x) = x/2.
         enc = bc.diag_encode([0.3, -0.2])
-        out = bc.qsvt_transform(enc, Polynomial([0.0, 0.5]), 1)
+        out = bc.qsvt_transform(enc, cheb_poly([0.0, 0.5]))
         assert np.allclose(out.corner, enc.corner / 2)
         assert out.alpha == 1.0
         assert out.ancillas == enc.ancillas + 2
@@ -390,50 +391,54 @@ class TestQsvtTransform:
         # |x| reaches 1 on [-1, 1], above the 1/2 cap the transform requires.
         enc = bc.diag_encode([0.3, -0.2])
         with pytest.raises(PolyBoundViolated):
-            bc.qsvt_transform(enc, Polynomial([0.0, 1.0]), 1)
+            bc.qsvt_transform(enc, cheb_poly([0.0, 1.0]))
 
     def test_half_square(self):
         enc = bc.diag_encode([0.4, 0.2])
-        out = bc.qsvt_transform(enc, Polynomial([0.0, 0.0, 0.5]), 2)
+        out = bc.qsvt_transform(enc, cheb_poly([0.0, 0.0, 0.5]))
         assert np.allclose(np.diag(out.corner), [0.08, 0.02])
 
     def test_output_is_a_fresh_unit_alpha_encoding(self):
         enc = BlockEncoding(np.diag([0.3, -0.2]), alpha=2.0, eps=1e-4)
-        out = bc.qsvt_transform(enc, Polynomial([0.0, 0.5]), 1)
+        out = bc.qsvt_transform(enc, cheb_poly([0.0, 0.5]))
         assert out.alpha == 1.0
         assert out.eps == pytest.approx(4 * math.sqrt(1e-4 / 2.0))
 
+    def test_degree_two_charges_its_degree(self):
+        # The charge and the eps term come from the polynomial's own degree.
+        enc = BlockEncoding(np.diag([0.3, -0.2]), alpha=2.0, eps=1e-4, depth_units=3, queries=5)
+        out = bc.qsvt_transform(enc, cheb_poly([0.0, 0.0, 0.4]))
+        assert np.allclose(np.diag(out.corner), [0.036, 0.016])
+        assert (out.depth_units, out.queries) == (3 + 2, 5 + 2)
+        assert out.eps == pytest.approx(4 * 2 * math.sqrt(1e-4 / 2.0))
+
     def test_eps_formula(self):
         enc = BlockEncoding(np.diag([0.3, 0.3]), alpha=1.0, eps=1e-4)
-        out = bc.qsvt_transform(enc, Polynomial([0.0, 0.5]), 1)
+        out = bc.qsvt_transform(enc, cheb_poly([0.0, 0.5]))
         assert out.eps == pytest.approx(4 * 1 * math.sqrt(1e-4))
 
     def test_poly_bound_violated(self):
         enc = bc.diag_encode([0.3, 0.0])
         with pytest.raises(PolyBoundViolated):
-            bc.qsvt_transform(enc, Polynomial([0.7]), 0)
+            bc.qsvt_transform(enc, cheb_poly([0.7]))
 
     def test_poly_bound_is_tight_above_half(self):
         # Constants, so the sup is exact: 0.55 fails, within NORM_TOL of 1/2 passes.
         enc = bc.diag_encode([0.3, 0.0])
         with pytest.raises(PolyBoundViolated, match=r"sup \|poly\| = 0\.55 "):
-            bc.qsvt_transform(enc, Polynomial([0.55]), 0)
-        bc.qsvt_transform(enc, Polynomial([0.5 + 0.5e-10]), 0)
+            bc.qsvt_transform(enc, cheb_poly([0.55]))
+        bc.qsvt_transform(enc, cheb_poly([0.5 + 0.5e-10]))
 
     def test_nan_polynomial_violates_the_cap(self):
         # A NaN sup fails the cap; it must not reach the corner as a NaN norm.
         enc = bc.diag_encode([0.3, 0.0])
         with pytest.raises(PolyBoundViolated, match=r"sup \|poly\| = nan "):
-            bc.qsvt_transform(enc, Polynomial([math.nan]), 0)
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError, match="degree must be non-negative"):
-            bc.qsvt_transform(bc.diag_encode([0.3, 0.0]), Polynomial([0.1]), -1)
+            bc.qsvt_transform(enc, cheb_poly([math.nan]))
 
     def test_requires_hermitian(self):
         mat = np.array([[0.0, 0.5], [0.0, 0.0]])
         with pytest.raises(NotHermitian):
-            bc.qsvt_transform(BlockEncoding(mat), Polynomial([0.0, 0.5]), 1)
+            bc.qsvt_transform(BlockEncoding(mat), cheb_poly([0.0, 0.5]))
 
     def test_dense_hermitian_eigen_transform(self):
         rng = np.random.default_rng(8)
@@ -441,10 +446,9 @@ class TestQsvtTransform:
         mat = (mat + mat.T) / 2
         mat /= np.linalg.norm(mat, 2) * 1.5
         enc = BlockEncoding(mat)
-        poly = Polynomial([0.0, 0.0, 0.4])
-        out = bc.qsvt_transform(enc, poly, 2)
+        out = bc.qsvt_transform(enc, cheb_poly([0.0, 0.0, 0.4]))
         w, v = np.linalg.eigh(mat)
-        expected = (v * poly(w)) @ v.T
+        expected = (v * Polynomial([0.0, 0.0, 0.4])(w)) @ v.T
         assert np.max(np.abs(out.corner - expected)) <= 1e-10
 
     def test_exact_polynomials_elementwise(self):
@@ -455,8 +459,9 @@ class TestQsvtTransform:
             coeffs = rng.uniform(-1, 1, size=int(rng.integers(1, 6)))
             poly = Polynomial(coeffs)
             sup = np.max(np.abs(poly(np.linspace(-1, 1, 2001))))
-            poly = Polynomial(coeffs * (0.45 / max(sup, 1e-9)))
-            out = bc.qsvt_transform(enc, poly, len(coeffs) - 1)
+            coeffs = coeffs * (0.45 / max(sup, 1e-9))
+            out = bc.qsvt_transform(enc, cheb_poly(coeffs))
+            poly = Polynomial(coeffs)
             assert np.max(np.abs(np.diag(out.corner) - poly(diag))) <= 1e-10
 
 
@@ -1053,10 +1058,6 @@ def _set_alpha(enc):
      "signs must be +/-1, got ['1']"),
     (lambda: bc.lcu([bc.diag_encode([0.1, 0.2]), bc.diag_encode([0.1] * 4)], [1, 1]),
      DimensionMismatch, "lcu inputs must share one dimension"),
-    (lambda: bc.qsvt_transform(bc.diag_encode([0.1, 0.2]), Polynomial([0.1]), 2.9),
-     ValueError, "degree must be an integer, got 2.9"),
-    (lambda: bc.qsvt_transform(bc.diag_encode([0.1, 0.2]), Polynomial([0.1]), "3"),
-     ValueError, "degree must be an integer, got '3'"),
     (lambda: bc.apply_postselect(bc.diag_encode([0.1, 0.2]), [1.0, 0.0, 0.0, 0.0]),
      DimensionMismatch, "state has dim 4, corner 2"),
 ], ids=["non-square-corner", "setattr", "ancillas-fraction", "depth-units-fraction",
@@ -1065,7 +1066,7 @@ def _set_alpha(enc):
         "entry-project-target-float", "entry-project-source-float",
         "lcu-empty", "lcu-signs-length", "lcu-sign-value", "lcu-sign-fraction",
         "lcu-sign-negative-fraction", "lcu-sign-string", "lcu-dimensions",
-        "qsvt-degree-fraction", "qsvt-degree-string", "postselect-dimension"])
+        "postselect-dimension"])
 def test_argument_errors_name_their_rule(call, error, message):
     with pytest.raises(error) as info:
         call()

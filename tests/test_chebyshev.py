@@ -138,6 +138,11 @@ class TestEvalPoly:
         # T_k(0) cycles 1, 0, -1, 0, so only even coefficients survive, signed.
         assert poly.eval_unchecked(0.0) == pytest.approx(coeffs[0] - coeffs[2] + coeffs[4], abs=1e-15)
 
+    def test_empty_coefficients_rejected(self):
+        # An empty series would have degree -1, a negative qsvt_transform charge.
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            ChebyshevPoly((), 0.0)
+
     def test_matches_monomial_basis_evaluation(self):
         for name, scale in (("sin", 1.0), ("gaussian", 1.5), ("logistic", 2.0)):
             poly = approx_derivative(ScalarFunction.named(name, scale), 1e-9)

@@ -249,6 +249,12 @@ PRE_STEP_DOCS = [
         "kind": "poly", "coeffs": [1e308, 0, 0], "n": 2, "M": 1.0},
         "x0": [0.1, 0.1], "T": 1, "eps": 1e-6, "eta": 0.1}, EXIT_SCHEMA,
         id="separable-sum-overflows"),
+    # F is finite on every grid node but overflows at x = 1/2, past the outermost
+    # one: the closed box's two ends are read as well.
+    pytest.param({"mode": "separable", "objective": {
+        "kind": "poly", "coeffs": [4.49423278715579e307, 1e300], "n": 4, "M": 1.0},
+        "x0": [0.5] * 4, "T": 0, "eps": 1e-6, "eta": 1e-301}, EXIT_SCHEMA,
+        id="separable-value-overflows-at-the-box-edge"),
     pytest.param({"mode": "generic", "objective": {"n": 1, "M": 2.0, "terms": [
         {"coeff": 1.7976931348623157e308, "exponents": [3]}]},
         "x0": [0.1], "T": 0, "eps": 1e-3}, EXIT_SCHEMA, id="generic-gradient-bound-overflows"),
@@ -560,20 +566,6 @@ class TestValidateConfig:
         assert not out.exists()
         validate_err, run_err = capsys.readouterr().err.splitlines()
         assert validate_err == run_err
-
-    def test_iterate_overflow_past_the_parse_fails_at_its_step(self, tmp_path, capsys):
-        # n * max |F| on the parse's grid is finite, but F(1/2), just past the
-        # outermost grid point, makes f(x0) = 4 * F(1/2) overflow.
-        doc = {"mode": "separable", "objective": {
-            "kind": "poly", "coeffs": [4.49423278715579e307, 1e300], "n": 4, "M": 1.0},
-            "x0": [0.5] * 4, "T": 0, "eps": 1e-6, "eta": 1e-301}
-        path = write_config(tmp_path, doc)
-        out = tmp_path / "out"
-        assert main(["validate-config", "--config", str(path)]) == EXIT_OK
-        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONTRACT
-        assert not out.exists()
-        assert capsys.readouterr().err.endswith(
-            "error: step 0: f = inf or its gradient is not finite at the iterate\n")
 
     @pytest.mark.parametrize("doc", EXACT_SATURATION_DOCS)
     def test_exact_saturation_runs_onto_the_closed_bound(self, tmp_path, doc):

@@ -28,6 +28,7 @@ from blockgd.descent import (
     step_size,
 )
 from blockgd.errors import (
+    BlockgdError,
     DomainExit,
     DomainViolation,
     InfeasibleSchedule,
@@ -362,6 +363,15 @@ class TestRunSeparable:
                 sep, [0.1, 0.1],
                 DescentConfig(steps=1, eps=1e-6, mode="separable", eta=0.6),
             )
+
+    def test_iterate_overflow_fails_at_its_step(self):
+        # The parse (cli.check_bounded) rejects this F, whose value overflows at
+        # x = 1/2; a library caller skips the parse, and the loop names the step.
+        func = ScalarFunction.polynomial([4.49423278715579e307, 1e300])
+        cfg = DescentConfig(steps=0, eps=1e-6, mode="separable", eta=1e-301)
+        with pytest.raises(BlockgdError) as info:
+            run_separable(SeparableObjective(func, 4, 1.0), [0.5] * 4, cfg)
+        assert str(info.value) == "step 0: f = inf or its gradient is not finite at the iterate"
 
     def test_schedule_flag_is_the_max_norm_bound(self):
         # slack = 1/2 - eta*M*T = 0.2: the uniform start (max 0.177, 2-norm 1/2)
@@ -701,26 +711,32 @@ class TestDiagonalFastPath:
         original = ChebyshevPoly.eval_unchecked
 
         def counted(poly, xs):
-            calls.append(len(xs))
+            calls.append((poly, len(xs)))
             return original(poly, xs)
 
         monkeypatch.setattr(ChebyshevPoly, "eval_unchecked", counted)
-        # Each transform also samples the grid, through the step's polynomial,
-        # for its own sup check: one poly_grid read per step.
         grids = []
+        original_grid = chebyshev.poly_grid
 
         def grid():
             grids.append(1)
-            return chebyshev.poly_grid()
+            return original_grid()
 
-        monkeypatch.setattr(bc, "poly_grid", grid)
+        monkeypatch.setattr(chebyshev, "poly_grid", grid)
         chebyshev.approx_derivative.cache_clear()  # a cached poly has its grid_sup already
         n, steps = 8, 4
-        objective = SeparableObjective(ScalarFunction.named("sin", 1.0), n, 1.0)
+        func = ScalarFunction.named("sin", 1.0)
         x0 = initial_state_uniform(0.1, 1.0, steps, n)
-        run_separable(objective, x0, DescentConfig(steps=steps, eps=1e-6, mode="separable", eta=0.1))
-        assert calls == [POLY_GRID_POINTS]
-        assert len(grids) == steps
+        run_separable(SeparableObjective(func, n, 1.0), x0,
+                      DescentConfig(steps=steps, eps=1e-6, mode="separable", eta=0.1))
+        derivative = chebyshev.approx_derivative(func, 1e-6)  # the run's, from the cache
+        # P is sampled on the grid once per run.  Each step's transform samples
+        # its P/divisor on the grid once, for its sup check, and then on the
+        # iterate's diagonal: one poly_grid read per step.
+        assert [size for poly, size in calls if poly is derivative] == [POLY_GRID_POINTS]
+        assert [size for poly, size in calls if poly is not derivative] == [
+            POLY_GRID_POINTS, n] * steps
+        assert len(grids) == 1 + steps
 
 
 class TestRecordedRuns:
