@@ -44,6 +44,7 @@ from .descent import (
     resource_predict,
     run_generic,
     run_separable,
+    separable_transform,
 )
 from .oracle import OracleTrace, classical_gd
 from .polyfunc import MonomialTerm, ObjectiveFunction
@@ -86,4 +87,5 @@ __all__ = [
     "run_generic",
     "run_separable",
     "scale_down",
+    "separable_transform",
 ]

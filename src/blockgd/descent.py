@@ -14,8 +14,8 @@ identification under which the pipeline reproduces the descent update.
 run_separable's step, for f(x) = sum_i F(x_i), applies a polynomial
 approximation of F' to the iterate diagonal through an eigenvalue
 transform, inserts the step size by down-scaling, subtracts, and amplifies.
-The polynomial is divided by max(2*M, 2 * measured sup) so the sup-norm cap
-holds by construction while the net inserted factor stays exactly eta.
+separable_transform, built once per run, divides P by max(2*M, 2 * measured
+sup), so the sup-norm cap holds while the inserted factor stays exactly eta.
 
 Iterates are read directly off the diagonal corner (the simulator's
 privilege); the measurement-style read-out still reports the terminal
@@ -49,7 +49,6 @@ from .errors import (
     BlockgdError,
     InfeasibleSchedule,
     InvalidConfig,
-    InvalidErrorBudget,
     NormBoundViolated,
     ScaleOverflow,
     VariableNotInSupport,
@@ -76,7 +75,7 @@ class DescentConfig:
     (eta = 1/(2*M*K)); supplying a different eta is a configuration error.
     In separable mode eta is required and must satisfy 0 < eta <= 1/divisor
     with divisor = max(2*M, 2 * sup |P|) over the derivative polynomial P
-    (descent.step_size applies the rule).
+    (descent.separable_transform is the rule; step_size applies it).
     """
 
     steps: int
@@ -195,9 +194,9 @@ def step_size(mode: str, objective, eta: float | None, eps: float) -> float:
     match it, and the pinned eta must be finite; each coefficient factor
     coeff * exponent / M that build_partial_be applies must have a finite
     reciprocal, the scale_down factor of a factor below 1 (one pass over the
-    K*v exponents).  Separable mode requires an eta that _insert_factor
-    accepts for the divisor of approx_derivative(F, eps), the rule every
-    gd_step_separable applies (an F' without such a polynomial raises
+    K*v exponents).  Separable mode requires an eta that separable_transform
+    accepts for P = approx_derivative(F, eps), the rule run_separable builds
+    its steps' transform by (an F' without such a polynomial raises
     DegreeCapExceeded).
     """
     if mode == GENERIC:
@@ -222,8 +221,7 @@ def step_size(mode: str, objective, eta: float | None, eps: float) -> float:
         return pinned
     if eta is None:
         raise InvalidConfig("eta: separable mode requires an explicit eta")
-    poly = approx_derivative(objective.func, eps)
-    _insert_factor(eta, _qsvt_divisor(poly, objective.grad_bound))
+    separable_transform(approx_derivative(objective.func, eps), objective.grad_bound, eta)
     return eta
 
 
@@ -344,40 +342,36 @@ def gd_step_generic(
     return bc.amplify(halved, 2.0, eps)
 
 
-def _qsvt_divisor(poly: ChebyshevPoly, grad_bound: float) -> float:
-    """Divisor making |P/divisor| <= 1/2 on all of [-1, 1]."""
-    return max(2.0 * grad_bound, 2.0 * poly.grid_sup * (1.0 + 1e-12))
+def separable_transform(
+    poly: ChebyshevPoly, grad_bound: float, eta: float
+) -> tuple[ChebyshevPoly, float]:
+    """The one separable step-size rule: (P/divisor, p = 1/(eta*divisor)).
 
-
-def _insert_factor(eta: float, divisor: float) -> float:
-    """The down-scale p = 1/(eta*divisor) that inserts eta, or InvalidConfig.
-
-    The one separable step-size rule: eta > 0 with p finite and at least
-    1 - DOMAIN_TOL (a NaN or too large eta would leave P/divisor unscaled).
+    divisor = max(2*M, 2 * sup |P|) makes |P/divisor| <= 1/2 on [-1, 1]; p
+    must be finite and at least 1 - DOMAIN_TOL, else InvalidConfig (a NaN or
+    too large eta would leave P/divisor unscaled).
     """
+    divisor = max(2.0 * grad_bound, 2.0 * poly.grid_sup * (1.0 + 1e-12))
     p = _reciprocal(eta * divisor) if eta > 0.0 else 0.0
     if not (math.isfinite(p) and p >= 1.0 - DOMAIN_TOL):
         raise InvalidConfig(
             f"eta: expected a value in (0, 1/{divisor}] whose 1/(eta*divisor) is finite, "
             f"got {eta}; divisor = max(2*M, 2*sup|P|) by the measured derivative bound"
         )
-    return p
+    return ChebyshevPoly(tuple(c / divisor for c in poly.coeffs), poly.sup_error_bound / divisor), p
 
 
 def gd_step_separable(
-    iterate: BlockEncoding, poly: ChebyshevPoly, grad_bound: float, eta: float, eps: float
+    iterate: BlockEncoding, transform: ChebyshevPoly, p_insert: float, eps: float
 ) -> BlockEncoding:
     """One update x <- x - eta * P(x) applied coordinate-wise.
 
-    The eigenvalue transform applies the ChebyshevPoly P/divisor (divisor
-    chosen so the sup-norm cap holds on [-1, 1]); the down-scale by
-    1/(eta*divisor) restores exactly eta * P, the signed average subtracts,
-    and the final amplification strips the 1/2.
+    The eigenvalue transform applies P/divisor, and the down-scale by
+    p_insert = 1/(eta*divisor) restores exactly eta * P (both as
+    separable_transform returns them); the signed average subtracts, and the
+    final amplification strips the 1/2.
     """
-    divisor = _qsvt_divisor(poly, grad_bound)
-    p_insert = _insert_factor(eta, divisor)
-    scaled = ChebyshevPoly(tuple(c / divisor for c in poly.coeffs), poly.sup_error_bound / divisor)
-    transformed = bc.qsvt_transform(iterate, scaled)
+    transformed = bc.qsvt_transform(iterate, transform)
     if p_insert > 1.0 + DOMAIN_TOL:
         transformed = bc.scale_down(transformed, p_insert)
     halved = bc.lcu([iterate, transformed], [1, -1])
@@ -387,15 +381,14 @@ def gd_step_separable(
 def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> DescentTrace:
     """The one descent loop: encode x0, apply step T times, trace every iterate.
 
-    step maps the iterate encoding to the next one; a NormBoundViolated or
-    InvalidErrorBudget it raises is re-raised with the index of the
-    offending step.  The objective is read without a box check: x0 passed
-    check_point and each later iterate amplify's max_i |x_i| <= 1/2.  As
-    |df/dx_i| <= M on the box, a step moves a coordinate by at most eta*M,
-    so schedule_bound_ok is max_i |x0_i| <= 1/2 - eta*M*T.  f and its
-    gradient are evaluated without numpy warnings, and a non-finite one (an
-    objective that overflows between the grid points of cli.check_bounded)
-    raises BlockgdError (exit 7) naming the step.
+    step maps the iterate encoding to the next one; a BlockgdError it raises
+    is re-raised, as its own type, naming the offending step.  The objective
+    is read without a box check: x0 passed check_point and each later iterate
+    amplify's max_i |x_i| <= 1/2.  As |df/dx_i| <= M on the box, a step moves
+    a coordinate by at most eta*M, so schedule_bound_ok is max_i |x0_i| <=
+    1/2 - eta*M*T.  f and its gradient are evaluated without numpy warnings,
+    and a non-finite one (an objective that overflows between the grid points
+    of cli.check_bounded) raises BlockgdError (exit 7) naming the step.
     """
     vec = check_point(x0, objective.n)
     enc = bc.diag_encode(vec)
@@ -407,12 +400,10 @@ def _drive(objective, x0, cfg: DescentConfig, eta: float, step, **extra) -> Desc
         if t:
             try:
                 enc = step(enc)
-            except NormBoundViolated as exc:
-                raise NormBoundViolated(
-                    f"step {t}: {exc}; the initial vector violates the containment schedule"
-                ) from exc
-            except InvalidErrorBudget as exc:
-                raise InvalidErrorBudget(f"step {t}: {exc}") from exc
+            except BlockgdError as exc:
+                hint = ("; the initial vector violates the containment schedule"
+                        if isinstance(exc, NormBoundViolated) else "")
+                raise type(exc)(f"step {t}: {exc}{hint}") from exc
         x = rows[t]
         x[:] = np.real(enc.diagonal()[: objective.n])
         with np.errstate(all="ignore"):
@@ -473,9 +464,10 @@ def run_separable(objective: SeparableObjective, x0, cfg: DescentConfig) -> Desc
         )
     eta = step_size(SEPARABLE, objective, cfg.eta, cfg.eps)
     poly = approx_derivative(objective.func, cfg.eps)  # the one step_size built
+    transform, p_insert = separable_transform(poly, objective.grad_bound, eta)
 
     def step(enc: BlockEncoding) -> BlockEncoding:
-        return gd_step_separable(enc, poly, objective.grad_bound, eta, cfg.eps)
+        return gd_step_separable(enc, transform, p_insert, cfg.eps)
 
     return _drive(
         objective, x0, cfg, eta, step,

@@ -133,6 +133,9 @@ MUTANTS = (
     Mutant("separable_insert_factor", "descent.py", "p >= 1.0 - DOMAIN_TOL", "p >= 0.5",
            (f"{DESCENT}::TestRunSeparable::test_step_size_rule",
             f"{CLI}::TestValidateConfig::test_pre_step_checks_fail_alike_in_both_commands")),
+    Mutant("drive_names_the_step", "descent.py", 'type(exc)(f"step {t}: {exc}{hint}")',
+           'type(exc)(f"{exc}{hint}")',
+           (f"{CLI}::TestNoInternalError::test_run_exits_with_contract_code",)),
     Mutant("parse_amplitude_norm", "cli.py", "    check_amplitudes(x0)", "    x0 = x0",
            (f"{CLI}::TestValidateConfig::test_pre_step_checks_fail_alike_in_both_commands",)),
     # Each primitive's own charge (depth, queries, ancillas): the cli_audit

@@ -780,8 +780,8 @@ class TestNoInternalError:
 
     @pytest.mark.parametrize(
         "doc, message",
-        [(EPS_SUBNORMAL_DOC, "repetitions"),
-         (FACTOR_OVERFLOW_DOC, "renormalize the gradient bound"),
+        [(EPS_SUBNORMAL_DOC, "step 1: amplifying by"),
+         (FACTOR_OVERFLOW_DOC, "step 1: |coeff * exponent| / M"),
          (QUARTIC_LONG_DOC, "step 323: eps must be finite"),
          (QUADRATIC_LONG_DOC, "step 1356: eps must be finite")],
         ids=["eps-subnormal", "scale-factor-overflow", "quartic-budget-overflow",

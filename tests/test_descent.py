@@ -25,6 +25,7 @@ from blockgd.descent import (
     resource_predict,
     run_generic,
     run_separable,
+    separable_transform,
     step_size,
 )
 from blockgd.errors import (
@@ -295,21 +296,35 @@ class TestGdStepSeparable:
     def test_identity_polynomial_contracts(self):
         poly = ChebyshevPoly((0.0, 0.5), 0.0)  # P(x) = x
         x = bc.diag_encode([0.3, -0.2])
-        out = gd_step_separable(x, poly, 1.0, 0.1, 1e-6)
+        out = gd_step_separable(x, *separable_transform(poly, 1.0, 0.1), 1e-6)
         assert np.allclose(np.diag(out.corner), [0.9 * 0.3, 0.9 * -0.2], atol=1e-12)
 
     def test_zero_polynomial_is_identity_step(self):
         poly = ChebyshevPoly((0.0,), 0.0)
         x = bc.diag_encode([0.3, -0.2])
-        out = gd_step_separable(x, poly, 1.0, 0.1, 1e-6)
+        out = gd_step_separable(x, *separable_transform(poly, 1.0, 0.1), 1e-6)
         assert np.allclose(out.corner, x.corner)
 
     def test_eta_beyond_measured_bound_rejected(self):
         poly = ChebyshevPoly((0.0, 0.5), 0.0)
-        x = bc.diag_encode([0.3, -0.2])
         for eta in (1.3, math.nan):  # a NaN eta would leave P/divisor unscaled
             with pytest.raises(InvalidConfig, match="eta"):
-                gd_step_separable(x, poly, 0.4, eta, 1e-6)
+                separable_transform(poly, 0.4, eta)
+
+    def test_run_applies_one_transform_per_step(self):
+        func = ScalarFunction.named("logistic", 1.5)
+        n, steps, eta, eps = 5, 3, 0.1, 1e-6
+        objective = SeparableObjective(func, n, 1.0)
+        x0 = initial_state_uniform(eta, 1.0, steps, n)
+        trace = run_separable(objective, x0,
+                              DescentConfig(steps=steps, eps=eps, mode="separable", eta=eta))
+        transform, p_insert = separable_transform(chebyshev.approx_derivative(func, eps), 1.0, eta)
+        encs = [bc.diag_encode(x0)]
+        for _ in range(steps):
+            encs.append(gd_step_separable(encs[-1], transform, p_insert, eps))
+        assert np.array_equal(trace.rows, [e.diagonal().real[:n] for e in encs])
+        assert trace.eps_budgets == [e.eps for e in encs]
+        assert trace.counters == [tuple(getattr(e, k) for k in bc.COUNTERS) for e in encs]
 
 
 class TestRunSeparable:
@@ -706,7 +721,8 @@ class TestDiagonalFastPath:
         assert forms[0] == forms[1]
         assert len(forms[0]) == 55 and set(forms[0]) == {1, 3, 5}
 
-    def test_separable_run_samples_the_polynomial_grid_once(self, monkeypatch):
+    @pytest.mark.parametrize("steps", [0, 1, 4])
+    def test_separable_run_samples_the_polynomial_grid_once(self, monkeypatch, steps):
         calls = []
         original = ChebyshevPoly.eval_unchecked
 
@@ -724,19 +740,19 @@ class TestDiagonalFastPath:
 
         monkeypatch.setattr(chebyshev, "poly_grid", grid)
         chebyshev.approx_derivative.cache_clear()  # a cached poly has its grid_sup already
-        n, steps = 8, 4
+        n = 8
         func = ScalarFunction.named("sin", 1.0)
         x0 = initial_state_uniform(0.1, 1.0, steps, n)
         run_separable(SeparableObjective(func, n, 1.0), x0,
                       DescentConfig(steps=steps, eps=1e-6, mode="separable", eta=0.1))
         derivative = chebyshev.approx_derivative(func, 1e-6)  # the run's, from the cache
-        # P is sampled on the grid once per run.  Each step's transform samples
-        # its P/divisor on the grid once, for its sup check, and then on the
-        # iterate's diagonal: one poly_grid read per step.
+        # P is sampled on the grid once per run, for the divisor.  The run builds
+        # one P/divisor: the first step samples it on the grid for its sup check,
+        # and every step samples it on the iterate's diagonal.
         assert [size for poly, size in calls if poly is derivative] == [POLY_GRID_POINTS]
-        assert [size for poly, size in calls if poly is not derivative] == [
-            POLY_GRID_POINTS, n] * steps
-        assert len(grids) == 1 + steps
+        assert [size for poly, size in calls if poly is not derivative] == (
+            [POLY_GRID_POINTS] + [n] * steps if steps else [])
+        assert len(grids) == 1 + min(steps, 1)
 
 
 class TestRecordedRuns:
