@@ -77,10 +77,7 @@ inputs list or parameters and makes no second call.  Each encoding renders
 its summary to JSON text once, when it is first an output or an input, and
 later records reuse that text; a record's line is joined from those texts
 and from its parameters, rendered in one pass over their sorted names, as it
-is appended.  The lazy values of an encoding (its vector, id and summary
-text) are cached_attribute descriptors: the first read stores the value in
-the instance dict and takes no lock, unlike functools.cached_property on
-Python 3.11.  The log keeps only the lines: AuditLog.to_jsonl joins them,
+is appended.  The log keeps only the lines: AuditLog.to_jsonl joins them,
 and AuditLog.records parses each line once, on the first read after it was
 appended.
 """
@@ -95,6 +92,7 @@ import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,7 +110,7 @@ from .errors import (
     NotNormalized,
     PolyBoundViolated,
 )
-from .polyfunc import as_index, cached_attribute
+from .polyfunc import as_index
 
 NORM_TOL = 1e-10
 DIAG_TOL = 1e-12
@@ -271,7 +269,7 @@ class BlockEncoding:
     def _dense(self) -> bool:
         return type(self._data) is not dict and self._data.ndim == 2
 
-    @cached_attribute
+    @cached_property
     def _vec(self) -> np.ndarray:
         """A diagonal corner's read-only length-N vector (built once for a slot map)."""
         vec = _vector(self._data, self.dim)
@@ -296,14 +294,14 @@ class BlockEncoding:
     def diagonal(self) -> np.ndarray:
         return np.diag(self._data).copy() if self._dense else self._vec.copy()
 
-    @cached_attribute
+    @cached_property
     def _id(self) -> str:
         return _digest(self._data, self.dim)
 
     def summary(self) -> dict:
         return json.loads(self._audited)
 
-    @cached_attribute
+    @cached_property
     def _audited(self) -> str:
         """The summary as json.dumps(summary, sort_keys=True) writes it, made once.
 

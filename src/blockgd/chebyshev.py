@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
 from .errors import DegreeCapExceeded
-from .polyfunc import HALF, cached_attribute, check_point, init_size_and_bound
+from .polyfunc import HALF, check_point, init_size_and_bound
 
 GRID_POINTS = 4096
 POLY_GRID_POINTS = 2048
@@ -171,7 +171,7 @@ class ChebyshevPoly:
         """Vectorized evaluation with no domain check (grids, extensions to [-1, 1])."""
         return ncheb.chebval(2.0 * np.asarray(xs, dtype=float), np.asarray(self.coeffs))
 
-    @cached_attribute
+    @cached_property
     def grid_sup(self) -> float:
         """max |P| on poly_grid(), i.e. over all of [-1, 1]; computed once."""
         return float(np.max(np.abs(self.eval_unchecked(poly_grid()))))

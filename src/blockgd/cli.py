@@ -364,22 +364,18 @@ def _indented(value, newline: str) -> str:
     return ("{" if is_dict else "[") + inner + body + newline + ("}" if is_dict else "]")
 
 
-def _float_text(value: float) -> str:
-    """value as json writes it: its repr when finite, else NaN, Infinity or -Infinity."""
-    return repr(value) if math.isfinite(value) else json.dumps(value)
-
-
 def _number_texts(trace: DescentTrace) -> tuple[list, list]:
-    """trace.rows and trace.gradients as lists of rows of _float_text strings.
+    """trace.rows and trace.gradients as lists of rows of repr strings.
 
-    Each distinct float of the two columns is formatted once, keyed by its
-    bits so that -0.0 stays apart from 0.0, and every entry holding it
-    shares that string.
+    Both columns are finite (every iterate was encoded and _drive checks
+    every gradient), and a finite float's repr is what json writes for it.
+    Each distinct float is formatted once, keyed by its bits so that -0.0
+    stays apart from 0.0, and every entry holding it shares that string.
     """
     rows, grads = trace.rows, trace.gradients
     values = np.concatenate((rows.ravel(), grads.ravel()), dtype=float)
     keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array([_float_text(v) for v in keys.view(float).tolist()], dtype=object)
+    texts = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
     # The shape of inverse has changed across numpy 2.x releases.
     shared = texts[inverse.reshape(-1)]
     return (shared[:rows.size].reshape(rows.shape).tolist(),

@@ -8,8 +8,8 @@ certified when its gradient bound is at most M.
 
 check_point is the one box check of a point handed in from outside: a start
 vector (of a parse, a run or the oracle) or the argument of evaluate/gradient.
-The helpers as_index (the integer rule of sizes and step counts) and
-cached_attribute (the lazy cache of the immutable types) serve every module.
+The helper as_index (the integer rule of sizes and step counts) serves every
+module.
 
 Conventions: variable indices are 0-based, 0**0 == 1 (constant terms are
 legal), duplicate exponent tuples are merged at construction, and the zero
@@ -59,30 +59,6 @@ def as_index(value, name: str, error: type[Exception] = ValueError) -> int:
         return operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
-
-
-class cached_attribute:
-    """functools.cached_property without its lock, for frozen instances.
-
-    On Python 3.11 cached_property takes an RLock on every first read.  This
-    descriptor computes the value on the first read and stores it in the
-    instance dict, where later reads find it without calling the descriptor.
-    The values cached with it are pure functions of immutable state, so two
-    threads reading one first would each store an equal value.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
 
 
 def init_size_and_bound(objective) -> None:

@@ -192,6 +192,10 @@ MUTANTS = (
     # report's per-iteration deltas carry it.
     Mutant("audited_ancillas", "blockcalc.py", '"ancillas": {self.ancillas!r}',
            '"ancillas": {self.ancillas + 1!r}', (REPLAY,)),
+    # An encoding's summary text, rendered on every read instead of once.
+    Mutant("audited_text_cached", "blockcalc.py", "@cached_property\n    def _audited(",
+           "@property\n    def _audited(",
+           (f"{BLOCKCALC}::TestAuditLog::test_each_encoding_renders_its_summary_text_once",)),
     Mutant("deltas_drop_a_counter", "descent.py", "zip(COUNTERS, cur, prev)",
            "zip(COUNTERS[:2], cur, prev)",
            (f"{DESCENT}::TestTraceShape::test_trace_records_and_deltas",

@@ -839,6 +839,17 @@ class TestAuditLog:
         assert rec["out"]["queries"] == rec["in"][0]["queries"] + 2
         assert rec["seq"] == 1
 
+    def test_each_encoding_renders_its_summary_text_once(self):
+        audit = AuditLog()
+        with bc.recording(audit):
+            x = bc.diag_encode([0.2, 0.1])
+            bc.entry_project(x, 0, 1)
+        assert audit.records[0]["out"] == audit.records[1]["in"][0]
+        # x is the first record's output and the second's input: its text is
+        # cached in its dict, and every read returns that one string.
+        assert "_audited" in x.__dict__
+        assert x._audited is x._audited
+
     def test_jsonl_deterministic(self):
         def build():
             audit = AuditLog()
