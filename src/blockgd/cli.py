@@ -31,16 +31,17 @@ Flags override config-file fields (flags > file).  Artifacts are
 deterministic: sorted JSON keys, shortest round-trip float formatting, no
 timestamps or absolute paths, so reruns of the same config are
 byte-identical.  trace.json and report.json are exactly
-json.dumps(doc, sort_keys=True, indent=2); _json_text writes that text with
-json's C encoder for every container of scalars and joins only the
-containers above them in Python.  The iterates and gradients are formatted
-by _number_texts: each distinct number of a run once, keyed by its bits, as
-json writes it; trace.json and trace.csv both join those shared strings.
+json.dumps(doc, sort_keys=True, indent=2) + "\n".  trace.json and trace.csv
+are streamed, TRACE_BLOCK trace entries at a time, so a run at the input
+limits needs little more memory than its columns: _number_texts formats a
+block's distinct numbers once each, and _trace_json fills one template per
+iterate between the run's fields as json writes them.
 
 Exit codes: 0 on success, 1 for an unexpected internal error (no input is
 meant to reach it), and otherwise the ``exit_code`` of the BlockgdError
 raised, listed once in blockgd.errors: 2 for every schema, input-limit and
-step-size error and an unwritable --out, 3 to 7 for the other families.
+step-size error, an unwritable --out and a run that runs out of memory, 3
+to 7 for the other families.
 """
 
 from __future__ import annotations
@@ -324,95 +325,74 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     )
 
 
-def _json_text(payload) -> str:
-    """json.dumps(payload, sort_keys=True, indent=2) + "\n", byte for byte."""
-    return _indented(payload, "\n") + "\n"
+# Trace entries (iterate and gradient coordinates) the trace writers format
+# at once: a block of whole rows, and one row when n alone exceeds it.
+TRACE_BLOCK = 2**16
+# One trace.json iteration entry as json.dumps(doc, sort_keys=True, indent=2)
+# writes it inside "iterations", each value a %-field: x and gradient take the
+# joined texts of their entries.
+_ITERATION = "    " + json.dumps(
+    {key: [f"%({key})s"] if key in ("x", "gradient") else f"%({key})s"
+     for key in ("t", "x", "f", "gradient", "eps_budget", *COUNTERS)},
+    sort_keys=True, indent=2,
+).replace('"%(', "%(").replace(')s"', ")s").replace("\n", "\n    ")
 
 
-class _Rendered(list):
-    """A JSON array whose entries are already JSON text, for _indented to join."""
+def _number_texts(*columns) -> list[list]:
+    """Each column (an array or a list) of finite floats as nested lists of their reprs.
 
-
-def _indented(value, newline: str) -> str:
-    """value as json's indent=2 writes it at the depth newline indents to.
-
-    json drops to its pure-Python encoder whenever indent is set, so a
-    container whose entries are all scalars (a counter block) is handed to
-    the C encoder with the item separator the indented form puts between
-    them, a _Rendered array's texts are joined with it, and only the
-    containers above them are joined here.  Keys are strings, as in every
-    artifact.
+    A finite float's repr is what json writes for it.  Each distinct float is
+    formatted once, keyed by its bits so that -0.0 stays apart from 0.0.
     """
-    is_dict = isinstance(value, dict)
-    if not (is_dict or isinstance(value, (list, tuple))):
-        return json.dumps(value)
-    if not value:
-        return "{}" if is_dict else "[]"
-    inner = newline + "  "
-    if type(value) is _Rendered:
-        return "[" + inner + ("," + inner).join(value) + newline + "]"
-    # One pass in C over the entries' types, not an isinstance call per entry.
-    types = set(map(type, value.values() if is_dict else value))
-    if any(issubclass(t, (dict, list, tuple)) for t in types):
-        if is_dict:
-            parts = [json.dumps(k) + ": " + _indented(v, inner) for k, v in sorted(value.items())]
-        else:
-            parts = [_indented(v, inner) for v in value]
-        body = ("," + inner).join(parts)
-    else:
-        body = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))[1:-1]
-    return ("{" if is_dict else "[") + inner + body + newline + ("}" if is_dict else "]")
-
-
-def _number_texts(trace: DescentTrace) -> tuple[list, list]:
-    """trace.rows and trace.gradients as lists of rows of repr strings.
-
-    Both columns are finite (every iterate was encoded and _drive checks
-    every gradient), and a finite float's repr is what json writes for it.
-    Each distinct float is formatted once, keyed by its bits so that -0.0
-    stays apart from 0.0, and every entry holding it shares that string.
-    """
-    rows, grads = trace.rows, trace.gradients
-    values = np.concatenate((rows.ravel(), grads.ravel()), dtype=float)
+    values = np.concatenate([np.ravel(c) for c in columns], dtype=float)
     keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
     # The shape of inverse has changed across numpy 2.x releases.
-    shared = texts[inverse.reshape(-1)]
-    return (shared[:rows.size].reshape(rows.shape).tolist(),
-            shared[rows.size:].reshape(grads.shape).tolist())
+    parts = np.split(texts[inverse.reshape(-1)], np.cumsum([np.size(c) for c in columns])[:-1])
+    return [part.reshape(np.shape(c)).tolist() for part, c in zip(parts, columns)]
 
 
-def _trace_doc(trace: DescentTrace, texts: tuple[list, list]) -> dict:
-    """The trace.json document: the run's fields and one entry per iterate.
+def _row_blocks(trace: DescentTrace, *columns):
+    """(slice of rows, _number_texts of the columns' rows) per TRACE_BLOCK entries."""
+    size = max(1, TRACE_BLOCK // trace.n)
+    for start in range(0, trace.steps + 1, size):
+        rows = slice(start, start + size)
+        yield rows, _number_texts(*(c[rows] for c in columns))
 
-    texts is _number_texts(trace), which the caller shares with _trace_csv.
+
+def _trace_json(trace: DescentTrace):
+    """The pieces of trace.json, json.dumps(doc, sort_keys=True, indent=2) + "\n".
+
+    json writes the run's fields; each iterate's entry fills _ITERATION from its block's texts.
     """
-    doc = {
+    fields = {
         "mode": trace.mode, "n": trace.n, "eta": trace.eta, "eps": trace.eps,
         "T": trace.steps, "grad_bound": trace.grad_bound, "probability": trace.probability,
         "schedule_bound_ok": trace.schedule_bound_ok, "norm_safety_ok": trace.norm_safety_ok,
-        "iterations": [
-            {"t": t, "x": _Rendered(x), "f": f, "gradient": _Rendered(g), "eps_budget": e,
-             **dict(zip(COUNTERS, c))}
-            for t, (x, g, f, e, c) in enumerate(zip(*texts, trace.f_values, trace.eps_budgets,
-                                                    trace.counters))
-        ],
+        "iterations": None,
     }
     if trace.poly_degree is not None:
-        doc["poly_degree"] = trace.poly_degree
-        doc["poly_sup_error"] = trace.poly_sup_error
-    return doc
+        fields |= {"poly_degree": trace.poly_degree, "poly_sup_error": trace.poly_sup_error}
+    head, tail = json.dumps(fields, sort_keys=True, indent=2).split('"iterations": null')
+    yield head + '"iterations": [\n'
+    columns = (trace.rows, trace.gradients, trace.f_values, trace.eps_budgets)
+    for rows, (xs, gs, fs, es) in _row_blocks(trace, *columns):
+        entries = (
+            _ITERATION % {"t": t, "x": ",\n        ".join(x), "f": f,
+                          "gradient": ",\n        ".join(g), "eps_budget": e,
+                          **dict(zip(COUNTERS, c))}
+            for t, (x, g, f, e, c) in enumerate(zip(xs, gs, fs, es, trace.counters[rows]),
+                                                rows.start)
+        )
+        yield ("" if rows.start == 0 else ",\n") + ",\n".join(entries)
+    yield "\n  ]" + tail + "\n"
 
 
-def _trace_csv(trace: DescentTrace, texts: tuple[list, list]) -> str:
-    """The trace.csv text: a header t,x0,...,x{n-1} and each iterate's reprs.
-
-    texts is _number_texts(trace).  The iterates are finite (each one was
-    encoded), so their texts are their reprs.
-    """
-    lines = ["t," + ",".join(f"x{i}" for i in range(trace.n))]
-    lines += [f"{t}," + ",".join(x) for t, x in enumerate(texts[0])]
-    return "\n".join(lines) + "\n"
+def _trace_csv(trace: DescentTrace):
+    """The pieces of trace.csv: a header t,x0,...,x{n-1} and each iterate's reprs."""
+    yield "t," + ",".join(f"x{i}" for i in range(trace.n)) + "\n"
+    for rows, (xs,) in _row_blocks(trace, trace.rows):
+        yield "".join(f"{t}," + ",".join(x) + "\n" for t, x in enumerate(xs, rows.start))
 
 
 def _build_report(objective: ObjectiveFunction | SeparableObjective, trace: DescentTrace,
@@ -478,31 +458,44 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute one config and write its artifacts under cfg.out (default out/)."""
     audit = AuditLog() if cfg.audit else None
     engine = run_generic if cfg.run.mode == GENERIC else run_separable
-    with recording(audit):
-        trace = engine(cfg.objective, cfg.x0, cfg.run)
-    oracle_trace = classical_gd(cfg.objective, cfg.x0, trace.eta, trace.steps)
-    report = _build_report(cfg.objective, trace, oracle_trace)
-    numbers = _number_texts(trace)
-    texts = {}
-    if cfg.fmt in ("json", "both"):
-        texts["trace.json"] = _json_text(_trace_doc(trace, numbers))
-    if cfg.fmt in ("csv", "both"):
-        texts["trace.csv"] = _trace_csv(trace, numbers)
-    texts["report.json"] = _json_text(report)
-    if audit is not None:
-        texts["audit.jsonl"] = audit.to_jsonl()
-    _write_artifacts(Path(cfg.out or "out"), texts)
+    try:
+        with recording(audit):
+            trace = engine(cfg.objective, cfg.x0, cfg.run)
+        oracle_trace = classical_gd(cfg.objective, cfg.x0, trace.eta, trace.steps)
+        report = _build_report(cfg.objective, trace, oracle_trace)
+        artifacts = {}
+        if cfg.fmt in ("json", "both"):
+            artifacts["trace.json"] = _trace_json(trace)
+        if cfg.fmt in ("csv", "both"):
+            artifacts["trace.csv"] = _trace_csv(trace)
+        artifacts["report.json"] = [json.dumps(report, sort_keys=True, indent=2) + "\n"]
+        if audit is not None:
+            artifacts["audit.jsonl"] = [audit.to_jsonl()]
+        _write_artifacts(Path(cfg.out or "out"), artifacts)
+    except MemoryError:  # in the engine or a writer: exit 2, not 1
+        entries = cfg.objective.n * (cfg.run.steps + 1)
+        raise SchemaError(f"out of memory: a run of n*(T+1) = {entries} trace entries "
+                          "needs more memory than this process could allocate") from None
     return EXIT_OK
 
 
-def _write_artifacts(out_dir: Path, texts: dict) -> None:
-    """Create out_dir and write each {name: text} into it; failing to is a SchemaError."""
+def _write_artifacts(out_dir: Path, artifacts: dict) -> None:
+    """Create out_dir and write each {name: text pieces} into it; failing to is a SchemaError.
+
+    A file whose write stops part-way is unlinked before the error propagates.
+    """
     path = out_dir
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in texts.items():
+        for name, pieces in artifacts.items():
             path = out_dir / name
-            path.write_text(text, encoding="utf-8")
+            fh = path.open("w", encoding="utf-8")
+            try:
+                with fh:
+                    fh.writelines(pieces)
+            except BaseException:
+                path.unlink()
+                raise
     except OSError as exc:
         raise SchemaError(f"cannot write {path}: {exc}") from exc
 
@@ -552,10 +545,10 @@ def compare_costs(params: CostParams, out_dir: Path) -> str:
     rows = _costs_rows(report)
     table = _costs_table_text(rows)
     _write_artifacts(out_dir, {
-        "costs.csv": _csv_text(rows),
-        "crossover.csv": _csv_text(report["crossover"]),
-        "report.json": _json_text(report),
-        "table.txt": table,
+        "costs.csv": [_csv_text(rows)],
+        "crossover.csv": [_csv_text(report["crossover"])],
+        "report.json": [json.dumps(report, sort_keys=True, indent=2) + "\n"],
+        "table.txt": [table],
     })
     return table
 

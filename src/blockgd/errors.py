@@ -8,7 +8,8 @@ approx_derivative's range) raises ValueError instead.  These class
 attributes are the one list of the codes: 2 SchemaError (InvalidConfig
 included), 3 InfeasibleSchedule, 4 NormBoundViolated, 5 PolyBoundViolated, 6
 DegreeCapExceeded and 7 every other BlockgdError.  The CLI adds 0 (success)
-and 1 (an internal error, which no input should reach).
+and 1 (an internal error, which no input should reach), and raises
+SchemaError for an unwritable output path and for a run out of memory.
 """
 
 

@@ -13,12 +13,14 @@ import tempfile
 import warnings
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blockgd import cli
 from blockgd.chebyshev import DEGREE_CAP, MAX_EPS, NAMED_KINDS
 from blockgd.cli import (
     COST_INT_RANGES,
@@ -27,10 +29,9 @@ from blockgd.cli import (
     MAX_N,
     MAX_TERM_DEGREE,
     MAX_TRACE_ENTRIES,
-    _json_text,
-    _number_texts,
+    TRACE_BLOCK,
     _trace_csv,
-    _trace_doc,
+    _trace_json,
     main,
     parse_experiment,
     run_experiment,
@@ -693,6 +694,30 @@ class TestInputLimits:
         with pytest.raises(SchemaError, match=f"T: expected integer in \\[0, {largest}\\]"):
             parse_experiment(doc | {"T": largest + 1})
 
+    def test_run_of_a_million_trace_entries_stays_within_its_memory_fence(self, tmp_path):
+        # 2**20 trace entries (n = 2**14, T = 63): 8 MiB per column of the
+        # engine's trace and the oracle's.  The process entry's own peak RSS
+        # measured 76 MiB, so the fence of 128 MiB leaves 1.7x slack; writers
+        # that held the whole text took 353 MiB.  It is read as VmHWM, which
+        # belongs to the program's own memory map: ru_maxrss keeps, across
+        # execve, the peak of the process it was forked from (here pytest).
+        doc = _with(_with(SEPARABLE_DOC, ["objective", "n"], 2**14), ["x0"],
+                    {"uniform_q": "auto"}) | {"T": 63, "eta": 0.005}
+        argv = ["run", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")]
+        code = f"""import sys
+from blockgd.__main__ import entry
+sys.argv[1:] = {argv!r}
+code = entry()
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), proc.stderr
+        assert int(proc.stdout) <= 128 * 1024  # KiB
+
     @pytest.mark.parametrize(
         "params, message",
         [({"eps": 0.9}, str(MAX_EPS)), ({"n": 10**30}, str(MAX_N)),
@@ -838,6 +863,44 @@ class TestNoInternalError:
         assert main(["run", "--sweep", str(sweep_path), "--out", str(out)]) == EXIT_SCHEMA
         assert capsys.readouterr().err.startswith("quadratic.json: cannot write")
         assert (out / "separable_sin" / "report.json").exists()
+
+    def test_out_of_memory_in_the_engine_exits_2_naming_the_trace_entries(
+            self, tmp_path, capsys, monkeypatch):
+        def engine(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_generic", engine)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(QUADRATIC), "--out", str(out)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            "error: out of memory: a run of n*(T+1) = 12 trace entries needs more memory "
+            "than this process could allocate\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error", [MemoryError, partial(OSError, 28, "No space left")],
+                             ids=["memory", "os"])
+    @pytest.mark.parametrize("writer, name", [("_trace_json", "trace.json"),
+                                              ("_trace_csv", "trace.csv")], ids=["json", "csv"])
+    def test_a_write_that_fails_part_way_leaves_no_truncated_file(
+            self, tmp_path, capsys, monkeypatch, error, writer, name):
+        whole = tmp_path / "whole"
+        assert main(["run", "--config", str(QUADRATIC), "--out", str(whole)]) == EXIT_OK
+        pieces = getattr(cli, writer)
+
+        def failing(trace):
+            yield next(pieces(trace))
+            raise error()
+
+        monkeypatch.setattr(cli, writer, failing)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(QUADRATIC), "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / name}: " if error is not MemoryError
+                              else "error: out of memory: a run of n*(T+1) = 12 trace entries")
+        # The file that failed is gone; the ones written before it are whole.
+        before = ["trace.json"] if name == "trace.csv" else []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+            k: (whole / k).read_bytes() for k in before}
 
     def test_failed_run_leaves_no_output_directory(self, tmp_path):
         path = write_config(tmp_path, EPS_SUBNORMAL_DOC)
@@ -1239,49 +1302,18 @@ class TestParseExperiment:
         assert np.array_equal(cfg.x0, initial_state_uniform(0.1, 1.0, 3, 8))
 
 
-# JSON scalars, with the floats json writes in its own ways: signed zeros,
-# subnormals, huge values and NaN.
-JSON_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, NAN]),
-    st.text(max_size=8),
-)
-JSON_DOCS = st.recursive(
-    JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=6), inner,
-                                                                 max_size=6),
-    max_leaves=40,
-)
-
-
-class TestJsonText:
-    @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(JSON_DOCS)
-    def test_matches_json_dumps_with_indent(self, doc):
-        assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-    @pytest.mark.parametrize("doc", [
-        {}, [], {"a": {}, "b": []}, [[], {}], {"x": [1, 2.5, -0.0, 5e-324, 1e300, True, None]},
-        {"rows": [[0.1, 2], [3, NAN]], "nan": NAN, "nested": {"deep": {"list": [1, [2, [3.5]]]}}},
-    ], ids=range(6))
-    def test_matches_json_dumps_on_edge_cases(self, doc):
-        text = _json_text(doc)
-        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        if "nan" in doc:
-            assert text.count("NaN") == 2
-
-
-def _trace_of(rows, grads) -> DescentTrace:
-    """A DescentTrace holding the given iterate and gradient rows."""
+def _trace_of(rows, grads, f_values=None, eps_budgets=None, poly=False) -> DescentTrace:
+    """A DescentTrace holding the given columns, with the separable fields when poly."""
     steps = len(rows) - 1
     return DescentTrace(
-        mode="generic", n=len(rows[0]), eta=0.125, eps=1e-6, steps=steps, grad_bound=1.0,
-        probability=0.25, schedule_bound_ok=True, norm_safety_ok=True,
-        rows=np.array(rows, dtype=float), gradients=np.array(grads, dtype=float),
-        f_values=[0.5 - 0.1 * t for t in range(steps + 1)],
-        eps_budgets=[1e-6 * t for t in range(steps + 1)],
-        counters=[(t, 3 * t, 2 * t) for t in range(steps + 1)],
+        mode="separable" if poly else "generic", n=len(rows[0]), eta=0.125, eps=1e-6,
+        steps=steps, grad_bound=1.0, probability=0.25, schedule_bound_ok=True,
+        norm_safety_ok=True, rows=np.array(rows, dtype=float),
+        gradients=np.array(grads, dtype=float),
+        f_values=f_values or [0.5 - 0.1 * t for t in range(steps + 1)],
+        eps_budgets=eps_budgets or [1e-6 * t for t in range(steps + 1)],
+        counters=[(t, 3 * t, 2**70 * t) for t in range(steps + 1)],
+        poly_degree=7 if poly else None, poly_sup_error=2.5e-9 if poly else None,
     )
 
 
@@ -1298,51 +1330,76 @@ def drawn_traces(draw):
     rows, grads = (np.reshape(draw(st.lists(st.sampled_from(pool), min_size=size,
                                             max_size=size)), (steps + 1, n))
                    for pool in (ROW_POOL, GRADIENT_POOL))
-    return _trace_of(rows.tolist(), grads.tolist())
+    f_values, eps_budgets = (draw(st.lists(st.sampled_from(pool), min_size=steps + 1,
+                                           max_size=steps + 1))
+                             for pool in (GRADIENT_POOL, ROW_POOL))
+    return _trace_of(rows.tolist(), grads.tolist(), f_values, eps_budgets, draw(st.booleans()))
+
+
+def _check_writers(trace: DescentTrace) -> None:
+    """_trace_json and _trace_csv write what json.dumps and repr write for trace."""
+    # The trace.json document as it was built from trace.records.
+    ref = {
+        "mode": trace.mode, "n": trace.n, "eta": trace.eta, "eps": trace.eps,
+        "T": trace.steps, "grad_bound": trace.grad_bound, "probability": trace.probability,
+        "schedule_bound_ok": trace.schedule_bound_ok, "norm_safety_ok": trace.norm_safety_ok,
+        "iterations": [
+            {"t": r.t, "x": r.x, "f": r.f_value, "gradient": r.gradient,
+             "eps_budget": r.eps_budget, **{k: getattr(r, k) for k in COUNTERS}}
+            for r in trace.records
+        ],
+    }
+    if trace.poly_degree is not None:
+        ref |= {"poly_degree": trace.poly_degree, "poly_sup_error": trace.poly_sup_error}
+    assert "".join(_trace_json(trace)) == json.dumps(ref, sort_keys=True, indent=2) + "\n"
+    lines = ["t," + ",".join(f"x{i}" for i in range(trace.n))]
+    lines += [f"{t}," + ",".join(map(repr, x)) for t, x in enumerate(trace.rows.tolist())]
+    assert "".join(_trace_csv(trace)) == "\n".join(lines) + "\n"
 
 
 class TestTraceWriters:
-    """Each distinct number is formatted once, and the writers still write json's and repr's text."""
+    """Each block's distinct numbers are formatted once, and the texts are json's and repr's."""
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(drawn_traces())
     @example(_trace_of([[-0.0, 0.0, 0.1], [0.0, -0.0, 0.1]], [[0.0, -0.0, 1e300], [-0.0, 0.0, 0.0]]))
     def test_writers_match_json_dumps_and_repr(self, trace):
-        # The trace.json document as it was built from trace.records.
-        ref = {
-            "mode": trace.mode, "n": trace.n, "eta": trace.eta, "eps": trace.eps,
-            "T": trace.steps, "grad_bound": trace.grad_bound, "probability": trace.probability,
-            "schedule_bound_ok": trace.schedule_bound_ok,
-            "norm_safety_ok": trace.norm_safety_ok,
-            "iterations": [
-                {"t": r.t, "x": r.x, "f": r.f_value, "gradient": r.gradient,
-                 "eps_budget": r.eps_budget, **{k: getattr(r, k) for k in COUNTERS}}
-                for r in trace.records
-            ],
-        }
-        texts = _number_texts(trace)
-        doc = _trace_doc(trace, texts)
-        assert _json_text(doc) == json.dumps(ref, sort_keys=True, indent=2) + "\n"
-        lines = ["t," + ",".join(f"x{i}" for i in range(trace.n))]
-        lines += [f"{t}," + ",".join(map(repr, x)) for t, x in enumerate(trace.rows.tolist())]
-        assert _trace_csv(trace, texts) == "\n".join(lines) + "\n"
+        _check_writers(trace)
 
-    def test_formatting_calls_count_distinct_numbers_at_every_n(self):
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(drawn_traces(), st.integers(1, 64))
+    def test_writers_match_across_block_boundaries(self, trace, block):
+        # A block of block // n rows (at least one), so a trace spans up to five blocks.
+        with mock.patch.object(cli, "TRACE_BLOCK", block):
+            _check_writers(trace)
+
+    def test_formatting_calls_count_distinct_numbers_at_every_n(self, monkeypatch):
         # A constant start changes only the coordinates in the terms' supports
-        # (6 of them here), so the columns hold the same few values at every n.
-        # Each formatting call makes one string, which every entry holding its
-        # value shares: the distinct string objects count the calls.
+        # (6 of them here), so each block holds the same few values at every n.
+        # Each block formats its distinct floats (of the iterates, gradients,
+        # f values and budgets), each once.
+        calls = []
+        monkeypatch.setattr(cli, "repr", lambda v: calls.append(v) or repr(v), raising=False)
         counts = {}
         for n in (2**10, 2**14):
             doc = _wide_generic_doc(n, [(0, 100, n - 1), (100, 17, 200), (n - 1, 3, 17)],
                                     [2.0**-8] * n)
             cfg = parse_experiment(doc)
             trace = run_generic(cfg.objective, cfg.x0, cfg.run)
-            strings = {id(s) for column in _number_texts(trace) for row in column for s in row}
-            columns = np.concatenate((trace.rows.ravel(), trace.gradients.ravel()))
-            assert len(strings) == len(set(columns.view(np.int64).tolist()))
-            counts[n] = len(strings)
-        assert counts == {2**10: 44, 2**14: 44}  # measured: 44 at both sizes
+            columns = (trace.rows, trace.gradients, trace.f_values, trace.eps_budgets)
+            for block in (TRACE_BLOCK, 2**10):
+                monkeypatch.setattr(cli, "TRACE_BLOCK", block)
+                calls.clear()
+                assert "".join(_trace_json(trace)).count('"t": ') == trace.steps + 1
+                size = max(1, block // n)
+                assert len(calls) == sum(
+                    len(set(np.concatenate([np.ravel(c[t:t + size]) for c in columns])
+                            .view(np.int64).tolist()))
+                    for t in range(0, trace.steps + 1, size))
+                counts[block, n] = len(calls)
+        # measured: one block of 4 rows makes 51 calls, four blocks of 1 row 57.
+        assert counts == {(TRACE_BLOCK, 2**10): 51, (TRACE_BLOCK, 2**14): 51,
+                          (2**10, 2**10): 57, (2**10, 2**14): 57}
 
 
 def _blockgd(*args, cwd):

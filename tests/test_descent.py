@@ -462,10 +462,9 @@ class TestTraceShape:
         assert all(d.keys() == {"t", *descent.COUNTERS} for d in deltas)
         for i, name in enumerate(descent.COUNTERS):
             assert sum(d[name] for d in deltas) == trace.counters[-1][i] - trace.counters[0][i]
-        texts = cli._number_texts(trace)
-        doc = cli._trace_doc(trace, texts)
+        doc = json.loads("".join(cli._trace_json(trace)))
         assert doc["T"] == 3 and len(doc["iterations"]) == 4
-        csv_text = cli._trace_csv(trace, texts)
+        csv_text = "".join(cli._trace_csv(trace))
         assert csv_text.splitlines()[0] == "t,x0,x1"
         assert len(csv_text.splitlines()) == 5
 
@@ -474,7 +473,7 @@ class TestTraceShape:
         cfg = DescentConfig(steps=3, eps=1e-6, mode="generic")
         a = run_generic(f, [0.2, 0.1], cfg)
         b = run_generic(f, [0.2, 0.1], cfg)
-        docs = [cli._trace_doc(t, cli._number_texts(t)) for t in (a, b)]
+        docs = ["".join(cli._trace_json(t)) for t in (a, b)]
         assert docs[0] == docs[1]
         assert a.per_iteration_deltas() == b.per_iteration_deltas()
 
